@@ -139,6 +139,40 @@ def hwp45(state: StateVector) -> StateVector:
     return combine_terms(pairs, state.tolerance)
 
 
+# Per input polarization (R, then L): the gate sign and the
+# (detector position, wave-plate factor) pairs the component lands on.
+PhotonRoutes = tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
+
+
+def photon_readout(
+    station: Station,
+) -> tuple[tuple[DetectorLabel, ...], dict[SpinLabel, PhotonRoutes]]:
+    """Gate, wave plate and detector routing folded together for one station.
+
+    Covers a photon injected along MINUS_Z.  Returns the station's detectors in
+    label order and the routes for each value of the gated spin.  Spins never
+    change, so a photonless spin ket with amplitude ``s`` puts
+    ``factor * (sign * (p * s))`` on each detector its routes list, ``p`` being
+    the photon amplitude of that input polarization.
+    """
+    detectors = tuple(
+        sorted((d for (s, _, _), d in _ROUTING.items() if s is station), key=_DETECTOR_ORDER.get)
+    )
+    position = {d: i for i, d in enumerate(detectors)}
+    routes = {}
+    for spin in SpinLabel:
+        entries = []
+        for pol in (_R, _L):
+            out_pol, direction, sign = _INTERACTION[(pol, _MINUS, spin)]
+            lands = tuple(
+                (position[_ROUTING[(station, direction, linear)]], factor)
+                for linear, factor in _HWP[out_pol]
+            )
+            entries.append((sign, lands))
+        routes[spin] = tuple(entries)
+    return detectors, routes
+
+
 @dataclass(frozen=True)
 class DetectionEvent:
     """One detector that can fire: its label, probability, and the collapsed spins."""

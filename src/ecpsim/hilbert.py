@@ -167,6 +167,22 @@ class StateVector:
         self._terms = dict(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
         self.tolerance = tolerance
 
+    @classmethod
+    def _from_canonical(
+        cls, terms: dict[BasisKet, complex], tolerance: float = DEFAULT_TOLERANCE
+    ) -> StateVector:
+        """Wrap ``terms`` as a state without checking or sorting it again.
+
+        The caller guarantees what ``__init__`` would otherwise establish:
+        every key has the same shape, the keys are in ``sort_key`` order, and
+        every amplitude is a finite ``complex`` of magnitude at least
+        ``tolerance``.  The dict is taken over, not copied.
+        """
+        state = cls.__new__(cls)
+        state._terms = terms
+        state.tolerance = tolerance
+        return state
+
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[BasisKet, complex]]:

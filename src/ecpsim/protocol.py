@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -24,20 +26,20 @@ from .cavity import (
     CavityParams,
     DenominatorConvention,
     DetectorLabel,
+    PhotonRoutes,
     Station,
-    apply_ebs_gate,
-    detect,
-    hwp45,
+    photon_readout,
     scatter_coefficients,
 )
 from .errors import (
     ConfigError,
     DegenerateCoefficientsError,
     InvalidCoefficientsError,
+    ShapeMismatchError,
     UnknownDetectorError,
-    ZeroStateError,
 )
 from .hilbert import (
+    DEFAULT_TOLERANCE,
     BasisKet,
     Direction,
     PhotonLabel,
@@ -111,6 +113,17 @@ class GateMode:
     @property
     def is_lossy(self) -> bool:
         return self.cavity is not None
+
+    @cached_property
+    def success_factors(self) -> dict[Station, float]:
+        """Factor on a lossy round's success probability, per station: the
+        transmitted-port signal fraction at Alice, the reflected-port one at
+        Charlie.  Evaluated once per mode."""
+        coeffs = scatter_coefficients(self.cavity, convention=self.convention)
+        return {
+            Station.ALICE: coeffs.transmitted_signal_fraction,
+            Station.CHARLIE: coeffs.reflected_signal_fraction,
+        }
 
 
 @dataclass(frozen=True)
@@ -234,14 +247,23 @@ def prepare_w_state(coefficients: WCoefficients) -> StateVector:
     return StateVector(dict(zip(_W_KETS, (a1, a2, a3))))
 
 
-def _photon(amp_r: float, amp_l: float) -> StateVector:
+def _photon_amplitudes(amp_r: float, amp_l: float) -> tuple[float, float]:
+    """Normalized (R, L) amplitudes of an ancilla photon."""
     n = math.hypot(amp_r, amp_l)
     if n == 0.0:
         raise DegenerateCoefficientsError("photon amplitudes are both zero")
+    r, l = amp_r / n, amp_l / n
+    if not (math.isfinite(r) and math.isfinite(l)):
+        raise ValueError(f"non-finite photon amplitudes ({amp_r}, {amp_l})")
+    return r, l
+
+
+def _photon(amp_r: float, amp_l: float) -> StateVector:
+    r, l = _photon_amplitudes(amp_r, amp_l)
     return StateVector(
         {
-            BasisKet(PhotonLabel(Polarization.R, Direction.MINUS_Z), ()): amp_r / n,
-            BasisKet(PhotonLabel(Polarization.L, Direction.MINUS_Z), ()): amp_l / n,
+            BasisKet(PhotonLabel(Polarization.R, Direction.MINUS_Z), ()): r,
+            BasisKet(PhotonLabel(Polarization.L, Direction.MINUS_Z), ()): l,
         }
     )
 
@@ -312,91 +334,144 @@ def phase_correction(state: StateVector, detector: DetectorLabel) -> StateVector
 
 # -- single rounds ---------------------------------------------------------------
 
-_STATION_PLAN = {
-    Station.ALICE: {
-        "spin_index": 0,
-        "photon": alice_photon,
-        "success": (DetectorLabel.D3, DetectorLabel.D4),
-        "success_class": OutcomeClass.ALICE_SUCCESS,
-        "retry_class": OutcomeClass.ALICE_RETRY,
-        "success_coefficients": _alice_success_coefficients,
-        "retry_coefficients": coefficient_update_alice,
-    },
-    Station.CHARLIE: {
-        "spin_index": 2,
-        "photon": charlie_photon,
-        "success": (DetectorLabel.D5, DetectorLabel.D6),
-        "success_class": OutcomeClass.CHARLIE_SUCCESS,
-        "retry_class": OutcomeClass.CHARLIE_RETRY,
-        "success_coefficients": lambda _c: WCoefficients.symmetric(),
-        "retry_coefficients": coefficient_update_charlie,
-    },
-}
+
+@dataclass(frozen=True)
+class _StationPlan:
+    """What a round at one station needs, fixed at import.
+
+    ``detectors`` and ``routes`` come from :func:`photon_readout`; ``success``
+    and ``correction_spin`` are indexed by detector position, the latter
+    naming the spin an even detector's phase correction acts on.
+    """
+
+    station: Station
+    spin_index: int
+    photon_pair: Callable[[WCoefficients], tuple[float, float]]
+    detectors: tuple[DetectorLabel, ...]
+    routes: dict[SpinLabel, PhotonRoutes]
+    success: tuple[bool, ...]
+    correction_spin: tuple[int | None, ...]
+    success_class: OutcomeClass
+    retry_class: OutcomeClass
+    success_coefficients: Callable[[WCoefficients], WCoefficients]
+    retry_coefficients: Callable[[WCoefficients], WCoefficients]
 
 
-def _lossy_success_factor(gate_mode: GateMode, station: Station) -> float:
-    coeffs = scatter_coefficients(gate_mode.cavity, convention=gate_mode.convention)
-    if station is Station.ALICE:
-        return coeffs.transmitted_signal_fraction
-    return coeffs.reflected_signal_fraction
+def _station_plan(
+    station: Station, success: tuple[DetectorLabel, ...], **fields
+) -> _StationPlan:
+    detectors, routes = photon_readout(station)
+    return _StationPlan(
+        station=station,
+        detectors=detectors,
+        routes=routes,
+        success=tuple(d in success for d in detectors),
+        correction_spin=tuple(_CORRECTION_SPIN.get(d) for d in detectors),
+        **fields,
+    )
+
+
+_ALICE_PLAN = _station_plan(
+    Station.ALICE,
+    success=(DetectorLabel.D3, DetectorLabel.D4),
+    spin_index=0,
+    photon_pair=lambda c: (c.a1, c.a2),
+    success_class=OutcomeClass.ALICE_SUCCESS,
+    retry_class=OutcomeClass.ALICE_RETRY,
+    success_coefficients=_alice_success_coefficients,
+    retry_coefficients=coefficient_update_alice,
+)
+_CHARLIE_PLAN = _station_plan(
+    Station.CHARLIE,
+    success=(DetectorLabel.D5, DetectorLabel.D6),
+    spin_index=2,
+    photon_pair=lambda c: (c.a2, c.a3),
+    success_class=OutcomeClass.CHARLIE_SUCCESS,
+    retry_class=OutcomeClass.CHARLIE_RETRY,
+    success_coefficients=lambda _c: WCoefficients.symmetric(),
+    retry_coefficients=coefficient_update_charlie,
+)
 
 
 def _station_round(
     state: StateVector,
     coefficients: WCoefficients,
     gate_mode: GateMode,
-    station: Station,
+    plan: _StationPlan,
 ) -> list[RoundOutcome]:
-    plan = _STATION_PLAN[station]
-    photon = plan["photon"](coefficients)
-    joint = state.tensor_with_photon(photon)
-    events = detect(hwp45(apply_ebs_gate(joint, plan["spin_index"])), station)
+    """Photon tensor, gate, wave plate, detection and phase correction in one pass.
 
-    outcomes = []
-    for event in events:
-        success = event.detector in plan["success"]
-        corrected = (
-            phase_correction(event.spins, event.detector)
-            if event.detector in _CORRECTION_SPIN
-            else event.spins
-        )
-        post_coeffs = (
-            plan["success_coefficients"](coefficients)
-            if success
-            else plan["retry_coefficients"](coefficients)
-        )
-        outcomes.append(
-            RoundOutcome(
-                detector=event.detector,
-                probability=event.probability,
-                post_state=corrected,
-                post_coefficients=post_coeffs,
-                classification=plan["success_class"] if success else plan["retry_class"],
-            )
-        )
+    Gives exactly what composing ``tensor_with_photon``, ``apply_ebs_gate``,
+    ``hwp45``, ``detect`` and ``phase_correction`` gives: the same complex
+    operations in the same order, and the same tolerance drops.  The photon,
+    wave-plate and normalization drops are made here.  The gate is a signed
+    permutation that keeps each amplitude's magnitude, and the wave plate
+    scales it by 1/sqrt(2), so a term the tensor-product or gate drop would
+    remove is removed by the wave-plate drop anyway.  Each spin ket reaches
+    each detector at most once, so the wave-plate and detector sums have a
+    single term after ``0j``.  Kets are visited in the state's sorted order,
+    which is the order every intermediate state would have put them in
+    within one detector.
+    """
+    photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]
+    photon = [None if abs(p) < DEFAULT_TOLERANCE else p for p in photon]
+    tol = state.tolerance
+    groups: list[list[tuple[BasisKet, complex]]] = [[] for _ in plan.detectors]
+    for ket, amp in state.items():
+        if ket.photon is not None:
+            raise ShapeMismatchError("state already carries a photon")
+        for p, (sign, lands) in zip(photon, plan.routes[ket.spins[plan.spin_index]]):
+            if p is None:
+                continue
+            gated = 0j + sign * (p * amp)
+            for position, factor in lands:
+                out = 0j + factor * gated
+                if abs(out) >= tol:
+                    groups[position].append((ket, out))
+
+    events = []
+    for position, group in enumerate(groups):
+        if not group:
+            continue
+        norm = math.sqrt(sum(abs(a) ** 2 for _, a in group))
+        probability = norm**2
+        if probability == 0.0:
+            continue
+        flip = plan.correction_spin[position]
+        terms = {}
+        for ket, amp in group:
+            amp = amp / norm
+            if abs(amp) >= tol:
+                terms[ket] = -amp if flip is not None and ket.spins[flip] is SpinLabel.DOWN else amp
+        events.append((position, probability, StateVector._from_canonical(terms, tol)))
 
     if gate_mode.is_lossy:
         # Success probabilities shrink by the port signal fraction; whatever
         # did not herald success (including photons lost to leakage) counts
         # toward the retry branches.  Post-states keep their ideal form.
-        factor = _lossy_success_factor(gate_mode, station)
-        p_succ = sum(o.probability for o in outcomes if o.classification is plan["success_class"])
-        p_retry = sum(o.probability for o in outcomes if o.classification is plan["retry_class"])
-        if p_retry > 0.0:
-            retry_scale = (1.0 - factor * p_succ) / p_retry
-        else:
-            retry_scale = 0.0
-        outcomes = [
+        factor = gate_mode.success_factors[plan.station]
+        p_succ = sum(p for position, p, _ in events if plan.success[position])
+        p_retry = sum(p for position, p, _ in events if not plan.success[position])
+        retry_scale = (1.0 - factor * p_succ) / p_retry if p_retry > 0.0 else 0.0
+
+    post_coefficients: dict[bool, WCoefficients] = {}
+    outcomes = []
+    for position, probability, post_state in events:
+        success = plan.success[position]
+        if success not in post_coefficients:
+            update = plan.success_coefficients if success else plan.retry_coefficients
+            post_coefficients[success] = update(coefficients)
+        if gate_mode.is_lossy:
+            probability = probability * (factor if success else retry_scale)
+        outcomes.append(
             RoundOutcome(
-                detector=o.detector,
-                probability=o.probability
-                * (factor if o.classification is plan["success_class"] else retry_scale),
-                post_state=o.post_state,
-                post_coefficients=o.post_coefficients,
-                classification=o.classification,
+                detector=plan.detectors[position],
+                probability=probability,
+                post_state=post_state,
+                post_coefficients=post_coefficients[success],
+                classification=plan.success_class if success else plan.retry_class,
             )
-            for o in outcomes
-        ]
+        )
     return outcomes
 
 
@@ -406,7 +481,7 @@ def alice_round(
     gate_mode: GateMode | None = None,
 ) -> list[RoundOutcome]:
     """One repetition at the first station; outcomes ordered D1..D4."""
-    return _station_round(state, coefficients, gate_mode or GateMode.ideal(), Station.ALICE)
+    return _station_round(state, coefficients, gate_mode or GateMode.ideal(), _ALICE_PLAN)
 
 
 def charlie_round(
@@ -415,7 +490,7 @@ def charlie_round(
     gate_mode: GateMode | None = None,
 ) -> list[RoundOutcome]:
     """One repetition at the second station; outcomes ordered D5..D8."""
-    return _station_round(state, coefficients, gate_mode or GateMode.ideal(), Station.CHARLIE)
+    return _station_round(state, coefficients, gate_mode or GateMode.ideal(), _CHARLIE_PLAN)
 
 
 # -- full protocol ----------------------------------------------------------------
@@ -525,6 +600,18 @@ _RNG_ALGORITHM = "philox4x64; shot i consumes row i of the (shots x stages) unif
 _CHUNK = 1 << 16
 
 
+def _stage_tables(
+    stages: list[list[RoundOutcome]], success_class: OutcomeClass
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Per stage, outcomes ordered by label: cumulative probabilities, success
+    flags and detector numbers.  Stages may differ in length, because a
+    detector whose amplitudes all fall below tolerance yields no outcome."""
+    cum = [np.cumsum([o.probability for o in st]) for st in stages]
+    success = [np.array([o.classification is success_class for o in st]) for st in stages]
+    codes = [np.array([int(o.detector.value[1]) for o in st]) for st in stages]
+    return cum, success, codes
+
+
 def _sample_branches(
     config: ProtocolConfig,
     alice_stages: list[list[RoundOutcome]],
@@ -538,17 +625,8 @@ def _sample_branches(
     k_alice = len(alice_stages)
     k_charlie = len(charlie_stages)
     n_stages = k_alice + k_charlie
-    # Cumulative detector probabilities per stage, outcomes ordered by label.
-    a_cum = np.cumsum([[o.probability for o in st] for st in alice_stages], axis=1)
-    c_cum = np.cumsum([[o.probability for o in st] for st in charlie_stages], axis=1)
-    a_success = np.array(
-        [[o.classification is OutcomeClass.ALICE_SUCCESS for o in st] for st in alice_stages]
-    )
-    c_success = np.array(
-        [[o.classification is OutcomeClass.CHARLIE_SUCCESS for o in st] for st in charlie_stages]
-    )
-    a_codes = np.array([[int(o.detector.value[1]) for o in st] for st in alice_stages])
-    c_codes = np.array([[int(o.detector.value[1]) for o in st] for st in charlie_stages])
+    a_cum, a_success, a_codes = _stage_tables(alice_stages, OutcomeClass.ALICE_SUCCESS)
+    c_cum, c_success, c_codes = _stage_tables(charlie_stages, OutcomeClass.CHARLIE_SUCCESS)
 
     rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
     path_counts: dict[tuple[int, ...], int] = {}
@@ -566,7 +644,7 @@ def _sample_branches(
             if in_alice.size == 0:
                 break
             choice = np.searchsorted(a_cum[k], u[in_alice, k], side="right")
-            np.clip(choice, 0, a_cum.shape[1] - 1, out=choice)
+            np.clip(choice, 0, a_cum[k].size - 1, out=choice)
             paths[in_alice, k] = a_codes[k][choice]
             success = a_success[k][choice]
             to_charlie.append(in_alice[success])
@@ -578,7 +656,7 @@ def _sample_branches(
                 break
             col = k_alice + j
             choice = np.searchsorted(c_cum[j], u[in_charlie, col], side="right")
-            np.clip(choice, 0, c_cum.shape[1] - 1, out=choice)
+            np.clip(choice, 0, c_cum[j].size - 1, out=choice)
             paths[in_charlie, col] = c_codes[j][choice]
             success = c_success[j][choice]
             class_counts[OutcomeClass.CHARLIE_SUCCESS] += int(success.sum())

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from ecpsim import WCoefficients, p1_total, p2_total
 from ecpsim.cli import main
 
 
@@ -69,6 +71,26 @@ def test_simulate_mc_byte_identical(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
     obj = json.loads(f1.read_text())
     assert obj["monte_carlo"]["shots"] == 100000
+
+
+def test_simulate_mc_with_ragged_stages(tmp_path, capsys):
+    # At 7 rounds some detectors' amplitudes all fall below tolerance, so the
+    # stages have different numbers of outcomes.
+    shots = 20000
+    out_file = tmp_path / "trace.json"
+    code, _, _ = run(
+        ["simulate", "--mode", "mc", "--alpha", "0.8,0.36,0.48", "--rounds", "7,7",
+         "--shots", str(shots), "--seed", "5", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    obj = json.loads(out_file.read_text())
+    assert sum(obj["monte_carlo"]["counts"].values()) == shots
+    c = WCoefficients.normalized(0.8, 0.36, 0.48)
+    expected = p1_total(c, 7) * p2_total(c, 7)
+    assert expected == pytest.approx(0.3888, abs=1e-4)
+    sigma = math.sqrt(expected * (1.0 - expected) / shots)
+    assert abs(obj["total_success_probability"] - expected) <= 5.0 * sigma
 
 
 def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):

@@ -114,18 +114,12 @@ _ALPHA1_LIMIT = math.sqrt(2.0 / 3.0)
 def p2_simplified(alpha1: float) -> float:
     """Second-station single-round success at a2 = 1/sqrt(3), as a function of a1.
 
-    Uses the substituted form (2/3 - a1^2) / ((1 - a1^2)(4/3 - a1^2)) and
-    checks it against the general formula before returning.
+    Uses the substituted form (2/3 - a1^2) / ((1 - a1^2)(4/3 - a1^2)).
     """
     if not (0.0 <= alpha1 <= _ALPHA1_LIMIT + 1e-12):
         raise DomainError(f"alpha1 {alpha1} outside [0, sqrt(2/3)]")
     x = min(alpha1 * alpha1, 2.0 / 3.0)
-    value = (2.0 / 3.0 - x) / ((1.0 - x) * (4.0 / 3.0 - x))
-    a3 = math.sqrt(max(0.0, 1.0 - x - _ALPHA2_DEFAULT**2))
-    general = p2_round(1, WCoefficients(min(alpha1, _ALPHA1_LIMIT), _ALPHA2_DEFAULT, a3))
-    if abs(value - general) > 1e-14:
-        raise AssertionError(f"simplified form diverged from general formula: {value} vs {general}")
-    return value
+    return (2.0 / 3.0 - x) / ((1.0 - x) * (4.0 / 3.0 - x))
 
 
 # -- parameter sweeps -----------------------------------------------------------

@@ -17,7 +17,7 @@ scattering coefficients: the coupled (reflecting) subspace scatters with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 from .errors import (
@@ -237,6 +237,8 @@ class CavityParams:
     omega_x: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("cavity parameters must be finite")
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
         if self.kappa_s < 0.0 or self.gamma < 0.0 or self.g < 0.0:
@@ -353,8 +355,3 @@ class LossyOperators:
             pairs.append((ket, transmit * amp))
             pairs.append((BasisKet(ket.photon.reflected(), ket.spins), reflect * amp))
         return combine_terms(pairs, state.tolerance)
-
-
-def lossy_operators(coefficients: ScatterCoefficients) -> LossyOperators:
-    """Bundle scattering coefficients into gate transmission/reflection operators."""
-    return LossyOperators(coefficients)

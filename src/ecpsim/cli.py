@@ -167,6 +167,24 @@ def _file_cavity(obj: dict) -> CavityParams:
         raise ConfigError(f"config: cavity: {exc}") from None
 
 
+def _cavity_and_convention(
+    args: argparse.Namespace, file_cfg: dict
+) -> tuple[CavityParams | None, DenominatorConvention]:
+    """``--cavity``/``--convention``: the flag, else the config file, else the default."""
+    convention = _convention(
+        args.convention
+        if args.convention is not None
+        else file_cfg.get("convention", DenominatorConvention.VERBATIM.value)
+    )
+    if args.cavity is not None:
+        cavity = _cavity_from_triple(_parse_floats(args.cavity, 3, "cavity"))
+    elif "cavity" in file_cfg:
+        cavity = _file_cavity(file_cfg["cavity"])
+    else:
+        cavity = None
+    return cavity, convention
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -208,17 +226,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed is not None
         else file_cfg.get("seed", _default_seed())
     )
-    convention = _convention(
-        args.convention
-        if args.convention is not None
-        else file_cfg.get("convention", DenominatorConvention.VERBATIM.value)
-    )
-    if args.cavity is not None:
-        cavity = _cavity_from_triple(_parse_floats(args.cavity, 3, "cavity"))
-    elif "cavity" in file_cfg:
-        cavity = _file_cavity(file_cfg["cavity"])
-    else:
-        cavity = None
+    cavity, convention = _cavity_and_convention(args, file_cfg)
     gate_mode = GateMode.lossy(cavity, convention) if cavity else GateMode.ideal()
 
     config = ProtocolConfig(
@@ -251,17 +259,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         alpha1_range = (0.01, 0.8105)
     points = args.points if args.points is not None else file_sweep.get("points", 200)
-    convention = _convention(
-        args.convention
-        if args.convention is not None
-        else file_cfg.get("convention", DenominatorConvention.VERBATIM.value)
-    )
-    if args.cavity is not None:
-        cavity = _cavity_from_triple(_parse_floats(args.cavity, 3, "cavity"))
-    elif "cavity" in file_cfg:
-        cavity = _file_cavity(file_cfg["cavity"])
-    else:
-        cavity = None
+    cavity, convention = _cavity_and_convention(args, file_cfg)
 
     spec = SweepSpec(
         alpha2=alpha2,
@@ -294,11 +292,7 @@ def _print_report_table(reports, stream: TextIO) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     depths = _parse_ints(args.depth, 2, "depth")
-    if args.cavity is not None:
-        cavity = _cavity_from_triple(_parse_floats(args.cavity, 3, "cavity"))
-    else:
-        cavity = None
-    convention = _convention(args.convention)
+    cavity, convention = _cavity_and_convention(args, {})
 
     grid = simplex_grid(args.grid)
     reports = compare_all(

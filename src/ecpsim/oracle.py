@@ -17,19 +17,12 @@ from .errors import DomainError
 from .protocol import (
     GateMode,
     OutcomeClass,
-    ProtocolConfig,
     WCoefficients,
     alice_round,
     charlie_round,
     prepare_w_state,
-    run_protocol,
 )
 from .hilbert import StateVector
-
-_ALICE_DETECTORS = {DetectorLabel.D1, DetectorLabel.D2, DetectorLabel.D3, DetectorLabel.D4}
-_ALICE_SUCCESS = {DetectorLabel.D3, DetectorLabel.D4}
-_CHARLIE_SUCCESS = {DetectorLabel.D5, DetectorLabel.D6}
-
 
 @dataclass
 class BranchNode:
@@ -38,6 +31,12 @@ class BranchNode:
     ``amplitude_weight`` is the unconditional probability of reaching this
     node; children of an internal node carry its weight times their round
     probability, so sibling weights sum to the parent weight.
+
+    ``classification`` is the class of the round outcome that produced the
+    node (``None`` at the root).  A leaf's class is therefore the class of
+    the whole path: CHARLIE_SUCCESS or CHARLIE_RETRY after the second
+    station, ALICE_RETRY when the first station ran out of rounds, and
+    ALICE_SUCCESS only in a tree with no second-station rounds.
     """
 
     path: tuple[DetectorLabel, ...]
@@ -85,60 +84,32 @@ def enumerate_tree(
         depth=0,
     )
 
-    def expand_charlie(node: BranchNode, rounds_left: int) -> None:
-        for outcome in charlie_round(node.state, node.coefficients, mode):
+    # (round function, round limit, success class) per station; built per
+    # call, so the round functions are looked up at run time.
+    stations = [(alice_round, k_alice, OutcomeClass.ALICE_SUCCESS)]
+    if k_charlie > 0:
+        stations.append((charlie_round, k_charlie, OutcomeClass.CHARLIE_SUCCESS))
+
+    def expand(node: BranchNode, station: int, rounds_left: int) -> None:
+        round_fn, _, success_class = stations[station]
+        for outcome in round_fn(node.state, node.coefficients, mode):
             child = BranchNode(
                 path=node.path + (outcome.detector,),
                 amplitude_weight=node.amplitude_weight * outcome.probability,
                 state=outcome.post_state,
                 coefficients=outcome.post_coefficients,
                 depth=node.depth + 1,
+                classification=outcome.classification,
             )
             node.children.append(child)
-            if outcome.classification is OutcomeClass.CHARLIE_SUCCESS:
-                child.classification = OutcomeClass.CHARLIE_SUCCESS
-            elif rounds_left > 1:
-                expand_charlie(child, rounds_left - 1)
-            else:
-                child.classification = OutcomeClass.CHARLIE_RETRY
+            if outcome.classification is not success_class:
+                if rounds_left > 1:
+                    expand(child, station, rounds_left - 1)
+            elif station + 1 < len(stations):
+                expand(child, station + 1, stations[station + 1][1])
 
-    def expand_alice(node: BranchNode, rounds_left: int) -> None:
-        for outcome in alice_round(node.state, node.coefficients, mode):
-            child = BranchNode(
-                path=node.path + (outcome.detector,),
-                amplitude_weight=node.amplitude_weight * outcome.probability,
-                state=outcome.post_state,
-                coefficients=outcome.post_coefficients,
-                depth=node.depth + 1,
-            )
-            node.children.append(child)
-            if outcome.classification is OutcomeClass.ALICE_SUCCESS:
-                if k_charlie > 0:
-                    expand_charlie(child, k_charlie)
-                else:
-                    child.classification = OutcomeClass.ALICE_SUCCESS
-            elif rounds_left > 1:
-                expand_alice(child, rounds_left - 1)
-            else:
-                child.classification = OutcomeClass.ALICE_RETRY
-
-    expand_alice(root, k_alice)
+    expand(root, 0, k_alice)
     return root
-
-
-def sample_paths(c: WCoefficients, config: ProtocolConfig) -> dict[str, int]:
-    """Monte Carlo leaf-class counts for ``config.n_shots`` sampled paths."""
-    if config.mode != "mc":
-        config = ProtocolConfig(
-            max_rounds_alice=config.max_rounds_alice,
-            max_rounds_charlie=config.max_rounds_charlie,
-            gate_mode=config.gate_mode,
-            rng_seed=config.rng_seed,
-            mode="mc",
-            n_shots=config.n_shots,
-        )
-    trace = run_protocol(c, config)
-    return dict(trace.counts)
 
 
 @dataclass(frozen=True)
@@ -204,17 +175,16 @@ def _tree_masses(
     alice_at: dict[int, float] = {k: 0.0 for k in range(1, k_alice + 1)}
     charlie_at: dict[int, float] = {k: 0.0 for k in range(1, k_charlie + 1)}
     first_round_joint = 0.0
+    # Pre-order visits every second-station node right after the first-station
+    # success it descends from, so that success's depth counts its station-1 rounds.
+    alice_rounds = 0
     for node in root.walk():
-        if not node.path:
-            continue
-        last = node.path[-1]
-        if last in _ALICE_SUCCESS and all(d in _ALICE_DETECTORS for d in node.path):
-            alice_at[len(node.path)] += node.amplitude_weight
-        if node.classification is OutcomeClass.CHARLIE_SUCCESS:
-            alice_rounds = sum(1 for d in node.path if d in _ALICE_DETECTORS)
-            charlie_rounds = len(node.path) - alice_rounds
-            charlie_at[charlie_rounds] += node.amplitude_weight
-            if len(node.path) == 2:
+        if node.classification is OutcomeClass.ALICE_SUCCESS:
+            alice_at[node.depth] += node.amplitude_weight
+            alice_rounds = node.depth
+        elif node.classification is OutcomeClass.CHARLIE_SUCCESS:
+            charlie_at[node.depth - alice_rounds] += node.amplitude_weight
+            if node.depth == 2:
                 first_round_joint += node.amplitude_weight
     alice_total = sum(alice_at.values())
     if alice_total > 0.0:
@@ -281,17 +251,16 @@ def compare_all(
             )
 
         if lossy_mode is not None:
-            lossy_alice = alice_round(prepare_w_state(c), c, lossy_mode)
+            lossy_alice = alice_round(root.state, c, lossy_mode)
             sim_p1 = sum(
                 o.probability
                 for o in lossy_alice
                 if o.classification is OutcomeClass.ALICE_SUCCESS
             )
-            ideal_alice = alice_round(prepare_w_state(c), c)
             seed = next(
-                o for o in ideal_alice if o.classification is OutcomeClass.ALICE_SUCCESS
+                n for n in root.children if n.classification is OutcomeClass.ALICE_SUCCESS
             )
-            lossy_charlie = charlie_round(seed.post_state, seed.post_coefficients, lossy_mode)
+            lossy_charlie = charlie_round(seed.state, seed.coefficients, lossy_mode)
             sim_p2 = sum(
                 o.probability
                 for o in lossy_charlie

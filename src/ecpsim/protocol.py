@@ -62,6 +62,8 @@ class WCoefficients:
     a3: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(a) for a in (self.a1, self.a2, self.a3)):
+            raise InvalidCoefficientsError("coefficients must be finite")
         if self.a1 < 0.0 or self.a2 < 0.0 or self.a3 < 0.0:
             raise InvalidCoefficientsError("coefficients must be nonnegative")
         norm_sq = self.a1 * self.a1 + self.a2 * self.a2 + self.a3 * self.a3
@@ -252,10 +254,7 @@ def _photon_amplitudes(amp_r: float, amp_l: float) -> tuple[float, float]:
     n = math.hypot(amp_r, amp_l)
     if n == 0.0:
         raise DegenerateCoefficientsError("photon amplitudes are both zero")
-    r, l = amp_r / n, amp_l / n
-    if not (math.isfinite(r) and math.isfinite(l)):
-        raise ValueError(f"non-finite photon amplitudes ({amp_r}, {amp_l})")
-    return r, l
+    return amp_r / n, amp_l / n
 
 
 def _photon(amp_r: float, amp_l: float) -> StateVector:
@@ -496,108 +495,96 @@ def charlie_round(
 # -- full protocol ----------------------------------------------------------------
 
 
+_SEED_LIMIT = 1 << 128  # Philox keys are 128-bit
+
+
 def _validate_config(config: ProtocolConfig) -> None:
     if config.max_rounds_alice < 1 or config.max_rounds_charlie < 1:
         raise ConfigError("round limits must be at least 1")
+    if not 0 <= config.rng_seed < _SEED_LIMIT:
+        raise ConfigError(f"seed {config.rng_seed} outside [0, 2**128)")
     if config.mode not in ("tree", "mc"):
         raise ConfigError(f"unknown mode {config.mode!r}")
     if config.mode == "mc" and config.n_shots < 1:
         raise ConfigError("mc mode requires n_shots >= 1")
 
 
-def _stage_chains(
-    coefficients: WCoefficients, config: ProtocolConfig
-) -> tuple[list[list[RoundOutcome]], list[list[RoundOutcome]]]:
-    """Per-round outcome tables for both stations.
+# One station's plan and its per-round outcome tables.
+_Chain = tuple[_StationPlan, list[list[RoundOutcome]]]
+
+
+def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_Chain]:
+    """Per-round outcome tables, one chain per station.
 
     Retry physics is path-independent (both retry detectors collapse to the
     same state), so one chain per station carries the complete dynamics.
-    Likewise every successful Alice round leaves the same Charlie input, so a
-    single Charlie chain (seeded from the first-round success branch) serves
-    all of them.
+    Likewise every success at a station leaves the same input for the next,
+    so each chain is seeded from the previous station's first-round success.
     """
-    state = prepare_w_state(coefficients)
-    alice_stages: list[list[RoundOutcome]] = []
-    cur_state, cur_coeffs = state, coefficients
-    for _ in range(config.max_rounds_alice):
-        outcomes = alice_round(cur_state, cur_coeffs, config.gate_mode)
-        alice_stages.append(outcomes)
-        retry = next(o for o in outcomes if o.classification is OutcomeClass.ALICE_RETRY)
-        cur_state, cur_coeffs = retry.post_state, retry.post_coefficients
-
-    seed = next(
-        o for o in alice_stages[0] if o.classification is OutcomeClass.ALICE_SUCCESS
+    # Built per call, so the round functions are looked up when a run starts.
+    stations = (
+        (alice_round, _ALICE_PLAN, config.max_rounds_alice),
+        (charlie_round, _CHARLIE_PLAN, config.max_rounds_charlie),
     )
-    charlie_stages: list[list[RoundOutcome]] = []
-    cur_state, cur_coeffs = seed.post_state, seed.post_coefficients
-    for _ in range(config.max_rounds_charlie):
-        outcomes = charlie_round(cur_state, cur_coeffs, config.gate_mode)
-        charlie_stages.append(outcomes)
-        retry = next(o for o in outcomes if o.classification is OutcomeClass.CHARLIE_RETRY)
-        cur_state, cur_coeffs = retry.post_state, retry.post_coefficients
-    return alice_stages, charlie_stages
+    state, coeffs = prepare_w_state(coefficients), coefficients
+    chains: list[_Chain] = []
+    for round_fn, plan, limit in stations:
+        if chains:
+            prev_plan, prev_stages = chains[-1]
+            seed = next(o for o in prev_stages[0] if o.classification is prev_plan.success_class)
+            state, coeffs = seed.post_state, seed.post_coefficients
+        stages = []
+        for _ in range(limit):
+            outcomes = round_fn(state, coeffs, config.gate_mode)
+            stages.append(outcomes)
+            retry = next(o for o in outcomes if o.classification is plan.retry_class)
+            state, coeffs = retry.post_state, retry.post_coefficients
+        chains.append((plan, stages))
+    return chains
 
 
-def _split(
-    stages: list[list[RoundOutcome]], success_class: OutcomeClass
-) -> tuple[list[list[RoundOutcome]], list[list[RoundOutcome]]]:
-    successes = [[o for o in st if o.classification is success_class] for st in stages]
-    retries = [[o for o in st if o.classification is not success_class] for st in stages]
-    return successes, retries
-
-
-def _tree_branches(
-    alice_stages: list[list[RoundOutcome]], charlie_stages: list[list[RoundOutcome]]
-) -> tuple[list[BranchRecord], float]:
-    a_succ, a_retry = _split(alice_stages, OutcomeClass.ALICE_SUCCESS)
-    c_succ, c_retry = _split(charlie_stages, OutcomeClass.CHARLIE_SUCCESS)
-
-    def merged(outcomes: list[RoundOutcome]) -> str:
-        return "|".join(o.detector.value for o in outcomes)
+def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
+    """Merged-retry leaves in pre-order: each success continues into the next
+    station, the last station's successes and every station's exhausted
+    retries end a branch."""
+    stations = []
+    for plan, stages in chains:
+        success = [[o for o in st if o.classification is plan.success_class] for st in stages]
+        retries = [[o for o in st if o.classification is not plan.success_class] for st in stages]
+        tokens = ["|".join(o.detector.value for o in st) for st in retries]
+        retry_mass = [sum(o.probability for o in st) for st in retries]
+        stations.append((plan, success, tokens, retry_mass))
 
     records: list[BranchRecord] = []
     total_success = 0.0
-    reach_alice = 1.0
-    for k, stage in enumerate(alice_stages):
-        prefix = tuple(merged(a_retry[j]) for j in range(k))
-        for a_out in a_succ[k]:
-            base = reach_alice * a_out.probability
-            reach_charlie = 1.0
-            for j in range(len(charlie_stages)):
-                c_prefix = tuple(merged(c_retry[i]) for i in range(j))
-                for c_out in c_succ[j]:
-                    prob = base * reach_charlie * c_out.probability
-                    records.append(
-                        BranchRecord(
-                            path=prefix + (a_out.detector.value,) + c_prefix + (c_out.detector.value,),
-                            probability=prob,
-                            classification=OutcomeClass.CHARLIE_SUCCESS,
-                        )
-                    )
+
+    def walk(index: int, path: tuple[str, ...], weight: float) -> None:
+        nonlocal total_success
+        plan, success, tokens, retry_mass = stations[index]
+        last = index == len(stations) - 1
+        reach = 1.0
+        for stage_success, token, mass in zip(success, tokens, retry_mass):
+            for out in stage_success:
+                prob = weight * reach * out.probability
+                if last:
+                    records.append(BranchRecord(path + (out.detector.value,), prob, plan.success_class))
                     total_success += prob
-                reach_charlie *= sum(o.probability for o in c_retry[j])
-            records.append(
-                BranchRecord(
-                    path=prefix
-                    + (a_out.detector.value,)
-                    + tuple(merged(c_retry[i]) for i in range(len(charlie_stages))),
-                    probability=base * reach_charlie,
-                    classification=OutcomeClass.CHARLIE_RETRY,
-                )
-            )
-        reach_alice *= sum(o.probability for o in a_retry[k])
-    records.append(
-        BranchRecord(
-            path=tuple(merged(a_retry[j]) for j in range(len(alice_stages))),
-            probability=reach_alice,
-            classification=OutcomeClass.ALICE_RETRY,
-        )
-    )
+                else:
+                    walk(index + 1, path + (out.detector.value,), prob)
+            reach *= mass
+            path += (token,)
+        records.append(BranchRecord(path, weight * reach, plan.retry_class))
+
+    walk(0, (), 1.0)
     return records, total_success
 
 
 _RNG_ALGORITHM = "philox4x64; shot i consumes row i of the (shots x stages) uniform block"
 _CHUNK = 1 << 16
+
+
+def _code(detector: DetectorLabel) -> int:
+    return int(detector.value[1:])
 
 
 def _stage_tables(
@@ -608,25 +595,28 @@ def _stage_tables(
     detector whose amplitudes all fall below tolerance yields no outcome."""
     cum = [np.cumsum([o.probability for o in st]) for st in stages]
     success = [np.array([o.classification is success_class for o in st]) for st in stages]
-    codes = [np.array([int(o.detector.value[1]) for o in st]) for st in stages]
+    codes = [np.array([_code(o.detector) for o in st]) for st in stages]
     return cum, success, codes
 
 
 def _sample_branches(
-    config: ProtocolConfig,
-    alice_stages: list[list[RoundOutcome]],
-    charlie_stages: list[list[RoundOutcome]],
+    config: ProtocolConfig, chains: list[_Chain]
 ) -> tuple[list[BranchRecord], dict[str, int], float]:
     """Vectorized Monte Carlo walk over the stage chains.
 
     Each shot owns one row of a counter-based uniform block, so results are
-    reproducible for a given (seed, shot index) regardless of chunking.
+    reproducible for a given (seed, shot index) regardless of chunking.  The
+    shots that succeed at a station are the next station's input.
     """
-    k_alice = len(alice_stages)
-    k_charlie = len(charlie_stages)
-    n_stages = k_alice + k_charlie
-    a_cum, a_success, a_codes = _stage_tables(alice_stages, OutcomeClass.ALICE_SUCCESS)
-    c_cum, c_success, c_codes = _stage_tables(charlie_stages, OutcomeClass.CHARLIE_SUCCESS)
+    tables = [(plan, _stage_tables(stages, plan.success_class)) for plan, stages in chains]
+    n_stages = sum(len(stages) for _, stages in chains)
+    final_plan = chains[-1][0]
+    # A path's class is that of its last detector's outcome.
+    code_class = {
+        _code(d): plan.success_class if success else plan.retry_class
+        for plan, _ in chains
+        for d, success in zip(plan.detectors, plan.success)
+    }
 
     rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
     path_counts: dict[tuple[int, ...], int] = {}
@@ -638,55 +628,43 @@ def _sample_branches(
         remaining -= n
         u = rng.random((n, n_stages))
         paths = np.zeros((n, n_stages), dtype=np.int8)
-        in_alice = np.arange(n)
-        to_charlie = []
-        for k in range(k_alice):
-            if in_alice.size == 0:
-                break
-            choice = np.searchsorted(a_cum[k], u[in_alice, k], side="right")
-            np.clip(choice, 0, a_cum[k].size - 1, out=choice)
-            paths[in_alice, k] = a_codes[k][choice]
-            success = a_success[k][choice]
-            to_charlie.append(in_alice[success])
-            in_alice = in_alice[~success]
-        class_counts[OutcomeClass.ALICE_RETRY] += in_alice.size
-        in_charlie = np.concatenate(to_charlie) if to_charlie else np.empty(0, dtype=int)
-        for j in range(k_charlie):
-            if in_charlie.size == 0:
-                break
-            col = k_alice + j
-            choice = np.searchsorted(c_cum[j], u[in_charlie, col], side="right")
-            np.clip(choice, 0, c_cum[j].size - 1, out=choice)
-            paths[in_charlie, col] = c_codes[j][choice]
-            success = c_success[j][choice]
-            class_counts[OutcomeClass.CHARLIE_SUCCESS] += int(success.sum())
-            in_charlie = in_charlie[~success]
-        class_counts[OutcomeClass.CHARLIE_RETRY] += in_charlie.size
+        arrived = np.arange(n)
+        col = 0
+        for plan, (cum, success, codes) in tables:
+            active = arrived
+            passed = []
+            for k in range(len(cum)):
+                if active.size == 0:
+                    break
+                choice = np.searchsorted(cum[k], u[active, col + k], side="right")
+                np.clip(choice, 0, cum[k].size - 1, out=choice)
+                paths[active, col + k] = codes[k][choice]
+                won = success[k][choice]
+                passed.append(active[won])
+                active = active[~won]
+            col += len(cum)
+            class_counts[plan.retry_class] += active.size
+            arrived = np.concatenate(passed) if passed else np.empty(0, dtype=int)
+        class_counts[final_plan.success_class] += arrived.size
 
         unique, counts = np.unique(paths, axis=0, return_counts=True)
         for row, count in zip(unique, counts):
             key = tuple(int(x) for x in row)
             path_counts[key] = path_counts.get(key, 0) + int(count)
 
-    def classify(row: tuple[int, ...]) -> OutcomeClass:
-        final = [code for code in row if code][-1]
-        if final in (5, 6):
-            return OutcomeClass.CHARLIE_SUCCESS
-        if final in (7, 8):
-            return OutcomeClass.CHARLIE_RETRY
-        return OutcomeClass.ALICE_RETRY
-
-    branches = [
-        BranchRecord(
-            path=tuple(f"D{code}" for code in row if code),
-            probability=count / config.n_shots,
-            classification=classify(row),
-            count=count,
+    branches = []
+    for row, count in sorted(path_counts.items()):
+        codes = [code for code in row if code]
+        branches.append(
+            BranchRecord(
+                path=tuple(f"D{code}" for code in codes),
+                probability=count / config.n_shots,
+                classification=code_class[codes[-1]],
+                count=count,
+            )
         )
-        for row, count in sorted(path_counts.items())
-    ]
     counts = {cls.value: class_counts[cls] for cls in OutcomeClass}
-    total = class_counts[OutcomeClass.CHARLIE_SUCCESS] / config.n_shots
+    total = class_counts[final_plan.success_class] / config.n_shots
     return branches, counts, total
 
 
@@ -700,11 +678,11 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
     branch records carry observed frequencies.
     """
     _validate_config(config)
-    alice_stages, charlie_stages = _stage_chains(coefficients, config)
-    rounds = [o for stage in alice_stages + charlie_stages for o in stage]
+    chains = _stage_chains(coefficients, config)
+    rounds = [o for _, stages in chains for stage in stages for o in stage]
 
     if config.mode == "tree":
-        branches, total = _tree_branches(alice_stages, charlie_stages)
+        branches, total = _tree_branches(chains)
         return ProtocolTrace(
             config=config,
             coefficients=coefficients,
@@ -713,7 +691,7 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
             total_success_probability=total,
         )
 
-    branches, counts, total = _sample_branches(config, alice_stages, charlie_stages)
+    branches, counts, total = _sample_branches(config, chains)
     return ProtocolTrace(
         config=config,
         coefficients=coefficients,

@@ -26,7 +26,6 @@ from ecpsim import (
     detect,
     hwp45,
     ideal_interaction,
-    lossy_operators,
     scatter_coefficients,
 )
 from ecpsim.cavity import couples
@@ -286,6 +285,9 @@ def test_cavity_params_validation():
         CavityParams(kappa=0.0)
     with pytest.raises(ValueError):
         CavityParams(kappa=1.0, kappa_s=-0.1)
+    for bad in ({"kappa": math.inf}, {"kappa_s": math.nan}, {"g": math.inf}, {"omega_x": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            CavityParams(**bad)
 
 
 def test_scatter_json_fields():
@@ -310,7 +312,7 @@ def test_lossy_operators_reduce_to_ideal_limit(before, after, sign):
 
 def test_lossy_apply_splits_coupled_ket():
     sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.1))
-    ops = lossy_operators(sc)
+    ops = LossyOperators(sc)
     coupled_ket = ket(R, DOWN_Z, d)  # reflects in the ideal gate
     out = ops.apply(StateVector({coupled_ket: 1.0}), 0)
     assert out.amplitude(coupled_ket) == pytest.approx(sc.t)
@@ -320,7 +322,7 @@ def test_lossy_apply_splits_coupled_ket():
 
 def test_lossy_apply_splits_uncoupled_ket():
     sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.1))
-    ops = lossy_operators(sc)
+    ops = LossyOperators(sc)
     uncoupled_ket = ket(R, DOWN_Z, u)
     out = ops.apply(StateVector({uncoupled_ket: 1.0}), 0)
     assert out.amplitude(uncoupled_ket) == pytest.approx(sc.t0)

@@ -333,3 +333,29 @@ def test_missing_subcommand_exits_2(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
+
+
+# -- non-finite and out-of-range input ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["simulate", "--alpha", "nan,1,1"], "InvalidCoefficientsError: coefficients must be finite"),
+        (["simulate", "--alpha", "1,inf,1"], "InvalidCoefficientsError"),
+        (
+            ["simulate", "--alpha", "1,1,1", "--mode", "mc", "--shots", "10", "--seed", "-1"],
+            "ConfigError: seed -1 outside",
+        ),
+        (["simulate", "--alpha", "1,1,1", "--seed", str(1 << 128)], "ConfigError: seed"),
+        (["simulate", "--alpha", "1,1,1", "--cavity", "nan,0.5,0.1"], "ConfigError: cavity"),
+        (["sweep", "--cavity", "0.1,inf,0.1"], "ConfigError: cavity"),
+        (["verify", "--grid", "1", "--depth", "1,1", "--cavity", "0.1,0.5,nan"], "ConfigError: cavity"),
+        (["coeffs", "--kappa-s", "inf"], "ConfigError: cavity parameters must be finite"),
+    ],
+)
+def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert error in err
+    assert "total_success_probability" not in out

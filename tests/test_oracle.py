@@ -17,7 +17,6 @@ from ecpsim import (
     p2_round,
     prepare_w_state,
     run_protocol,
-    sample_paths,
     simplex_grid,
 )
 
@@ -102,19 +101,50 @@ def test_tree_total_matches_merged_protocol():
     assert tree_total == pytest.approx(trace.total_success_probability, abs=1e-12)
 
 
-# -- sampled paths ---------------------------------------------------------------
+_RETRY = (OutcomeClass.ALICE_RETRY, OutcomeClass.CHARLIE_RETRY)
 
 
-def test_sample_paths_counts_total():
-    counts = sample_paths(EQUAL, ProtocolConfig(mode="mc", n_shots=20_000, rng_seed=5))
-    assert sum(counts.values()) == 20_000
-    assert set(counts) == {"alice_success", "alice_retry", "charlie_success", "charlie_retry"}
-    assert counts["alice_success"] == 0  # success always continues to the second station
+def merged_tree_leaves(root):
+    """Exhaustive-tree leaves grouped by merged retry token.
+
+    Returns {merged path: (summed weight, class)} and {concrete path: merged
+    path}.  A node's retry children share one token, the '|'-joined labels of
+    every retry child it has.
+    """
+    groups, merged_of = {}, {}
+
+    def visit(node, merged):
+        if not node.children:
+            weight, cls = groups.get(merged, (0.0, node.classification))
+            assert cls is node.classification
+            groups[merged] = (weight + node.amplitude_weight, cls)
+            merged_of[tuple(d.value for d in node.path)] = merged
+            return
+        retry = "|".join(ch.path[-1].value for ch in node.children if ch.classification in _RETRY)
+        for child in node.children:
+            token = retry if child.classification in _RETRY else child.path[-1].value
+            visit(child, merged + (token,))
+
+    visit(root, ())
+    return groups, merged_of
 
 
-def test_sample_paths_coerces_tree_config():
-    counts = sample_paths(EQUAL, ProtocolConfig(mode="tree", n_shots=5_000, rng_seed=5))
-    assert sum(counts.values()) == 5_000
+@pytest.mark.parametrize("depths", [(3, 2), (7, 7)])  # (7, 7): the last first-station stage is ragged
+def test_tree_leaves_match_merged_branches(depths):
+    groups, merged_of = merged_tree_leaves(enumerate_tree(SKEWED, *depths))
+    config = ProtocolConfig(max_rounds_alice=depths[0], max_rounds_charlie=depths[1])
+    branches = run_protocol(SKEWED, config).branches
+    assert sorted(b.path for b in branches) == sorted(groups)
+    for b in branches:
+        weight, cls = groups[b.path]
+        assert b.probability == pytest.approx(weight, abs=1e-12)
+        assert b.classification is cls
+
+    mc_config = ProtocolConfig(
+        max_rounds_alice=depths[0], max_rounds_charlie=depths[1], mode="mc", n_shots=20_000, rng_seed=9
+    )
+    for b in run_protocol(SKEWED, mc_config).branches:
+        assert b.classification is groups[merged_of[b.path]][1]
 
 
 # -- simplex grid ------------------------------------------------------------------

@@ -51,6 +51,11 @@ def test_coefficients_validation():
         WCoefficients(0.8, 0.36, 0.49)  # not unit norm
     with pytest.raises(InvalidCoefficientsError):
         WCoefficients(-0.8, 0.36, 0.48)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidCoefficientsError):
+            WCoefficients(0.6, bad, 0.8)
+        with pytest.raises(InvalidCoefficientsError):
+            WCoefficients.normalized(bad, 1.0, 1.0)
     assert WCoefficients(1.0, 0.0, 0.0).as_tuple() == (1.0, 0.0, 0.0)
 
 
@@ -314,6 +319,9 @@ def test_run_protocol_mc_reproducible():
     assert t1.counts["charlie_success"] + t1.counts["charlie_retry"] + t1.counts[
         "alice_retry"
     ] == 50_000
+    assert sum(t1.counts.values()) == 50_000
+    assert set(t1.counts) == {"alice_success", "alice_retry", "charlie_success", "charlie_retry"}
+    assert t1.counts["alice_success"] == 0  # success always continues to the second station
 
 
 def test_run_protocol_mc_seed_changes_counts():

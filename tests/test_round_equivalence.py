@@ -215,12 +215,9 @@ def test_normalization_drop():
 def test_bad_inputs_raise_what_the_reference_raises(station):
     photon = PhotonLabel(Polarization.R, Direction.MINUS_Z)
     with_photon = BasisKet.from_spins("duu").with_photon(photon)
-    cases = [
-        (w_state(1.0, 1.0, 1.0), WCoefficients(0.6, float("nan"), 0.8), ValueError),
-        (StateVector({with_photon: 1.0}), WCoefficients.symmetric(), ShapeMismatchError),
-    ]
-    for state, c, error in cases:
-        with pytest.raises(error):
-            reference_round(state, c, MODES["ideal"], station)
-        with pytest.raises(error):
-            ROUND[station](state, c)
+    # Non-finite coefficients cannot reach a round: WCoefficients rejects them.
+    state, c = StateVector({with_photon: 1.0}), WCoefficients.symmetric()
+    with pytest.raises(ShapeMismatchError):
+        reference_round(state, c, MODES["ideal"], station)
+    with pytest.raises(ShapeMismatchError):
+        ROUND[station](state, c)

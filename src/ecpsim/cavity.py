@@ -22,6 +22,7 @@ from enum import Enum
 
 from .errors import (
     CircularBasisPhotonError,
+    DomainError,
     LinearBasisPhotonError,
     ShapeMismatchError,
     SingularDenominatorError,
@@ -283,13 +284,15 @@ def scatter_coefficients(
 ) -> ScatterCoefficients:
     """Weak-excitation scattering coefficients at probe frequency ``omega``.
 
-    ``omega`` defaults to the input-photon frequency ``params.omega0``.  All
-    rates and detunings are divided by kappa before evaluation.  Both
-    reflection amplitudes are built as 1 + transmission, so r - t = 1 and
-    r0 - t0 = 1 hold identically.
+    ``omega`` defaults to the input-photon frequency ``params.omega0`` and must
+    be finite (:class:`DomainError` otherwise).  All rates and detunings are
+    divided by kappa before evaluation.  Both reflection amplitudes are built
+    as 1 + transmission, so r - t = 1 and r0 - t0 = 1 hold identically.
     """
     if omega is None:
         omega = params.omega0
+    elif not math.isfinite(omega):
+        raise DomainError(f"probe frequency {omega} is not finite")
     k = params.kappa
     ks = params.kappa_s / k
     gm = params.gamma / k

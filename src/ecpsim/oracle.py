@@ -8,6 +8,7 @@ states).  The closed forms from :mod:`ecpsim.analytics` enter solely in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -206,8 +207,12 @@ def compare_all(
 
     Covers the per-round success probabilities of both stations (up to four
     rounds), the one-round joint probability, and, when cavity parameters
-    are given, the three lossy one-round quantities.
+    are given, the three lossy one-round quantities.  A comparison passes when
+    its absolute error is at most ``tolerance``, which must be finite and
+    nonnegative (:class:`DomainError` otherwise).
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
     k_alice, k_charlie = depths
     reports: list[ComparisonReport] = []
     lossy_mode = None

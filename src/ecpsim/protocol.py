@@ -582,6 +582,16 @@ def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
 _RNG_ALGORITHM = "philox4x64; shot i consumes row i of the (shots x stages) uniform block"
 _CHUNK = 1 << 16
 
+# Paths are counted on int64 keys holding 4 bits per stage (detector number,
+# or 0 where the shot had already stopped), first stage most significant, so
+# key order is the lexicographic order of the paths.  Stages are folded in
+# blocks: a block's key is the rank of the path prefix before it, shifted past
+# the block's 44 bits, with the block's codes in those bits.  A rank is below
+# the chunk size, so a key fits in 16 + 44 = 60 bits.
+_BLOCK = 11
+_BLOCK_BITS = 4 * _BLOCK
+assert _CHUNK <= 1 << 16
+
 
 def _code(detector: DetectorLabel) -> int:
     return int(detector.value[1:])
@@ -597,6 +607,20 @@ def _stage_tables(
     success = [np.array([o.classification is success_class for o in st]) for st in stages]
     codes = [np.array([_code(o.detector) for o in st]) for st in stages]
     return cum, success, codes
+
+
+def _count_paths(paths: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """Distinct rows of ``paths`` in lexicographic order, and how often each occurs."""
+    rank = np.zeros(len(paths), dtype=np.int64)
+    for start in range(0, paths.shape[1], _BLOCK):
+        key = rank << _BLOCK_BITS
+        for j, column in enumerate(paths[:, start : start + _BLOCK].T):
+            key |= column.astype(np.int64) << (_BLOCK_BITS - 4 * (j + 1))
+        unique, rank = np.unique(key, return_inverse=True)
+    # Shots of one rank share their whole row, so any of them can stand for it.
+    rows = np.empty((len(unique), paths.shape[1]), dtype=paths.dtype)
+    rows[rank] = paths
+    return rows.tolist(), np.bincount(rank)
 
 
 def _sample_branches(
@@ -647,10 +671,10 @@ def _sample_branches(
             arrived = np.concatenate(passed) if passed else np.empty(0, dtype=int)
         class_counts[final_plan.success_class] += arrived.size
 
-        unique, counts = np.unique(paths, axis=0, return_counts=True)
-        for row, count in zip(unique, counts):
-            key = tuple(int(x) for x in row)
-            path_counts[key] = path_counts.get(key, 0) + int(count)
+        rows, counts = _count_paths(paths)
+        for row, count in zip(rows, counts.tolist()):
+            key = tuple(row)
+            path_counts[key] = path_counts.get(key, 0) + count
 
     branches = []
     for row, count in sorted(path_counts.items()):

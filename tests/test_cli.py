@@ -352,6 +352,10 @@ def test_unknown_subcommand_exits_2(capsys):
         (["sweep", "--cavity", "0.1,inf,0.1"], "ConfigError: cavity"),
         (["verify", "--grid", "1", "--depth", "1,1", "--cavity", "0.1,0.5,nan"], "ConfigError: cavity"),
         (["coeffs", "--kappa-s", "inf"], "ConfigError: cavity parameters must be finite"),
+        (["coeffs", "--omega-detuning", "inf"], "DomainError: probe frequency inf is not finite"),
+        (["coeffs", "--omega-detuning", "nan"], "DomainError: probe frequency nan is not finite"),
+        (["verify", "--grid", "1", "--depth", "1,1", "--tol", "nan"], "DomainError: tolerance nan"),
+        (["verify", "--grid", "1", "--depth", "1,1", "--tol", "-1"], "DomainError: tolerance -1.0"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -354,6 +355,36 @@ def test_run_protocol_mc_chunking_invariant():
     finally:
         proto._CHUNK = old
     assert t1.counts == t2.counts
+    assert t1.branches == t2.branches
+
+
+# SHA-256 of ``json.dumps(trace.to_json_obj(), indent=2)`` for SKEWED Monte
+# Carlo runs, pinned from the row-sorting path counter that packed keys
+# replaced.  Branch order and every count enter the digest.
+@pytest.mark.parametrize(
+    "rounds, shots, seed, digest",
+    [
+        # ragged: Alice's seventh round has two outcomes, not four
+        ((7, 7), 1_000, 3, "b012d16aa24796eb6f293b03309f3a7d4bf14c5047d41255e247af5c199c5c44"),
+        # crosses one chunk boundary
+        ((8, 7), 70_000, 5, "f83377a0a189ea41ce84ea805542b1cd5ce13a46e4f4a726dc88b51ce4340db4"),
+        # three chunks, the last holding a single shot
+        ((3, 2), 131_073, 2, "b075ce73cddd8ddfc4d25843299ff8809cc6ff2b85749ef944fa6b1964b97c62"),
+        # 23 and 20 stages: keys span several 11-stage blocks
+        ((20, 3), 20_000, 11, "e221a3c19c1086e8772d3e41a65c9aa2b3a87fcf0a76726ea86e7585d484c558"),
+        ((10, 10), 20_000, 13, "5d1f869cfed0a6c8895e319b155d770a1cf5343b40cbdb25f0e55eb676dc4127"),
+    ],
+)
+def test_run_protocol_mc_golden_traces(rounds, shots, seed, digest):
+    cfg = ProtocolConfig(
+        max_rounds_alice=rounds[0],
+        max_rounds_charlie=rounds[1],
+        mode="mc",
+        n_shots=shots,
+        rng_seed=seed,
+    )
+    text = json.dumps(run_protocol(SKEWED, cfg).to_json_obj(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_run_protocol_validates_config():

@@ -159,19 +159,6 @@ class CurvePoint:
     p2_practical: float
     p_practical: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "alpha3": self.alpha3,
-            "p1": self.p1,
-            "p2": self.p2,
-            "p_total": self.p_total,
-            "p1_practical": self.p1_practical,
-            "p2_practical": self.p2_practical,
-            "p_practical": self.p_practical,
-        }
-
 
 def sweep(spec: SweepSpec) -> list[CurvePoint]:
     """Single-round probabilities along the sweep; practical columns equal the

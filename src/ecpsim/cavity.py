@@ -113,8 +113,7 @@ def apply_ebs_gate(state: StateVector, spin_index: int) -> StateVector:
     """Linear extension of :func:`ideal_interaction` over a whole state."""
     return combine_terms(
         ((new_ket, sign * amp) for ket, amp in state.items()
-         for new_ket, sign in (ideal_interaction(ket, spin_index),)),
-        state.tolerance,
+         for new_ket, sign in (ideal_interaction(ket, spin_index),))
     )
 
 
@@ -137,7 +136,7 @@ def hwp45(state: StateVector) -> StateVector:
             raise LinearBasisPhotonError("photon already in linear basis")
         for pol, factor in _HWP[photon.polarization]:
             pairs.append((BasisKet(PhotonLabel(pol, photon.direction), ket.spins), factor * amp))
-    return combine_terms(pairs, state.tolerance)
+    return combine_terms(pairs)
 
 
 # Per input polarization (R, then L): the gate sign and the
@@ -201,7 +200,7 @@ def detect(state: StateVector, station: Station) -> list[DetectionEvent]:
         groups.setdefault(detector, []).append((ket.without_photon(), amp))
     events = []
     for detector in sorted(groups, key=_DETECTOR_ORDER.get):
-        collapsed = combine_terms(groups[detector], state.tolerance)
+        collapsed = combine_terms(groups[detector])
         prob = collapsed.norm() ** 2
         if prob == 0.0:
             continue
@@ -357,4 +356,4 @@ class LossyOperators:
             transmit, reflect = self.weights(ket, spin_index)
             pairs.append((ket, transmit * amp))
             pairs.append((BasisKet(ket.photon.reflected(), ket.spins), reflect * amp))
-        return combine_terms(pairs, state.tolerance)
+        return combine_terms(pairs)

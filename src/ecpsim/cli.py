@@ -227,12 +227,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         else file_cfg.get("seed", _default_seed())
     )
     cavity, convention = _cavity_and_convention(args, file_cfg)
-    gate_mode = GateMode.lossy(cavity, convention) if cavity else GateMode.ideal()
 
     config = ProtocolConfig(
         max_rounds_alice=rounds[0],
         max_rounds_charlie=rounds[1],
-        gate_mode=gate_mode,
+        gate_mode=GateMode(cavity, convention),
         rng_seed=seed,
         mode=mode,
         n_shots=shots,

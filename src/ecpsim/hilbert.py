@@ -5,7 +5,8 @@ ordered tuple of electron spins) to complex amplitudes.  Everything is
 value-semantic: operations return new states and never mutate their inputs,
 so intermediate states can be shared freely across branching computations.
 Global phase is never canonicalized; fidelity is the phase-insensitive
-comparator.
+comparator.  Amplitudes below :data:`DEFAULT_TOLERANCE` are dropped wherever
+a state is built; it is the one amplitude drop of the package.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ShapeMismatchError, ZeroStateError
 
@@ -25,9 +26,6 @@ class SpinLabel(Enum):
 
     UP = "up"
     DOWN = "down"
-
-    def flipped(self) -> SpinLabel:
-        return SpinLabel.DOWN if self is SpinLabel.UP else SpinLabel.UP
 
 
 class Polarization(Enum):
@@ -101,11 +99,6 @@ class BasisKet:
     def without_photon(self) -> BasisKet:
         return BasisKet(None, self.spins)
 
-    def with_spin(self, index: int, spin: SpinLabel) -> BasisKet:
-        spins = list(self.spins)
-        spins[index] = spin
-        return BasisKet(self.photon, tuple(spins))
-
     @property
     def shape(self) -> tuple:
         """Structural signature used to reject mixed-basis superpositions."""
@@ -137,27 +130,22 @@ class BasisKet:
 class StateVector:
     """Sparse complex superposition over :class:`BasisKet` labels.
 
-    Amplitudes with magnitude below ``tolerance`` are dropped at
-    construction, all stored kets must share one structural shape, and the
+    Amplitudes with magnitude below :data:`DEFAULT_TOLERANCE` are dropped
+    at construction, all stored kets must share one structural shape, and the
     term order is canonical so that serialization and floating-point sums
     are reproducible run to run.
     """
 
-    __slots__ = ("_terms", "tolerance")
+    __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[BasisKet, complex] | Iterable[tuple[BasisKet, complex]],
-        tolerance: float = DEFAULT_TOLERANCE,
-    ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[BasisKet, complex]) -> None:
         clean: dict[BasisKet, complex] = {}
         shape: tuple | None = None
-        for ket, raw in items:
+        for ket, raw in terms.items():
             amp = complex(raw)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"non-finite amplitude for {ket}")
-            if abs(amp) < tolerance:
+            if abs(amp) < DEFAULT_TOLERANCE:
                 continue
             if shape is None:
                 shape = ket.shape
@@ -165,22 +153,18 @@ class StateVector:
                 raise ShapeMismatchError(f"mixed basis shapes: {shape} vs {ket.shape}")
             clean[ket] = amp
         self._terms = dict(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
-        self.tolerance = tolerance
 
     @classmethod
-    def _from_canonical(
-        cls, terms: dict[BasisKet, complex], tolerance: float = DEFAULT_TOLERANCE
-    ) -> StateVector:
+    def _from_canonical(cls, terms: dict[BasisKet, complex]) -> StateVector:
         """Wrap ``terms`` as a state without checking or sorting it again.
 
         The caller guarantees what ``__init__`` would otherwise establish:
         every key has the same shape, the keys are in ``sort_key`` order, and
         every amplitude is a finite ``complex`` of magnitude at least
-        ``tolerance``.  The dict is taken over, not copied.
+        :data:`DEFAULT_TOLERANCE`.  The dict is taken over, not copied.
         """
         state = cls.__new__(cls)
         state._terms = terms
-        state.tolerance = tolerance
         return state
 
     # -- inspection ---------------------------------------------------------
@@ -216,10 +200,10 @@ class StateVector:
         if not self._terms:
             raise ZeroStateError("all amplitudes below tolerance")
         n = self.norm()
-        return StateVector({k: a / n for k, a in self._terms.items()}, self.tolerance)
+        return StateVector({k: a / n for k, a in self._terms.items()})
 
     def scaled(self, factor: complex) -> StateVector:
-        return StateVector({k: a * factor for k, a in self._terms.items()}, self.tolerance)
+        return StateVector({k: a * factor for k, a in self._terms.items()})
 
     def inner_product(self, other: StateVector) -> complex:
         """Hermitian inner product, conjugate-linear in ``self``."""
@@ -239,16 +223,6 @@ class StateVector:
         """|<self|other>|^2; both states are expected to be normalized."""
         return abs(self.inner_product(other)) ** 2
 
-    def project(self, predicate: Callable[[BasisKet], bool]) -> tuple[StateVector, float]:
-        """Split off the component whose kets satisfy ``predicate``.
-
-        Returns the (unnormalized) projected state and its squared norm.
-        An empty projection yields the empty state and probability 0.
-        """
-        matching = {k: a for k, a in self._terms.items() if predicate(k)}
-        prob = sum(abs(a) ** 2 for a in matching.values())
-        return StateVector(matching, self.tolerance), prob
-
     def tensor_with_photon(self, photon: StateVector) -> StateVector:
         """Tensor a photonless spin state with a spinless photon state."""
         for ket in self._terms:
@@ -260,7 +234,7 @@ class StateVector:
                 raise ShapeMismatchError("photon factor must be a pure photon state")
             for sket, samp in self._terms.items():
                 product[BasisKet(pket.photon, sket.spins)] = pamp * samp
-        return StateVector(product, self.tolerance)
+        return StateVector(product)
 
     # -- serialization ------------------------------------------------------
 
@@ -277,11 +251,9 @@ class StateVector:
         return f"StateVector({body}{more})"
 
 
-def combine_terms(
-    pairs: Iterable[tuple[BasisKet, complex]], tolerance: float = DEFAULT_TOLERANCE
-) -> StateVector:
+def combine_terms(pairs: Iterable[tuple[BasisKet, complex]]) -> StateVector:
     """Accumulate (ket, amplitude) contributions into a state, merging duplicates."""
     terms: dict[BasisKet, complex] = {}
     for ket, amp in pairs:
         terms[ket] = terms.get(ket, 0j) + amp
-    return StateVector(terms, tolerance)
+    return StateVector(terms)

@@ -59,12 +59,7 @@ class BranchNode:
                 yield node
 
 
-def enumerate_tree(
-    c: WCoefficients,
-    k_alice: int,
-    k_charlie: int,
-    gate_mode: GateMode | None = None,
-) -> BranchNode:
+def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode:
     """Exhaustively enumerate the protocol tree to the given depths.
 
     Every detector gets its own child (no merging), so the tree grows
@@ -76,7 +71,6 @@ def enumerate_tree(
         raise DomainError("k_alice must be at least 1")
     if k_charlie < 0:
         raise DomainError("k_charlie must be nonnegative")
-    mode = gate_mode or GateMode.ideal()
     root = BranchNode(
         path=(),
         amplitude_weight=1.0,
@@ -93,7 +87,7 @@ def enumerate_tree(
 
     def expand(node: BranchNode, station: int, rounds_left: int) -> None:
         round_fn, _, success_class = stations[station]
-        for outcome in round_fn(node.state, node.coefficients, mode):
+        for outcome in round_fn(node.state, node.coefficients):
             child = BranchNode(
                 path=node.path + (outcome.detector,),
                 amplitude_weight=node.amplitude_weight * outcome.probability,
@@ -218,7 +212,7 @@ def compare_all(
     lossy_mode = None
     if cavity is not None:
         sc = scatter_coefficients(cavity, convention=convention)
-        lossy_mode = GateMode.lossy(cavity, convention)
+        lossy_mode = GateMode(cavity, convention)
 
     for c in grid:
         point = c.as_tuple()

@@ -100,18 +100,6 @@ class GateMode:
     cavity: CavityParams | None = None
     convention: DenominatorConvention = DenominatorConvention.VERBATIM
 
-    @classmethod
-    def ideal(cls) -> GateMode:
-        return cls()
-
-    @classmethod
-    def lossy(
-        cls,
-        cavity: CavityParams,
-        convention: DenominatorConvention = DenominatorConvention.VERBATIM,
-    ) -> GateMode:
-        return cls(cavity=cavity, convention=convention)
-
     @property
     def is_lossy(self) -> bool:
         return self.cavity is not None
@@ -154,7 +142,7 @@ class RoundOutcome:
 class ProtocolConfig:
     max_rounds_alice: int = 1
     max_rounds_charlie: int = 1
-    gate_mode: GateMode = field(default_factory=GateMode.ideal)
+    gate_mode: GateMode = field(default_factory=GateMode)
     rng_seed: int = 0
     mode: str = "tree"  # "tree" or "mc"
     n_shots: int = 0
@@ -219,7 +207,6 @@ class ProtocolTrace:
     total_success_probability: float
     shots: int | None = None
     counts: dict[str, int] | None = None
-    rng_algorithm: str | None = None
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -233,7 +220,7 @@ class ProtocolTrace:
             obj["monte_carlo"] = {
                 "shots": self.shots,
                 "counts": self.counts,
-                "rng": self.rng_algorithm,
+                "rng": _RNG_ALGORITHM,
             }
         return obj
 
@@ -328,7 +315,7 @@ def phase_correction(state: StateVector, detector: DetectorLabel) -> StateVector
     flipped = {
         ket: (-amp if ket.spins[index] is SpinLabel.DOWN else amp) for ket, amp in state.items()
     }
-    return StateVector(flipped, state.tolerance)
+    return StateVector(flipped)
 
 
 # -- single rounds ---------------------------------------------------------------
@@ -402,19 +389,19 @@ def _station_round(
 
     Gives exactly what composing ``tensor_with_photon``, ``apply_ebs_gate``,
     ``hwp45``, ``detect`` and ``phase_correction`` gives: the same complex
-    operations in the same order, and the same tolerance drops.  The photon,
-    wave-plate and normalization drops are made here.  The gate is a signed
-    permutation that keeps each amplitude's magnitude, and the wave plate
-    scales it by 1/sqrt(2), so a term the tensor-product or gate drop would
-    remove is removed by the wave-plate drop anyway.  Each spin ket reaches
+    operations in the same order, and the same ``DEFAULT_TOLERANCE`` drops.
+    The photon, wave-plate and normalization drops are made here.  The gate
+    is a signed permutation that keeps each amplitude's magnitude, and the
+    wave plate scales it by 1/sqrt(2), so a term the tensor-product or gate
+    drop would remove is removed by the wave-plate drop anyway.  Each spin ket reaches
     each detector at most once, so the wave-plate and detector sums have a
     single term after ``0j``.  Kets are visited in the state's sorted order,
     which is the order every intermediate state would have put them in
     within one detector.
     """
+    tol = DEFAULT_TOLERANCE
     photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]
-    photon = [None if abs(p) < DEFAULT_TOLERANCE else p for p in photon]
-    tol = state.tolerance
+    photon = [None if abs(p) < tol else p for p in photon]
     groups: list[list[tuple[BasisKet, complex]]] = [[] for _ in plan.detectors]
     for ket, amp in state.items():
         if ket.photon is not None:
@@ -442,7 +429,7 @@ def _station_round(
             amp = amp / norm
             if abs(amp) >= tol:
                 terms[ket] = -amp if flip is not None and ket.spins[flip] is SpinLabel.DOWN else amp
-        events.append((position, probability, StateVector._from_canonical(terms, tol)))
+        events.append((position, probability, StateVector._from_canonical(terms)))
 
     if gate_mode.is_lossy:
         # Success probabilities shrink by the port signal fraction; whatever
@@ -477,19 +464,19 @@ def _station_round(
 def alice_round(
     state: StateVector,
     coefficients: WCoefficients,
-    gate_mode: GateMode | None = None,
+    gate_mode: GateMode = GateMode(),
 ) -> list[RoundOutcome]:
     """One repetition at the first station; outcomes ordered D1..D4."""
-    return _station_round(state, coefficients, gate_mode or GateMode.ideal(), _ALICE_PLAN)
+    return _station_round(state, coefficients, gate_mode, _ALICE_PLAN)
 
 
 def charlie_round(
     state: StateVector,
     coefficients: WCoefficients,
-    gate_mode: GateMode | None = None,
+    gate_mode: GateMode = GateMode(),
 ) -> list[RoundOutcome]:
     """One repetition at the second station; outcomes ordered D5..D8."""
-    return _station_round(state, coefficients, gate_mode or GateMode.ideal(), _CHARLIE_PLAN)
+    return _station_round(state, coefficients, gate_mode, _CHARLIE_PLAN)
 
 
 # -- full protocol ----------------------------------------------------------------
@@ -724,5 +711,4 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
         total_success_probability=total,
         shots=config.n_shots,
         counts=counts,
-        rng_algorithm=_RNG_ALGORITHM,
     )

@@ -28,11 +28,6 @@ UUD = BasisKet.from_spins("uud")
 # -- labels ---------------------------------------------------------------
 
 
-def test_spin_flip_involution():
-    assert SpinLabel.UP.flipped() is SpinLabel.DOWN
-    assert SpinLabel.DOWN.flipped() is SpinLabel.UP
-
-
 @pytest.mark.parametrize(
     "pol, circular",
     [(Polarization.R, True), (Polarization.L, True), (Polarization.H, False), (Polarization.V, False)],
@@ -72,12 +67,6 @@ def test_with_photon_round_trip():
     assert ket.without_photon() == DUU
     with pytest.raises(ShapeMismatchError):
         ket.with_photon(L_MINUS)
-
-
-def test_with_spin_replaces_one_slot():
-    ket = UDU.with_spin(0, SpinLabel.DOWN)
-    assert ket.spins == (SpinLabel.DOWN, SpinLabel.DOWN, SpinLabel.UP)
-    assert UDU.spins[0] is SpinLabel.UP  # original untouched
 
 
 def test_shape_distinguishes_photon_and_basis():
@@ -152,22 +141,6 @@ def test_fidelity_frozen_cross_term(w_pattern):
     assert w_pattern(1, 1, 1).fidelity(w_pattern(1, 1, -1)) == pytest.approx(1.0 / 9.0)
 
 
-def test_project_partitions_norm(w_pattern):
-    w = w_pattern(1, 2, 2)
-    sub, p = w.project(lambda k: k.spins[0] is SpinLabel.DOWN)
-    assert p == pytest.approx(1.0 / 9.0)
-    assert sub.norm() ** 2 == pytest.approx(p)  # projection is left unnormalized
-    rest, q = w.project(lambda k: k.spins[0] is SpinLabel.UP)
-    assert p + q == pytest.approx(1.0)
-
-
-def test_project_empty_branch(w_pattern):
-    w = w_pattern(1, 0, 0)
-    sub, p = w.project(lambda k: k.spins[2] is SpinLabel.DOWN)
-    assert p == 0.0
-    assert not sub
-
-
 def test_tensor_with_photon(w_pattern):
     w = w_pattern(1, 1, 1)
     photon = StateVector({BasisKet(R_MINUS, ()): 0.6, BasisKet(L_MINUS, ()): 0.8})
@@ -178,7 +151,7 @@ def test_tensor_with_photon(w_pattern):
 
 
 def test_combine_terms_accumulates():
-    s = combine_terms([(DUU, 0.5), (DUU, 0.5), (UDU, 0.3), (UDU, -0.3)], 1e-12)
+    s = combine_terms([(DUU, 0.5), (DUU, 0.5), (UDU, 0.3), (UDU, -0.3)])
     assert s.amplitude(DUU) == pytest.approx(1.0)
     assert len(s) == 1  # cancelled term pruned
 

@@ -256,7 +256,7 @@ def test_round_probabilities_complete(c):
 
 
 def lossy_mode(ks):
-    return GateMode.lossy(CavityParams(kappa=1.0, kappa_s=ks, g=0.5, gamma=0.1))
+    return GateMode(CavityParams(kappa=1.0, kappa_s=ks, g=0.5, gamma=0.1))
 
 
 def test_lossy_round_scales_success_mass():

@@ -2,7 +2,7 @@
 
 ``reference_round`` composes ``tensor_with_photon``, ``apply_ebs_gate``,
 ``hwp45``, ``detect`` and ``phase_correction`` step by step, each building its
-own intermediate state with its own tolerance drop.  ``alice_round`` and
+own intermediate state with the ``DEFAULT_TOLERANCE`` drop.  ``alice_round`` and
 ``charlie_round`` must give the same outcomes bit for bit, including the
 signs of zero components that the JSON trace would show.
 """
@@ -46,9 +46,9 @@ from ecpsim.cavity import photon_readout
 
 CAVITY = CavityParams(kappa_s=0.3, g=0.8, gamma=0.1)
 MODES = {
-    "ideal": GateMode.ideal(),
-    "lossy-verbatim": GateMode.lossy(CAVITY, DenominatorConvention.VERBATIM),
-    "lossy-corrected": GateMode.lossy(CAVITY, DenominatorConvention.CORRECTED),
+    "ideal": GateMode(),
+    "lossy-verbatim": GateMode(CAVITY, DenominatorConvention.VERBATIM),
+    "lossy-corrected": GateMode(CAVITY, DenominatorConvention.CORRECTED),
 }
 
 interior = st.tuples(
@@ -124,7 +124,6 @@ def checked_round(state, c, gate_mode, station):
         assert a.classification == b.classification
         assert a.post_coefficients == b.post_coefficients
         assert a.post_state.to_json_obj() == b.post_state.to_json_obj()
-        assert a.post_state.tolerance == b.post_state.tolerance
         # == treats -0.0 and 0.0 alike; the serialized trace does not.
         assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
     return new

@@ -21,6 +21,7 @@ from .protocol import (
     WCoefficients,
     alice_round,
     charlie_round,
+    first_success,
     prepare_w_state,
 )
 from .hilbert import StateVector
@@ -256,9 +257,7 @@ def compare_all(
                 for o in lossy_alice
                 if o.classification is OutcomeClass.ALICE_SUCCESS
             )
-            seed = next(
-                n for n in root.children if n.classification is OutcomeClass.ALICE_SUCCESS
-            )
+            seed = first_success(root.children, OutcomeClass.ALICE_SUCCESS)
             lossy_charlie = charlie_round(seed.state, seed.coefficients, lossy_mode)
             sim_p2 = sum(
                 o.probability

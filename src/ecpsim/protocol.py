@@ -318,6 +318,22 @@ def phase_correction(state: StateVector, detector: DetectorLabel) -> StateVector
     return StateVector(flipped)
 
 
+def first_success(items, success_class: OutcomeClass):
+    """The first of ``items`` (round outcomes or tree nodes) of ``success_class``.
+
+    A coefficient small enough leaves every success amplitude below the
+    amplitude drop; then there is no success and this raises
+    :class:`InvalidCoefficientsError`.
+    """
+    for item in items:
+        if item.classification is success_class:
+            return item
+    raise InvalidCoefficientsError(
+        f"no {success_class.value} outcome: its amplitudes fall below the "
+        f"{DEFAULT_TOLERANCE:g} amplitude drop"
+    )
+
+
 # -- single rounds ---------------------------------------------------------------
 
 
@@ -518,7 +534,7 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     for round_fn, plan, limit in stations:
         if chains:
             prev_plan, prev_stages = chains[-1]
-            seed = next(o for o in prev_stages[0] if o.classification is prev_plan.success_class)
+            seed = first_success(prev_stages[0], prev_plan.success_class)
             state, coeffs = seed.post_state, seed.post_coefficients
         stages = []
         for _ in range(limit):

@@ -343,6 +343,12 @@ def test_unknown_subcommand_exits_2(capsys):
     [
         (["simulate", "--alpha", "nan,1,1"], "InvalidCoefficientsError: coefficients must be finite"),
         (["simulate", "--alpha", "1,inf,1"], "InvalidCoefficientsError"),
+        # every first-station success amplitude falls below the 1e-12 drop
+        (["simulate", "--alpha", "1e-12,1,1"], "InvalidCoefficientsError: no alice_success"),
+        (
+            ["simulate", "--alpha", "1,1e-13,1e-13", "--mode", "mc", "--shots", "10"],
+            "InvalidCoefficientsError: no alice_success",
+        ),
         (
             ["simulate", "--alpha", "1,1,1", "--mode", "mc", "--shots", "10", "--seed", "-1"],
             "ConfigError: seed -1 outside",

@@ -6,6 +6,7 @@ from ecpsim import (
     CavityParams,
     DetectorLabel,
     DomainError,
+    InvalidCoefficientsError,
     OutcomeClass,
     ProtocolConfig,
     WCoefficients,
@@ -189,6 +190,15 @@ def test_compare_all_with_cavity_adds_lossy_rows():
     assert quantities.count("p2_practical") == 1
     assert quantities.count("p_practical") == 1
     assert all(r.passed for r in reports)
+
+
+def test_compare_all_with_cavity_rejects_vanishing_first_success():
+    # a1 = 1e-12 leaves every first-station success amplitude below the drop,
+    # so the lossy block has no success node to seed the second station from.
+    cav = CavityParams(kappa=1.0, kappa_s=0.1, g=0.5, gamma=0.1)
+    tiny = WCoefficients.normalized(1e-12, 1.0, 1.0)
+    with pytest.raises(InvalidCoefficientsError, match="1e-12 amplitude drop"):
+        compare_all([tiny], depths=(1, 1), cavity=cav)
 
 
 def test_compare_all_catches_wrong_formula(monkeypatch):

@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     LinearBasisPhotonError,
     ShapeMismatchError,
-    SingularDenominatorError,
 )
 from .hilbert import (
     BasisKet,
@@ -216,8 +215,8 @@ class DenominatorConvention(Enum):
 
     VERBATIM adds g^2 inside the cavity-detuning bracket, so the emitter
     bracket cancels against the numerator.  CORRECTED places g^2 outside the
-    bracket product (the standard input-output form).  The two coincide when
-    g = 0.
+    bracket product (the standard input-output form), which leaves g^2 over
+    the emitter bracket once that cancels.  The two coincide when g = 0.
     """
 
     VERBATIM = "verbatim"
@@ -273,9 +272,6 @@ class ScatterCoefficients:
         }
 
 
-_SINGULAR = 1e-15
-
-
 def scatter_coefficients(
     params: CavityParams,
     omega: float | None = None,
@@ -287,6 +283,12 @@ def scatter_coefficients(
     be finite (:class:`DomainError` otherwise).  All rates and detunings are
     divided by kappa before evaluation.  Both reflection amplitudes are built
     as 1 + transmission, so r - t = 1 and r0 - t0 = 1 hold identically.
+
+    The emitter bracket ``e = i*d_x + gamma/2`` is cancelled out of the hot
+    transmission: t = -1/(i*d_c + 1 + kappa_s/2 + g^2) in the VERBATIM form
+    and t = -1/(i*d_c + 1 + kappa_s/2 + g^2/e) in the CORRECTED one, whose
+    limit at e = 0 is t = 0 for g > 0.  Every denominator then has real part
+    at least 1, so |t| <= 1 and |t0| <= 1 at any finite frequency.
     """
     if omega is None:
         omega = params.omega0
@@ -301,18 +303,13 @@ def scatter_coefficients(
     d_0 = (params.omega0 - omega) / k
 
     emitter = 1j * d_x + gm / 2.0
-    if convention is DenominatorConvention.VERBATIM:
-        den = emitter * (1j * d_c + 1.0 + ks / 2.0 + gg * gg)
+    bracket = 1j * d_c + 1.0 + ks / 2.0
+    coupling = gg * gg
+    if convention is DenominatorConvention.CORRECTED and coupling > 0.0:
+        t = -1.0 / (bracket + coupling / emitter) if emitter else 0j
     else:
-        den = emitter * (1j * d_c + 1.0 + ks / 2.0) + gg * gg
-    if abs(den) < _SINGULAR:
-        raise SingularDenominatorError(f"hot-cavity denominator {den} too small")
-    t = -emitter / den
-
-    den0 = 1j * d_0 + ks / 2.0 + 1.0
-    if abs(den0) < _SINGULAR:
-        raise SingularDenominatorError(f"cold-cavity denominator {den0} too small")
-    t0 = -1.0 / den0
+        t = -1.0 / (bracket + coupling)
+    t0 = -1.0 / (1j * d_0 + ks / 2.0 + 1.0)
 
     return ScatterCoefficients(t=t, r=1.0 + t, t0=t0, r0=1.0 + t0)
 

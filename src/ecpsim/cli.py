@@ -24,7 +24,6 @@ from .errors import (
     DegenerateCoefficientsError,
     DomainError,
     InvalidCoefficientsError,
-    SingularDenominatorError,
 )
 from .oracle import compare_all, simplex_grid
 from .protocol import GateMode, ProtocolConfig, WCoefficients, run_protocol
@@ -34,7 +33,6 @@ _USAGE_ERRORS = (
     DegenerateCoefficientsError,
     DomainError,
     InvalidCoefficientsError,
-    SingularDenominatorError,
 )
 
 

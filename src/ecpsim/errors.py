@@ -21,10 +21,6 @@ class CircularBasisPhotonError(EcpError):
     """An operation requires a linear-basis photon but got R/L."""
 
 
-class SingularDenominatorError(EcpError):
-    """A scattering-coefficient denominator is numerically singular."""
-
-
 class InvalidCoefficientsError(EcpError):
     """A coefficient triple violates the protocol preconditions."""
 

@@ -18,7 +18,6 @@ from ecpsim import (
     Polarization,
     ScatterCoefficients,
     ShapeMismatchError,
-    SingularDenominatorError,
     SpinLabel,
     Station,
     StateVector,
@@ -253,12 +252,32 @@ def test_conventions_differ():
     assert abs(t_default - t_corrected) > 0.1
 
 
-def test_singular_denominator_raises():
-    # zero dipole decay at resonance kills the emitter factor
-    with pytest.raises(SingularDenominatorError):
-        scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.0))
-    with pytest.raises(SingularDenominatorError):
-        scatter_coefficients(params(), convention=DenominatorConvention.CORRECTED)
+def test_scatter_finite_limits_without_dipole_decay():
+    # gamma = 0 at resonance zeroes the emitter bracket, which the cancelled
+    # forms divide out: the amplitudes take their limits instead of failing.
+    corrected = DenominatorConvention.CORRECTED
+    sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.0))
+    assert sc.t == pytest.approx(-1 / (1 + 0.05 + 0.25), abs=1e-15)
+    assert scatter_coefficients(params(), convention=corrected).t == -1.0
+    sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.0), convention=corrected)
+    assert sc.t == 0.0 and sc.r == 1.0
+
+
+@given(
+    st.floats(min_value=0, max_value=1e3),
+    st.floats(min_value=0, max_value=1e3),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+def test_scatter_amplitudes_finite_and_bounded(ks, g, gamma, omega):
+    p = params(ks=ks, g=g, gamma=gamma)
+    coeffs = [scatter_coefficients(p, omega, convention) for convention in DenominatorConvention]
+    for sc in coeffs:
+        for value in (sc.t, sc.r, sc.t0, sc.r0):
+            assert cmath.isfinite(value)
+        assert abs(sc.t) <= 1.0 and abs(sc.t0) <= 1.0
+    if g == 0.0:
+        assert coeffs[0] == coeffs[1]
 
 
 def test_detuned_coefficients_are_complex():

@@ -308,10 +308,11 @@ def test_coeffs_detuning_gives_complex_parts(capsys):
     assert obj["t"]["im"] != 0.0
 
 
-def test_coeffs_singular_denominator_exits_2(capsys):
-    code, _, err = run(["coeffs", "--g", "0.5", "--gamma", "0"], capsys)
-    assert code == 2
-    assert "Singular" in err
+def test_coeffs_defaults_give_empty_cavity_limit(capsys):
+    code, out, _ = run(["coeffs"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["t"] == obj["t0"] == {"re": -1.0, "im": 0.0}
 
 
 def test_coeffs_unknown_convention(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -319,6 +320,25 @@ def test_coeffs_unknown_convention(capsys):
     code, _, err = run(["coeffs", "--convention", "sideways"], capsys)
     assert code == 2
     assert "convention" in err
+
+
+# -- golden outputs -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sweep", "--points", "200"], "57ec234eeabaa2864574292db033bb1b9f99abead99077127a8ac20d913e7e4a"),
+        (
+            ["verify", "--grid", "3", "--depth", "4,4"],
+            "c63989c55f795acfef1f0e67e744ca5fc884dde4534da48259da4eceb64012e5",
+        ),
+    ],
+)
+def test_stdout_golden_digest(argv, digest, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- argparse plumbing -----------------------------------------------------------------

@@ -387,6 +387,33 @@ def test_run_protocol_mc_golden_traces(rounds, shots, seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# SHA-256 of ``json.dumps(trace.to_json_obj(), indent=2)`` for ideal tree
+# runs.  At (7, 7) the last first-station stage is ragged; at (40, 1) the
+# deep retry rounds shed terms at the amplitude drop: (0.9, 0.3, 0.3) at the
+# photon and normalization drops, (0.01, 0.3, 0.3) also at the wave-plate drop.
+@pytest.mark.parametrize(
+    "coefficients, rounds, digest",
+    [
+        (SKEWED, (4, 4), "32e764775f5e424be718b3b616f22574dbe366bb4e706d733388e799f9709e67"),
+        (SKEWED, (7, 7), "3d32006d9ba38d81bb048f5f139bf22f58649ce8c1e9da7256165797c7b79ac3"),
+        (
+            WCoefficients.normalized(0.9, 0.3, 0.3),
+            (40, 1),
+            "631090df6ab0cd73ed20b9beb8e2adde2446d9f9e13e2ef4c5c0b807e08f2aad",
+        ),
+        (
+            WCoefficients.normalized(0.01, 0.3, 0.3),
+            (40, 1),
+            "ce77ff4d9c76740c2a1d74b02e1ca0f3afbd978886f756f55fecbc8dc3b04179",
+        ),
+    ],
+)
+def test_run_protocol_tree_golden_traces(coefficients, rounds, digest):
+    cfg = ProtocolConfig(max_rounds_alice=rounds[0], max_rounds_charlie=rounds[1])
+    text = json.dumps(run_protocol(coefficients, cfg).to_json_obj(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_run_protocol_validates_config():
     with pytest.raises(ConfigError):
         run_protocol(EQUAL, ProtocolConfig(max_rounds_alice=0))

@@ -306,7 +306,7 @@ def scatter_coefficients(
     bracket = 1j * d_c + 1.0 + ks / 2.0
     coupling = gg * gg
     if convention is DenominatorConvention.CORRECTED and coupling > 0.0:
-        t = -1.0 / (bracket + coupling / emitter) if emitter else 0j
+        t = -1.0 / (bracket + coupling / emitter) if emitter != 0 else 0j
     else:
         t = -1.0 / (bracket + coupling)
     t0 = -1.0 / (1j * d_0 + ks / 2.0 + 1.0)

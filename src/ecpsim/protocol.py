@@ -409,11 +409,11 @@ def _station_round(
     The photon, wave-plate and normalization drops are made here.  The gate
     is a signed permutation that keeps each amplitude's magnitude, and the
     wave plate scales it by 1/sqrt(2), so a term the tensor-product or gate
-    drop would remove is removed by the wave-plate drop anyway.  Each spin ket reaches
-    each detector at most once, so the wave-plate and detector sums have a
-    single term after ``0j``.  Kets are visited in the state's sorted order,
-    which is the order every intermediate state would have put them in
-    within one detector.
+    drop would remove is removed by the wave-plate drop anyway.  Each spin
+    ket reaches each detector at most once, so the wave-plate and detector
+    sums have a single term after ``0j``.  Kets are visited in the state's
+    sorted order, which is the order every intermediate state would have put
+    them in within one detector.
     """
     tol = DEFAULT_TOLERANCE
     photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]

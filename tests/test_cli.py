@@ -364,12 +364,6 @@ def test_unknown_subcommand_exits_2(capsys):
     [
         (["simulate", "--alpha", "nan,1,1"], "InvalidCoefficientsError: coefficients must be finite"),
         (["simulate", "--alpha", "1,inf,1"], "InvalidCoefficientsError"),
-        # every first-station success amplitude falls below the 1e-12 drop
-        (["simulate", "--alpha", "1e-12,1,1"], "InvalidCoefficientsError: no alice_success"),
-        (
-            ["simulate", "--alpha", "1,1e-13,1e-13", "--mode", "mc", "--shots", "10"],
-            "InvalidCoefficientsError: no alice_success",
-        ),
         (
             ["simulate", "--alpha", "1,1,1", "--mode", "mc", "--shots", "10", "--seed", "-1"],
             "ConfigError: seed -1 outside",
@@ -383,6 +377,12 @@ def test_unknown_subcommand_exits_2(capsys):
         (["coeffs", "--omega-detuning", "nan"], "DomainError: probe frequency nan is not finite"),
         (["verify", "--grid", "1", "--depth", "1,1", "--tol", "nan"], "DomainError: tolerance nan"),
         (["verify", "--grid", "1", "--depth", "1,1", "--tol", "-1"], "DomainError: tolerance -1.0"),
+        # every first-station success amplitude falls below the 1e-12 drop
+        (["simulate", "--alpha", "1e-12,1,1"], "InvalidCoefficientsError: no alice_success"),
+        (
+            ["simulate", "--alpha", "1,1e-13,1e-13", "--mode", "mc", "--shots", "10"],
+            "InvalidCoefficientsError: no alice_success",
+        ),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys):

@@ -26,15 +26,10 @@ from .analytics import (
 from .cavity import (
     CavityParams,
     DenominatorConvention,
-    DetectionEvent,
     DetectorLabel,
     LossyOperators,
     ScatterCoefficients,
     Station,
-    apply_ebs_gate,
-    detect,
-    hwp45,
-    ideal_interaction,
     scatter_coefficients,
 )
 from .errors import (
@@ -46,7 +41,6 @@ from .errors import (
     InvalidCoefficientsError,
     LinearBasisPhotonError,
     ShapeMismatchError,
-    UnknownDetectorError,
     ZeroStateError,
 )
 from .hilbert import (
@@ -72,13 +66,11 @@ from .protocol import (
     ProtocolTrace,
     RoundOutcome,
     WCoefficients,
-    alice_photon,
+    WState,
     alice_round,
-    charlie_photon,
     charlie_round,
     coefficient_update_alice,
     coefficient_update_charlie,
-    phase_correction,
     prepare_w_state,
     run_protocol,
 )
@@ -94,7 +86,6 @@ __all__ = [
     "CurvePoint",
     "DegenerateCoefficientsError",
     "DenominatorConvention",
-    "DetectionEvent",
     "DetectorLabel",
     "Direction",
     "DomainError",
@@ -115,27 +106,20 @@ __all__ = [
     "Station",
     "StateVector",
     "SweepSpec",
-    "UnknownDetectorError",
     "WCoefficients",
+    "WState",
     "ZeroStateError",
-    "alice_photon",
     "alice_round",
-    "apply_ebs_gate",
-    "charlie_photon",
     "charlie_round",
     "coefficient_update_alice",
     "coefficient_update_charlie",
     "compare_all",
-    "detect",
     "enumerate_tree",
-    "hwp45",
-    "ideal_interaction",
     "p1_round",
     "p1_total",
     "p2_round",
     "p2_simplified",
     "p2_total",
-    "phase_correction",
     "practical_p1",
     "practical_p2",
     "practical_total",

@@ -29,10 +29,6 @@ class DegenerateCoefficientsError(EcpError):
     """An ancilla photon cannot be prepared from the given coefficients."""
 
 
-class UnknownDetectorError(EcpError):
-    """A phase correction was requested for a detector that needs none."""
-
-
 class DomainError(EcpError):
     """An argument lies outside a formula's domain."""
 

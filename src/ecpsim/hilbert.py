@@ -7,6 +7,11 @@ so intermediate states can be shared freely across branching computations.
 Global phase is never canonicalized; fidelity is the phase-insensitive
 comparator.  Amplitudes below :data:`DEFAULT_TOLERANCE` are dropped wherever
 a state is built; it is the one amplitude drop of the package.
+
+Protocol rounds never leave the W sector and carry
+:class:`ecpsim.protocol.WState` instead.  General states serve the gate,
+wave-plate and detector functions of :mod:`ecpsim.cavity` and the composed
+reference route in ``tests/reference.py`` that the rounds are checked against.
 """
 
 from __future__ import annotations
@@ -153,19 +158,6 @@ class StateVector:
                 raise ShapeMismatchError(f"mixed basis shapes: {shape} vs {ket.shape}")
             clean[ket] = amp
         self._terms = dict(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
-
-    @classmethod
-    def _from_canonical(cls, terms: dict[BasisKet, complex]) -> StateVector:
-        """Wrap ``terms`` as a state without checking or sorting it again.
-
-        The caller guarantees what ``__init__`` would otherwise establish:
-        every key has the same shape, the keys are in ``sort_key`` order, and
-        every amplitude is a finite ``complex`` of magnitude at least
-        :data:`DEFAULT_TOLERANCE`.  The dict is taken over, not copied.
-        """
-        state = cls.__new__(cls)
-        state._terms = terms
-        return state
 
     # -- inspection ---------------------------------------------------------
 

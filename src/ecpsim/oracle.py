@@ -19,12 +19,13 @@ from .protocol import (
     GateMode,
     OutcomeClass,
     WCoefficients,
+    WState,
     alice_round,
     charlie_round,
     first_success,
     prepare_w_state,
 )
-from .hilbert import StateVector
+
 
 @dataclass
 class BranchNode:
@@ -43,7 +44,7 @@ class BranchNode:
 
     path: tuple[DetectorLabel, ...]
     amplitude_weight: float
-    state: StateVector
+    state: WState
     coefficients: WCoefficients
     depth: int
     classification: OutcomeClass | None = None

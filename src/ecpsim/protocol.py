@@ -31,26 +31,15 @@ from .cavity import (
     photon_readout,
     scatter_coefficients,
 )
-from .errors import (
-    ConfigError,
-    DegenerateCoefficientsError,
-    InvalidCoefficientsError,
-    ShapeMismatchError,
-    UnknownDetectorError,
-)
-from .hilbert import (
-    DEFAULT_TOLERANCE,
-    BasisKet,
-    Direction,
-    PhotonLabel,
-    Polarization,
-    SpinLabel,
-    StateVector,
-)
+from .errors import ConfigError, DegenerateCoefficientsError, InvalidCoefficientsError
+from .hilbert import DEFAULT_TOLERANCE, SpinLabel
 
 _NORM_TOLERANCE = 1e-12
 
-_W_KETS = (BasisKet.from_spins("duu"), BasisKet.from_spins("udu"), BasisKet.from_spins("uud"))
+_UP, _DOWN = SpinLabel.UP, SpinLabel.DOWN
+# The kets a WState holds, in sorted ket order: |uud>, |udu>, |duu>.
+_W_SPINS = ((_UP, _UP, _DOWN), (_UP, _DOWN, _UP), (_DOWN, _UP, _UP))
+_W_SPIN_VALUES = tuple(tuple(s.value for s in spins) for spins in _W_SPINS)
 
 
 @dataclass(frozen=True)
@@ -117,6 +106,29 @@ class GateMode:
 
 
 @dataclass(frozen=True)
+class WState:
+    """A state in span{|uud>, |udu>, |duu>}, the sector every round stays in.
+
+    ``amplitudes`` holds one amplitude per ket in sorted ket order (``uud``,
+    ``udu``, ``duu``), or ``None`` where the :data:`DEFAULT_TOLERANCE` drop
+    removed the term.  Amplitudes are Python ``complex`` even when real: a
+    float times a complex and a complex times a complex can give zeros of
+    different sign, and the trace JSON shows that sign (an amplitude negated
+    by a phase correction has imaginary part ``-0.0``).
+    """
+
+    amplitudes: tuple[complex | None, complex | None, complex | None]
+
+    def to_json_obj(self) -> list[dict]:
+        """``{photon, spins, re, im}`` records of the kept terms, in ket order."""
+        return [
+            {"photon": None, "spins": list(spins), "re": amp.real, "im": amp.imag}
+            for spins, amp in zip(_W_SPIN_VALUES, self.amplitudes)
+            if amp is not None
+        ]
+
+
+@dataclass(frozen=True)
 class RoundOutcome:
     """One detector branch of a round: its probability within the round,
     the corrected post-measurement spin state, and the coefficient triple
@@ -124,7 +136,7 @@ class RoundOutcome:
 
     detector: DetectorLabel
     probability: float
-    post_state: StateVector
+    post_state: WState
     post_coefficients: WCoefficients
     classification: OutcomeClass
 
@@ -225,15 +237,15 @@ class ProtocolTrace:
         return obj
 
 
-# -- state and photon preparation ---------------------------------------------
+# -- state preparation ------------------------------------------------------------
 
 
-def prepare_w_state(coefficients: WCoefficients) -> StateVector:
+def prepare_w_state(coefficients: WCoefficients) -> WState:
     """Three-spin input state; all three coefficients must be strictly positive."""
     a1, a2, a3 = coefficients.as_tuple()
     if a1 == 0.0 or a2 == 0.0 or a3 == 0.0:
         raise InvalidCoefficientsError("protocol requires strictly positive coefficients")
-    return StateVector(dict(zip(_W_KETS, (a1, a2, a3))))
+    return WState(tuple(None if a < DEFAULT_TOLERANCE else complex(a) for a in (a3, a2, a1)))
 
 
 def _photon_amplitudes(amp_r: float, amp_l: float) -> tuple[float, float]:
@@ -242,26 +254,6 @@ def _photon_amplitudes(amp_r: float, amp_l: float) -> tuple[float, float]:
     if n == 0.0:
         raise DegenerateCoefficientsError("photon amplitudes are both zero")
     return amp_r / n, amp_l / n
-
-
-def _photon(amp_r: float, amp_l: float) -> StateVector:
-    r, l = _photon_amplitudes(amp_r, amp_l)
-    return StateVector(
-        {
-            BasisKet(PhotonLabel(Polarization.R, Direction.MINUS_Z), ()): r,
-            BasisKet(PhotonLabel(Polarization.L, Direction.MINUS_Z), ()): l,
-        }
-    )
-
-
-def alice_photon(coefficients: WCoefficients) -> StateVector:
-    """Ancilla for the first station: amplitudes proportional to (a1, a2)."""
-    return _photon(coefficients.a1, coefficients.a2)
-
-
-def charlie_photon(coefficients: WCoefficients) -> StateVector:
-    """Ancilla for the second station: amplitudes proportional to (a2, a3)."""
-    return _photon(coefficients.a2, coefficients.a3)
 
 
 # -- coefficient bookkeeping ----------------------------------------------------
@@ -289,35 +281,6 @@ def _alice_success_coefficients(coefficients: WCoefficients) -> WCoefficients:
     return WCoefficients.normalized(coefficients.a2, coefficients.a2, coefficients.a3)
 
 
-# -- measurement corrections ----------------------------------------------------
-
-# Which spin the correcting party rotates, per even detector.
-_CORRECTION_SPIN = {
-    DetectorLabel.D2: 0,
-    DetectorLabel.D4: 0,
-    DetectorLabel.D6: 2,
-    DetectorLabel.D8: 2,
-}
-
-
-def phase_correction(state: StateVector, detector: DetectorLabel) -> StateVector:
-    """Undo the V-port sign flip by a phase rotation on the gated spin.
-
-    Even detectors herald a state with exactly one sign flipped relative to
-    the all-positive form; flipping the phase of the DOWN component of the
-    spin that passed the gate restores it (up to global phase).  Odd
-    detectors need no correction and are rejected.
-    """
-    try:
-        index = _CORRECTION_SPIN[detector]
-    except KeyError:
-        raise UnknownDetectorError(f"{detector.value} heralds no correction") from None
-    flipped = {
-        ket: (-amp if ket.spins[index] is SpinLabel.DOWN else amp) for ket, amp in state.items()
-    }
-    return StateVector(flipped)
-
-
 def first_success(items, success_class: OutcomeClass):
     """The first of ``items`` (round outcomes or tree nodes) of ``success_class``.
 
@@ -337,22 +300,26 @@ def first_success(items, success_class: OutcomeClass):
 # -- single rounds ---------------------------------------------------------------
 
 
+def _code(detector: DetectorLabel) -> int:
+    return int(detector.value[1:])
+
+
 @dataclass(frozen=True)
 class _StationPlan:
     """What a round at one station needs, fixed at import.
 
-    ``detectors`` and ``routes`` come from :func:`photon_readout`; ``success``
-    and ``correction_spin`` are indexed by detector position, the latter
-    naming the spin an even detector's phase correction acts on.
+    ``detectors`` come from :func:`photon_readout`, and ``routes`` holds its
+    routes for the gated spin of each :class:`WState` slot.  ``success`` and
+    ``flips`` are indexed by detector position; ``flips`` marks the slots an
+    even detector's phase correction negates, those whose gated spin is DOWN.
     """
 
     station: Station
-    spin_index: int
     photon_pair: Callable[[WCoefficients], tuple[float, float]]
     detectors: tuple[DetectorLabel, ...]
-    routes: dict[SpinLabel, PhotonRoutes]
+    routes: tuple[PhotonRoutes, PhotonRoutes, PhotonRoutes]
     success: tuple[bool, ...]
-    correction_spin: tuple[int | None, ...]
+    flips: tuple[tuple[bool, bool, bool], ...]
     success_class: OutcomeClass
     retry_class: OutcomeClass
     success_coefficients: Callable[[WCoefficients], WCoefficients]
@@ -360,23 +327,26 @@ class _StationPlan:
 
 
 def _station_plan(
-    station: Station, success: tuple[DetectorLabel, ...], **fields
+    station: Station, gated_spin: int, success: tuple[DetectorLabel, ...], **fields
 ) -> _StationPlan:
     detectors, routes = photon_readout(station)
+    gated = [spins[gated_spin] for spins in _W_SPINS]
     return _StationPlan(
         station=station,
         detectors=detectors,
-        routes=routes,
+        routes=tuple(routes[spin] for spin in gated),
         success=tuple(d in success for d in detectors),
-        correction_spin=tuple(_CORRECTION_SPIN.get(d) for d in detectors),
+        flips=tuple(
+            tuple(_code(d) % 2 == 0 and spin is _DOWN for spin in gated) for d in detectors
+        ),
         **fields,
     )
 
 
 _ALICE_PLAN = _station_plan(
     Station.ALICE,
+    gated_spin=0,
     success=(DetectorLabel.D3, DetectorLabel.D4),
-    spin_index=0,
     photon_pair=lambda c: (c.a1, c.a2),
     success_class=OutcomeClass.ALICE_SUCCESS,
     retry_class=OutcomeClass.ALICE_RETRY,
@@ -385,8 +355,8 @@ _ALICE_PLAN = _station_plan(
 )
 _CHARLIE_PLAN = _station_plan(
     Station.CHARLIE,
+    gated_spin=2,
     success=(DetectorLabel.D5, DetectorLabel.D6),
-    spin_index=2,
     photon_pair=lambda c: (c.a2, c.a3),
     success_class=OutcomeClass.CHARLIE_SUCCESS,
     retry_class=OutcomeClass.CHARLIE_RETRY,
@@ -396,40 +366,41 @@ _CHARLIE_PLAN = _station_plan(
 
 
 def _station_round(
-    state: StateVector,
+    state: WState,
     coefficients: WCoefficients,
     gate_mode: GateMode,
     plan: _StationPlan,
 ) -> list[RoundOutcome]:
     """Photon tensor, gate, wave plate, detection and phase correction in one pass.
 
-    Gives exactly what composing ``tensor_with_photon``, ``apply_ebs_gate``,
-    ``hwp45``, ``detect`` and ``phase_correction`` gives: the same complex
-    operations in the same order, and the same ``DEFAULT_TOLERANCE`` drops.
-    The photon, wave-plate and normalization drops are made here.  The gate
-    is a signed permutation that keeps each amplitude's magnitude, and the
-    wave plate scales it by 1/sqrt(2), so a term the tensor-product or gate
-    drop would remove is removed by the wave-plate drop anyway.  Each spin
-    ket reaches each detector at most once, so the wave-plate and detector
-    sums have a single term after ``0j``.  Kets are visited in the state's
-    sorted order, which is the order every intermediate state would have put
-    them in within one detector.
+    Gives exactly what the composed reference route in ``tests/reference.py``
+    gives, where each of these steps builds a general ``StateVector``: the
+    same complex operations in the same order, and the same
+    ``DEFAULT_TOLERANCE`` drops.  The photon,
+    wave-plate and normalization drops are made here.  The gate is a signed
+    permutation that keeps each amplitude's magnitude, and the wave plate
+    scales it by 1/sqrt(2), so a term the tensor-product or gate drop would
+    remove is removed by the wave-plate drop anyway.  Each spin ket reaches
+    each detector at most once, so the wave-plate and detector sums have a
+    single term after ``0j``.  Slots are visited in sorted ket order, which
+    is the order every intermediate state would have put them in within one
+    detector.
     """
     tol = DEFAULT_TOLERANCE
     photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]
     photon = [None if abs(p) < tol else p for p in photon]
-    groups: list[list[tuple[BasisKet, complex]]] = [[] for _ in plan.detectors]
-    for ket, amp in state.items():
-        if ket.photon is not None:
-            raise ShapeMismatchError("state already carries a photon")
-        for p, (sign, lands) in zip(photon, plan.routes[ket.spins[plan.spin_index]]):
+    groups: list[list[tuple[int, complex]]] = [[] for _ in plan.detectors]
+    for slot, amp in enumerate(state.amplitudes):
+        if amp is None:
+            continue
+        for p, (sign, lands) in zip(photon, plan.routes[slot]):
             if p is None:
                 continue
             gated = 0j + sign * (p * amp)
             for position, factor in lands:
                 out = 0j + factor * gated
                 if abs(out) >= tol:
-                    groups[position].append((ket, out))
+                    groups[position].append((slot, out))
 
     events = []
     for position, group in enumerate(groups):
@@ -439,13 +410,13 @@ def _station_round(
         probability = norm**2
         if probability == 0.0:
             continue
-        flip = plan.correction_spin[position]
-        terms = {}
-        for ket, amp in group:
+        flips = plan.flips[position]
+        amplitudes: list[complex | None] = [None, None, None]
+        for slot, amp in group:
             amp = amp / norm
             if abs(amp) >= tol:
-                terms[ket] = -amp if flip is not None and ket.spins[flip] is SpinLabel.DOWN else amp
-        events.append((position, probability, StateVector._from_canonical(terms)))
+                amplitudes[slot] = -amp if flips[slot] else amp
+        events.append((position, probability, WState(tuple(amplitudes))))
 
     if gate_mode.is_lossy:
         # Success probabilities shrink by the port signal fraction; whatever
@@ -478,7 +449,7 @@ def _station_round(
 
 
 def alice_round(
-    state: StateVector,
+    state: WState,
     coefficients: WCoefficients,
     gate_mode: GateMode = GateMode(),
 ) -> list[RoundOutcome]:
@@ -487,7 +458,7 @@ def alice_round(
 
 
 def charlie_round(
-    state: StateVector,
+    state: WState,
     coefficients: WCoefficients,
     gate_mode: GateMode = GateMode(),
 ) -> list[RoundOutcome]:
@@ -594,10 +565,6 @@ _CHUNK = 1 << 16
 _BLOCK = 11
 _BLOCK_BITS = 4 * _BLOCK
 assert _CHUNK <= 1 << 16
-
-
-def _code(detector: DetectorLabel) -> int:
-    return int(detector.value[1:])
 
 
 def _stage_tables(

@@ -1,0 +1,169 @@
+"""The composed reference route of one station round, and W-sector converters.
+
+``reference_round`` composes ``StateVector.tensor_with_photon``,
+``apply_ebs_gate``, ``hwp45``, ``detect`` and ``phase_correction`` step by
+step, each building its own general state with the ``DEFAULT_TOLERANCE`` drop.
+``alice_round`` and ``charlie_round`` fold the same steps into one pass over a
+``WState``; ``test_round_equivalence.py`` checks that the two agree bit for
+bit.  No command-line route runs this code, so it lives with the tests.
+"""
+
+import dataclasses
+import math
+
+from ecpsim import (
+    BasisKet,
+    DegenerateCoefficientsError,
+    DetectorLabel,
+    Direction,
+    EcpError,
+    OutcomeClass,
+    PhotonLabel,
+    Polarization,
+    RoundOutcome,
+    ShapeMismatchError,
+    SpinLabel,
+    StateVector,
+    Station,
+    WCoefficients,
+    WState,
+    coefficient_update_alice,
+    coefficient_update_charlie,
+    scatter_coefficients,
+)
+from ecpsim.cavity import apply_ebs_gate, detect, hwp45
+
+# The ket of each WState slot.
+W_KETS = tuple(BasisKet.from_spins(pattern) for pattern in ("uud", "udu", "duu"))
+
+
+def to_state_vector(state: WState) -> StateVector:
+    """The general state holding the kept terms of ``state``."""
+    return StateVector(
+        {ket: amp for ket, amp in zip(W_KETS, state.amplitudes) if amp is not None}
+    )
+
+
+def to_w_state(state: StateVector) -> WState:
+    """The W-sector view of ``state``; its amplitudes are taken over unchanged."""
+    terms = dict(state.items())
+    if not terms.keys() <= set(W_KETS):
+        raise ShapeMismatchError("state leaves the W sector")
+    return WState(tuple(terms.get(ket) for ket in W_KETS))
+
+
+# -- ancilla photons ---------------------------------------------------------------
+
+
+def _photon(amp_r: float, amp_l: float) -> StateVector:
+    n = math.hypot(amp_r, amp_l)
+    if n == 0.0:
+        raise DegenerateCoefficientsError("photon amplitudes are both zero")
+    return StateVector(
+        {
+            BasisKet(PhotonLabel(Polarization.R, Direction.MINUS_Z), ()): amp_r / n,
+            BasisKet(PhotonLabel(Polarization.L, Direction.MINUS_Z), ()): amp_l / n,
+        }
+    )
+
+
+def alice_photon(coefficients: WCoefficients) -> StateVector:
+    """Ancilla for the first station: amplitudes proportional to (a1, a2)."""
+    return _photon(coefficients.a1, coefficients.a2)
+
+
+def charlie_photon(coefficients: WCoefficients) -> StateVector:
+    """Ancilla for the second station: amplitudes proportional to (a2, a3)."""
+    return _photon(coefficients.a2, coefficients.a3)
+
+
+# -- measurement corrections ---------------------------------------------------------
+
+
+class UnknownDetectorError(EcpError):
+    """A phase correction was requested for a detector that needs none."""
+
+
+# Which spin the correcting party rotates, per even detector.
+_CORRECTION_SPIN = {
+    DetectorLabel.D2: 0,
+    DetectorLabel.D4: 0,
+    DetectorLabel.D6: 2,
+    DetectorLabel.D8: 2,
+}
+
+
+def phase_correction(state: StateVector, detector: DetectorLabel) -> StateVector:
+    """Undo the V-port sign flip by a phase rotation on the gated spin.
+
+    Even detectors herald a state with exactly one sign flipped relative to
+    the all-positive form; flipping the phase of the DOWN component of the
+    spin that passed the gate restores it (up to global phase).  Odd
+    detectors need no correction and are rejected.
+    """
+    try:
+        index = _CORRECTION_SPIN[detector]
+    except KeyError:
+        raise UnknownDetectorError(f"{detector.value} heralds no correction") from None
+    flipped = {
+        ket: (-amp if ket.spins[index] is SpinLabel.DOWN else amp) for ket, amp in state.items()
+    }
+    return StateVector(flipped)
+
+
+# -- one round ---------------------------------------------------------------------
+
+
+def reference_round(state, c, gate_mode, station):
+    """One round on the general ``StateVector`` ``state``; post-states are
+    ``StateVector`` too."""
+    if station is Station.ALICE:
+        photon, spin_index = alice_photon(c), 0
+        success_detectors = (DetectorLabel.D3, DetectorLabel.D4)
+        success_class, retry_class = OutcomeClass.ALICE_SUCCESS, OutcomeClass.ALICE_RETRY
+
+        def success_coefficients():
+            return WCoefficients.normalized(c.a2, c.a2, c.a3)
+
+        retry_coefficients = coefficient_update_alice
+    else:
+        photon, spin_index = charlie_photon(c), 2
+        success_detectors = (DetectorLabel.D5, DetectorLabel.D6)
+        success_class, retry_class = OutcomeClass.CHARLIE_SUCCESS, OutcomeClass.CHARLIE_RETRY
+        success_coefficients = WCoefficients.symmetric
+        retry_coefficients = coefficient_update_charlie
+
+    joint = state.tensor_with_photon(photon)
+    events = detect(hwp45(apply_ebs_gate(joint, spin_index)), station)
+    outcomes = []
+    for event in events:
+        success = event.detector in success_detectors
+        even = int(event.detector.value[1]) % 2 == 0
+        outcomes.append(
+            RoundOutcome(
+                detector=event.detector,
+                probability=event.probability,
+                post_state=phase_correction(event.spins, event.detector) if even else event.spins,
+                post_coefficients=success_coefficients() if success else retry_coefficients(c),
+                classification=success_class if success else retry_class,
+            )
+        )
+    if gate_mode.is_lossy:
+        sc = scatter_coefficients(gate_mode.cavity, convention=gate_mode.convention)
+        factor = (
+            sc.transmitted_signal_fraction
+            if station is Station.ALICE
+            else sc.reflected_signal_fraction
+        )
+        p_succ = sum(o.probability for o in outcomes if o.classification is success_class)
+        p_retry = sum(o.probability for o in outcomes if o.classification is retry_class)
+        retry_scale = (1.0 - factor * p_succ) / p_retry if p_retry > 0.0 else 0.0
+        outcomes = [
+            dataclasses.replace(
+                o,
+                probability=o.probability
+                * (factor if o.classification is success_class else retry_scale),
+            )
+            for o in outcomes
+        ]
+    return outcomes

@@ -21,13 +21,9 @@ from ecpsim import (
     SpinLabel,
     Station,
     StateVector,
-    apply_ebs_gate,
-    detect,
-    hwp45,
-    ideal_interaction,
     scatter_coefficients,
 )
-from ecpsim.cavity import couples
+from ecpsim.cavity import apply_ebs_gate, couples, detect, hwp45, ideal_interaction
 
 R, L, H, V = Polarization.R, Polarization.L, Polarization.H, Polarization.V
 UP_Z, DOWN_Z = Direction.PLUS_Z, Direction.MINUS_Z

@@ -5,6 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    UnknownDetectorError,
+    alice_photon,
+    charlie_photon,
+    phase_correction,
+    to_state_vector,
+)
 
 from ecpsim import (
     BasisKet,
@@ -19,18 +26,17 @@ from ecpsim import (
     PhotonLabel,
     Polarization,
     ProtocolConfig,
-    UnknownDetectorError,
+    StateVector,
     WCoefficients,
-    alice_photon,
     alice_round,
-    charlie_photon,
     charlie_round,
     coefficient_update_alice,
     coefficient_update_charlie,
-    phase_correction,
+    compare_all,
     prepare_w_state,
     run_protocol,
     scatter_coefficients,
+    simplex_grid,
 )
 
 EQUAL = WCoefficients.symmetric()
@@ -78,7 +84,7 @@ def test_symmetric_is_unit_norm():
 
 
 def test_prepare_w_state_amplitudes():
-    s = prepare_w_state(SKEWED)
+    s = to_state_vector(prepare_w_state(SKEWED))
     assert s.amplitude(BasisKet.from_spins("duu")) == pytest.approx(0.8)
     assert s.amplitude(BasisKet.from_spins("udu")) == pytest.approx(0.36)
     assert s.amplitude(BasisKet.from_spins("uud")) == pytest.approx(0.48)
@@ -201,8 +207,8 @@ def test_alice_round_post_states_are_canonical(w_pattern):
     for o in outcomes:
         # after correction every branch matches its coefficient triple with
         # all-positive amplitudes
-        ref = prepare_w_state(o.post_coefficients)
-        assert o.post_state.fidelity(ref) == pytest.approx(1.0, abs=1e-12)
+        ref = to_state_vector(prepare_w_state(o.post_coefficients))
+        assert to_state_vector(o.post_state).fidelity(ref) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alice_success_drops_first_coefficient():
@@ -220,7 +226,8 @@ def test_charlie_round_equal_alpha(w_pattern):
     assert {o.detector for o in success} == {DetectorLabel.D5, DetectorLabel.D6}
     assert sum(o.probability for o in success) == pytest.approx(0.5, abs=1e-12)
     for o in success:
-        assert o.post_state.fidelity(w_pattern(1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+        fidelity = to_state_vector(o.post_state).fidelity(w_pattern(1, 1, 1))
+        assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_charlie_round_frozen_success_probability():
@@ -249,7 +256,7 @@ def test_round_probabilities_complete(c):
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
         for o in outcomes:
             assert 0.0 <= o.probability <= 1.0
-            assert o.post_state.norm() == pytest.approx(1.0, abs=1e-12)
+            assert to_state_vector(o.post_state).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 # -- lossy rounds -----------------------------------------------------------------
@@ -283,10 +290,31 @@ def test_lossy_round_keeps_ideal_post_states(w_pattern):
     lossy = charlie_round(prepare_w_state(EQUAL), EQUAL, lossy_mode(0.5))
     for o in lossy:
         if o.classification is OutcomeClass.CHARLIE_SUCCESS:
-            assert o.post_state.fidelity(w_pattern(1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+            fidelity = to_state_vector(o.post_state).fidelity(w_pattern(1, 1, 1))
+        assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 # -- full protocol ------------------------------------------------------------------
+
+
+def test_engine_builds_no_state_vector(monkeypatch):
+    # Rounds stay in the W sector; general states belong to the test reference.
+    builds = 0
+    init = StateVector.__init__
+
+    def counting_init(self, terms):
+        nonlocal builds
+        builds += 1
+        init(self, terms)
+
+    monkeypatch.setattr(StateVector, "__init__", counting_init)
+    compare_all(simplex_grid(2), (4, 4))
+    run_protocol(SKEWED, ProtocolConfig(max_rounds_alice=4, max_rounds_charlie=4))
+    run_protocol(
+        SKEWED,
+        ProtocolConfig(max_rounds_alice=4, max_rounds_charlie=4, mode="mc", n_shots=1000),
+    )
+    assert builds == 0
 
 
 def test_run_protocol_tree_equal_alpha():

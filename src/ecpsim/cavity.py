@@ -281,14 +281,19 @@ def scatter_coefficients(
 
     ``omega`` defaults to the input-photon frequency ``params.omega0`` and must
     be finite (:class:`DomainError` otherwise).  All rates and detunings are
-    divided by kappa before evaluation.  Both reflection amplitudes are built
-    as 1 + transmission, so r - t = 1 and r0 - t0 = 1 hold identically.
+    divided by kappa before evaluation.
 
     The emitter bracket ``e = i*d_x + gamma/2`` is cancelled out of the hot
-    transmission: t = -1/(i*d_c + 1 + kappa_s/2 + g^2) in the VERBATIM form
-    and t = -1/(i*d_c + 1 + kappa_s/2 + g^2/e) in the CORRECTED one, whose
-    limit at e = 0 is t = 0 for g > 0.  Every denominator then has real part
-    at least 1, so |t| <= 1 and |t0| <= 1 at any finite frequency.
+    transmission: t = -1/D with D = i*d_c + 1 + kappa_s/2 + g^2 in the
+    VERBATIM form and D = i*d_c + 1 + kappa_s/2 + g^2/e in the CORRECTED one,
+    whose limit at e = 0 is t = 0, r = 1 for g > 0.  Every denominator then
+    has real part at least 1, so |t| <= 1 and |t0| <= 1 at any finite
+    frequency.  The cold transmission is t0 = -1/D0, D0 = i*d_0 + 1 + kappa_s/2.
+
+    Each reflection amplitude is r = 1 + t = -t*(D - 1), with D - 1 summed
+    without the 1 (r0 likewise from D0 - 1 = i*d_0 + kappa_s/2): forming
+    1 + t would cancel when t is near -1, at weak coupling and leakage.
+    r - t = 1 and r0 - t0 = 1 then hold to rounding.
     """
     if omega is None:
         omega = params.omega0
@@ -302,16 +307,17 @@ def scatter_coefficients(
     d_c = (params.omega_c - omega) / k
     d_0 = (params.omega0 - omega) / k
 
+    t0 = -1.0 / (1j * d_0 + ks / 2.0 + 1.0)
+    r0 = -t0 * (1j * d_0 + ks / 2.0)
     emitter = 1j * d_x + gm / 2.0
-    bracket = 1j * d_c + 1.0 + ks / 2.0
     coupling = gg * gg
     if convention is DenominatorConvention.CORRECTED and coupling > 0.0:
-        t = -1.0 / (bracket + coupling / emitter) if emitter != 0 else 0j
-    else:
-        t = -1.0 / (bracket + coupling)
-    t0 = -1.0 / (1j * d_0 + ks / 2.0 + 1.0)
-
-    return ScatterCoefficients(t=t, r=1.0 + t, t0=t0, r0=1.0 + t0)
+        if emitter == 0:
+            return ScatterCoefficients(t=0j, r=1.0 + 0j, t0=t0, r0=r0)
+        coupling = coupling / emitter
+    t = -1.0 / (1j * d_c + 1.0 + ks / 2.0 + coupling)
+    r = -t * (1j * d_c + ks / 2.0 + coupling)
+    return ScatterCoefficients(t=t, r=r, t0=t0, r0=r0)
 
 
 @dataclass(frozen=True)

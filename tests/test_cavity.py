@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -293,6 +294,21 @@ def test_reflection_transmission_sum_rule(ks, g, gamma, omega):
     sc = scatter_coefficients(params(ks=ks, g=g, gamma=gamma), omega=omega)
     assert abs(sc.r - sc.t - 1.0) <= 1e-15
     assert abs(sc.r0 - sc.t0 - 1.0) <= 1e-15
+
+
+def test_reflection_exact_at_weak_coupling_and_leakage():
+    # t is close to -1 here, so r = 1 + t would lose about 11 digits.
+    ks, g, gamma = 1e-6, 1e-4, 0.1
+    r0 = (Fraction(ks) / 2) / (1 + Fraction(ks) / 2)
+    for convention, coupling in (
+        (DenominatorConvention.VERBATIM, Fraction(g) ** 2),
+        (DenominatorConvention.CORRECTED, Fraction(g) ** 2 / (Fraction(gamma) / 2)),
+    ):
+        sc = scatter_coefficients(params(ks=ks, g=g, gamma=gamma), convention=convention)
+        r = (Fraction(ks) / 2 + coupling) / (1 + Fraction(ks) / 2 + coupling)
+        assert sc.r.imag == 0.0 and sc.r0.imag == 0.0
+        assert abs(Fraction(sc.r.real) - r) / r <= Fraction(1, 10**15)
+        assert abs(Fraction(sc.r0.real) - r0) / r0 <= Fraction(1, 10**15)
 
 
 def test_cavity_params_validation():

@@ -376,15 +376,14 @@ def _station_round(
     Gives exactly what the composed reference route in ``tests/reference.py``
     gives, where each of these steps builds a general ``StateVector``: the
     same complex operations in the same order, and the same
-    ``DEFAULT_TOLERANCE`` drops.  The photon,
-    wave-plate and normalization drops are made here.  The gate is a signed
-    permutation that keeps each amplitude's magnitude, and the wave plate
-    scales it by 1/sqrt(2), so a term the tensor-product or gate drop would
-    remove is removed by the wave-plate drop anyway.  Each spin ket reaches
-    each detector at most once, so the wave-plate and detector sums have a
-    single term after ``0j``.  Slots are visited in sorted ket order, which
-    is the order every intermediate state would have put them in within one
-    detector.
+    ``DEFAULT_TOLERANCE`` drops.  The photon, wave-plate and normalization
+    drops are made here.  The gate is a signed permutation that keeps each
+    amplitude's magnitude, and the wave plate scales it by 1/sqrt(2), so a
+    term the tensor-product or gate drop would remove is removed by the
+    wave-plate drop anyway.  Each spin ket reaches each detector at most
+    once, so the wave-plate and detector sums have a single term after
+    ``0j``.  Slots are visited in sorted ket order, which is the order every
+    intermediate state would have put them in within one detector.
     """
     tol = DEFAULT_TOLERANCE
     photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]

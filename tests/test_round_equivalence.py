@@ -64,7 +64,6 @@ def checked_round(state, c, gate_mode, station):
     ref = reference_round(state, c, gate_mode, station)
     assert [o.detector for o in new] == [o.detector for o in ref]
     for a, b in zip(new, ref):
-        assert isinstance(a.post_state, WState)
         assert a.probability == b.probability
         assert a.classification == b.classification
         assert a.post_coefficients == b.post_coefficients

@@ -225,7 +225,9 @@ class DenominatorConvention(Enum):
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Cavity and emitter rates; everything is normalized to kappa internally."""
+    """Cavity and emitter rates; everything is normalized to kappa internally.
+
+    The trace's ``cavity`` record lists the fields in declaration order."""
 
     kappa: float = 1.0
     kappa_s: float = 0.0
@@ -286,9 +288,11 @@ def scatter_coefficients(
     The emitter bracket ``e = i*d_x + gamma/2`` is cancelled out of the hot
     transmission: t = -1/D with D = i*d_c + 1 + kappa_s/2 + g^2 in the
     VERBATIM form and D = i*d_c + 1 + kappa_s/2 + g^2/e in the CORRECTED one,
-    whose limit at e = 0 is t = 0, r = 1 for g > 0.  Every denominator then
-    has real part at least 1, so |t| <= 1 and |t0| <= 1 at any finite
-    frequency.  The cold transmission is t0 = -1/D0, D0 = i*d_0 + 1 + kappa_s/2.
+    whose limit at e = 0 is t = 0, r = 1 for g > 0.  The limit is also taken
+    where g^2/e overflows, as |t| is then below the smallest double.  Every
+    denominator then has real part at least 1, so |t| <= 1 and |t0| <= 1 at
+    any finite frequency.  The cold transmission is t0 = -1/D0, with
+    D0 = i*d_0 + 1 + kappa_s/2.
 
     Each reflection amplitude is r = 1 + t = -t*(D - 1), with D - 1 summed
     without the 1 (r0 likewise from D0 - 1 = i*d_0 + kappa_s/2): forming
@@ -312,9 +316,9 @@ def scatter_coefficients(
     emitter = 1j * d_x + gm / 2.0
     coupling = gg * gg
     if convention is DenominatorConvention.CORRECTED and coupling > 0.0:
-        if emitter == 0:
+        coupling = coupling / emitter if emitter != 0 else math.inf
+        if not math.isfinite(abs(coupling)):
             return ScatterCoefficients(t=0j, r=1.0 + 0j, t0=t0, r0=r0)
-        coupling = coupling / emitter
     t = -1.0 / (1j * d_c + 1.0 + ks / 2.0 + coupling)
     r = -t * (1j * d_c + ks / 2.0 + coupling)
     return ScatterCoefficients(t=t, r=r, t0=t0, r0=r0)

@@ -11,11 +11,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from typing import Sequence, TextIO
+from dataclasses import fields
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .analytics import SweepSpec, sweep, write_sweep_csv
 from .cavity import CavityParams, DenominatorConvention, scatter_coefficients
@@ -39,24 +41,15 @@ _USAGE_ERRORS = (
 # -- flag parsing helpers ------------------------------------------------------
 
 
-def _parse_floats(text: str, n: int, field: str) -> tuple[float, ...]:
+def _parse_values(text: str, n: int, field: str, kind: type = float) -> tuple:
     parts = text.split(",")
     if len(parts) != n:
         raise ConfigError(f"{field}: expected {n} comma-separated values, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(kind(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"{field}: non-numeric value in {text!r}") from None
-
-
-def _parse_ints(text: str, n: int, field: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ConfigError(f"{field}: expected {n} comma-separated values, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{field}: non-integer value in {text!r}") from None
+        word = "integer" if kind is int else "numeric"
+        raise ConfigError(f"{field}: non-{word} value in {text!r}") from None
 
 
 def _parse_range(text: str, field: str) -> tuple[float, float]:
@@ -69,19 +62,18 @@ def _parse_range(text: str, field: str) -> tuple[float, float]:
         raise ConfigError(f"{field}: non-numeric bound in {text!r}") from None
 
 
-def _cavity_from_triple(values: Sequence[float]) -> CavityParams:
-    ks, g, gm = values
+def _pick(flag, parse: Callable, table: dict, key: str, default: Callable):
+    """The flag through ``parse``, else the config file's value, else ``default()``."""
+    if flag is not None:
+        return parse(flag)
+    return table[key] if key in table else default()
+
+
+def _cavity(prefix: str, **rates) -> CavityParams:
     try:
-        return CavityParams(kappa=1.0, kappa_s=ks, g=g, gamma=gm)
+        return CavityParams(**rates)
     except ValueError as exc:
-        raise ConfigError(f"cavity: {exc}") from None
-
-
-def _convention(token: str) -> DenominatorConvention:
-    try:
-        return DenominatorConvention(token)
-    except ValueError:
-        raise ConfigError(f"convention: unknown value {token!r}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _default_seed() -> int:
@@ -104,8 +96,33 @@ _CONFIG_KEYS = {
     "convention": str,
     "sweep": dict,
 }
-_CAVITY_KEYS = {"kappa", "kappa_s", "g", "gamma", "omega0", "omega_c", "omega_x"}
-_SWEEP_KEYS = {"alpha2", "alpha1_range", "points"}
+_SECTION_KEYS = {
+    "cavity": {f.name for f in fields(CavityParams)},
+    "sweep": {"alpha2", "alpha1_range", "points"},
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(n: int, ok: Callable) -> Callable:
+    return lambda value: isinstance(value, list) and len(value) == n and all(map(ok, value))
+
+
+# Checked in this order, after the types and key names: (name, check, requirement).
+_SHAPES = (
+    ("alpha", _list_of(3, _is_number), "must be 3 numbers"),
+    ("rounds", _list_of(2, _is_int), "must be 2 integers"),
+    ("sweep.alpha1_range", _list_of(2, _is_number), "must be [lo, hi]"),
+    ("sweep.alpha2", _is_number, "must be a number"),
+    ("sweep.points", _is_int, "must be an integer"),
+    ("cavity", lambda section: all(map(_is_number, section.values())), "values must be numbers"),
+)
 
 
 def _load_config(path: str) -> dict:
@@ -124,107 +141,70 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config: unknown key {key!r}")
         if not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool):
             raise ConfigError(f"config: key {key!r} has wrong type")
-    for key in raw.get("cavity", {}):
-        if key not in _CAVITY_KEYS:
-            raise ConfigError(f"config: unknown cavity key {key!r}")
-    for key in raw.get("sweep", {}):
-        if key not in _SWEEP_KEYS:
-            raise ConfigError(f"config: unknown sweep key {key!r}")
-    if "alpha" in raw:
-        if len(raw["alpha"]) != 3 or not all(_is_number(v) for v in raw["alpha"]):
-            raise ConfigError("config: alpha must be 3 numbers")
-    if "rounds" in raw:
-        if len(raw["rounds"]) != 2 or not all(_is_int(v) for v in raw["rounds"]):
-            raise ConfigError("config: rounds must be 2 integers")
-    sw = raw.get("sweep", {})
-    if "alpha1_range" in sw:
-        rng = sw["alpha1_range"]
-        if not isinstance(rng, list) or len(rng) != 2 or not all(_is_number(v) for v in rng):
-            raise ConfigError("config: sweep.alpha1_range must be [lo, hi]")
-    if "alpha2" in sw and not _is_number(sw["alpha2"]):
-        raise ConfigError("config: sweep.alpha2 must be a number")
-    if "points" in sw and not _is_int(sw["points"]):
-        raise ConfigError("config: sweep.points must be an integer")
-    if "cavity" in raw and not all(_is_number(v) for v in raw["cavity"].values()):
-        raise ConfigError("config: cavity values must be numbers")
+    for section, known in _SECTION_KEYS.items():
+        for key in raw.get(section, {}):
+            if key not in known:
+                raise ConfigError(f"config: unknown {section} key {key!r}")
+    for name, ok, requirement in _SHAPES:
+        section, _, key = name.rpartition(".")
+        table = raw.get(section, {}) if section else raw
+        if key in table and not ok(table[key]):
+            raise ConfigError(f"config: {name} {requirement}")
     return raw
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _file_cavity(obj: dict) -> CavityParams:
+def _convention(args: argparse.Namespace, file_cfg: dict) -> DenominatorConvention:
+    """``--convention``: the flag, else the config file, else verbatim."""
+    token = _pick(args.convention, str, file_cfg, "convention",
+                  lambda: DenominatorConvention.VERBATIM.value)
     try:
-        return CavityParams(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: cavity: {exc}") from None
+        return DenominatorConvention(token)
+    except ValueError:
+        raise ConfigError(f"convention: unknown value {token!r}") from None
 
 
 def _cavity_and_convention(
     args: argparse.Namespace, file_cfg: dict
 ) -> tuple[CavityParams | None, DenominatorConvention]:
     """``--cavity``/``--convention``: the flag, else the config file, else the default."""
-    convention = _convention(
-        args.convention
-        if args.convention is not None
-        else file_cfg.get("convention", DenominatorConvention.VERBATIM.value)
-    )
+    convention = _convention(args, file_cfg)
     if args.cavity is not None:
-        cavity = _cavity_from_triple(_parse_floats(args.cavity, 3, "cavity"))
-    elif "cavity" in file_cfg:
-        cavity = _file_cavity(file_cfg["cavity"])
-    else:
-        cavity = None
-    return cavity, convention
+        ks, g, gm = _parse_values(args.cavity, 3, "cavity")
+        return _cavity("cavity: ", kappa_s=ks, g=g, gamma=gm), convention
+    if "cavity" in file_cfg:
+        return _cavity("config: cavity: ", **file_cfg["cavity"]), convention
+    return None, convention
 
 
-def _write_text(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """``--out``: the named file, else stdout; an unwritable file is a ConfigError."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        yield sys.stdout
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out}: {exc}") from None
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    file_cfg = _load_config(args.config) if args.config else {}
-
-    alpha = (
-        _parse_floats(args.alpha, 3, "alpha")
-        if args.alpha is not None
-        else tuple(file_cfg["alpha"])
-        if "alpha" in file_cfg
-        else None
-    )
+    cfg = _load_config(args.config) if args.config else {}
+    alpha = _pick(args.alpha, lambda text: _parse_values(text, 3, "alpha"), cfg, "alpha",
+                  lambda: None)
     if alpha is None:
         raise ConfigError("alpha: required (flag --alpha or config file)")
     coefficients = WCoefficients.normalized(*alpha)
-
-    rounds = (
-        _parse_ints(args.rounds, 2, "rounds")
-        if args.rounds is not None
-        else tuple(file_cfg.get("rounds", (1, 1)))
-    )
-    mode = args.mode if args.mode is not None else file_cfg.get("mode", "tree")
-    shots = args.shots if args.shots is not None else file_cfg.get("shots", 0)
-    seed = (
-        args.seed
-        if args.seed is not None
-        else file_cfg.get("seed", _default_seed())
-    )
-    cavity, convention = _cavity_and_convention(args, file_cfg)
+    rounds = _pick(args.rounds, lambda text: _parse_values(text, 2, "rounds", int), cfg, "rounds",
+                   lambda: (1, 1))
+    mode = _pick(args.mode, str, cfg, "mode", lambda: "tree")
+    shots = _pick(args.shots, int, cfg, "shots", lambda: 0)
+    seed = _pick(args.seed, int, cfg, "seed", _default_seed)
+    cavity, convention = _cavity_and_convention(args, cfg)
 
     config = ProtocolConfig(
         max_rounds_alice=rounds[0],
@@ -235,43 +215,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         n_shots=shots,
     )
     trace = run_protocol(coefficients, config)
-    _write_text(json.dumps(trace.to_json_obj(), indent=2), args.out)
+    with _output(args.out) as stream:
+        stream.write(json.dumps(trace.to_json_obj(), indent=2) + "\n")
     print(f"total_success_probability={trace.total_success_probability!r}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    file_cfg = _load_config(args.config) if args.config else {}
-    file_sweep = file_cfg.get("sweep", {})
-
-    alpha2 = (
-        args.alpha2
-        if args.alpha2 is not None
-        else file_sweep.get("alpha2", 1.0 / math.sqrt(3.0))
-    )
-    if args.alpha1_range is not None:
-        alpha1_range = _parse_range(args.alpha1_range, "alpha1-range")
-    elif "alpha1_range" in file_sweep:
-        alpha1_range = tuple(file_sweep["alpha1_range"])
-    else:
-        alpha1_range = (0.01, 0.8105)
-    points = args.points if args.points is not None else file_sweep.get("points", 200)
-    cavity, convention = _cavity_and_convention(args, file_cfg)
+    cfg = _load_config(args.config) if args.config else {}
+    table = cfg.get("sweep", {})
+    alpha1_range = _pick(args.alpha1_range, lambda text: _parse_range(text, "alpha1-range"),
+                         table, "alpha1_range", lambda: (0.01, 0.8105))
+    cavity, convention = _cavity_and_convention(args, cfg)
 
     spec = SweepSpec(
-        alpha2=alpha2,
-        alpha1_range=alpha1_range,
-        n_points=points,
+        alpha2=_pick(args.alpha2, float, table, "alpha2", lambda: 1.0 / math.sqrt(3.0)),
+        alpha1_range=tuple(alpha1_range),
+        n_points=_pick(args.points, int, table, "points", lambda: 200),
         cavity=cavity,
         convention=convention,
     )
     curve = sweep(spec)
-
-    if args.out is None:
-        write_sweep_csv(curve, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_sweep_csv(curve, fh)
+    with _output(args.out) as stream:
+        write_sweep_csv(curve, stream)
     return 0
 
 
@@ -288,7 +254,7 @@ def _print_report_table(reports, stream: TextIO) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    depths = _parse_ints(args.depth, 2, "depth")
+    depths = _parse_values(args.depth, 2, "depth", int)
     cavity, convention = _cavity_and_convention(args, {})
 
     grid = simplex_grid(args.grid)
@@ -306,13 +272,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    try:
-        params = CavityParams(
-            kappa=1.0, kappa_s=args.kappa_s, g=args.g, gamma=args.gamma
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    convention = _convention(args.convention)
+    params = _cavity("", kappa_s=args.kappa_s, g=args.g, gamma=args.gamma)
+    convention = _convention(args, {})
     sc = scatter_coefficients(params, omega=args.omega_detuning, convention=convention)
     obj = {"convention": convention.value}
     obj.update(sc.to_json_obj())
@@ -359,10 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--depth", default="4,4", help="tree depths kA,kC (default 4,4)")
     ver.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
     ver.add_argument("--cavity", help="also check lossy one-round forms at kappa_s,g,gamma")
-    ver.add_argument(
-        "--convention", default=DenominatorConvention.VERBATIM.value,
-        help="lossy denominator form: verbatim or corrected",
-    )
+    ver.add_argument("--convention", help="lossy denominator form: verbatim or corrected")
     ver.set_defaults(func=cmd_verify)
 
     cof = sub.add_parser("coeffs", help="evaluate cavity scattering amplitudes")
@@ -372,10 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     cof.add_argument("--gamma", type=float, default=0.0, help="dipole decay rate (units of kappa)")
     cof.add_argument("--omega-detuning", dest="omega_detuning", type=float, default=0.0,
                      help="probe detuning from the shared resonance (units of kappa)")
-    cof.add_argument(
-        "--convention", default=DenominatorConvention.VERBATIM.value,
-        help="lossy denominator form: verbatim or corrected",
-    )
+    cof.add_argument("--convention", help="lossy denominator form: verbatim or corrected")
     cof.set_defaults(func=cmd_coeffs)
 
     return parser

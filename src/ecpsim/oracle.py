@@ -210,7 +210,7 @@ def compare_all(
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
     k_alice, k_charlie = depths
-    reports: list[ComparisonReport] = []
+    rows: list[tuple[str, tuple[float, float, float], float, float]] = []
     lossy_mode = None
     if cavity is not None:
         sc = scatter_coefficients(cavity, convention=convention)
@@ -221,35 +221,11 @@ def compare_all(
         root = enumerate_tree(c, k_alice, k_charlie)
         alice_at, charlie_at, joint = _tree_masses(root, k_alice, k_charlie)
         for k in range(1, min(_ROUND_COMPARISONS, k_alice) + 1):
-            reports.append(
-                ComparisonReport(
-                    quantity=f"p1_round[k={k}]",
-                    point=point,
-                    analytic=analytics.p1_round(k, c),
-                    simulated=alice_at[k],
-                    tolerance=tolerance,
-                )
-            )
+            rows.append((f"p1_round[k={k}]", point, analytics.p1_round(k, c), alice_at[k]))
         for k in range(1, min(_ROUND_COMPARISONS, k_charlie) + 1):
-            reports.append(
-                ComparisonReport(
-                    quantity=f"p2_round[k={k}]",
-                    point=point,
-                    analytic=analytics.p2_round(k, c),
-                    simulated=charlie_at[k],
-                    tolerance=tolerance,
-                )
-            )
+            rows.append((f"p2_round[k={k}]", point, analytics.p2_round(k, c), charlie_at[k]))
         if k_charlie >= 1:
-            reports.append(
-                ComparisonReport(
-                    quantity="pt_one_round",
-                    point=point,
-                    analytic=analytics.pt_one_round(c),
-                    simulated=joint,
-                    tolerance=tolerance,
-                )
-            )
+            rows.append(("pt_one_round", point, analytics.pt_one_round(c), joint))
 
         if lossy_mode is not None:
             lossy_alice = alice_round(root.state, c, lossy_mode)
@@ -265,18 +241,10 @@ def compare_all(
                 for o in lossy_charlie
                 if o.classification is OutcomeClass.CHARLIE_SUCCESS
             )
-            for quantity, analytic, simulated in (
-                ("p1_practical", analytics.practical_p1(c, sc), sim_p1),
-                ("p2_practical", analytics.practical_p2(c, sc), sim_p2),
-                ("p_practical", analytics.practical_total(c, sc), sim_p1 * sim_p2),
-            ):
-                reports.append(
-                    ComparisonReport(
-                        quantity=quantity,
-                        point=point,
-                        analytic=analytic,
-                        simulated=simulated,
-                        tolerance=tolerance,
-                    )
-                )
-    return reports
+            rows.append(("p1_practical", point, analytics.practical_p1(c, sc), sim_p1))
+            rows.append(("p2_practical", point, analytics.practical_p2(c, sc), sim_p2))
+            rows.append(("p_practical", point, analytics.practical_total(c, sc), sim_p1 * sim_p2))
+    return [
+        ComparisonReport(quantity, point, analytic, simulated, tolerance)
+        for quantity, point, analytic, simulated in rows
+    ]

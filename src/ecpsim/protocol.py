@@ -15,7 +15,7 @@ single-spin phase rotation at the station that ran the gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -169,16 +169,7 @@ class ProtocolConfig:
         if self.mode == "mc":
             obj["n_shots"] = self.n_shots
         if self.gate_mode.is_lossy:
-            cav = self.gate_mode.cavity
-            obj["cavity"] = {
-                "kappa": cav.kappa,
-                "kappa_s": cav.kappa_s,
-                "gamma": cav.gamma,
-                "g": cav.g,
-                "omega0": cav.omega0,
-                "omega_c": cav.omega_c,
-                "omega_x": cav.omega_x,
-            }
+            obj["cavity"] = asdict(self.gate_mode.cavity)
             obj["convention"] = self.gate_mode.convention.value
         return obj
 
@@ -601,9 +592,8 @@ def _sample_branches(
     reproducible for a given (seed, shot index) regardless of chunking.  The
     shots that succeed at a station are the next station's input.
     """
-    tables = [(plan, _stage_tables(stages, plan.success_class)) for plan, stages in chains]
+    tables = [_stage_tables(stages, plan.success_class) for plan, stages in chains]
     n_stages = sum(len(stages) for _, stages in chains)
-    final_plan = chains[-1][0]
     # A path's class is that of its last detector's outcome.
     code_class = {
         _code(d): plan.success_class if success else plan.retry_class
@@ -613,7 +603,6 @@ def _sample_branches(
 
     rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
     path_counts: dict[tuple[int, ...], int] = {}
-    class_counts = {cls: 0 for cls in OutcomeClass}
 
     remaining = config.n_shots
     while remaining > 0:
@@ -623,7 +612,7 @@ def _sample_branches(
         paths = np.zeros((n, n_stages), dtype=np.int8)
         arrived = np.arange(n)
         col = 0
-        for plan, (cum, success, codes) in tables:
+        for cum, success, codes in tables:
             active = arrived
             passed = []
             for k in range(len(cum)):
@@ -636,9 +625,7 @@ def _sample_branches(
                 passed.append(active[won])
                 active = active[~won]
             col += len(cum)
-            class_counts[plan.retry_class] += active.size
             arrived = np.concatenate(passed) if passed else np.empty(0, dtype=int)
-        class_counts[final_plan.success_class] += arrived.size
 
         rows, counts = _count_paths(paths)
         for row, count in zip(rows, counts.tolist()):
@@ -656,8 +643,10 @@ def _sample_branches(
                 count=count,
             )
         )
-    counts = {cls.value: class_counts[cls] for cls in OutcomeClass}
-    total = class_counts[final_plan.success_class] / config.n_shots
+    counts = {cls.value: 0 for cls in OutcomeClass}
+    for branch in branches:
+        counts[branch.classification.value] += branch.count
+    total = counts[chains[-1][0].success_class.value] / config.n_shots
     return branches, counts, total
 
 

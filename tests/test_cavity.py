@@ -258,6 +258,9 @@ def test_scatter_finite_limits_without_dipole_decay():
     assert scatter_coefficients(params(), convention=corrected).t == -1.0
     sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.0), convention=corrected)
     assert sc.t == 0.0 and sc.r == 1.0
+    # a subnormal emitter detuning makes g^2/e overflow; the same limit holds
+    sc = scatter_coefficients(params(g=1.0), omega=5e-324, convention=corrected)
+    assert sc.t == 0.0 and sc.r == 1.0
 
 
 @given(

@@ -121,6 +121,19 @@ def test_simulate_bad_environment_seed(capsys, monkeypatch):
     assert "ECP_SEED" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--alpha", "1,1,1"], ["sweep", "--points", "3"]],
+    ids=["simulate", "sweep"],
+)
+@pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-parent", "directory"])
+def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
+    code, out, err = run(argv + ["--out", str(tmp_path / target)], capsys)
+    assert code == 2
+    assert "ConfigError: out: cannot write" in err
+    assert out == ""
+
+
 def test_simulate_malformed_alpha(capsys):
     code, _, err = run(["simulate", "--alpha", "0.5,0.5"], capsys)
     assert code == 2
@@ -155,6 +168,15 @@ def test_config_file_flags_override(tmp_path, capsys):
     out_file = tmp_path / "trace.json"
     run(["simulate", "--config", path, "--seed", "11", "--out", str(out_file)], capsys)
     assert json.loads(out_file.read_text())["config"]["rng_seed"] == 11
+
+
+def test_config_seed_skips_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ECP_SEED", "abc")
+    path = write_config(tmp_path, {"alpha": [0.5774, 0.5774, 0.5774], "seed": 5})
+    out_file = tmp_path / "trace.json"
+    code, _, _ = run(["simulate", "--config", path, "--out", str(out_file)], capsys)
+    assert code == 0
+    assert json.loads(out_file.read_text())["config"]["rng_seed"] == 5
 
 
 def test_config_file_unknown_key_named(tmp_path, capsys):

@@ -103,7 +103,8 @@ _SECTION_KEYS = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float can hold: not a bool, nor an integer beyond the float range."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _is_int(value) -> bool:
@@ -198,7 +199,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   lambda: None)
     if alpha is None:
         raise ConfigError("alpha: required (flag --alpha or config file)")
-    coefficients = WCoefficients.normalized(*alpha)
+    # As floats, so a config integer squares like the flag's value instead
+    # of growing past the float range.
+    coefficients = WCoefficients.normalized(*map(float, alpha))
     rounds = _pick(args.rounds, lambda text: _parse_values(text, 2, "rounds", int), cfg, "rounds",
                    lambda: (1, 1))
     mode = _pick(args.mode, str, cfg, "mode", lambda: "tree")
@@ -230,7 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     spec = SweepSpec(
         alpha2=_pick(args.alpha2, float, table, "alpha2", lambda: 1.0 / math.sqrt(3.0)),
-        alpha1_range=tuple(alpha1_range),
+        alpha1_range=tuple(map(float, alpha1_range)),
         n_points=_pick(args.points, int, table, "points", lambda: 200),
         cavity=cavity,
         convention=convention,

@@ -18,6 +18,7 @@ from .errors import DomainError
 from .protocol import (
     GateMode,
     OutcomeClass,
+    RoundOutcome,
     WCoefficients,
     WState,
     alice_round,
@@ -51,9 +52,12 @@ class BranchNode:
     children: list[BranchNode] = field(default_factory=list)
 
     def walk(self) -> Iterator[BranchNode]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every node of the subtree in pre-order, this node first."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self) -> Iterator[BranchNode]:
         for node in self.walk():
@@ -68,6 +72,17 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     exponentially; depths beyond about 6 rounds per station get slow.
     ``k_charlie`` may be 0 for a first-station-only tree, in which case the
     success branches terminate as ALICE_SUCCESS leaves.
+
+    Each distinct round input is evaluated once per call, and every node's
+    outcomes are still those of its own input: a node whose station,
+    amplitudes (bit for bit, signs of zeros included) and coefficients equal
+    an earlier node's reuses that node's round outcomes, so nodes share
+    frozen ``WState`` and ``WCoefficients`` objects.  The two retry detectors
+    of a round herald equal post-states, as do the two success detectors, so
+    sibling subtrees repeat rounds: at depth (4, 4) the tree has 1861 nodes
+    and 465 rounds, but 17 to 39 distinct round inputs on the symmetric
+    triple and the ``verify --grid 10`` points.  Nothing is kept between
+    calls.
     """
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
@@ -87,9 +102,30 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     if k_charlie > 0:
         stations.append((charlie_round, k_charlie, OutcomeClass.CHARLIE_SUCCESS))
 
-    def expand(node: BranchNode, station: int, rounds_left: int) -> None:
+    # Exact round input -> its outcomes.  Equal floats have equal bits except
+    # for the sign of a zero, so the key adds the sign of every amplitude
+    # component.  Coefficients are never -0.0: the root's are positive and
+    # every update multiplies or divides nonnegative values.
+    rounds: dict[tuple, list[RoundOutcome]] = {}
+
+    # (node, station index, rounds left at that station), popped in pre-order.
+    # A loop rather than a recursive closure: a closure that calls itself is a
+    # reference cycle, which would keep the memo alive until the cyclic
+    # garbage collector ran.
+    pending = [(root, 0, k_alice)]
+    while pending:
+        node, station, rounds_left = pending.pop()
         round_fn, _, success_class = stations[station]
-        for outcome in round_fn(node.state, node.coefficients):
+        amplitudes = node.state.amplitudes
+        signs = [
+            math.copysign(1.0, x) for a in amplitudes if a is not None for x in (a.real, a.imag)
+        ]
+        key = (station, amplitudes, tuple(signs), node.coefficients)
+        outcomes = rounds.get(key)
+        if outcomes is None:
+            outcomes = rounds[key] = round_fn(node.state, node.coefficients)
+        queued = []
+        for outcome in outcomes:
             child = BranchNode(
                 path=node.path + (outcome.detector,),
                 amplitude_weight=node.amplitude_weight * outcome.probability,
@@ -101,11 +137,10 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
             node.children.append(child)
             if outcome.classification is not success_class:
                 if rounds_left > 1:
-                    expand(child, station, rounds_left - 1)
+                    queued.append((child, station, rounds_left - 1))
             elif station + 1 < len(stations):
-                expand(child, station + 1, stations[station + 1][1])
-
-    expand(root, 0, k_alice)
+                queued.append((child, station + 1, stations[station + 1][1]))
+        pending.extend(reversed(queued))
     return root
 
 

@@ -1,11 +1,14 @@
-"""The composed reference route of one station round, and W-sector converters.
+"""The composed reference route of one station round, W-sector converters, and
+the exhaustive tree by plain recursion.
 
 ``reference_round`` composes ``StateVector.tensor_with_photon``,
 ``apply_ebs_gate``, ``hwp45``, ``detect`` and ``phase_correction`` step by
 step, each building its own general state with the ``DEFAULT_TOLERANCE`` drop.
 ``alice_round`` and ``charlie_round`` fold the same steps into one pass over a
 ``WState``; ``test_round_equivalence.py`` checks that the two agree bit for
-bit.  No command-line route runs this code, so it lives with the tests.
+bit.  ``reference_tree`` builds the tree of ``enumerate_tree`` with a round
+at every internal node and nothing reused.  No command-line route runs this
+code, so it lives with the tests.
 """
 
 import dataclasses
@@ -13,6 +16,7 @@ import math
 
 from ecpsim import (
     BasisKet,
+    BranchNode,
     DegenerateCoefficientsError,
     DetectorLabel,
     Direction,
@@ -27,8 +31,11 @@ from ecpsim import (
     Station,
     WCoefficients,
     WState,
+    alice_round,
+    charlie_round,
     coefficient_update_alice,
     coefficient_update_charlie,
+    prepare_w_state,
     scatter_coefficients,
 )
 from ecpsim.cavity import apply_ebs_gate, detect, hwp45
@@ -167,3 +174,46 @@ def reference_round(state, c, gate_mode, station):
             for o in outcomes
         ]
     return outcomes
+
+
+# -- the exhaustive tree ---------------------------------------------------------------
+
+
+def reference_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode:
+    """The tree ``enumerate_tree(c, k_alice, k_charlie)`` gives, by plain
+    recursion: every internal node runs its own round, and no outcome is
+    reused between nodes."""
+    stations = [(alice_round, k_alice, OutcomeClass.ALICE_SUCCESS)]
+    if k_charlie > 0:
+        stations.append((charlie_round, k_charlie, OutcomeClass.CHARLIE_SUCCESS))
+
+    def expand(node, station, rounds_left):
+        round_fn, _, success_class = stations[station]
+        for outcome in round_fn(node.state, node.coefficients):
+            child = BranchNode(
+                path=node.path + (outcome.detector,),
+                amplitude_weight=node.amplitude_weight * outcome.probability,
+                state=outcome.post_state,
+                coefficients=outcome.post_coefficients,
+                depth=node.depth + 1,
+                classification=outcome.classification,
+            )
+            node.children.append(child)
+            if outcome.classification is not success_class:
+                if rounds_left > 1:
+                    expand(child, station, rounds_left - 1)
+            elif station + 1 < len(stations):
+                expand(child, station + 1, stations[station + 1][1])
+
+    root = BranchNode(
+        path=(), amplitude_weight=1.0, state=prepare_w_state(c), coefficients=c, depth=0
+    )
+    expand(root, 0, k_alice)
+    return root
+
+
+def preorder(node: BranchNode):
+    """Every node under ``node`` in pre-order, by recursion."""
+    yield node
+    for child in node.children:
+        yield from preorder(child)

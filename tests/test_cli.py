@@ -208,6 +208,59 @@ def test_config_file_missing(tmp_path, capsys):
     assert code == 2
 
 
+BEYOND_FLOAT = 10**400  # a JSON integer no float can hold
+SQUARE_BEYOND_FLOAT = 10**200  # a float can hold it, but not its square
+
+
+@pytest.mark.parametrize(
+    "argv, obj, error",
+    [
+        (["simulate"], {"alpha": [BEYOND_FLOAT, 1, 1]}, "ConfigError: config: alpha must be 3 numbers"),
+        (
+            ["simulate"],
+            {"alpha": [1, 1, 1], "cavity": {"kappa_s": 0.1, "g": BEYOND_FLOAT, "gamma": 0.1}},
+            "ConfigError: config: cavity values must be numbers",
+        ),
+        (
+            ["sweep"],
+            {"sweep": {"alpha1_range": [0.1, -BEYOND_FLOAT]}},
+            "ConfigError: config: sweep.alpha1_range must be [lo, hi]",
+        ),
+        (["sweep"], {"sweep": {"alpha2": BEYOND_FLOAT}}, "ConfigError: config: sweep.alpha2 must be a number"),
+        (
+            ["sweep"],
+            {"cavity": {"kappa_s": BEYOND_FLOAT, "g": 0.5, "gamma": 0.1}},
+            "ConfigError: config: cavity values must be numbers",
+        ),
+        (
+            ["simulate"],
+            {"alpha": [SQUARE_BEYOND_FLOAT, 1, 1]},
+            "InvalidCoefficientsError: coefficients not normalized",
+        ),
+        (
+            ["sweep"],
+            {"sweep": {"alpha1_range": [0.1, SQUARE_BEYOND_FLOAT]}},
+            "DomainError: alpha1 range exceeds normalization",
+        ),
+    ],
+    ids=["alpha", "cavity", "alpha1_range", "alpha2", "sweep-cavity", "alpha-square", "alpha1_range-square"],
+)
+def test_config_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, obj, error):
+    path = write_config(tmp_path, obj)
+    code, out, err = run(argv + ["--config", path, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert error in err
+    assert "total_success_probability" not in out
+
+
+def test_config_integer_alpha_matches_flag(tmp_path, capsys):
+    path = write_config(tmp_path, {"alpha": [1, 2, 3]})
+    from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+    assert run(["simulate", "--config", path, "--out", str(from_file)], capsys)[0] == 0
+    assert run(["simulate", "--alpha", "1,2,3", "--out", str(from_flag)], capsys)[0] == 0
+    assert from_file.read_text() == from_flag.read_text()
+
+
 def test_simulate_requires_alpha_somewhere(capsys):
     code, _, err = run(["simulate"], capsys)
     assert code == 2

@@ -1,19 +1,27 @@
+import dataclasses
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import preorder, reference_tree
 
 from ecpsim import (
     CavityParams,
     DetectorLabel,
     DomainError,
+    EcpError,
     InvalidCoefficientsError,
     OutcomeClass,
     ProtocolConfig,
     WCoefficients,
+    WState,
     alice_round,
     charlie_round,
     compare_all,
     enumerate_tree,
+    oracle,
     p1_round,
     p2_round,
     prepare_w_state,
@@ -146,6 +154,125 @@ def test_tree_leaves_match_merged_branches(depths):
     )
     for b in run_protocol(SKEWED, mc_config).branches:
         assert b.classification is groups[merged_of[b.path]][1]
+
+
+# -- one evaluation per distinct round input ---------------------------------------
+
+
+def node_record(node):
+    """A node's fields, floats by their bits (``float.hex`` tells -0.0 from 0.0)."""
+    return (
+        tuple(d.value for d in node.path),
+        node.amplitude_weight.hex(),
+        tuple(a.hex() for a in node.coefficients.as_tuple()),
+        node.depth,
+        node.classification,
+        json.dumps(node.state.to_json_obj()),
+    )
+
+
+unit = st.floats(min_value=0.01, max_value=1.0)
+near_drop = st.floats(min_value=1e-14, max_value=1e-10) | st.sampled_from(
+    [1e-12, math.nextafter(1e-12, 0.0), math.nextafter(1e-12, 1.0)]
+)
+triples = (
+    st.tuples(unit, unit, unit | near_drop)
+    .flatmap(st.permutations)
+    .map(lambda t: WCoefficients.normalized(*t))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
+def test_tree_matches_plain_recursion_node_for_node(c, k_alice, k_charlie):
+    try:
+        expected = [node_record(n) for n in preorder(reference_tree(c, k_alice, k_charlie))]
+    except EcpError as exc:
+        with pytest.raises(type(exc)):
+            enumerate_tree(c, k_alice, k_charlie)
+        return
+    got = [node_record(n) for n in enumerate_tree(c, k_alice, k_charlie).walk()]
+    assert got == expected
+
+
+def exact_input(station, state, coefficients):
+    """A round input by its bits."""
+    return (
+        station,
+        tuple(None if a is None else (a.real.hex(), a.imag.hex()) for a in state.amplitudes),
+        tuple(x.hex() for x in coefficients.as_tuple()),
+    )
+
+
+_ALICE_CLASSES = (OutcomeClass.ALICE_SUCCESS, OutcomeClass.ALICE_RETRY)
+
+
+def tree_inputs(root):
+    """The exact round input of every internal node under ``root``."""
+    return [
+        exact_input(
+            "alice" if node.children[0].classification in _ALICE_CLASSES else "charlie",
+            node.state,
+            node.coefficients,
+        )
+        for node in preorder(root)
+        if node.children
+    ]
+
+
+def spy_rounds(monkeypatch, perturb=lambda outcomes: outcomes):
+    """Route the oracle's rounds through a spy that records each input and
+    returns ``perturb`` of the round's outcomes."""
+    seen = []
+    for station in ("alice", "charlie"):
+        original = getattr(oracle, f"{station}_round")
+
+        def spy(state, coefficients, original=original, station=station):
+            seen.append(exact_input(station, state, coefficients))
+            return perturb(original(state, coefficients))
+
+        monkeypatch.setattr(oracle, f"{station}_round", spy)
+    return seen
+
+
+@pytest.mark.parametrize("c", [SKEWED, EQUAL], ids=["skewed", "equal"])
+def test_tree_evaluates_each_distinct_round_input_once(monkeypatch, c):
+    inputs = tree_inputs(reference_tree(c, 4, 4))
+    assert len(inputs) == 465
+    seen = spy_rounds(monkeypatch)
+    enumerate_tree(c, 4, 4)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(inputs)
+    assert len(seen) < 465 // 10
+
+
+def one_ulp_up(amp):
+    return complex(math.nextafter(amp.real, math.inf), amp.imag)
+
+
+def flip_zero_imag(amp):
+    assert amp.imag == 0.0
+    return complex(amp.real, -amp.imag)
+
+
+@pytest.mark.parametrize("change", [one_ulp_up, flip_zero_imag])
+def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
+    def perturb(outcomes):
+        out = []
+        for o in outcomes:
+            if o.detector is DetectorLabel.D2:
+                first, *rest = o.post_state.amplitudes
+                o = dataclasses.replace(o, post_state=WState((change(first), *rest)))
+            out.append(o)
+        return out
+
+    seen = spy_rounds(monkeypatch, perturb)
+    inputs = tree_inputs(enumerate_tree(SKEWED, 4, 4))
+    assert len(inputs) == 465
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(inputs)
+    # the perturbed states are inputs of their own, absent from the plain tree
+    assert set(seen) - set(tree_inputs(reference_tree(SKEWED, 4, 4)))
 
 
 # -- simplex grid ------------------------------------------------------------------

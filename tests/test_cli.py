@@ -416,6 +416,55 @@ def test_stdout_golden_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_SKEWED_TREE = ["simulate", "--alpha", "0.8,0.36,0.48", "--rounds", "4,4"]
+_SKEWED_MC = ["simulate", "--alpha", "0.8,0.36,0.48", "--rounds", "7,7", "--mode", "mc",
+              "--shots", "20000", "--seed", "7"]
+_CORRECTED = ["--convention", "corrected"]
+
+
+# The lossy gate scales each station's success by a signal fraction of the
+# cavity's scattering amplitudes; these pin the simulate trace (tree and the
+# ragged (7,7) Monte Carlo run), the verify table and the sweep CSV with it.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            _SKEWED_TREE + ["--cavity", "0.1,0.5,0.1"],
+            "60fab7704808ddc9f0a18db20ad63d505253762fc6f3f87da13df67152151d0a",
+        ),
+        (
+            _SKEWED_TREE + ["--cavity", "0.1,0.5,0.1"] + _CORRECTED,
+            "4b2f0fba1fc59114085fddb0c9ff4de86625a29b5e7d5093ec318ed3bcb81b67",
+        ),
+        (
+            _SKEWED_MC + ["--cavity", "0.1,0.5,0.1"],
+            "3f2415e6b11026038bddc1555c1fd96293ebb4fd8e05cd3733c73c46db8e6dbb",
+        ),
+        (
+            _SKEWED_MC + ["--cavity", "0.1,0.5,0.1"] + _CORRECTED,
+            "b45b89c25ce018e4358968a416aee9453db3a96734ea3aaa0b746c526ed90d13",
+        ),
+        (
+            ["verify", "--grid", "4", "--depth", "3,2", "--cavity", "0.3,0.8,0.1"],
+            "868dee3b1a36b0529adbe098ef78ef9ff19cd6a4692a3ad2139ae67ff523fc30",
+        ),
+        (
+            ["verify", "--grid", "4", "--depth", "3,2", "--cavity", "0.3,0.8,0.1"] + _CORRECTED,
+            "145afbf0fe24aac572d4ddb1776e3e7ca8b50ddd614089a96ea351dc7b8f9d07",
+        ),
+        (
+            ["sweep", "--cavity", "0.3,0.8,0.1"],
+            "73d044c2f1fa30212a3b418eebda02154cd218fe478c391cbda8651922f2e365",
+        ),
+    ],
+    ids=["tree", "tree-corrected", "mc", "mc-corrected", "verify", "verify-corrected", "sweep"],
+)
+def test_lossy_stdout_golden_digest(argv, digest, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- argparse plumbing -----------------------------------------------------------------
 
 

@@ -164,17 +164,11 @@ class StateVector:
     def items(self) -> Iterator[tuple[BasisKet, complex]]:
         return iter(self._terms.items())
 
-    def kets(self) -> Iterator[BasisKet]:
-        return iter(self._terms)
-
     def amplitude(self, ket: BasisKet) -> complex:
         return self._terms.get(ket, 0j)
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     @property
     def shape(self) -> tuple | None:
@@ -193,9 +187,6 @@ class StateVector:
             raise ZeroStateError("all amplitudes below tolerance")
         n = self.norm()
         return StateVector({k: a / n for k, a in self._terms.items()})
-
-    def scaled(self, factor: complex) -> StateVector:
-        return StateVector({k: a * factor for k, a in self._terms.items()})
 
     def inner_product(self, other: StateVector) -> complex:
         """Hermitian inner product, conjugate-linear in ``self``."""

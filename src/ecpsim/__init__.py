@@ -60,7 +60,6 @@ from .oracle import (
 )
 from .protocol import (
     BranchRecord,
-    GateMode,
     OutcomeClass,
     ProtocolConfig,
     ProtocolTrace,
@@ -90,7 +89,6 @@ __all__ = [
     "Direction",
     "DomainError",
     "EcpError",
-    "GateMode",
     "InvalidCoefficientsError",
     "LinearBasisPhotonError",
     "LossyOperators",

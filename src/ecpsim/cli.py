@@ -28,7 +28,7 @@ from .errors import (
     InvalidCoefficientsError,
 )
 from .oracle import compare_all, simplex_grid
-from .protocol import GateMode, ProtocolConfig, WCoefficients, run_protocol
+from .protocol import ProtocolConfig, WCoefficients, run_protocol
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -212,7 +212,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = ProtocolConfig(
         max_rounds_alice=rounds[0],
         max_rounds_charlie=rounds[1],
-        gate_mode=GateMode(cavity, convention),
+        cavity=cavity,
+        convention=convention,
         rng_seed=seed,
         mode=mode,
         n_shots=shots,

@@ -16,15 +16,15 @@ from . import analytics
 from .cavity import CavityParams, DenominatorConvention, DetectorLabel, scatter_coefficients
 from .errors import DomainError
 from .protocol import (
-    GateMode,
     OutcomeClass,
+    ProtocolConfig,
     RoundOutcome,
     WCoefficients,
     WState,
     alice_round,
     charlie_round,
-    first_success,
     prepare_w_state,
+    run_protocol,
 )
 
 
@@ -238,18 +238,20 @@ def compare_all(
 
     Covers the per-round success probabilities of both stations (up to four
     rounds), the one-round joint probability, and, when cavity parameters
-    are given, the three lossy one-round quantities.  A comparison passes when
-    its absolute error is at most ``tolerance``, which must be finite and
+    are given, the three lossy one-round quantities of the as-published
+    model, taken from a one-round :func:`run_protocol` with that cavity.
+    Both sides of a lossy row scale by the same signal fraction, so those
+    rows do not check the loss model itself.  A comparison passes when its
+    absolute error is at most ``tolerance``, which must be finite and
     nonnegative (:class:`DomainError` otherwise).
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
     k_alice, k_charlie = depths
     rows: list[tuple[str, tuple[float, float, float], float, float]] = []
-    lossy_mode = None
     if cavity is not None:
         sc = scatter_coefficients(cavity, convention=convention)
-        lossy_mode = GateMode(cavity, convention)
+        lossy = ProtocolConfig(cavity=cavity, convention=convention)
 
     for c in grid:
         point = c.as_tuple()
@@ -262,19 +264,11 @@ def compare_all(
         if k_charlie >= 1:
             rows.append(("pt_one_round", point, analytics.pt_one_round(c), joint))
 
-        if lossy_mode is not None:
-            lossy_alice = alice_round(root.state, c, lossy_mode)
-            sim_p1 = sum(
-                o.probability
-                for o in lossy_alice
-                if o.classification is OutcomeClass.ALICE_SUCCESS
-            )
-            seed = first_success(root.children, OutcomeClass.ALICE_SUCCESS)
-            lossy_charlie = charlie_round(seed.state, seed.coefficients, lossy_mode)
-            sim_p2 = sum(
-                o.probability
-                for o in lossy_charlie
-                if o.classification is OutcomeClass.CHARLIE_SUCCESS
+        if cavity is not None:
+            rounds = run_protocol(c, lossy).rounds
+            sim_p1, sim_p2 = (
+                sum(o.probability for o in rounds if o.classification is success)
+                for success in (OutcomeClass.ALICE_SUCCESS, OutcomeClass.CHARLIE_SUCCESS)
             )
             rows.append(("p1_practical", point, analytics.practical_p1(c, sc), sim_p1))
             rows.append(("p2_practical", point, analytics.practical_p2(c, sc), sim_p2))

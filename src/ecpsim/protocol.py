@@ -15,9 +15,8 @@ single-spin phase rotation at the station that ran the gate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,6 +26,7 @@ from .cavity import (
     DenominatorConvention,
     DetectorLabel,
     PhotonRoutes,
+    ScatterCoefficients,
     Station,
     photon_readout,
     scatter_coefficients,
@@ -83,29 +83,6 @@ class OutcomeClass(Enum):
 
 
 @dataclass(frozen=True)
-class GateMode:
-    """Ideal gate, or the lossy gate specified by cavity parameters."""
-
-    cavity: CavityParams | None = None
-    convention: DenominatorConvention = DenominatorConvention.VERBATIM
-
-    @property
-    def is_lossy(self) -> bool:
-        return self.cavity is not None
-
-    @cached_property
-    def success_factors(self) -> dict[Station, float]:
-        """Factor on a lossy round's success probability, per station: the
-        transmitted-port signal fraction at Alice, the reflected-port one at
-        Charlie.  Evaluated once per mode."""
-        coeffs = scatter_coefficients(self.cavity, convention=self.convention)
-        return {
-            Station.ALICE: coeffs.transmitted_signal_fraction,
-            Station.CHARLIE: coeffs.reflected_signal_fraction,
-        }
-
-
-@dataclass(frozen=True)
 class WState:
     """A state in span{|uud>, |udu>, |duu>}, the sector every round stays in.
 
@@ -152,9 +129,13 @@ class RoundOutcome:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """One run: round limits, the lossy gate's cavity (``None`` for the ideal
+    gate) and denominator convention, and the tree or Monte Carlo mode."""
+
     max_rounds_alice: int = 1
     max_rounds_charlie: int = 1
-    gate_mode: GateMode = field(default_factory=GateMode)
+    cavity: CavityParams | None = None
+    convention: DenominatorConvention = DenominatorConvention.VERBATIM
     rng_seed: int = 0
     mode: str = "tree"  # "tree" or "mc"
     n_shots: int = 0
@@ -168,9 +149,9 @@ class ProtocolConfig:
         }
         if self.mode == "mc":
             obj["n_shots"] = self.n_shots
-        if self.gate_mode.is_lossy:
-            obj["cavity"] = asdict(self.gate_mode.cavity)
-            obj["convention"] = self.gate_mode.convention.value
+        if self.cavity is not None:
+            obj["cavity"] = asdict(self.cavity)
+            obj["convention"] = self.convention.value
         return obj
 
 
@@ -273,7 +254,7 @@ def _alice_success_coefficients(coefficients: WCoefficients) -> WCoefficients:
 
 
 def first_success(items, success_class: OutcomeClass):
-    """The first of ``items`` (round outcomes or tree nodes) of ``success_class``.
+    """The first of the round outcomes ``items`` of ``success_class``.
 
     A coefficient small enough leaves every success amplitude below the
     amplitude drop; then there is no success and this raises
@@ -303,10 +284,12 @@ class _StationPlan:
     routes for the gated spin of each :class:`WState` slot.  ``success`` and
     ``flips`` are indexed by detector position; ``flips`` marks the slots an
     even detector's phase correction negates, those whose gated spin is DOWN.
+    ``signal_fraction`` is the lossy gate's factor on the success probability:
+    the signal fraction of the station's success port.
     """
 
-    station: Station
     photon_pair: Callable[[WCoefficients], tuple[float, float]]
+    signal_fraction: Callable[[ScatterCoefficients], float]
     detectors: tuple[DetectorLabel, ...]
     routes: tuple[PhotonRoutes, PhotonRoutes, PhotonRoutes]
     success: tuple[bool, ...]
@@ -323,7 +306,6 @@ def _station_plan(
     detectors, routes = photon_readout(station)
     gated = [spins[gated_spin] for spins in _W_SPINS]
     return _StationPlan(
-        station=station,
         detectors=detectors,
         routes=tuple(routes[spin] for spin in gated),
         success=tuple(d in success for d in detectors),
@@ -339,6 +321,7 @@ _ALICE_PLAN = _station_plan(
     gated_spin=0,
     success=(DetectorLabel.D3, DetectorLabel.D4),
     photon_pair=lambda c: (c.a1, c.a2),
+    signal_fraction=lambda sc: sc.transmitted_signal_fraction,
     success_class=OutcomeClass.ALICE_SUCCESS,
     retry_class=OutcomeClass.ALICE_RETRY,
     success_coefficients=_alice_success_coefficients,
@@ -349,6 +332,7 @@ _CHARLIE_PLAN = _station_plan(
     gated_spin=2,
     success=(DetectorLabel.D5, DetectorLabel.D6),
     photon_pair=lambda c: (c.a2, c.a3),
+    signal_fraction=lambda sc: sc.reflected_signal_fraction,
     success_class=OutcomeClass.CHARLIE_SUCCESS,
     retry_class=OutcomeClass.CHARLIE_RETRY,
     success_coefficients=lambda _c: WCoefficients.symmetric(),
@@ -359,7 +343,7 @@ _CHARLIE_PLAN = _station_plan(
 def _station_round(
     state: WState,
     coefficients: WCoefficients,
-    gate_mode: GateMode,
+    scatter: ScatterCoefficients | None,
     plan: _StationPlan,
 ) -> list[RoundOutcome]:
     """Photon tensor, gate, wave plate, detection and phase correction in one pass.
@@ -408,11 +392,11 @@ def _station_round(
                 amplitudes[slot] = -amp if flips[slot] else amp
         events.append((position, probability, WState(tuple(amplitudes))))
 
-    if gate_mode.is_lossy:
+    if scatter is not None:
         # Success probabilities shrink by the port signal fraction; whatever
         # did not herald success (including photons lost to leakage) counts
         # toward the retry branches.  Post-states keep their ideal form.
-        factor = gate_mode.success_factors[plan.station]
+        factor = plan.signal_fraction(scatter)
         p_succ = sum(p for position, p, _ in events if plan.success[position])
         p_retry = sum(p for position, p, _ in events if not plan.success[position])
         retry_scale = (1.0 - factor * p_succ) / p_retry if p_retry > 0.0 else 0.0
@@ -424,7 +408,7 @@ def _station_round(
         if success not in post_coefficients:
             update = plan.success_coefficients if success else plan.retry_coefficients
             post_coefficients[success] = update(coefficients)
-        if gate_mode.is_lossy:
+        if scatter is not None:
             probability = probability * (factor if success else retry_scale)
         outcomes.append(
             RoundOutcome(
@@ -441,19 +425,27 @@ def _station_round(
 def alice_round(
     state: WState,
     coefficients: WCoefficients,
-    gate_mode: GateMode = GateMode(),
+    scatter: ScatterCoefficients | None = None,
 ) -> list[RoundOutcome]:
-    """One repetition at the first station; outcomes ordered D1..D4."""
-    return _station_round(state, coefficients, gate_mode, _ALICE_PLAN)
+    """One repetition at the first station; outcomes ordered D1..D4.
+
+    ``scatter`` gives the lossy gate of the as-published model, where the
+    success probability is scaled by the transmitted-port signal fraction;
+    ``None`` is the ideal gate.
+    """
+    return _station_round(state, coefficients, scatter, _ALICE_PLAN)
 
 
 def charlie_round(
     state: WState,
     coefficients: WCoefficients,
-    gate_mode: GateMode = GateMode(),
+    scatter: ScatterCoefficients | None = None,
 ) -> list[RoundOutcome]:
-    """One repetition at the second station; outcomes ordered D5..D8."""
-    return _station_round(state, coefficients, gate_mode, _CHARLIE_PLAN)
+    """One repetition at the second station; outcomes ordered D5..D8.
+
+    As :func:`alice_round`, with the reflected-port signal fraction.
+    """
+    return _station_round(state, coefficients, scatter, _CHARLIE_PLAN)
 
 
 # -- full protocol ----------------------------------------------------------------
@@ -485,6 +477,9 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     Likewise every success at a station leaves the same input for the next,
     so each chain is seeded from the previous station's first-round success.
     """
+    scatter = None
+    if config.cavity is not None:
+        scatter = scatter_coefficients(config.cavity, convention=config.convention)
     # Built per call, so the round functions are looked up when a run starts.
     stations = (
         (alice_round, _ALICE_PLAN, config.max_rounds_alice),
@@ -499,7 +494,7 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
             state, coeffs = seed.post_state, seed.post_coefficients
         stages = []
         for _ in range(limit):
-            outcomes = round_fn(state, coeffs, config.gate_mode)
+            outcomes = round_fn(state, coeffs, scatter)
             stages.append(outcomes)
             retry = next(o for o in outcomes if o.classification is plan.retry_class)
             state, coeffs = retry.post_state, retry.post_coefficients

@@ -36,7 +36,6 @@ from ecpsim import (
     coefficient_update_alice,
     coefficient_update_charlie,
     prepare_w_state,
-    scatter_coefficients,
 )
 from ecpsim.cavity import apply_ebs_gate, detect, hwp45
 
@@ -121,9 +120,10 @@ def phase_correction(state: StateVector, detector: DetectorLabel) -> StateVector
 # -- one round ---------------------------------------------------------------------
 
 
-def reference_round(state, c, gate_mode, station):
+def reference_round(state, c, scatter, station):
     """One round on the general ``StateVector`` ``state``; post-states are
-    ``StateVector`` too."""
+    ``StateVector`` too.  ``scatter`` is the lossy gate's
+    ``ScatterCoefficients``, or ``None`` for the ideal gate."""
     if station is Station.ALICE:
         photon, spin_index = alice_photon(c), 0
         success_detectors = (DetectorLabel.D3, DetectorLabel.D4)
@@ -155,12 +155,11 @@ def reference_round(state, c, gate_mode, station):
                 classification=success_class if success else retry_class,
             )
         )
-    if gate_mode.is_lossy:
-        sc = scatter_coefficients(gate_mode.cavity, convention=gate_mode.convention)
+    if scatter is not None:
         factor = (
-            sc.transmitted_signal_fraction
+            scatter.transmitted_signal_fraction
             if station is Station.ALICE
-            else sc.reflected_signal_fraction
+            else scatter.reflected_signal_fraction
         )
         p_succ = sum(o.probability for o in outcomes if o.classification is success_class)
         p_retry = sum(o.probability for o in outcomes if o.classification is retry_class)

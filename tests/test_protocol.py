@@ -20,7 +20,6 @@ from ecpsim import (
     DegenerateCoefficientsError,
     DetectorLabel,
     Direction,
-    GateMode,
     InvalidCoefficientsError,
     OutcomeClass,
     PhotonLabel,
@@ -266,15 +265,14 @@ def test_round_probabilities_complete(c):
 # -- lossy rounds -----------------------------------------------------------------
 
 
-def lossy_mode(ks):
-    return GateMode(CavityParams(kappa=1.0, kappa_s=ks, g=0.5, gamma=0.1))
+def lossy_scatter(ks):
+    return scatter_coefficients(CavityParams(kappa=1.0, kappa_s=ks, g=0.5, gamma=0.1))
 
 
 def test_lossy_round_scales_success_mass():
-    mode = lossy_mode(0.1)
-    sc = scatter_coefficients(mode.cavity)
+    sc = lossy_scatter(0.1)
     ideal = alice_round(prepare_w_state(EQUAL), EQUAL)
-    lossy = alice_round(prepare_w_state(EQUAL), EQUAL, mode)
+    lossy = alice_round(prepare_w_state(EQUAL), EQUAL, sc)
     ideal_success = sum(o.probability for o in ideal if o.classification is OutcomeClass.ALICE_SUCCESS)
     lossy_success = sum(o.probability for o in lossy if o.classification is OutcomeClass.ALICE_SUCCESS)
     assert lossy_success == pytest.approx(ideal_success * sc.transmitted_signal_fraction, abs=1e-12)
@@ -283,15 +281,14 @@ def test_lossy_round_scales_success_mass():
 
 
 def test_lossy_charlie_uses_reflected_fraction():
-    mode = lossy_mode(0.5)
-    sc = scatter_coefficients(mode.cavity)
-    lossy = charlie_round(prepare_w_state(EQUAL), EQUAL, mode)
+    sc = lossy_scatter(0.5)
+    lossy = charlie_round(prepare_w_state(EQUAL), EQUAL, sc)
     success = sum(o.probability for o in lossy if o.classification is OutcomeClass.CHARLIE_SUCCESS)
     assert success == pytest.approx(0.5 * sc.reflected_signal_fraction, abs=1e-12)
 
 
 def test_lossy_round_keeps_ideal_post_states(w_pattern):
-    lossy = charlie_round(prepare_w_state(EQUAL), EQUAL, lossy_mode(0.5))
+    lossy = charlie_round(prepare_w_state(EQUAL), EQUAL, lossy_scatter(0.5))
     for o in lossy:
         if o.classification is OutcomeClass.CHARLIE_SUCCESS:
             fidelity = to_state_vector(o.post_state).fidelity(w_pattern(1, 1, 1))

@@ -20,7 +20,6 @@ from ecpsim import (
     CavityParams,
     DenominatorConvention,
     Direction,
-    GateMode,
     OutcomeClass,
     PhotonLabel,
     Polarization,
@@ -32,14 +31,15 @@ from ecpsim import (
     alice_round,
     charlie_round,
     prepare_w_state,
+    scatter_coefficients,
 )
 from ecpsim.cavity import photon_readout
 
 CAVITY = CavityParams(kappa_s=0.3, g=0.8, gamma=0.1)
 MODES = {
-    "ideal": GateMode(),
-    "lossy-verbatim": GateMode(CAVITY, DenominatorConvention.VERBATIM),
-    "lossy-corrected": GateMode(CAVITY, DenominatorConvention.CORRECTED),
+    "ideal": None,
+    "lossy-verbatim": scatter_coefficients(CAVITY, convention=DenominatorConvention.VERBATIM),
+    "lossy-corrected": scatter_coefficients(CAVITY, convention=DenominatorConvention.CORRECTED),
 }
 
 interior = st.tuples(
@@ -57,11 +57,11 @@ def w_state(duu, udu, uud):
 ROUND = {Station.ALICE: alice_round, Station.CHARLIE: charlie_round}
 
 
-def checked_round(state, c, gate_mode, station):
+def checked_round(state, c, scatter, station):
     """Run both routes on the ``StateVector`` ``state``, assert they agree
     field for field, and return the reference outcomes."""
-    new = ROUND[station](to_w_state(state), c, gate_mode)
-    ref = reference_round(state, c, gate_mode, station)
+    new = ROUND[station](to_w_state(state), c, scatter)
+    ref = reference_round(state, c, scatter, station)
     assert [o.detector for o in new] == [o.detector for o in ref]
     for a, b in zip(new, ref):
         assert a.probability == b.probability
@@ -105,12 +105,12 @@ def test_round_matches_composed_reference(mode, station, c):
     checked_round(state, c, MODES[mode], station)
 
 
-def retry_chain(c, rounds, gate_mode, station, state=None):
+def retry_chain(c, rounds, scatter, station, state=None):
     """Follow the retry branch for ``rounds`` rounds, checking every round."""
     state = w_state(*c.as_tuple()) if state is None else state
     seen = []
     for _ in range(rounds):
-        outcomes = checked_round(state, c, gate_mode, station)
+        outcomes = checked_round(state, c, scatter, station)
         seen.append(outcomes)
         retry = next(
             o
@@ -125,11 +125,11 @@ def retry_chain(c, rounds, gate_mode, station, state=None):
 @pytest.mark.parametrize("alpha, rounds", [((0.9, 0.3, 0.3), 40), ((0.8, 0.36, 0.48), 7)])
 def test_deep_retry_chains_drop_the_same_terms(mode, alpha, rounds):
     c = WCoefficients.normalized(*alpha)
-    gate_mode = MODES[mode]
-    alice = retry_chain(c, rounds, gate_mode, Station.ALICE)
+    scatter = MODES[mode]
+    alice = retry_chain(c, rounds, scatter, Station.ALICE)
     seed = next(o for o in alice[0] if o.classification is OutcomeClass.ALICE_SUCCESS)
     charlie = retry_chain(
-        seed.post_coefficients, rounds, gate_mode, Station.CHARLIE, seed.post_state
+        seed.post_coefficients, rounds, scatter, Station.CHARLIE, seed.post_state
     )
     outcomes = [o for stage in alice + charlie for o in stage]
     # The chains reach the tolerance: some detector loses terms or vanishes.

@@ -18,10 +18,9 @@ from typing import TextIO
 
 from .cavity import CavityParams, DenominatorConvention, ScatterCoefficients, scatter_coefficients
 from .errors import DomainError
-from .protocol import WCoefficients
+from .protocol import MAX_ROUNDS, WCoefficients
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
-MAX_ROUNDS = 64
 SERIES_TOLERANCE = 1e-12
 
 

@@ -27,6 +27,10 @@ from .protocol import (
     run_protocol,
 )
 
+# Deepest tree per station: the tree doubles with every round, and (8, 8)
+# already has about half a million nodes.
+MAX_TREE_ROUNDS = 8
+
 
 @dataclass
 class BranchNode:
@@ -69,9 +73,11 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     """Exhaustively enumerate the protocol tree to the given depths.
 
     Every detector gets its own child (no merging), so the tree grows
-    exponentially; depths beyond about 6 rounds per station get slow.
-    ``k_charlie`` may be 0 for a first-station-only tree, in which case the
-    success branches terminate as ALICE_SUCCESS leaves.
+    exponentially: at the symmetric triple, (8, 4) has 31 621 nodes and
+    (8, 8) 521 221.  Each depth must be at most :data:`MAX_TREE_ROUNDS`
+    (:class:`DomainError` otherwise).  ``k_charlie`` may be 0 for a
+    first-station-only tree, in which case the success branches terminate as
+    ALICE_SUCCESS leaves.  Rounds run on the ideal gate.
 
     Each distinct round input is evaluated once per call, and every node's
     outcomes are still those of its own input: a node whose station,
@@ -88,6 +94,8 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
         raise DomainError("k_alice must be at least 1")
     if k_charlie < 0:
         raise DomainError("k_charlie must be nonnegative")
+    if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
+        raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
     root = BranchNode(
         path=(),
         amplitude_weight=1.0,

@@ -35,6 +35,8 @@ from .errors import ConfigError, DegenerateCoefficientsError, InvalidCoefficient
 from .hilbert import DEFAULT_TOLERANCE, SpinLabel
 
 _NORM_TOLERANCE = 1e-12
+# Round limit per station, shared with the closed forms in ``analytics``.
+MAX_ROUNDS = 64
 
 _UP, _DOWN = SpinLabel.UP, SpinLabel.DOWN
 # The kets a WState holds, in sorted ket order: |uud>, |udu>, |duu>.
@@ -457,6 +459,8 @@ _SEED_LIMIT = 1 << 128  # Philox keys are 128-bit
 def _validate_config(config: ProtocolConfig) -> None:
     if config.max_rounds_alice < 1 or config.max_rounds_charlie < 1:
         raise ConfigError("round limits must be at least 1")
+    if config.max_rounds_alice > MAX_ROUNDS or config.max_rounds_charlie > MAX_ROUNDS:
+        raise ConfigError(f"round limits must be at most {MAX_ROUNDS}")
     if not 0 <= config.rng_seed < _SEED_LIMIT:
         raise ConfigError(f"seed {config.rng_seed} outside [0, 2**128)")
     if config.mode not in ("tree", "mc"):

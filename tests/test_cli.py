@@ -134,6 +134,14 @@ def test_unwritable_out_exits_2(argv, target, tmp_path, capsys):
     assert out == ""
 
 
+def test_simulate_at_the_round_limit(tmp_path, capsys):
+    # 64 rounds per station is the closed forms' limit too; 65 exits 2.
+    out_file = tmp_path / "trace.json"
+    argv = ["simulate", "--alpha", "1,1,1", "--rounds", "64,64", "--out", str(out_file)]
+    assert run(argv, capsys)[0] == 0
+    assert out_file.stat().st_size > 0
+
+
 def test_simulate_malformed_alpha(capsys):
     code, _, err = run(["simulate", "--alpha", "0.5,0.5"], capsys)
     assert code == 2
@@ -234,6 +242,11 @@ SQUARE_BEYOND_FLOAT = 10**200  # a float can hold it, but not its square
         ),
         (
             ["simulate"],
+            {"alpha": [1, 1, 1], "rounds": [BEYOND_FLOAT, 1]},
+            "ConfigError: round limits must be at most 64",
+        ),
+        (
+            ["simulate"],
             {"alpha": [SQUARE_BEYOND_FLOAT, 1, 1]},
             "InvalidCoefficientsError: coefficients not normalized",
         ),
@@ -243,7 +256,10 @@ SQUARE_BEYOND_FLOAT = 10**200  # a float can hold it, but not its square
             "DomainError: alpha1 range exceeds normalization",
         ),
     ],
-    ids=["alpha", "cavity", "alpha1_range", "alpha2", "sweep-cavity", "alpha-square", "alpha1_range-square"],
+    ids=[
+        "alpha", "cavity", "alpha1_range", "alpha2", "sweep-cavity", "rounds", "alpha-square",
+        "alpha1_range-square",
+    ],
 )
 def test_config_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, obj, error):
     path = write_config(tmp_path, obj)
@@ -507,6 +523,10 @@ def test_unknown_subcommand_exits_2(capsys):
             ["simulate", "--alpha", "1,1e-13,1e-13", "--mode", "mc", "--shots", "10"],
             "InvalidCoefficientsError: no alice_success",
         ),
+        (["simulate", "--alpha", "1,1,1", "--rounds", "65,1"], "ConfigError: round limits must be at most 64"),
+        (["simulate", "--alpha", "1,1,1", "--rounds", "1,65"], "ConfigError: round limits must be at most 64"),
+        (["verify", "--grid", "1", "--depth", "9,1"], "DomainError: tree depths must be at most 8"),
+        (["verify", "--grid", "1", "--depth", "1,9"], "DomainError: tree depths must be at most 8"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys):

@@ -94,6 +94,11 @@ def test_tree_depth_validation():
         enumerate_tree(EQUAL, 0, 1)
     with pytest.raises(DomainError):
         enumerate_tree(EQUAL, 1, -1)
+    # The tree doubles with every round; (8, 8) already has 521 221 nodes.
+    for depths in ((9, 1), (1, 9)):
+        with pytest.raises(DomainError, match="at most 8"):
+            enumerate_tree(EQUAL, *depths)
+    assert enumerate_tree(EQUAL, 8, 1).children
 
 
 def test_tree_total_matches_merged_protocol():

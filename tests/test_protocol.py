@@ -446,6 +446,10 @@ def test_run_protocol_tree_golden_traces(coefficients, rounds, digest):
 def test_run_protocol_validates_config():
     with pytest.raises(ConfigError):
         run_protocol(EQUAL, ProtocolConfig(max_rounds_alice=0))
+    with pytest.raises(ConfigError, match="at most 64"):
+        run_protocol(EQUAL, ProtocolConfig(max_rounds_alice=65))
+    with pytest.raises(ConfigError, match="at most 64"):
+        run_protocol(EQUAL, ProtocolConfig(max_rounds_charlie=65))
     with pytest.raises(ConfigError):
         run_protocol(EQUAL, ProtocolConfig(mode="mc", n_shots=0))
     with pytest.raises(ConfigError):

@@ -69,26 +69,16 @@ class BranchNode:
                 yield node
 
 
-def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode:
-    """Exhaustively enumerate the protocol tree to the given depths.
-
-    Every detector gets its own child (no merging), so the tree grows
-    exponentially: at the symmetric triple, (8, 4) has 31 621 nodes and
-    (8, 8) 521 221.  Each depth must be at most :data:`MAX_TREE_ROUNDS`
-    (:class:`DomainError` otherwise).  ``k_charlie`` may be 0 for a
-    first-station-only tree, in which case the success branches terminate as
-    ALICE_SUCCESS leaves.  Rounds run on the ideal gate.
-
-    Each distinct round input is evaluated once per call, and every node's
-    outcomes are still those of its own input: a node whose station,
-    amplitudes (bit for bit, signs of zeros included) and coefficients equal
-    an earlier node's reuses that node's round outcomes, so nodes share
-    frozen ``WState`` and ``WCoefficients`` objects.  The two retry detectors
-    of a round herald equal post-states, as do the two success detectors, so
-    sibling subtrees repeat rounds: at depth (4, 4) the tree has 1861 nodes
-    and 465 rounds, but 17 to 39 distinct round inputs on the symmetric
-    triple and the ``verify --grid 10`` points.  Nothing is kept between
-    calls.
+def _preorder(
+    c: WCoefficients, k_alice: int, k_charlie: int
+) -> Iterator[tuple[int, RoundOutcome, float, int]]:
+    """Every non-root node as ``(parent index, outcome, weight, depth)``, in
+    pre-order; the root is node 0, the others are numbered as yielded, and a
+    weight is the parent's weight times ``outcome.probability``.  Rounds are
+    memoized on the exact input (station, amplitudes bit for bit, and
+    coefficients), behind an identity cache keyed by ``(id(outcome), next
+    round)``: the exact key is built once per distinct outcome object, not per
+    node.  The memo keeps every outcome alive, so no id is reused in a walk.
     """
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
@@ -96,59 +86,74 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
         raise DomainError("k_charlie must be nonnegative")
     if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
         raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
-    root = BranchNode(
-        path=(),
-        amplitude_weight=1.0,
-        state=prepare_w_state(c),
-        coefficients=c,
-        depth=0,
-    )
-
     # (round function, round limit, success class) per station; built per
     # call, so the round functions are looked up at run time.
     stations = [(alice_round, k_alice, OutcomeClass.ALICE_SUCCESS)]
     if k_charlie > 0:
         stations.append((charlie_round, k_charlie, OutcomeClass.CHARLIE_SUCCESS))
-
     # Exact round input -> its outcomes.  Equal floats have equal bits except
     # for the sign of a zero, so the key adds the sign of every amplitude
     # component.  Coefficients are never -0.0: the root's are positive and
     # every update multiplies or divides nonnegative values.
     rounds: dict[tuple, list[RoundOutcome]] = {}
 
-    # (node, station index, rounds left at that station), popped in pre-order.
-    # A loop rather than a recursive closure: a closure that calls itself is a
-    # reference cycle, which would keep the memo alive until the cyclic
-    # garbage collector ran.
-    pending = [(root, 0, k_alice)]
-    while pending:
-        node, station, rounds_left = pending.pop()
-        round_fn, _, success_class = stations[station]
-        amplitudes = node.state.amplitudes
-        signs = [
-            math.copysign(1.0, x) for a in amplitudes if a is not None for x in (a.real, a.imag)
+    def expand(station: int, left: int, state: WState, coefficients: WCoefficients) -> list:
+        """The round's outcomes with their probabilities and the (station,
+        rounds left) of the round each child runs next, None for a leaf."""
+        amps = state.amplitudes
+        signs = [math.copysign(1.0, x) for a in amps if a is not None for x in (a.real, a.imag)]
+        key = (station, amps, tuple(signs), coefficients)
+        if key not in rounds:
+            rounds[key] = stations[station][0](state, coefficients)
+        retry = (station, left - 1) if left > 1 else None
+        success = (station + 1, stations[station + 1][1]) if station + 1 < len(stations) else None
+        return [
+            (o, o.probability, success if o.classification is stations[station][2] else retry)
+            for o in rounds[key]
         ]
-        key = (station, amplitudes, tuple(signs), node.coefficients)
-        outcomes = rounds.get(key)
-        if outcomes is None:
-            outcomes = rounds[key] = round_fn(node.state, node.coefficients)
-        queued = []
-        for outcome in outcomes:
-            child = BranchNode(
-                path=node.path + (outcome.detector,),
-                amplitude_weight=node.amplitude_weight * outcome.probability,
-                state=outcome.post_state,
-                coefficients=outcome.post_coefficients,
-                depth=node.depth + 1,
-                classification=outcome.classification,
-            )
-            node.children.append(child)
-            if outcome.classification is not success_class:
-                if rounds_left > 1:
-                    queued.append((child, station, rounds_left - 1))
-            elif station + 1 < len(stations):
-                queued.append((child, station + 1, stations[station + 1][1]))
-        pending.extend(reversed(queued))
+
+    # Frames (parent index, parent weight, children's depth, their iterator),
+    # innermost last.  No recursive closure: its reference cycle would keep
+    # the memo alive until the cyclic garbage collector ran.
+    stack = [(0, 1.0, 1, iter(expand(0, k_alice, prepare_w_state(c), c)))]
+    cached: dict[tuple[int, tuple[int, int]], list] = {}
+    index = 0
+    while stack:
+        parent, parent_weight, depth, kids = stack[-1]
+        for outcome, probability, next_round in kids:
+            index += 1
+            weight = parent_weight * probability
+            yield parent, outcome, weight, depth
+            if next_round is not None:
+                key = (id(outcome), next_round)
+                if key not in cached:
+                    cached[key] = expand(*next_round, outcome.post_state, outcome.post_coefficients)
+                stack.append((index, weight, depth + 1, iter(cached[key])))
+                break  # visit this node's subtree before its next sibling
+        else:
+            stack.pop()
+
+
+def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode:
+    """Exhaustively enumerate the protocol tree to the given depths.
+
+    Every detector gets its own child (no merging).  Each depth must be at
+    most :data:`MAX_TREE_ROUNDS` (:class:`DomainError` otherwise).
+    ``k_charlie`` may be 0 for a first-station-only tree, whose success
+    branches end as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The
+    nodes come from :func:`_preorder`, the walk whose weights
+    :func:`compare_all` sums without building nodes; each distinct round input
+    is evaluated once per call, so nodes with equal inputs share frozen
+    ``WState`` and ``WCoefficients`` objects.
+    """
+    root = BranchNode(path=(), amplitude_weight=1.0, state=None, coefficients=c, depth=0)
+    nodes = [root]
+    for parent, outcome, weight, depth in _preorder(c, k_alice, k_charlie):
+        up = nodes[parent]
+        nodes.append(BranchNode(up.path + (outcome.detector,), weight, outcome.post_state,
+                                outcome.post_coefficients, depth, outcome.classification))
+        up.children.append(nodes[-1])
+    root.state = prepare_w_state(c)  # after the walk, which checks the depths first
     return root
 
 
@@ -193,39 +198,35 @@ def simplex_grid(n: int) -> list[WCoefficients]:
         raise DomainError("grid size must be at least 1")
     if n == 1:
         return [WCoefficients.symmetric()]
-    points = []
-    for i in range(n):
-        u = (i + 1) / (n + 1)
-        for j in range(n):
-            v = (j + 1) / (n + 1)
-            points.append(
-                WCoefficients.normalized(
-                    (u) ** 0.5, ((1 - u) * v) ** 0.5, ((1 - u) * (1 - v)) ** 0.5
-                )
-            )
-    return points
+    steps = [(i + 1) / (n + 1) for i in range(n)]
+    return [
+        WCoefficients.normalized(u**0.5, ((1 - u) * v) ** 0.5, ((1 - u) * (1 - v)) ** 0.5)
+        for u in steps
+        for v in steps
+    ]
 
 
 def _tree_masses(
-    root: BranchNode, k_alice: int, k_charlie: int
+    c: WCoefficients, k_alice: int, k_charlie: int
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Amplitude-route success masses: per-round station-1 mass, per-round
     station-2 mass (conditional on station-1 success), and the depth-(1,1)
-    joint mass."""
+    joint mass, summed in the pre-order and with the weights of
+    :func:`enumerate_tree`'s walk, so bit for bit as over its nodes."""
     alice_at: dict[int, float] = {k: 0.0 for k in range(1, k_alice + 1)}
     charlie_at: dict[int, float] = {k: 0.0 for k in range(1, k_charlie + 1)}
     first_round_joint = 0.0
     # Pre-order visits every second-station node right after the first-station
     # success it descends from, so that success's depth counts its station-1 rounds.
     alice_rounds = 0
-    for node in root.walk():
-        if node.classification is OutcomeClass.ALICE_SUCCESS:
-            alice_at[node.depth] += node.amplitude_weight
-            alice_rounds = node.depth
-        elif node.classification is OutcomeClass.CHARLIE_SUCCESS:
-            charlie_at[node.depth - alice_rounds] += node.amplitude_weight
-            if node.depth == 2:
-                first_round_joint += node.amplitude_weight
+    for _, outcome, weight, depth in _preorder(c, k_alice, k_charlie):
+        if outcome.classification is OutcomeClass.ALICE_SUCCESS:
+            alice_at[depth] += weight
+            alice_rounds = depth
+        elif outcome.classification is OutcomeClass.CHARLIE_SUCCESS:
+            charlie_at[depth - alice_rounds] += weight
+            if depth == 2:
+                first_round_joint += weight
     alice_total = sum(alice_at.values())
     if alice_total > 0.0:
         charlie_at = {k: v / alice_total for k, v in charlie_at.items()}
@@ -263,8 +264,7 @@ def compare_all(
 
     for c in grid:
         point = c.as_tuple()
-        root = enumerate_tree(c, k_alice, k_charlie)
-        alice_at, charlie_at, joint = _tree_masses(root, k_alice, k_charlie)
+        alice_at, charlie_at, joint = _tree_masses(c, k_alice, k_charlie)
         for k in range(1, min(_ROUND_COMPARISONS, k_alice) + 1):
             rows.append((f"p1_round[k={k}]", point, analytics.p1_round(k, c), alice_at[k]))
         for k in range(1, min(_ROUND_COMPARISONS, k_charlie) + 1):

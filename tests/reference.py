@@ -7,8 +7,9 @@ step, each building its own general state with the ``DEFAULT_TOLERANCE`` drop.
 ``alice_round`` and ``charlie_round`` fold the same steps into one pass over a
 ``WState``; ``test_round_equivalence.py`` checks that the two agree bit for
 bit.  ``reference_tree`` builds the tree of ``enumerate_tree`` with a round
-at every internal node and nothing reused.  No command-line route runs this
-code, so it lives with the tests.
+at every internal node and nothing reused, and ``reference_masses`` sums the
+success masses of ``compare_all`` over its nodes.  No command-line route runs
+this code, so it lives with the tests.
 """
 
 import dataclasses
@@ -216,3 +217,25 @@ def preorder(node: BranchNode):
     yield node
     for child in node.children:
         yield from preorder(child)
+
+
+def reference_masses(root: BranchNode, k_alice: int, k_charlie: int):
+    """Per-round station-1 masses, per-round station-2 masses conditional on
+    station-1 success, and the depth-(1, 1) joint mass, summed over the nodes
+    under ``root`` in pre-order."""
+    alice_at = {k: 0.0 for k in range(1, k_alice + 1)}
+    charlie_at = {k: 0.0 for k in range(1, k_charlie + 1)}
+    joint = 0.0
+    alice_rounds = 0  # of the first-station success the next nodes descend from
+    for node in preorder(root):
+        if node.classification is OutcomeClass.ALICE_SUCCESS:
+            alice_at[node.depth] += node.amplitude_weight
+            alice_rounds = node.depth
+        elif node.classification is OutcomeClass.CHARLIE_SUCCESS:
+            charlie_at[node.depth - alice_rounds] += node.amplitude_weight
+            if node.depth == 2:
+                joint += node.amplitude_weight
+    alice_total = sum(alice_at.values())
+    if alice_total > 0.0:
+        charlie_at = {k: v / alice_total for k, v in charlie_at.items()}
+    return alice_at, charlie_at, joint

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import preorder, reference_tree
+from reference import preorder, reference_masses, reference_tree
 
 from ecpsim import (
     CavityParams,
@@ -200,6 +200,40 @@ def test_tree_matches_plain_recursion_node_for_node(c, k_alice, k_charlie):
     assert got == expected
 
 
+def masses_by_bits(masses):
+    alice_at, charlie_at, joint = masses
+    return (
+        {k: v.hex() for k, v in alice_at.items()},
+        {k: v.hex() for k, v in charlie_at.items()},
+        joint.hex(),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
+def test_tree_masses_match_reference_tree_bit_for_bit(c, k_alice, k_charlie):
+    try:
+        expected = reference_masses(reference_tree(c, k_alice, k_charlie), k_alice, k_charlie)
+    except EcpError as exc:
+        with pytest.raises(type(exc)):
+            oracle._tree_masses(c, k_alice, k_charlie)
+        return
+    got = oracle._tree_masses(c, k_alice, k_charlie)
+    assert masses_by_bits(got) == masses_by_bits(expected)
+
+
+def test_compare_all_builds_no_tree(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("compare_all built a BranchNode")
+
+    monkeypatch.setattr(oracle, "BranchNode", no_nodes)
+    reports = compare_all([SKEWED, EQUAL], depths=(4, 4))
+    assert len(reports) == 18
+    assert all(r.passed for r in reports)
+    with pytest.raises(AssertionError, match="built a BranchNode"):
+        enumerate_tree(SKEWED, 1, 1)
+
+
 def exact_input(station, state, coefficients):
     """A round input by its bits."""
     return (
@@ -249,6 +283,15 @@ def test_tree_evaluates_each_distinct_round_input_once(monkeypatch, c):
     assert len(seen) == len(set(seen))
     assert set(seen) == set(inputs)
     assert len(seen) < 465 // 10
+
+
+@pytest.mark.parametrize("c", [SKEWED, EQUAL], ids=["skewed", "equal"])
+def test_compare_all_evaluates_each_distinct_round_input_once(monkeypatch, c):
+    inputs = tree_inputs(reference_tree(c, 4, 4))
+    seen = spy_rounds(monkeypatch)
+    compare_all([c], (4, 4))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(inputs)
 
 
 def one_ulp_up(amp):

@@ -374,15 +374,15 @@ def test_run_protocol_mc_matches_tree():
 def test_run_protocol_mc_chunking_invariant():
     # totals must not depend on internal chunk boundaries
     cfg_small = ProtocolConfig(mode="mc", n_shots=70_000, rng_seed=11)
-    import ecpsim.protocol as proto
+    import ecpsim.sampling as sampling
 
     t1 = run_protocol(EQUAL, cfg_small)
-    old = proto._CHUNK
+    old = sampling._CHUNK
     try:
-        proto._CHUNK = 1 << 12
+        sampling._CHUNK = 1 << 12
         t2 = run_protocol(EQUAL, cfg_small)
     finally:
-        proto._CHUNK = old
+        sampling._CHUNK = old
     assert t1.counts == t2.counts
     assert t1.branches == t2.branches
 

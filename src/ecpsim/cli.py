@@ -135,6 +135,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from None
+    except ValueError as exc:  # an integer past Python's int/str digit limit
+        raise ConfigError(f"config: unreadable number in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
     for key, value in raw.items():

@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecpsim
 from ecpsim import WCoefficients, p1_total, p2_total
 from ecpsim.cli import main
 
@@ -269,6 +274,19 @@ def test_config_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, obj, 
     assert "total_success_probability" not in out
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_config_integer_beyond_digit_limit_exits_2(tmp_path, capsys, command):
+    # json.load raises a plain ValueError for an integer past Python's
+    # 4 300-digit int/str conversion limit, not a JSONDecodeError.
+    path = tmp_path / "run.json"
+    path.write_text('{"alpha": [1, 1, 1], "rounds": [' + "9" * 5000 + ", 1]}")
+    code, out, err = run([command, "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert "ConfigError: config: unreadable number in" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_integer_alpha_matches_flag(tmp_path, capsys):
     path = write_config(tmp_path, {"alpha": [1, 2, 3]})
     from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
@@ -494,6 +512,38 @@ def test_missing_subcommand_exits_2(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
+
+
+# -- numpy only for Monte Carlo ----------------------------------------------------------
+
+# Runs one command in a fresh interpreter and prints whether numpy was imported.
+_IMPORTS_NUMPY = (
+    "import sys; from ecpsim.cli import main; code = main(sys.argv[1:]); "
+    "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, imports_numpy",
+    [
+        (["verify", "--grid", "2", "--depth", "2,2"], False),
+        (["verify", "--grid", "2", "--depth", "2,2", "--cavity", "0.1,0.5,0.1"], False),
+        (["sweep", "--points", "5"], False),
+        (["coeffs"], False),
+        (["simulate", "--alpha", "0.8,0.36,0.48", "--rounds", "4,4"], False),
+        (["simulate", "--alpha", "0.8,0.36,0.48", "--mode", "mc", "--shots", "100"], True),
+    ],
+    ids=["verify", "verify-lossy", "sweep", "coeffs", "simulate-tree", "simulate-mc"],
+)
+def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
+    path = [str(Path(ecpsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_NUMPY, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(imports_numpy)
 
 
 # -- non-finite and out-of-range input ------------------------------------------------

@@ -73,12 +73,11 @@ def _preorder(
     c: WCoefficients, k_alice: int, k_charlie: int
 ) -> Iterator[tuple[int, RoundOutcome, float, int]]:
     """Every non-root node as ``(parent index, outcome, weight, depth)``, in
-    pre-order; the root is node 0, the others are numbered as yielded, and a
+    pre-order: the root is node 0, the others are numbered as yielded, and a
     weight is the parent's weight times ``outcome.probability``.  Rounds are
-    memoized on the exact input (station, amplitudes bit for bit, and
-    coefficients), behind an identity cache keyed by ``(id(outcome), next
-    round)``: the exact key is built once per distinct outcome object, not per
-    node.  The memo keeps every outcome alive, so no id is reused in a walk.
+    memoized on the exact input, behind an identity cache keyed by
+    ``(id(outcome), next round)`` that builds the exact key once per distinct
+    outcome object; the memo keeps every outcome alive, so ids stay unique.
     """
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
@@ -113,8 +112,7 @@ def _preorder(
         ]
 
     # Frames (parent index, parent weight, children's depth, their iterator),
-    # innermost last.  No recursive closure: its reference cycle would keep
-    # the memo alive until the cyclic garbage collector ran.
+    # innermost last; a recursive closure would keep the memo alive in a cycle.
     stack = [(0, 1.0, 1, iter(expand(0, k_alice, prepare_w_state(c), c)))]
     cached: dict[tuple[int, tuple[int, int]], list] = {}
     index = 0
@@ -137,24 +135,22 @@ def _preorder(
 def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode:
     """Exhaustively enumerate the protocol tree to the given depths.
 
-    Every detector gets its own child (no merging).  Each depth must be at
-    most :data:`MAX_TREE_ROUNDS` (:class:`DomainError` otherwise).
-    ``k_charlie`` may be 0 for a first-station-only tree, whose success
-    branches end as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The
-    nodes come from :func:`_preorder`, the walk whose weights
-    :func:`compare_all` sums without building nodes; each distinct round input
-    is evaluated once per call, so nodes with equal inputs share frozen
+    Every detector gets its own child (no merging); each depth must be at
+    most :data:`MAX_TREE_ROUNDS` (:class:`DomainError` otherwise), and
+    ``k_charlie`` may be 0 for a first-station-only tree, whose successes end
+    as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The nodes come
+    from :func:`_preorder`, the walk :func:`compare_all` sums without nodes;
+    its round memo makes nodes with equal round inputs share frozen
     ``WState`` and ``WCoefficients`` objects.
     """
-    root = BranchNode(path=(), amplitude_weight=1.0, state=None, coefficients=c, depth=0)
-    nodes = [root]
+    nodes = [BranchNode(path=(), amplitude_weight=1.0, state=None, coefficients=c, depth=0)]
     for parent, outcome, weight, depth in _preorder(c, k_alice, k_charlie):
         up = nodes[parent]
         nodes.append(BranchNode(up.path + (outcome.detector,), weight, outcome.post_state,
                                 outcome.post_coefficients, depth, outcome.classification))
         up.children.append(nodes[-1])
-    root.state = prepare_w_state(c)  # after the walk, which checks the depths first
-    return root
+    nodes[0].state = prepare_w_state(c)  # after the walk, which checks the depths first
+    return nodes[0]
 
 
 @dataclass(frozen=True)
@@ -198,12 +194,17 @@ def simplex_grid(n: int) -> list[WCoefficients]:
         raise DomainError("grid size must be at least 1")
     if n == 1:
         return [WCoefficients.symmetric()]
-    steps = [(i + 1) / (n + 1) for i in range(n)]
-    return [
-        WCoefficients.normalized(u**0.5, ((1 - u) * v) ** 0.5, ((1 - u) * (1 - v)) ** 0.5)
-        for u in steps
-        for v in steps
-    ]
+    points = []
+    for i in range(n):
+        u = (i + 1) / (n + 1)
+        for j in range(n):
+            v = (j + 1) / (n + 1)
+            points.append(
+                WCoefficients.normalized(
+                    (u) ** 0.5, ((1 - u) * v) ** 0.5, ((1 - u) * (1 - v)) ** 0.5
+                )
+            )
+    return points
 
 
 def _tree_masses(
@@ -211,8 +212,7 @@ def _tree_masses(
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Amplitude-route success masses: per-round station-1 mass, per-round
     station-2 mass (conditional on station-1 success), and the depth-(1,1)
-    joint mass, summed in the pre-order and with the weights of
-    :func:`enumerate_tree`'s walk, so bit for bit as over its nodes."""
+    joint mass, summed over :func:`_preorder` as over the tree's nodes."""
     alice_at: dict[int, float] = {k: 0.0 for k in range(1, k_alice + 1)}
     charlie_at: dict[int, float] = {k: 0.0 for k in range(1, k_charlie + 1)}
     first_round_joint = 0.0

@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="cross-check closed forms against enumeration")
-    ver.add_argument("--grid", type=int, default=10, help="simplex grid size n (n*n points)")
+    ver.add_argument("--grid", type=int, default=10, help="simplex grid size n, 1..100 (n*n points)")
     ver.add_argument("--depth", default="4,4", help="tree depths kA,kC (default 4,4)")
     ver.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
     ver.add_argument("--cavity", help="also check lossy one-round forms at kappa_s,g,gamma")

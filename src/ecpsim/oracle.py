@@ -31,6 +31,10 @@ from .protocol import (
 # already has about half a million nodes.
 MAX_TREE_ROUNDS = 8
 
+# Largest simplex grid side: verify holds every report until it prints, about
+# 1.1 KB per comparison, so n = 100 at depth (1, 1) needs some 30 MiB.
+MAX_GRID = 100
+
 
 @dataclass
 class BranchNode:
@@ -192,6 +196,8 @@ def simplex_grid(n: int) -> list[WCoefficients]:
     """
     if n < 1:
         raise DomainError("grid size must be at least 1")
+    if n > MAX_GRID:
+        raise DomainError(f"grid size must be at most {MAX_GRID}")
     if n == 1:
         return [WCoefficients.symmetric()]
     points = []

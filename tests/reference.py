@@ -8,12 +8,16 @@ step, each building its own general state with the ``DEFAULT_TOLERANCE`` drop.
 ``WState``; ``test_round_equivalence.py`` checks that the two agree bit for
 bit.  ``reference_tree`` builds the tree of ``enumerate_tree`` with a round
 at every internal node and nothing reused, and ``reference_masses`` sums the
-success masses of ``compare_all`` over its nodes.  No command-line route runs
-this code, so it lives with the tests.
+success masses of ``compare_all`` over its nodes.  ``reference_sample_branches``
+is the Monte Carlo sampler that ``ecpsim.sampling`` replaced: active index
+sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.  No
+command-line route runs this code, so it lives with the tests.
 """
 
 import dataclasses
 import math
+
+import numpy as np
 
 from ecpsim import (
     BasisKet,
@@ -39,6 +43,7 @@ from ecpsim import (
     prepare_w_state,
 )
 from ecpsim.cavity import apply_ebs_gate, detect, hwp45
+from ecpsim.protocol import BranchRecord, _code
 
 # The ket of each WState slot.
 W_KETS = tuple(BasisKet.from_spins(pattern) for pattern in ("uud", "udu", "duu"))
@@ -239,3 +244,98 @@ def reference_masses(root: BranchNode, k_alice: int, k_charlie: int):
     if alice_total > 0.0:
         charlie_at = {k: v / alice_total for k, v in charlie_at.items()}
     return alice_at, charlie_at, joint
+
+
+# Paths are counted on int64 keys holding 4 bits per stage (detector number,
+# or 0 where the shot had already stopped), first stage most significant, so
+# key order is the lexicographic order of the paths.  Stages are folded in
+# blocks: a block's key is the rank of the path prefix before it, shifted past
+# the block's 44 bits, with the block's codes in those bits.  A rank is below
+# the chunk size, so a key fits in 16 + 44 = 60 bits.
+_BLOCK = 11
+_BLOCK_BITS = 4 * _BLOCK
+
+
+def _count_paths(paths):
+    """Distinct rows of ``paths`` in lexicographic order, and how often each occurs."""
+    rank = np.zeros(len(paths), dtype=np.int64)
+    for start in range(0, paths.shape[1], _BLOCK):
+        key = rank << _BLOCK_BITS
+        for j, column in enumerate(paths[:, start : start + _BLOCK].T):
+            key |= column.astype(np.int64) << (_BLOCK_BITS - 4 * (j + 1))
+        unique, rank = np.unique(key, return_inverse=True)
+    # Shots of one rank share their whole row, so any of them can stand for it.
+    rows = np.empty((len(unique), paths.shape[1]), dtype=paths.dtype)
+    rows[rank] = paths
+    return rows.tolist(), np.bincount(rank)
+
+
+def reference_sample_branches(config, chains):
+    """``ecpsim.sampling._sample_branches`` as it was before the comparison
+    choice and prefix-node counting: per stage, the still-active shots look
+    their uniform up in the cumulative table with ``np.searchsorted``, every
+    shot's detector numbers go into an int8 matrix, and each chunk of 2^16
+    shots has its distinct rows counted by packed keys."""
+    chunk = 1 << 16  # a prefix rank must fit in the key's top 16 bits
+    tables = [
+        (
+            [np.cumsum([o.probability for o in st]) for st in stages],
+            [np.array([o.classification is plan.success_class for o in st]) for st in stages],
+            [np.array([_code(o.detector) for o in st]) for st in stages],
+        )
+        for plan, stages in chains
+    ]
+    n_stages = sum(len(stages) for _, stages in chains)
+    code_class = {
+        _code(d): plan.success_class if success else plan.retry_class
+        for plan, _ in chains
+        for d, success in zip(plan.detectors, plan.success)
+    }
+
+    rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
+    path_counts = {}
+
+    remaining = config.n_shots
+    while remaining > 0:
+        n = min(remaining, chunk)
+        remaining -= n
+        u = rng.random((n, n_stages))
+        paths = np.zeros((n, n_stages), dtype=np.int8)
+        arrived = np.arange(n)
+        col = 0
+        for cum, success, codes in tables:
+            active = arrived
+            passed = []
+            for k in range(len(cum)):
+                if active.size == 0:
+                    break
+                choice = np.searchsorted(cum[k], u[active, col + k], side="right")
+                np.clip(choice, 0, cum[k].size - 1, out=choice)
+                paths[active, col + k] = codes[k][choice]
+                won = success[k][choice]
+                passed.append(active[won])
+                active = active[~won]
+            col += len(cum)
+            arrived = np.concatenate(passed) if passed else np.empty(0, dtype=int)
+
+        rows, counts = _count_paths(paths)
+        for row, count in zip(rows, counts.tolist()):
+            key = tuple(row)
+            path_counts[key] = path_counts.get(key, 0) + count
+
+    branches = []
+    for row, count in sorted(path_counts.items()):
+        codes = [code for code in row if code]
+        branches.append(
+            BranchRecord(
+                path=tuple(f"D{code}" for code in codes),
+                probability=count / config.n_shots,
+                classification=code_class[codes[-1]],
+                count=count,
+            )
+        )
+    counts = {cls.value: 0 for cls in OutcomeClass}
+    for branch in branches:
+        counts[branch.classification.value] += branch.count
+    total = counts[chains[-1][0].success_class.value] / config.n_shots
+    return branches, counts, total

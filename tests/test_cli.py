@@ -577,6 +577,7 @@ def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
         (["simulate", "--alpha", "1,1,1", "--rounds", "1,65"], "ConfigError: round limits must be at most 64"),
         (["verify", "--grid", "1", "--depth", "9,1"], "DomainError: tree depths must be at most 8"),
         (["verify", "--grid", "1", "--depth", "1,9"], "DomainError: tree depths must be at most 8"),
+        (["verify", "--grid", "101", "--depth", "1,1"], "DomainError: grid size must be at most 100"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys):
@@ -584,3 +585,10 @@ def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys):
     assert code == 2
     assert error in err
     assert "total_success_probability" not in out
+
+
+def test_verify_at_the_grid_limit(capsys):
+    # 100 is the largest grid side; 101 exits 2.
+    code, out, _ = run(["verify", "--grid", "100", "--depth", "1,1"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "summary: 30000 comparisons, 0 failed"

@@ -343,6 +343,9 @@ def test_simplex_grid_interior_points():
 def test_simplex_grid_validation():
     with pytest.raises(DomainError):
         simplex_grid(0)
+    assert len(simplex_grid(100)) == 100 * 100
+    with pytest.raises(DomainError, match="at most 100"):
+        simplex_grid(101)
 
 
 # -- closed form vs amplitudes -------------------------------------------------------

@@ -1,0 +1,108 @@
+"""The Monte Carlo sampler against the searchsorted and packed-key sampler it
+replaced, and its comparison rule for choosing a stage's outcome."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from reference import reference_sample_branches
+
+import ecpsim.sampling as sampling
+from ecpsim import InvalidCoefficientsError, ProtocolConfig, WCoefficients
+from ecpsim.protocol import _stage_chains
+
+# Tiny coefficients send whole detectors below the 1e-12 drop within a few
+# rounds, so their stages are ragged: two outcomes instead of four.
+coefficient = st.one_of(st.floats(0.01, 1.0), st.sampled_from([1e-6, 1e-5, 1e-3, 0.1]))
+
+
+def sample_both(alpha, rounds, shots, seed):
+    config = ProtocolConfig(
+        max_rounds_alice=rounds[0],
+        max_rounds_charlie=rounds[1],
+        mode="mc",
+        n_shots=shots,
+        rng_seed=seed,
+    )
+    try:
+        chains = _stage_chains(WCoefficients.normalized(*alpha), config)
+    except InvalidCoefficientsError:
+        return None
+    # Chunks of 4096 shots, so that larger runs span several.
+    with mock.patch.object(sampling, "_CHUNK", 1 << 12):
+        got = sampling._sample_branches(config, chains)
+    return got, reference_sample_branches(config, chains)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.tuples(coefficient, coefficient, coefficient),
+    rounds=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    shots=st.integers(1, 13_000),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sampler_matches_reference(alpha, rounds, shots, seed):
+    both = sample_both(alpha, rounds, shots, seed)
+    if both is None:
+        reject()
+    (branches, counts, total), (ref_branches, ref_counts, ref_total) = both
+    assert branches == ref_branches
+    assert counts == ref_counts
+    assert total == ref_total
+
+
+@pytest.mark.parametrize(
+    "alpha, shots, seed",
+    [
+        ((0.8, 0.36, 0.48), 1, 0),
+        ((0.8, 0.36, 0.48), 5_000, 3),
+        ((1.0, 1e-3, 1.0), 600, 7),
+        ((0.577, 0.577, 0.577), 9_000, 11),
+    ],
+)
+def test_sampler_matches_reference_at_128_stages(alpha, shots, seed):
+    (branches, counts, total), ref = sample_both(alpha, (64, 64), shots, seed)
+    assert (branches, counts, total) == ref
+    assert sum(b.count for b in branches) == shots
+
+
+def searchsorted_choice(cum, u):
+    return np.clip(np.searchsorted(cum, u, side="right"), 0, cum.size - 1)
+
+
+def test_choice_at_a_threshold_takes_the_next_outcome():
+    cum = np.array([0.25, 0.5, 0.75, 1.0])
+    u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, np.nextafter(0.75, 0.0), 0.75])
+    assert sampling._choose(u, cum).tolist() == [0, 0, 1, 2, 2, 3]
+    assert sampling._choose(u, cum).tolist() == searchsorted_choice(cum, u).tolist()
+
+
+def test_choice_past_a_last_cumulative_short_of_one_takes_the_last_outcome():
+    cum = np.cumsum([0.1] * 10)
+    assert cum[-1] < 1.0  # rounding leaves the sum short of 1
+    u = np.array([cum[-1], np.nextafter(cum[-1], 1.0), np.nextafter(1.0, 0.0)])
+    assert sampling._choose(u, cum).tolist() == [9, 9, 9]
+    assert searchsorted_choice(cum, u).tolist() == [9, 9, 9]
+
+
+def test_choice_on_a_ragged_stage():
+    cum = np.array([0.3, 1.0])
+    u = np.array([0.0, np.nextafter(0.3, 0.0), 0.3, 0.999])
+    assert sampling._choose(u, cum).tolist() == [0, 0, 1, 1]
+    assert sampling._choose(u, np.array([1.0])).tolist() == [0, 0, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    probabilities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), max_size=8),
+    uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
+)
+def test_choice_equals_clipped_searchsorted(probabilities, picks, uniforms):
+    cum = np.cumsum(probabilities)
+    # Uniforms exactly at, and just below, each cumulative threshold.
+    at = [cum[i % cum.size] for i in picks]
+    u = np.array(uniforms + at + [np.nextafter(x, 0.0) for x in at])
+    assert sampling._choose(u, cum).tolist() == searchsorted_choice(cum, u).tolist()

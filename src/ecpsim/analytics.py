@@ -23,6 +23,10 @@ from .protocol import MAX_ROUNDS, WCoefficients
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
 SERIES_TOLERANCE = 1e-12
 
+# Most points in one sweep: the CLI holds every point until it writes, about
+# 0.4 KB each, so 100 000 points peak near 57 MiB.
+MAX_POINTS = 100_000
+
 
 def p1_round(k: int, c: WCoefficients) -> float:
     """Probability that the first station succeeds exactly at repetition ``k``."""
@@ -144,6 +148,8 @@ class SweepSpec:
             raise DomainError("alpha1 range exceeds normalization with this alpha2")
         if self.n_points < 1:
             raise DomainError("n_points must be at least 1")
+        if self.n_points > MAX_POINTS:
+            raise DomainError(f"n_points must be at most {MAX_POINTS}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ scattering coefficients: the coupled (reflecting) subspace scatters with
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
@@ -283,16 +284,19 @@ def scatter_coefficients(
 
     ``omega`` defaults to the input-photon frequency ``params.omega0`` and must
     be finite (:class:`DomainError` otherwise).  All rates and detunings are
-    divided by kappa before evaluation.
+    divided by kappa before evaluation; kappa_s and every detuning must stay
+    finite once divided (:class:`DomainError` otherwise).
 
     The emitter bracket ``e = i*d_x + gamma/2`` is cancelled out of the hot
     transmission: t = -1/D with D = i*d_c + 1 + kappa_s/2 + g^2 in the
     VERBATIM form and D = i*d_c + 1 + kappa_s/2 + g^2/e in the CORRECTED one,
-    whose limit at e = 0 is t = 0, r = 1 for g > 0.  The limit is also taken
-    where g^2/e overflows, as |t| is then below the smallest double.  Every
-    denominator then has real part at least 1, so |t| <= 1 and |t0| <= 1 at
-    any finite frequency.  The cold transmission is t0 = -1/D0, with
-    D0 = i*d_0 + 1 + kappa_s/2.
+    whose limit at e = 0 is t = 0, r = 1 for g > 0.  In either form the limit
+    is also taken where -1/D is not finite or rounds to 0, as where g^2 or
+    g^2/e overflows: |t| is then negligible next to 1, and r = -t*(D - 1)
+    would read 0 or NaN.  Every denominator has real part at least 1, so
+    |t| <= 1 and |t0| <= 1 at any finite frequency.  The cold transmission is
+    t0 = -1/D0, with D0 = i*d_0 + 1 + kappa_s/2, and r0 takes the same limit
+    where t0 rounds to 0.
 
     Each reflection amplitude is r = 1 + t = -t*(D - 1), with D - 1 summed
     without the 1 (r0 likewise from D0 - 1 = i*d_0 + kappa_s/2): forming
@@ -310,16 +314,18 @@ def scatter_coefficients(
     d_x = (params.omega_x - omega) / k
     d_c = (params.omega_c - omega) / k
     d_0 = (params.omega0 - omega) / k
+    if not all(map(math.isfinite, (ks, d_x, d_c, d_0))):
+        raise DomainError("kappa_s and the detunings over kappa must be finite")
 
     t0 = -1.0 / (1j * d_0 + ks / 2.0 + 1.0)
-    r0 = -t0 * (1j * d_0 + ks / 2.0)
+    r0 = -t0 * (1j * d_0 + ks / 2.0) if t0 != 0 else 1.0 + 0j
     emitter = 1j * d_x + gm / 2.0
     coupling = gg * gg
     if convention is DenominatorConvention.CORRECTED and coupling > 0.0:
         coupling = coupling / emitter if emitter != 0 else math.inf
-        if not math.isfinite(abs(coupling)):
-            return ScatterCoefficients(t=0j, r=1.0 + 0j, t0=t0, r0=r0)
     t = -1.0 / (1j * d_c + 1.0 + ks / 2.0 + coupling)
+    if t == 0 or not cmath.isfinite(t):
+        return ScatterCoefficients(t=0j, r=1.0 + 0j, t0=t0, r0=r0)
     r = -t * (1j * d_c + ks / 2.0 + coupling)
     return ScatterCoefficients(t=t, r=r, t0=t0, r0=r0)
 

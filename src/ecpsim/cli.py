@@ -17,25 +17,14 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from typing import Callable, Iterator, Sequence, TextIO
 
 from .analytics import SweepSpec, sweep, write_sweep_csv
 from .cavity import CavityParams, DenominatorConvention, scatter_coefficients
-from .errors import (
-    ConfigError,
-    DegenerateCoefficientsError,
-    DomainError,
-    InvalidCoefficientsError,
-)
+from .errors import ConfigError, EcpError
 from .oracle import compare_all, simplex_grid
 from .protocol import ProtocolConfig, WCoefficients, run_protocol
-
-_USAGE_ERRORS = (
-    ConfigError,
-    DegenerateCoefficientsError,
-    DomainError,
-    InvalidCoefficientsError,
-)
 
 
 # -- flag parsing helpers ------------------------------------------------------
@@ -62,18 +51,23 @@ def _parse_range(text: str, field: str) -> tuple[float, float]:
         raise ConfigError(f"{field}: non-numeric bound in {text!r}") from None
 
 
-def _pick(flag, parse: Callable, table: dict, key: str, default: Callable):
-    """The flag through ``parse``, else the config file's value, else ``default()``."""
-    if flag is not None:
-        return parse(flag)
-    return table[key] if key in table else default()
-
-
 def _cavity(prefix: str, **rates) -> CavityParams:
     try:
         return CavityParams(**rates)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _cavity_flag(text: str) -> CavityParams:
+    ks, g, gm = _parse_values(text, 3, "cavity")
+    return _cavity("cavity: ", kappa_s=ks, g=g, gamma=gm)
+
+
+def _convention(token: str) -> DenominatorConvention:
+    try:
+        return DenominatorConvention(token)
+    except ValueError:
+        raise ConfigError(f"convention: unknown value {token!r}") from None
 
 
 def _default_seed() -> int:
@@ -156,27 +150,14 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _convention(args: argparse.Namespace, file_cfg: dict) -> DenominatorConvention:
-    """``--convention``: the flag, else the config file, else verbatim."""
-    token = _pick(args.convention, str, file_cfg, "convention",
-                  lambda: DenominatorConvention.VERBATIM.value)
-    try:
-        return DenominatorConvention(token)
-    except ValueError:
-        raise ConfigError(f"convention: unknown value {token!r}") from None
-
-
-def _cavity_and_convention(
-    args: argparse.Namespace, file_cfg: dict
-) -> tuple[CavityParams | None, DenominatorConvention]:
-    """``--cavity``/``--convention``: the flag, else the config file, else the default."""
-    convention = _convention(args, file_cfg)
-    if args.cavity is not None:
-        ks, g, gm = _parse_values(args.cavity, 3, "cavity")
-        return _cavity("cavity: ", kappa_s=ks, g=g, gamma=gm), convention
-    if "cavity" in file_cfg:
-        return _cavity("config: cavity: ", **file_cfg["cavity"]), convention
-    return None, convention
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's values as parser defaults: the ``sweep`` section flattened
+    into its flags' names, the ``cavity`` section built unless ``--cavity`` overrides it."""
+    defaults = _load_config(args.config)
+    defaults.update(defaults.pop("sweep", {}))
+    if "cavity" in defaults and args.cavity is None:
+        defaults["cavity"] = _cavity("config: cavity: ", **defaults["cavity"])
+    return defaults
 
 
 @contextlib.contextmanager
@@ -196,29 +177,19 @@ def _output(out: str | None) -> Iterator[TextIO]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    alpha = _pick(args.alpha, lambda text: _parse_values(text, 3, "alpha"), cfg, "alpha",
-                  lambda: None)
-    if alpha is None:
+    if args.alpha is None:
         raise ConfigError("alpha: required (flag --alpha or config file)")
     # As floats, so a config integer squares like the flag's value instead
     # of growing past the float range.
-    coefficients = WCoefficients.normalized(*map(float, alpha))
-    rounds = _pick(args.rounds, lambda text: _parse_values(text, 2, "rounds", int), cfg, "rounds",
-                   lambda: (1, 1))
-    mode = _pick(args.mode, str, cfg, "mode", lambda: "tree")
-    shots = _pick(args.shots, int, cfg, "shots", lambda: 0)
-    seed = _pick(args.seed, int, cfg, "seed", _default_seed)
-    cavity, convention = _cavity_and_convention(args, cfg)
-
+    coefficients = WCoefficients.normalized(*map(float, args.alpha))
     config = ProtocolConfig(
-        max_rounds_alice=rounds[0],
-        max_rounds_charlie=rounds[1],
-        cavity=cavity,
-        convention=convention,
-        rng_seed=seed,
-        mode=mode,
-        n_shots=shots,
+        max_rounds_alice=args.rounds[0],
+        max_rounds_charlie=args.rounds[1],
+        cavity=args.cavity,
+        convention=args.convention,
+        rng_seed=_default_seed() if args.seed is None else args.seed,
+        mode=args.mode,
+        n_shots=args.shots,
     )
     trace = run_protocol(coefficients, config)
     with _output(args.out) as stream:
@@ -228,18 +199,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    table = cfg.get("sweep", {})
-    alpha1_range = _pick(args.alpha1_range, lambda text: _parse_range(text, "alpha1-range"),
-                         table, "alpha1_range", lambda: (0.01, 0.8105))
-    cavity, convention = _cavity_and_convention(args, cfg)
-
     spec = SweepSpec(
-        alpha2=_pick(args.alpha2, float, table, "alpha2", lambda: 1.0 / math.sqrt(3.0)),
-        alpha1_range=tuple(map(float, alpha1_range)),
-        n_points=_pick(args.points, int, table, "points", lambda: 200),
-        cavity=cavity,
-        convention=convention,
+        alpha2=args.alpha2,
+        alpha1_range=tuple(map(float, args.alpha1_range)),
+        n_points=args.points,
+        cavity=args.cavity,
+        convention=args.convention,
     )
     curve = sweep(spec)
     with _output(args.out) as stream:
@@ -260,17 +225,8 @@ def _print_report_table(reports, stream: TextIO) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    depths = _parse_values(args.depth, 2, "depth", int)
-    cavity, convention = _cavity_and_convention(args, {})
-
-    grid = simplex_grid(args.grid)
-    reports = compare_all(
-        grid,
-        depths=depths,
-        tolerance=args.tol,
-        cavity=cavity,
-        convention=convention,
-    )
+    reports = compare_all(simplex_grid(args.grid), depths=args.depth, tolerance=args.tol,
+                          cavity=args.cavity, convention=args.convention)
     _print_report_table(reports, sys.stdout)
     failed = sum(1 for rep in reports if not rep.passed)
     print(f"summary: {len(reports)} comparisons, {failed} failed")
@@ -279,9 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     params = _cavity("", kappa_s=args.kappa_s, g=args.g, gamma=args.gamma)
-    convention = _convention(args, {})
-    sc = scatter_coefficients(params, omega=args.omega_detuning, convention=convention)
-    obj = {"convention": convention.value}
+    sc = scatter_coefficients(params, omega=args.omega_detuning, convention=args.convention)
+    obj = {"convention": args.convention.value}
     obj.update(sc.to_json_obj())
     obj["transmitted_signal_fraction"] = sc.transmitted_signal_fraction
     obj["reflected_signal_fraction"] = sc.reflected_signal_fraction
@@ -293,40 +248,50 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; a string default goes through its flag's ``type``, as a flag would."""
     parser = argparse.ArgumentParser(
         prog="ecpsim",
         description="Simulate and analyze the three-spin concentration protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_cavity(cmd: argparse.ArgumentParser, cavity_help: str) -> None:
+        cmd.add_argument("--cavity", type=_cavity_flag, help=cavity_help)
+        cmd.add_argument("--convention", type=_convention, default="verbatim",
+                         help="lossy denominator form: verbatim or corrected")
+
     sim = sub.add_parser("simulate", help="run the protocol once, emit a JSON trace")
     sim.add_argument("--config", help="JSON config file; flags override its values")
-    sim.add_argument("--alpha", help="initial coefficients a1,a2,a3 (normalized)")
-    sim.add_argument("--rounds", help="max rounds per station, kA,kC (default 1,1)")
-    sim.add_argument("--mode", choices=("tree", "mc"), help="exact tree or Monte Carlo")
-    sim.add_argument("--shots", type=int, help="sample count for mc mode")
+    sim.add_argument("--alpha", type=partial(_parse_values, n=3, field="alpha"),
+                     help="initial coefficients a1,a2,a3 (normalized)")
+    sim.add_argument("--rounds", type=partial(_parse_values, n=2, field="rounds", kind=int),
+                     default="1,1", help="max rounds per station, kA,kC (default %(default)s)")
+    sim.add_argument("--mode", choices=("tree", "mc"), default="tree", help="exact tree or Monte Carlo")
+    sim.add_argument("--shots", type=int, default=0, help="sample count for mc mode")
     sim.add_argument("--seed", type=int, help="RNG seed (default: env ECP_SEED or 0)")
-    sim.add_argument("--cavity", help="lossy gate parameters kappa_s,g,gamma (units of kappa)")
-    sim.add_argument("--convention", help="lossy denominator form: verbatim or corrected")
+    add_cavity(sim, "lossy gate parameters kappa_s,g,gamma (units of kappa)")
     sim.add_argument("--out", help="trace file (default stdout)")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, command_parser=sim)
 
     swp = sub.add_parser("sweep", help="emit success-probability curves as CSV")
     swp.add_argument("--config", help="JSON config file; flags override its values")
-    swp.add_argument("--alpha2", type=float, help="fixed second coefficient (default 1/sqrt(3))")
-    swp.add_argument("--alpha1-range", dest="alpha1_range", help="lo:hi (default 0.01:0.8105)")
-    swp.add_argument("--points", type=int, help="number of sweep points (default 200)")
-    swp.add_argument("--cavity", help="lossy gate parameters kappa_s,g,gamma")
-    swp.add_argument("--convention", help="lossy denominator form: verbatim or corrected")
+    swp.add_argument("--alpha2", type=float, default=1.0 / math.sqrt(3.0),
+                     help="fixed second coefficient (default 1/sqrt(3))")
+    swp.add_argument("--alpha1-range", dest="alpha1_range",
+                     type=partial(_parse_range, field="alpha1-range"),
+                     default="0.01:0.8105", help="lo:hi (default %(default)s)")
+    swp.add_argument("--points", type=int, default=200,
+                     help="number of sweep points (default %(default)s)")
+    add_cavity(swp, "lossy gate parameters kappa_s,g,gamma")
     swp.add_argument("--out", help="CSV file (default stdout)")
-    swp.set_defaults(func=cmd_sweep)
+    swp.set_defaults(func=cmd_sweep, command_parser=swp)
 
     ver = sub.add_parser("verify", help="cross-check closed forms against enumeration")
     ver.add_argument("--grid", type=int, default=10, help="simplex grid size n, 1..100 (n*n points)")
-    ver.add_argument("--depth", default="4,4", help="tree depths kA,kC (default 4,4)")
+    ver.add_argument("--depth", type=partial(_parse_values, n=2, field="depth", kind=int),
+                     default="4,4", help="tree depths kA,kC (default %(default)s)")
     ver.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
-    ver.add_argument("--cavity", help="also check lossy one-round forms at kappa_s,g,gamma")
-    ver.add_argument("--convention", help="lossy denominator form: verbatim or corrected")
+    add_cavity(ver, "also check lossy one-round forms at kappa_s,g,gamma")
     ver.set_defaults(func=cmd_verify)
 
     cof = sub.add_parser("coeffs", help="evaluate cavity scattering amplitudes")
@@ -336,21 +301,26 @@ def build_parser() -> argparse.ArgumentParser:
     cof.add_argument("--gamma", type=float, default=0.0, help="dipole decay rate (units of kappa)")
     cof.add_argument("--omega-detuning", dest="omega_detuning", type=float, default=0.0,
                      help="probe detuning from the shared resonance (units of kappa)")
-    cof.add_argument("--convention", help="lossy denominator form: verbatim or corrected")
+    cof.add_argument("--convention", type=_convention, default="verbatim",
+                     help="lossy denominator form: verbatim or corrected")
     cof.set_defaults(func=cmd_coeffs)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command.  The ``--config`` file's values become the command parser's defaults
+    and the arguments are parsed again, so each value resolves as flag > config > default."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args.command_parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except EcpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

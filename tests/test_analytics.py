@@ -220,6 +220,9 @@ def test_sweep_spec_validation():
         SweepSpec(n_points=0)
     with pytest.raises(DomainError):
         SweepSpec(alpha2=1.0)
+    with pytest.raises(DomainError, match="n_points must be at most 100000"):
+        SweepSpec(n_points=100_001)
+    assert SweepSpec(n_points=100_000).n_points == 100_000
 
 
 def test_sweep_grid_and_columns():

@@ -13,6 +13,7 @@ from ecpsim import (
     DenominatorConvention,
     DetectorLabel,
     Direction,
+    DomainError,
     LinearBasisPhotonError,
     LossyOperators,
     PhotonLabel,
@@ -263,9 +264,30 @@ def test_scatter_finite_limits_without_dipole_decay():
     assert sc.t == 0.0 and sc.r == 1.0
 
 
+@pytest.mark.parametrize("convention", list(DenominatorConvention))
+def test_scatter_limit_where_the_hot_transmission_overflows(convention):
+    # g^2 overflows: r would read NaN
+    sc = scatter_coefficients(params(g=1e200), convention=convention)
+    assert sc.t == 0.0 and sc.r == 1.0
+    # -1/D rounds to 0 with D finite (r would read 0 in the VERBATIM form), and
+    # |g^2/e| overflows with finite parts (abs() of it would raise)
+    for p, omega in ((params(g=1.2e154), 1.3e308), (params(g=1.3e154, gamma=1.0), -0.5)):
+        sc = scatter_coefficients(p, omega, convention)
+        assert cmath.isfinite(sc.r) and abs(sc.r) == pytest.approx(1.0)
+    # both denominators overflow inside the division; at g = 0 hot equals cold
+    sc = scatter_coefficients(params(ks=1.7e308), -1.7e308, convention)
+    assert (sc.t, sc.r) == (sc.t0, sc.r0) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("field", ["kappa_s", "omega0", "omega_c", "omega_x"])
+def test_scatter_rejects_rates_that_overflow_over_kappa(field):
+    with pytest.raises(DomainError, match="over kappa must be finite"):
+        scatter_coefficients(CavityParams(kappa=1e-300, **{field: 1e10}), omega=0.0)
+
+
 @given(
-    st.floats(min_value=0, max_value=1e3),
-    st.floats(min_value=0, max_value=1e3),
+    st.floats(min_value=0, max_value=1e300),
+    st.floats(min_value=0, max_value=1e300),
     st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)),
     st.floats(min_value=-1e300, max_value=1e300),
 )

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ecpsim
-from ecpsim import WCoefficients, p1_total, p2_total
+from ecpsim import WCoefficients, ZeroStateError, p1_total, p2_total
 from ecpsim.cli import main
 
 
@@ -301,6 +301,106 @@ def test_simulate_requires_alpha_somewhere(capsys):
     assert "alpha" in err
 
 
+def with_configs(tmp_path, argv):
+    """``argv`` with a dict in it written to a config file and replaced by its path."""
+    return [write_config(tmp_path, arg) if isinstance(arg, dict) else arg for arg in argv]
+
+
+def resolved(command, argv, tmp_path, capsys):
+    """simulate's trace or sweep's CSV rows; None when the command exits 2."""
+    out_file = tmp_path / "out"
+    code, _, err = run([command, *argv, "--out", str(out_file)], capsys)
+    if code == 2:
+        return None
+    assert code == 0, err
+    text = out_file.read_text()
+    if command == "sweep":
+        return [[float(x) for x in row.split(",")] for row in text.splitlines()[1:]]
+    return json.loads(text)
+
+
+_ALPHA = ["--alpha", "1,2,3"]
+
+# (command, config key, config value, flag, other flags, read, (default, config, flag));
+# a default of None means the command exits 2 without the value.
+RESOLVED = [
+    ("simulate", "alpha", [1, 2, 3], ["--alpha", "3,2,1"], [],
+     lambda t: [round(a, 6) for a in t["coefficients"]],
+     (None, [0.267261, 0.534522, 0.801784], [0.801784, 0.534522, 0.267261])),
+    ("simulate", "rounds", [2, 3], ["--rounds", "4,5"], _ALPHA,
+     lambda t: (t["config"]["max_rounds_alice"], t["config"]["max_rounds_charlie"]),
+     ((1, 1), (2, 3), (4, 5))),
+    ("simulate", "mode", "mc", ["--mode", "tree"], _ALPHA + ["--shots", "5"],
+     lambda t: t["config"]["mode"], ("tree", "mc", "tree")),
+    ("simulate", "shots", 7, ["--shots", "9"], _ALPHA + ["--mode", "mc"],
+     lambda t: t["monte_carlo"]["shots"], (None, 7, 9)),
+    ("simulate", "seed", 5, ["--seed", "6"], _ALPHA, lambda t: t["config"]["rng_seed"], (0, 5, 6)),
+    ("simulate", "cavity", {"kappa_s": 0.2, "g": 0.4, "gamma": 0.1}, ["--cavity", "0.3,0.8,0.1"],
+     _ALPHA, lambda t: t["config"].get("cavity", {}).get("g"), (None, 0.4, 0.8)),
+    ("simulate", "convention", "corrected", ["--convention", "verbatim"],
+     _ALPHA + ["--cavity", "0.1,0.5,0.1"], lambda t: t["config"]["convention"],
+     ("verbatim", "corrected", "verbatim")),
+    ("sweep", "sweep.alpha2", 0.5, ["--alpha2", "0.55"], [], lambda rows: rows[0][1],
+     (1.0 / math.sqrt(3.0), 0.5, 0.55)),
+    ("sweep", "sweep.alpha1_range", [0.2, 0.5], ["--alpha1-range", "0.1:0.4"], [],
+     lambda rows: (rows[0][0], rows[-1][0]), ((0.01, 0.8105), (0.2, 0.5), (0.1, 0.4))),
+    ("sweep", "sweep.points", 3, ["--points", "4"], [], len, (200, 3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, flag, others, read, expected", RESOLVED, ids=[case[1] for case in RESOLVED]
+)
+def test_flag_over_config_over_default(
+    command, key, value, flag, others, read, expected, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("ECP_SEED", raising=False)
+    section, _, name = key.rpartition(".")
+    config = write_config(tmp_path, {section: {name: value}} if section else {name: value})
+    observed = []
+    for argv in (others, others + ["--config", config], others + ["--config", config] + flag):
+        output = resolved(command, argv, tmp_path, capsys)
+        observed.append(None if output is None else read(output))
+    assert tuple(observed) == expected
+
+
+@pytest.mark.parametrize(
+    "config, flag",
+    [
+        ({"rounds": [65, 1]}, ["--rounds", "2,2"]),
+        ({"mode": "bogus"}, ["--mode", "tree"]),
+        ({"seed": -1, "mode": "mc", "shots": 10}, ["--seed", "3"]),
+        ({"cavity": {"kappa": -1}}, ["--cavity", "0.1,0.5,0.1"]),
+        ({"convention": "sideways"}, ["--convention", "corrected"]),
+    ],
+    ids=["rounds", "mode", "seed", "cavity", "convention"],
+)
+def test_flag_overrides_an_invalid_config_value(config, flag, tmp_path, capsys):
+    path = write_config(tmp_path, {"alpha": [1, 1, 1], **config})
+    assert run(["simulate", "--config", path, "--out", str(tmp_path / "out")], capsys)[0] == 2
+    assert resolved("simulate", ["--config", path] + flag, tmp_path, capsys) is not None
+
+
+def test_bad_flag_reported_before_bad_config_file(tmp_path, capsys):
+    code, out, err = run(
+        ["simulate", "--config", str(tmp_path / "absent.json"), "--alpha", "1,1"], capsys
+    )
+    assert code == 2
+    assert err == "error: ConfigError: alpha: expected 3 comma-separated values, got '1,1'\n"
+    assert out == ""
+
+
+def test_every_package_error_exits_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ZeroStateError("cannot normalize the zero vector")
+
+    monkeypatch.setattr("ecpsim.cli.scatter_coefficients", fail)
+    code, out, err = run(["coeffs"], capsys)
+    assert code == 2
+    assert err == "error: ZeroStateError: cannot normalize the zero vector\n"
+    assert out == ""
+
+
 # -- sweep -------------------------------------------------------------------------
 
 
@@ -429,6 +529,32 @@ def test_coeffs_unknown_convention(capsys):
     code, _, err = run(["coeffs", "--convention", "sideways"], capsys)
     assert code == 2
     assert "convention" in err
+
+
+# g/kappa of 1e200 (or 5e299) overflows g^2; the lossy gate then takes the
+# strong-coupling limit t = 0, r = 1, as g = 1e150 nearly does, not r = NaN.
+@pytest.mark.parametrize(
+    "source",
+    [["--cavity", "0,1e200,0"], ["--config", {"cavity": {"kappa": 1e-300, "g": 0.5}}]],
+    ids=["flag", "config"],
+)
+def test_overflowing_coupling_takes_the_strong_coupling_limit(source, tmp_path, capsys):
+    argv = ["simulate", "--alpha", "0.8,0.36,0.48", *with_configs(tmp_path, source)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "total_success_probability=0.206928898128898"
+
+
+def test_overflowing_coupling_in_coeffs_and_sweep(capsys):
+    code, out, _ = run(["coeffs", "--g", "1e200"], capsys)
+    assert code == 0
+    assert "NaN" not in out
+    assert json.loads(out)["reflected_signal_fraction"] == 1.0
+    code, out, _ = run(["sweep", "--points", "3", "--cavity", "0,1e200,0"], capsys)
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        fields = row.split(",")
+        assert fields[6:] == fields[3:6]  # no leakage, full coupling: nothing lost
 
 
 # -- golden outputs -----------------------------------------------------------------
@@ -578,10 +704,16 @@ def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
         (["verify", "--grid", "1", "--depth", "9,1"], "DomainError: tree depths must be at most 8"),
         (["verify", "--grid", "1", "--depth", "1,9"], "DomainError: tree depths must be at most 8"),
         (["verify", "--grid", "101", "--depth", "1,1"], "DomainError: grid size must be at most 100"),
+        (["sweep", "--points", "100001"], "DomainError: n_points must be at most 100000"),
+        (["sweep", "--config", {"sweep": {"points": 100001}}], "DomainError: n_points must be at most 100000"),
+        (
+            ["simulate", "--config", {"alpha": [1, 1, 1], "cavity": {"kappa": 1e-300, "omega_c": 1e10}}],
+            "DomainError: kappa_s and the detunings over kappa must be finite",
+        ),
     ],
 )
-def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys):
-    code, out, err = run(argv, capsys)
+def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys, tmp_path):
+    code, out, err = run(with_configs(tmp_path, argv), capsys)
     assert code == 2
     assert error in err
     assert "total_success_probability" not in out

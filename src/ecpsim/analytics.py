@@ -179,8 +179,6 @@ def sweep(spec: SweepSpec) -> list[CurvePoint]:
     for i in range(spec.n_points):
         x = lo if spec.n_points == 1 else lo + i * (hi - lo) / (spec.n_points - 1)
         a3_sq = 1.0 - x * x - spec.alpha2 * spec.alpha2
-        if a3_sq < -1e-9:
-            raise DomainError(f"alpha1 {x} leaves no weight for alpha3")
         c = WCoefficients(x, spec.alpha2, math.sqrt(max(0.0, a3_sq)))
         p1 = p1_round(1, c)
         p2 = p2_round(1, c)

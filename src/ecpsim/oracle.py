@@ -23,8 +23,8 @@ from .protocol import (
     WState,
     alice_round,
     charlie_round,
+    _stage_chains,
     prepare_w_state,
-    run_protocol,
 )
 
 # Deepest tree per station: the tree doubles with every round, and (8, 8)
@@ -254,16 +254,21 @@ def compare_all(
     Covers the per-round success probabilities of both stations (up to four
     rounds), the one-round joint probability, and, when cavity parameters
     are given, the three lossy one-round quantities of the as-published
-    model, taken from a one-round :func:`run_protocol` with that cavity.
-    Both sides of a lossy row scale by the same signal fraction, so those
-    rows do not check the loss model itself.  A comparison passes when its
-    absolute error is at most ``tolerance``, which must be finite and
-    nonnegative (:class:`DomainError` otherwise).
+    model, taken from the first round of each station chain that a run with
+    that cavity computes (``protocol._stage_chains``).  Both sides of a lossy
+    row scale by the same signal fraction, so those rows do not check the
+    loss model itself.  A comparison passes when its absolute error is at
+    most ``tolerance``, which must be finite and nonnegative
+    (:class:`DomainError` otherwise).
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
     k_alice, k_charlie = depths
-    rows: list[tuple[str, tuple[float, float, float], float, float]] = []
+    reports: list[ComparisonReport] = []
+
+    def report(*row) -> None:  # quantity, point, analytic, simulated
+        reports.append(ComparisonReport(*row, tolerance))
+
     if cavity is not None:
         sc = scatter_coefficients(cavity, convention=convention)
         lossy = ProtocolConfig(cavity=cavity, convention=convention)
@@ -272,22 +277,18 @@ def compare_all(
         point = c.as_tuple()
         alice_at, charlie_at, joint = _tree_masses(c, k_alice, k_charlie)
         for k in range(1, min(_ROUND_COMPARISONS, k_alice) + 1):
-            rows.append((f"p1_round[k={k}]", point, analytics.p1_round(k, c), alice_at[k]))
+            report(f"p1_round[k={k}]", point, analytics.p1_round(k, c), alice_at[k])
         for k in range(1, min(_ROUND_COMPARISONS, k_charlie) + 1):
-            rows.append((f"p2_round[k={k}]", point, analytics.p2_round(k, c), charlie_at[k]))
+            report(f"p2_round[k={k}]", point, analytics.p2_round(k, c), charlie_at[k])
         if k_charlie >= 1:
-            rows.append(("pt_one_round", point, analytics.pt_one_round(c), joint))
+            report("pt_one_round", point, analytics.pt_one_round(c), joint)
 
         if cavity is not None:
-            rounds = run_protocol(c, lossy).rounds
             sim_p1, sim_p2 = (
-                sum(o.probability for o in rounds if o.classification is success)
-                for success in (OutcomeClass.ALICE_SUCCESS, OutcomeClass.CHARLIE_SUCCESS)
+                sum(o.probability for o in stages[0] if o.classification is plan.success_class)
+                for plan, stages in _stage_chains(c, lossy)
             )
-            rows.append(("p1_practical", point, analytics.practical_p1(c, sc), sim_p1))
-            rows.append(("p2_practical", point, analytics.practical_p2(c, sc), sim_p2))
-            rows.append(("p_practical", point, analytics.practical_total(c, sc), sim_p1 * sim_p2))
-    return [
-        ComparisonReport(quantity, point, analytic, simulated, tolerance)
-        for quantity, point, analytic, simulated in rows
-    ]
+            report("p1_practical", point, analytics.practical_p1(c, sc), sim_p1)
+            report("p2_practical", point, analytics.practical_p2(c, sc), sim_p2)
+            report("p_practical", point, analytics.practical_total(c, sc), sim_p1 * sim_p2)
+    return reports

@@ -249,26 +249,6 @@ def coefficient_update_charlie(coefficients: WCoefficients) -> WCoefficients:
         raise DegenerateCoefficientsError("retry map undefined for this triple") from exc
 
 
-def _alice_success_coefficients(coefficients: WCoefficients) -> WCoefficients:
-    return WCoefficients.normalized(coefficients.a2, coefficients.a2, coefficients.a3)
-
-
-def first_success(items, success_class: OutcomeClass):
-    """The first of the round outcomes ``items`` of ``success_class``.
-
-    A coefficient small enough leaves every success amplitude below the
-    amplitude drop; then there is no success and this raises
-    :class:`InvalidCoefficientsError`.
-    """
-    for item in items:
-        if item.classification is success_class:
-            return item
-    raise InvalidCoefficientsError(
-        f"no {success_class.value} outcome: its amplitudes fall below the "
-        f"{DEFAULT_TOLERANCE:g} amplitude drop"
-    )
-
-
 # -- single rounds ---------------------------------------------------------------
 
 
@@ -324,7 +304,7 @@ _ALICE_PLAN = _station_plan(
     signal_fraction=lambda sc: sc.transmitted_signal_fraction,
     success_class=OutcomeClass.ALICE_SUCCESS,
     retry_class=OutcomeClass.ALICE_RETRY,
-    success_coefficients=_alice_success_coefficients,
+    success_coefficients=lambda c: WCoefficients.normalized(c.a2, c.a2, c.a3),
     retry_coefficients=coefficient_update_alice,
 )
 _CHARLIE_PLAN = _station_plan(
@@ -382,8 +362,6 @@ def _station_round(
             continue
         norm = math.sqrt(sum(abs(a) ** 2 for _, a in group))
         probability = norm**2
-        if probability == 0.0:
-            continue
         flips = plan.flips[position]
         amplitudes: list[complex | None] = [None, None, None]
         for slot, amp in group:
@@ -477,7 +455,8 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     Retry physics is path-independent (both retry detectors collapse to the
     same state), so one chain per station carries the complete dynamics.
     Likewise every success at a station leaves the same input for the next,
-    so each chain is seeded from the previous station's first-round success.
+    so each chain is seeded from the previous station's first-round success;
+    :class:`InvalidCoefficientsError` if the amplitude drop removed them all.
     """
     scatter = None
     if config.cavity is not None:
@@ -492,7 +471,13 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     for round_fn, plan, limit in stations:
         if chains:
             prev_plan, prev_stages = chains[-1]
-            seed = first_success(prev_stages[0], prev_plan.success_class)
+            success = prev_plan.success_class
+            seed = next((o for o in prev_stages[0] if o.classification is success), None)
+            if seed is None:
+                raise InvalidCoefficientsError(
+                    f"no {success.value} outcome: its amplitudes fall below the "
+                    f"{DEFAULT_TOLERANCE:g} amplitude drop"
+                )
             state, coeffs = seed.post_state, seed.post_coefficients
         stages = []
         for _ in range(limit):
@@ -556,25 +541,11 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
     chains = _stage_chains(coefficients, config)
     rounds = [o for _, stages in chains for stage in stages for o in stage]
 
+    shots = counts = None
     if config.mode == "tree":
         branches, total = _tree_branches(chains)
-        return ProtocolTrace(
-            config=config,
-            coefficients=coefficients,
-            rounds=rounds,
-            branches=branches,
-            total_success_probability=total,
-        )
-
-    from .sampling import _sample_branches  # numpy is needed only here
-
-    branches, counts, total = _sample_branches(config, chains)
-    return ProtocolTrace(
-        config=config,
-        coefficients=coefficients,
-        rounds=rounds,
-        branches=branches,
-        total_success_probability=total,
-        shots=config.n_shots,
-        counts=counts,
-    )
+    else:
+        from .sampling import _sample_branches  # numpy is needed only here
+        branches, counts, total = _sample_branches(config, chains)
+        shots = config.n_shots
+    return ProtocolTrace(config, coefficients, rounds, branches, total, shots, counts)

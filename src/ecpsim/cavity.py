@@ -258,9 +258,16 @@ class ScatterCoefficients:
 
     @property
     def transmitted_signal_fraction(self) -> float:
-        """|t0| / sqrt(|t0|^2 + |t|^2): transmitted-port amplitude that carries parity information."""
+        """|t0| / sqrt(|t0|^2 + |t|^2): transmitted-port amplitude that carries parity information.
+
+        t0 = -1/D0 is never 0 for a finite D0, so where both transmissions
+        read 0 they have rounded away, and their ratio is lost
+        (:class:`DomainError`).
+        """
         denom = math.hypot(abs(self.t0), abs(self.t))
-        return abs(self.t0) / denom if denom > 0.0 else 0.0
+        if denom == 0.0:
+            raise DomainError("both transmissions round to 0, so their ratio is lost")
+        return abs(self.t0) / denom
 
     @property
     def reflected_signal_fraction(self) -> float:
@@ -273,6 +280,10 @@ class ScatterCoefficients:
             name: {"re": value.real, "im": value.imag}
             for name, value in (("t", self.t), ("r", self.r), ("t0", self.t0), ("r0", self.r0))
         }
+
+
+# The least positive float: the coupling term where g > 0 but it rounds to 0.
+_WEAKEST_COUPLING = math.ulp(0.0)
 
 
 def scatter_coefficients(
@@ -290,13 +301,16 @@ def scatter_coefficients(
     The emitter bracket ``e = i*d_x + gamma/2`` is cancelled out of the hot
     transmission: t = -1/D with D = i*d_c + 1 + kappa_s/2 + g^2 in the
     VERBATIM form and D = i*d_c + 1 + kappa_s/2 + g^2/e in the CORRECTED one,
-    whose limit at e = 0 is t = 0, r = 1 for g > 0.  In either form the limit
-    is also taken where -1/D is not finite or rounds to 0, as where g^2 or
-    g^2/e overflows: |t| is then negligible next to 1, and r = -t*(D - 1)
-    would read 0 or NaN.  Every denominator has real part at least 1, so
-    |t| <= 1 and |t0| <= 1 at any finite frequency.  The cold transmission is
-    t0 = -1/D0, with D0 = i*d_0 + 1 + kappa_s/2, and r0 takes the same limit
-    where t0 rounds to 0.
+    whose limit at e = 0 is t = 0, r = 1 for any g > 0.  Where g > 0 but the
+    coupling term g^2 or g^2/e rounds to 0, the least positive float stands
+    in for it: at kappa_s = 0 on resonance, where r0 = 0, a weak coupling
+    then still gives r > 0, and only g = 0 gives r = 0.  In either form the
+    limit is also taken where -1/D is not finite or rounds to 0, as where
+    g^2 or g^2/e overflows: |t| is then negligible next to 1, and
+    r = -t*(D - 1) would read 0 or NaN.  Every denominator has real part at
+    least 1, so |t| <= 1 and |t0| <= 1 at any finite frequency.  The cold
+    transmission is t0 = -1/D0, with D0 = i*d_0 + 1 + kappa_s/2, and r0
+    takes the same limit where t0 rounds to 0.
 
     Each reflection amplitude is r = 1 + t = -t*(D - 1), with D - 1 summed
     without the 1 (r0 likewise from D0 - 1 = i*d_0 + kappa_s/2): forming
@@ -320,9 +334,12 @@ def scatter_coefficients(
     t0 = -1.0 / (1j * d_0 + ks / 2.0 + 1.0)
     r0 = -t0 * (1j * d_0 + ks / 2.0) if t0 != 0 else 1.0 + 0j
     emitter = 1j * d_x + gm / 2.0
+    coupled = params.g > 0.0
     coupling = gg * gg
-    if convention is DenominatorConvention.CORRECTED and coupling > 0.0:
+    if convention is DenominatorConvention.CORRECTED and coupled:
         coupling = coupling / emitter if emitter != 0 else math.inf
+    if coupled and coupling == 0:
+        coupling = _WEAKEST_COUPLING
     t = -1.0 / (1j * d_c + 1.0 + ks / 2.0 + coupling)
     if t == 0 or not cmath.isfinite(t):
         return ScatterCoefficients(t=0j, r=1.0 + 0j, t0=t0, r0=r0)

@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from functools import partial
@@ -28,6 +29,16 @@ from .protocol import ProtocolConfig, WCoefficients, run_protocol
 
 
 # -- flag parsing helpers ------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting with ``-`` and a digit, or ``-.``
+    and a digit, as a value, so ``-1e-3`` is a number as ``-0.001`` is.  No ecpsim
+    option looks like that, so none is shadowed."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _parse_values(text: str, n: int, field: str, kind: type = float) -> tuple:
@@ -249,7 +260,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser; a string default goes through its flag's ``type``, as a flag would."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecpsim",
         description="Simulate and analyze the three-spin concentration protocol.",
     )

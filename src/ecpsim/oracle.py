@@ -21,9 +21,9 @@ from .protocol import (
     RoundOutcome,
     WCoefficients,
     WState,
+    _stage_chains,
     alice_round,
     charlie_round,
-    _stage_chains,
     prepare_w_state,
 )
 

@@ -15,6 +15,7 @@ single-spin phase rotation at the station that ran the gate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
@@ -33,6 +34,7 @@ from .errors import ConfigError, DegenerateCoefficientsError, InvalidCoefficient
 from .hilbert import DEFAULT_TOLERANCE, SpinLabel
 
 _NORM_TOLERANCE = 1e-12
+_NORMAL_MIN = sys.float_info.min  # least positive normal float
 # Round limit per station, shared with the closed forms in ``analytics``.
 MAX_ROUNDS = 64
 
@@ -61,7 +63,16 @@ class WCoefficients:
 
     @classmethod
     def normalized(cls, a1: float, a2: float, a3: float) -> WCoefficients:
-        n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+        """The triple over its norm.  Where the sum of squares leaves the normal
+        float range (it underflows, to 0 or to a few significant bits, or it
+        overflows), the triple is first divided by its largest coefficient."""
+        sum_sq = a1 * a1 + a2 * a2 + a3 * a3
+        if not _NORMAL_MIN <= sum_sq < math.inf:
+            m = max(abs(a1), abs(a2), abs(a3))
+            if 0.0 < m < math.inf:
+                a1, a2, a3 = a1 / m, a2 / m, a3 / m
+                sum_sq = a1 * a1 + a2 * a2 + a3 * a3
+        n = math.sqrt(sum_sq)
         if n == 0.0:
             raise InvalidCoefficientsError("cannot normalize the zero triple")
         return cls(a1 / n, a2 / n, a3 / n)

@@ -279,6 +279,35 @@ def test_scatter_limit_where_the_hot_transmission_overflows(convention):
     assert (sc.t, sc.r) == (sc.t0, sc.r0) == (0.0, 1.0)
 
 
+def test_transmitted_fraction_rejects_two_rounded_transmissions():
+    # the pinned point above: both transmissions round to 0, so their ratio is lost
+    sc = scatter_coefficients(params(ks=1.7e308), -1.7e308)
+    with pytest.raises(DomainError, match="both transmissions round to 0"):
+        sc.transmitted_signal_fraction
+    assert sc.reflected_signal_fraction == pytest.approx(1 / math.sqrt(2))
+
+
+@pytest.mark.parametrize("convention", list(DenominatorConvention))
+def test_scatter_weak_coupling_is_not_zero_coupling(convention):
+    # g/kappa itself rounds to 0 here; g > 0 still reflects
+    sc = scatter_coefficients(CavityParams(kappa=1e300, g=1e-100), convention=convention)
+    assert sc.r != 0 and sc.reflected_signal_fraction == 1.0
+    # no coupling keeps r = r0 = 0, and the fraction's 0.0
+    sc = scatter_coefficients(params(), convention=convention)
+    assert sc.r == sc.r0 == 0 and sc.reflected_signal_fraction == 0.0
+
+
+# g^2 (or g^2/e) rounds to 0 below g ~ 2.2e-162; the least positive float stands in
+@given(
+    st.floats(min_value=5e-324, max_value=1e300),
+    st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1e300)),
+    st.sampled_from(list(DenominatorConvention)),
+)
+def test_any_coupling_reflects_fully_without_leakage_at_resonance(g, gamma, convention):
+    sc = scatter_coefficients(params(g=g, gamma=gamma), convention=convention)
+    assert sc.reflected_signal_fraction == 1.0
+
+
 @pytest.mark.parametrize("field", ["kappa_s", "omega0", "omega_c", "omega_x"])
 def test_scatter_rejects_rates_that_overflow_over_kappa(field):
     with pytest.raises(DomainError, match="over kappa must be finite"):

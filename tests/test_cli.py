@@ -250,10 +250,10 @@ SQUARE_BEYOND_FLOAT = 10**200  # a float can hold it, but not its square
             {"alpha": [1, 1, 1], "rounds": [BEYOND_FLOAT, 1]},
             "ConfigError: round limits must be at most 64",
         ),
-        (
+        (  # normalizes to (1, 1e-200, 1e-200), whose a2 and a3 fall below the amplitude drop
             ["simulate"],
             {"alpha": [SQUARE_BEYOND_FLOAT, 1, 1]},
-            "InvalidCoefficientsError: coefficients not normalized",
+            "InvalidCoefficientsError: no alice_success outcome",
         ),
         (
             ["sweep"],
@@ -557,6 +557,52 @@ def test_overflowing_coupling_in_coeffs_and_sweep(capsys):
         assert fields[6:] == fields[3:6]  # no leakage, full coupling: nothing lost
 
 
+# g/kappa of 1e-170 makes g^2 round to 0; the coupling still reflects, as it
+# does at 1e-160, and only g = 0 leaves the reflected port empty.
+@pytest.mark.parametrize(
+    "g, convention, total",
+    [
+        ("1e-170", "verbatim", "0.14632082709040406"),
+        ("1e-170", "corrected", "0.206928898128898"),
+        ("0", "verbatim", "0.0"),
+        ("0", "corrected", "0.0"),
+    ],
+)
+def test_weak_coupling_is_not_zero_coupling(g, convention, total, capsys):
+    argv = ["simulate", "--alpha", "0.8,0.36,0.48", "--cavity", f"0,{g},0", "--convention", convention]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == f"total_success_probability={total}"
+
+
+def test_weak_coupling_in_coeffs_and_sweep(capsys):
+    code, out, _ = run(["coeffs", "--g", "1e-170"], capsys)
+    assert code == 0
+    assert json.loads(out)["reflected_signal_fraction"] == 1.0
+    code, out, _ = run(["sweep", "--points", "3", "--cavity", "0,1e-170,0"], capsys)
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        fields = row.split(",")
+        assert fields[7] == fields[4]  # p2_practical: the reflected port keeps its signal
+
+
+@pytest.mark.parametrize("alpha", ["1e200,1e200,1e200", "1e-200,1e-200,1e-200"])
+def test_alpha_scale_does_not_matter(alpha, tmp_path, capsys):
+    scaled, unit = tmp_path / "scaled.json", tmp_path / "unit.json"
+    code, out, _ = run(["simulate", "--alpha", alpha, "--out", str(scaled)], capsys)
+    assert code == 0
+    assert out == "total_success_probability=0.25\n"
+    assert run(["simulate", "--alpha", "1,1,1", "--out", str(unit)], capsys)[0] == 0
+    assert scaled.read_text() == unit.read_text()
+
+
+def test_negative_value_in_exponent_form(capsys):
+    code, out, _ = run(["coeffs", "--omega-detuning", "-1e-3"], capsys)
+    assert code == 0
+    assert run(["coeffs", "--omega-detuning=-1e-3"], capsys)[1] == out
+    assert json.loads(out)["t0"]["im"] != 0.0
+
+
 # -- golden outputs -----------------------------------------------------------------
 
 
@@ -709,6 +755,14 @@ def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
         (
             ["simulate", "--config", {"alpha": [1, 1, 1], "cavity": {"kappa": 1e-300, "omega_c": 1e10}}],
             "DomainError: kappa_s and the detunings over kappa must be finite",
+        ),
+        # negative values in exponent form reach their own checks
+        (["sweep", "--alpha2", "-1e-1"], "DomainError: alpha2 -0.1 outside (0, 1)"),
+        (["verify", "--grid", "1", "--depth", "1,1", "--tol", "-.5e-3"], "DomainError: tolerance -0.0005"),
+        # both transmissions round to 0, so no transmitted fraction is printed
+        (
+            ["coeffs", "--kappa-s", "1.7e308", "--omega-detuning=-1.7e308"],
+            "DomainError: both transmissions round to 0",
         ),
     ],
 )

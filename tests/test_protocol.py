@@ -1,9 +1,10 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
     UnknownDetectorError,
@@ -71,6 +72,22 @@ def test_normalized_rescales():
     assert c.a1 == c.a2 == c.a3
     with pytest.raises(InvalidCoefficientsError):
         WCoefficients.normalized(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1.7e308, 1e154, 1e-155, 1e-160, 1e-200, 5e-324])
+def test_normalized_at_any_scale(scale):
+    # the sum of squares overflows, or underflows to a subnormal or to 0
+    assert WCoefficients.normalized(scale, scale, scale) == WCoefficients.normalized(1.0, 1.0, 1.0)
+    c = WCoefficients.normalized(scale, 0.0, scale)
+    assert c.as_tuple() == WCoefficients.normalized(1.0, 0.0, 1.0).as_tuple()
+
+
+@given(st.tuples(*[st.just(0.0) | st.floats(min_value=1e-150, max_value=1e150)] * 3))
+def test_normalized_keeps_the_plain_norm_in_the_normal_range(triple):
+    sum_sq = sum(a * a for a in triple)
+    assume(sys.float_info.min <= sum_sq < math.inf)
+    n = math.sqrt(sum_sq)
+    assert WCoefficients.normalized(*triple).as_tuple() == tuple(a / n for a in triple)
 
 
 def test_symmetric_is_unit_norm():

@@ -185,7 +185,8 @@ class DetectionEvent:
 def detect(state: StateVector, station: Station) -> list[DetectionEvent]:
     """Route a linear-basis photon onto the station's detectors.
 
-    Returns one event per detector with nonzero mass, ordered D1..D8.  Event
+    Returns one event per detector that a term reaches, ordered D1..D8; its
+    terms are distinct spin kets of at least ``DEFAULT_TOLERANCE`` each.  Event
     probabilities sum to the squared norm of ``state``; collapsed spin states
     are normalized and carry no photon.
     """
@@ -201,10 +202,7 @@ def detect(state: StateVector, station: Station) -> list[DetectionEvent]:
     events = []
     for detector in sorted(groups, key=_DETECTOR_ORDER.get):
         collapsed = combine_terms(groups[detector])
-        prob = collapsed.norm() ** 2
-        if prob == 0.0:
-            continue
-        events.append(DetectionEvent(detector, prob, collapsed.normalize()))
+        events.append(DetectionEvent(detector, collapsed.norm() ** 2, collapsed.normalize()))
     return events
 
 
@@ -260,14 +258,9 @@ class ScatterCoefficients:
     def transmitted_signal_fraction(self) -> float:
         """|t0| / sqrt(|t0|^2 + |t|^2): transmitted-port amplitude that carries parity information.
 
-        t0 = -1/D0 is never 0 for a finite D0, so where both transmissions
-        read 0 they have rounded away, and their ratio is lost
-        (:class:`DomainError`).
+        :func:`scatter_coefficients` never rounds t0 away, so the sum is never 0.
         """
-        denom = math.hypot(abs(self.t0), abs(self.t))
-        if denom == 0.0:
-            raise DomainError("both transmissions round to 0, so their ratio is lost")
-        return abs(self.t0) / denom
+        return abs(self.t0) / math.hypot(abs(self.t0), abs(self.t))
 
     @property
     def reflected_signal_fraction(self) -> float:
@@ -284,6 +277,13 @@ class ScatterCoefficients:
 
 # The least positive float: the coupling term where g > 0 but it rounds to 0.
 _WEAKEST_COUPLING = math.ulp(0.0)
+
+
+def _neg_reciprocal(d: complex) -> complex:
+    """-1/d for a finite d.  Python's complex division can overflow inside for a d
+    near the float limit and read 0; the quotient is then taken on d/4 and scaled back."""
+    q = -1.0 / d
+    return q if q != 0 else -1.0 / (d / 4.0) / 4.0
 
 
 def scatter_coefficients(
@@ -305,12 +305,15 @@ def scatter_coefficients(
     coupling term g^2 or g^2/e rounds to 0, the least positive float stands
     in for it: at kappa_s = 0 on resonance, where r0 = 0, a weak coupling
     then still gives r > 0, and only g = 0 gives r = 0.  In either form the
-    limit is also taken where -1/D is not finite or rounds to 0, as where
-    g^2 or g^2/e overflows: |t| is then negligible next to 1, and
-    r = -t*(D - 1) would read 0 or NaN.  Every denominator has real part at
-    least 1, so |t| <= 1 and |t0| <= 1 at any finite frequency.  The cold
-    transmission is t0 = -1/D0, with D0 = i*d_0 + 1 + kappa_s/2, and r0
-    takes the same limit where t0 rounds to 0.
+    limit is also taken where D is not finite, as where g^2 or g^2/e
+    overflows: |t| is then negligible next to 1, and r = -t*(D - 1) would
+    read NaN.  Every denominator has real part at least 1, so |t| <= 1 and
+    |t0| <= 1 at any finite frequency.  The cold transmission is t0 = -1/D0,
+    with D0 = i*d_0 + 1 + kappa_s/2, which is always finite.  Where Python's
+    complex division overflows inside -1/D or -1/D0 for a finite denominator
+    near the float limit, the quotient is taken on a quarter of it
+    (:func:`_neg_reciprocal`), so no finite denominator gives a
+    transmission of 0.
 
     Each reflection amplitude is r = 1 + t = -t*(D - 1), with D - 1 summed
     without the 1 (r0 likewise from D0 - 1 = i*d_0 + kappa_s/2): forming
@@ -331,8 +334,8 @@ def scatter_coefficients(
     if not all(map(math.isfinite, (ks, d_x, d_c, d_0))):
         raise DomainError("kappa_s and the detunings over kappa must be finite")
 
-    t0 = -1.0 / (1j * d_0 + ks / 2.0 + 1.0)
-    r0 = -t0 * (1j * d_0 + ks / 2.0) if t0 != 0 else 1.0 + 0j
+    t0 = _neg_reciprocal(1j * d_0 + ks / 2.0 + 1.0)
+    r0 = -t0 * (1j * d_0 + ks / 2.0)
     emitter = 1j * d_x + gm / 2.0
     coupled = params.g > 0.0
     coupling = gg * gg
@@ -340,9 +343,10 @@ def scatter_coefficients(
         coupling = coupling / emitter if emitter != 0 else math.inf
     if coupled and coupling == 0:
         coupling = _WEAKEST_COUPLING
-    t = -1.0 / (1j * d_c + 1.0 + ks / 2.0 + coupling)
-    if t == 0 or not cmath.isfinite(t):
+    denominator = 1j * d_c + 1.0 + ks / 2.0 + coupling
+    if not cmath.isfinite(denominator):
         return ScatterCoefficients(t=0j, r=1.0 + 0j, t0=t0, r0=r0)
+    t = _neg_reciprocal(denominator)
     r = -t * (1j * d_c + ks / 2.0 + coupling)
     return ScatterCoefficients(t=t, r=r, t0=t0, r0=r0)
 
@@ -358,32 +362,21 @@ class LossyOperators:
 
     coefficients: ScatterCoefficients
 
-    @property
-    def uncoupled(self) -> tuple[complex, complex]:
-        return self.coefficients.t0, self.coefficients.r0
-
-    @property
-    def coupled(self) -> tuple[complex, complex]:
-        return self.coefficients.t, self.coefficients.r
-
-    def weights(self, ket: BasisKet, spin_index: int) -> tuple[complex, complex]:
-        """(transmitted, reflected) amplitudes for one basis ket."""
-        if ket.photon is None:
-            raise ShapeMismatchError("ket carries no photon")
-        if not ket.photon.polarization.is_circular:
-            raise LinearBasisPhotonError("gate acts on circular polarizations only")
-        hot = couples(ket.photon.polarization, ket.photon.direction, ket.spins[spin_index])
-        return self.coupled if hot else self.uncoupled
-
     def apply(self, state: StateVector, spin_index: int) -> StateVector:
         """Scatter every term into its transmitted and reflected branches.
 
         The result is generally subnormalized; the missing mass is photon
         loss through the leakage channel.
         """
+        sc = self.coefficients
         pairs = []
         for ket, amp in state.items():
-            transmit, reflect = self.weights(ket, spin_index)
+            if ket.photon is None:
+                raise ShapeMismatchError("ket carries no photon")
+            if not ket.photon.polarization.is_circular:
+                raise LinearBasisPhotonError("gate acts on circular polarizations only")
+            hot = couples(ket.photon.polarization, ket.photon.direction, ket.spins[spin_index])
+            transmit, reflect = (sc.t, sc.r) if hot else (sc.t0, sc.r0)
             pairs.append((ket, transmit * amp))
             pairs.append((BasisKet(ket.photon.reflected(), ket.spins), reflect * amp))
         return combine_terms(pairs)

@@ -22,8 +22,7 @@ from .protocol import (
     WCoefficients,
     WState,
     _stage_chains,
-    alice_round,
-    charlie_round,
+    _stations,
     prepare_w_state,
 )
 
@@ -78,10 +77,11 @@ def _preorder(
 ) -> Iterator[tuple[int, RoundOutcome, float, int]]:
     """Every non-root node as ``(parent index, outcome, weight, depth)``, in
     pre-order: the root is node 0, the others are numbered as yielded, and a
-    weight is the parent's weight times ``outcome.probability``.  Rounds are
-    memoized on the exact input, behind an identity cache keyed by
-    ``(id(outcome), next round)`` that builds the exact key once per distinct
-    outcome object; the memo keeps every outcome alive, so ids stay unique.
+    weight is the parent's weight times ``outcome.probability``.  Stations and
+    success classes are a run's (``protocol._stations``).  Rounds are memoized
+    on the exact input, behind an identity cache keyed by ``(id(outcome), next
+    round)`` that builds the exact key once per distinct outcome object; the
+    memo keeps every outcome alive, so ids stay unique.
     """
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
@@ -89,11 +89,7 @@ def _preorder(
         raise DomainError("k_charlie must be nonnegative")
     if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
         raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
-    # (round function, round limit, success class) per station; built per
-    # call, so the round functions are looked up at run time.
-    stations = [(alice_round, k_alice, OutcomeClass.ALICE_SUCCESS)]
-    if k_charlie > 0:
-        stations.append((charlie_round, k_charlie, OutcomeClass.CHARLIE_SUCCESS))
+    stations = _stations(k_alice, k_charlie)
     # Exact round input -> its outcomes.  Equal floats have equal bits except
     # for the sign of a zero, so the key adds the sign of every amplitude
     # component.  Coefficients are never -0.0: the root's are positive and
@@ -106,12 +102,13 @@ def _preorder(
         amps = state.amplitudes
         signs = [math.copysign(1.0, x) for a in amps if a is not None for x in (a.real, a.imag)]
         key = (station, amps, tuple(signs), coefficients)
+        round_fn, plan, _ = stations[station]
         if key not in rounds:
-            rounds[key] = stations[station][0](state, coefficients)
+            rounds[key] = round_fn(state, coefficients)
         retry = (station, left - 1) if left > 1 else None
-        success = (station + 1, stations[station + 1][1]) if station + 1 < len(stations) else None
+        success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
         return [
-            (o, o.probability, success if o.classification is stations[station][2] else retry)
+            (o, o.probability, success if o.classification is plan.success_class else retry)
             for o in rounds[key]
         ]
 

@@ -37,6 +37,7 @@ _NORM_TOLERANCE = 1e-12
 _NORMAL_MIN = sys.float_info.min  # least positive normal float
 # Round limit per station, shared with the closed forms in ``analytics``.
 MAX_ROUNDS = 64
+_SEED_LIMIT = 1 << 128  # Philox keys are 128-bit
 
 _UP, _DOWN = SpinLabel.UP, SpinLabel.DOWN
 # The kets a WState holds, in sorted ket order: |uud>, |udu>, |duu>.
@@ -140,8 +141,9 @@ class RoundOutcome:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """One run: round limits, the lossy gate's cavity (``None`` for the ideal
-    gate) and denominator convention, and the tree or Monte Carlo mode."""
+    """One run: round limits (1..MAX_ROUNDS), the lossy gate's cavity (``None``
+    for the ideal gate) and denominator convention, the tree or Monte Carlo
+    mode, seed and shots; checked where it is built (:class:`ConfigError`)."""
 
     max_rounds_alice: int = 1
     max_rounds_charlie: int = 1
@@ -150,6 +152,18 @@ class ProtocolConfig:
     rng_seed: int = 0
     mode: str = "tree"  # "tree" or "mc"
     n_shots: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_rounds_alice < 1 or self.max_rounds_charlie < 1:
+            raise ConfigError("round limits must be at least 1")
+        if self.max_rounds_alice > MAX_ROUNDS or self.max_rounds_charlie > MAX_ROUNDS:
+            raise ConfigError(f"round limits must be at most {MAX_ROUNDS}")
+        if not 0 <= self.rng_seed < _SEED_LIMIT:
+            raise ConfigError(f"seed {self.rng_seed} outside [0, 2**128)")
+        if self.mode not in ("tree", "mc"):
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.mode == "mc" and self.n_shots < 1:
+            raise ConfigError("mc mode requires n_shots >= 1")
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -243,17 +257,34 @@ def _photon_amplitudes(amp_r: float, amp_l: float) -> tuple[float, float]:
 
 
 def coefficient_update_alice(coefficients: WCoefficients) -> WCoefficients:
-    """Retry map for the first station: (a1, a2, a3) -> (a1^2, a2^2, a2*a3) normalized."""
+    """Retry map for the first station: (a1, a2, a3) -> (a1^2, a2^2, a2*a3) normalized.
+
+    Where m^2 underflows, m = max(a1, a2) > 0, the products are taken
+    relative to m*M with M = max(m, a3), so their ratios survive at any scale.
+    """
     a1, a2, a3 = coefficients.as_tuple()
+    m = max(a1, a2)
+    if 0.0 < m and m * m < _NORMAL_MIN:
+        big = max(m, a3)
+        triple = ((a1 / m) * (a1 / big), (a2 / m) * (a2 / big), (a2 / m) * (a3 / big))
+    else:
+        triple = (a1 * a1, a2 * a2, a2 * a3)
     try:
-        return WCoefficients.normalized(a1 * a1, a2 * a2, a2 * a3)
+        return WCoefficients.normalized(*triple)
     except InvalidCoefficientsError as exc:
         raise DegenerateCoefficientsError("retry map undefined for this triple") from exc
 
 
 def coefficient_update_charlie(coefficients: WCoefficients) -> WCoefficients:
-    """Retry map for the second station: (a1, a2, a3) -> (a2^2, a2^2, a3^2) normalized."""
+    """Retry map for the second station: (a1, a2, a3) -> (a2^2, a2^2, a3^2) normalized.
+
+    Where m^2 underflows, m = max(a2, a3) > 0, the squares are taken relative
+    to m^2, so their ratios survive at any scale.
+    """
     a2, a3 = coefficients.a2, coefficients.a3
+    m = max(a2, a3)
+    if 0.0 < m and m * m < _NORMAL_MIN:
+        a2, a3 = a2 / m, a3 / m
     try:
         return WCoefficients.normalized(a2 * a2, a2 * a2, a3 * a3)
     except InvalidCoefficientsError as exc:
@@ -440,20 +471,11 @@ def charlie_round(
 # -- full protocol ----------------------------------------------------------------
 
 
-_SEED_LIMIT = 1 << 128  # Philox keys are 128-bit
-
-
-def _validate_config(config: ProtocolConfig) -> None:
-    if config.max_rounds_alice < 1 or config.max_rounds_charlie < 1:
-        raise ConfigError("round limits must be at least 1")
-    if config.max_rounds_alice > MAX_ROUNDS or config.max_rounds_charlie > MAX_ROUNDS:
-        raise ConfigError(f"round limits must be at most {MAX_ROUNDS}")
-    if not 0 <= config.rng_seed < _SEED_LIMIT:
-        raise ConfigError(f"seed {config.rng_seed} outside [0, 2**128)")
-    if config.mode not in ("tree", "mc"):
-        raise ConfigError(f"unknown mode {config.mode!r}")
-    if config.mode == "mc" and config.n_shots < 1:
-        raise ConfigError("mc mode requires n_shots >= 1")
+def _stations(k_alice: int, k_charlie: int) -> list[tuple[Callable, _StationPlan, int]]:
+    """``(round function, plan, limit)`` of each station whose limit is above 0,
+    in protocol order; built per call, so the round functions are looked up then."""
+    stations = ((alice_round, _ALICE_PLAN, k_alice), (charlie_round, _CHARLIE_PLAN, k_charlie))
+    return [station for station in stations if station[2] > 0]
 
 
 # One station's plan and its per-round outcome tables.
@@ -472,14 +494,9 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     scatter = None
     if config.cavity is not None:
         scatter = scatter_coefficients(config.cavity, convention=config.convention)
-    # Built per call, so the round functions are looked up when a run starts.
-    stations = (
-        (alice_round, _ALICE_PLAN, config.max_rounds_alice),
-        (charlie_round, _CHARLIE_PLAN, config.max_rounds_charlie),
-    )
     state, coeffs = prepare_w_state(coefficients), coefficients
     chains: list[_Chain] = []
-    for round_fn, plan, limit in stations:
+    for round_fn, plan, limit in _stations(config.max_rounds_alice, config.max_rounds_charlie):
         if chains:
             prev_plan, prev_stages = chains[-1]
             success = prev_plan.success_class
@@ -548,7 +565,6 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
     sampled with a counter-based generator (one uniform row per shot), and
     branch records carry observed frequencies.
     """
-    _validate_config(config)
     chains = _stage_chains(coefficients, config)
     rounds = [o for _, stages in chains for stage in stages for o in stage]
 

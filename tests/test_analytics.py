@@ -103,6 +103,13 @@ def test_round_index_domain():
             p2_round(bad, EQUAL)
 
 
+def test_rounds_with_an_empty_photon_pair_are_zero():
+    # the station's photon pair is (0, 0): no amplitude to herald success
+    assert p1_round(1, WCoefficients(0.0, 0.0, 1.0)) == 0.0
+    assert p2_round(1, WCoefficients(1.0, 0.0, 0.0)) == 0.0
+    assert pt_one_round(WCoefficients(0.0, 0.0, 1.0)) == 0.0
+
+
 def test_rounds_survive_extreme_ratio():
     # deep rounds underflow naively (a^(2^k)); grouped ratios must not
     c = WCoefficients.normalized(0.999, 0.01, 0.04)
@@ -138,6 +145,12 @@ def test_partial_sums_monotone(c):
 def test_truncation_error_is_negligible(c):
     assert abs(p1_total(c) - p1_total(c, tol=0.0)) < 1e-10
     assert abs(p2_total(c) - p2_total(c, tol=0.0)) < 1e-10
+
+
+def test_totals_need_a_round():
+    for total in (p1_total, p2_total):
+        with pytest.raises(DomainError, match="k_max must be at least 1"):
+            total(SKEWED, 0)
 
 
 def test_equal_alpha_totals_converge_to_one():

@@ -302,8 +302,8 @@ def test_simulate_requires_alpha_somewhere(capsys):
 
 
 def with_configs(tmp_path, argv):
-    """``argv`` with a dict in it written to a config file and replaced by its path."""
-    return [write_config(tmp_path, arg) if isinstance(arg, dict) else arg for arg in argv]
+    """``argv`` with a dict or list in it written to a config file and replaced by its path."""
+    return [write_config(tmp_path, arg) if isinstance(arg, (dict, list)) else arg for arg in argv]
 
 
 def resolved(command, argv, tmp_path, capsys):
@@ -596,6 +596,20 @@ def test_alpha_scale_does_not_matter(alpha, tmp_path, capsys):
     assert scaled.read_text() == unit.read_text()
 
 
+def test_retry_map_keeps_coefficients_whose_squares_underflow(tmp_path, capsys):
+    # a1^2 and a2^2 underflow; the retry map still gives (1e-170, 1e-170, 1), so
+    # the later rounds have a photon to prepare
+    trace_file = tmp_path / "trace.json"
+    argv = ["simulate", "--alpha", "1e-170,1e-170,1", "--rounds", "3,1", "--out", str(trace_file)]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert out == "total_success_probability=0.0\n"
+    retries = [r for r in json.loads(trace_file.read_text())["rounds"]
+               if r["classification"] == "alice_retry"]
+    assert len(retries) == 6
+    assert all(r["post_coefficients"] == [1e-170, 1e-170, 1.0] for r in retries)
+
+
 def test_negative_value_in_exponent_form(capsys):
     code, out, _ = run(["coeffs", "--omega-detuning", "-1e-3"], capsys)
     assert code == 0
@@ -759,11 +773,16 @@ def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
         # negative values in exponent form reach their own checks
         (["sweep", "--alpha2", "-1e-1"], "DomainError: alpha2 -0.1 outside (0, 1)"),
         (["verify", "--grid", "1", "--depth", "1,1", "--tol", "-.5e-3"], "DomainError: tolerance -0.0005"),
-        # both transmissions round to 0, so no transmitted fraction is printed
+        # malformed flag values and config files
+        (["simulate", "--alpha", "a,b,c"], "ConfigError: alpha: non-numeric value in 'a,b,c'"),
         (
-            ["coeffs", "--kappa-s", "1.7e308", "--omega-detuning=-1.7e308"],
-            "DomainError: both transmissions round to 0",
+            ["simulate", "--alpha", "1,1,1", "--rounds", "1.5,2"],
+            "ConfigError: rounds: non-integer value in '1.5,2'",
         ),
+        (["sweep", "--alpha1-range", "0.5"], "ConfigError: alpha1-range: expected lo:hi, got '0.5'"),
+        (["sweep", "--alpha1-range", "a:b"], "ConfigError: alpha1-range: non-numeric bound in 'a:b'"),
+        (["simulate", "--config", [1]], "ConfigError: config: top level must be an object"),
+        (["simulate", "--config", {"mode": 3}], "ConfigError: config: key 'mode' has wrong type"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys, tmp_path):
@@ -771,6 +790,23 @@ def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys, tmp_path)
     assert code == 2
     assert error in err
     assert "total_success_probability" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, fraction, tolerance",
+    [
+        # Python's complex division overflows inside both -1/D and -1/D0;
+        # at g = 0 the true fraction is 1/sqrt(2)
+        (["--kappa-s", "1.7e308", "--omega-detuning=-1.7e308"], 1 / math.sqrt(2), 1e-15),
+        # and inside -1/D alone: |D|/hypot(|D|, |D0|)
+        (["--g", "1.2e154", "--omega-detuning", "1.3e308"], 0.8307303731728113, 1e-12),
+    ],
+    ids=["both", "hot"],
+)
+def test_coeffs_where_the_transmission_quotients_overflow_inside(argv, fraction, tolerance, capsys):
+    code, out, _ = run(["coeffs", *argv], capsys)
+    assert code == 0
+    assert json.loads(out)["transmitted_signal_fraction"] == pytest.approx(fraction, abs=tolerance)
 
 
 def test_verify_at_the_grid_limit(capsys):

@@ -25,6 +25,7 @@ from ecpsim import (
     p1_round,
     p2_round,
     prepare_w_state,
+    protocol,
     run_protocol,
     simplex_grid,
 )
@@ -260,17 +261,17 @@ def tree_inputs(root):
 
 
 def spy_rounds(monkeypatch, perturb=lambda outcomes: outcomes):
-    """Route the oracle's rounds through a spy that records each input and
-    returns ``perturb`` of the round's outcomes."""
+    """Route the oracle's rounds, which it looks up in ``protocol``, through a
+    spy that records each input and returns ``perturb`` of the round's outcomes."""
     seen = []
     for station in ("alice", "charlie"):
-        original = getattr(oracle, f"{station}_round")
+        original = getattr(protocol, f"{station}_round")
 
         def spy(state, coefficients, original=original, station=station):
             seen.append(exact_input(station, state, coefficients))
             return perturb(original(state, coefficients))
 
-        monkeypatch.setattr(oracle, f"{station}_round", spy)
+        monkeypatch.setattr(protocol, f"{station}_round", spy)
     return seen
 
 

@@ -160,6 +160,33 @@ def test_updates_fix_symmetric_point(update):
     assert c.as_tuple() == pytest.approx(EQUAL.as_tuple(), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "update, c, expected",
+    [
+        (coefficient_update_alice, (1e-170, 1e-170, 1.0), (1e-170, 1e-170, 1.0)),
+        (coefficient_update_charlie, (1.0, 1e-170, 1e-170), EQUAL.as_tuple()),
+    ],
+    ids=["alice", "charlie"],
+)
+def test_updates_keep_ratios_where_squares_underflow(update, c, expected):
+    assert update(WCoefficients(*c)).as_tuple() == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@given(
+    st.tuples(*[st.just(0.0) | st.floats(min_value=1e-300, max_value=1.0)] * 3)
+    .filter(any)
+    .map(lambda t: WCoefficients.normalized(*t))
+)
+def test_updates_keep_the_plain_formula_where_squares_are_normal(c):
+    a1, a2, a3 = c.as_tuple()
+    if max(a1, a2) ** 2 >= sys.float_info.min:
+        plain = WCoefficients.normalized(a1 * a1, a2 * a2, a2 * a3)
+        assert coefficient_update_alice(c).as_tuple() == plain.as_tuple()
+    if max(a2, a3) ** 2 >= sys.float_info.min:
+        plain = WCoefficients.normalized(a2 * a2, a2 * a2, a3 * a3)
+        assert coefficient_update_charlie(c).as_tuple() == plain.as_tuple()
+
+
 @given(interior)
 def test_updates_return_valid_coefficients(c):
     for update in (coefficient_update_alice, coefficient_update_charlie):

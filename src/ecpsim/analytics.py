@@ -13,6 +13,7 @@ underflow gracefully to zero instead of producing 0/0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -49,7 +50,8 @@ def p2_round(k: int, c: WCoefficients) -> float:
     """Probability that the second station succeeds exactly at repetition ``k``.
 
     Depends only on the (a2, a3) pair; a1 has already been consumed by the
-    first station when this loop runs.
+    first station when this loop runs.  Where m^2 underflows, m = max(a2, a3),
+    the squares are taken relative to m^2, so the denominator is not 0.
     """
     if k < 1 or k > MAX_ROUNDS:
         raise DomainError(f"round index {k} outside 1..{MAX_ROUNDS}")
@@ -58,6 +60,8 @@ def p2_round(k: int, c: WCoefficients) -> float:
     if m == 0.0:
         return 0.0
     r = min(a2, a3) / m
+    if m * m < sys.float_info.min:
+        a2, a3, m = a2 / m, a3 / m, 1.0
     power = 2**k
     denominator = a3 * a3 + 2.0 * a2 * a2
     for j in range(1, k + 1):

@@ -87,8 +87,6 @@ _ROUTING: dict[tuple[Station, Direction, Polarization], DetectorLabel] = {
     (Station.CHARLIE, _MINUS, _V): DetectorLabel.D8,
 }
 
-_DETECTOR_ORDER = {d: i for i, d in enumerate(DetectorLabel)}
-
 
 def ideal_interaction(ket: BasisKet, spin_index: int) -> tuple[BasisKet, int]:
     """Apply one gate pass to a single basis ket.
@@ -139,9 +137,9 @@ def hwp45(state: StateVector) -> StateVector:
     return combine_terms(pairs)
 
 
-# Per input polarization (R, then L): the gate sign and the
-# (detector position, wave-plate factor) pairs the component lands on.
-PhotonRoutes = tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
+# One (input polarization index, detector position, gate sign times wave-plate
+# factor) per landing, R (index 0) before L and H before V.
+PhotonRoutes = tuple[tuple[int, int, float], ...]
 
 
 def photon_readout(
@@ -152,23 +150,19 @@ def photon_readout(
     Covers a photon injected along MINUS_Z.  Returns the station's detectors in
     label order and the routes for each value of the gated spin.  Spins never
     change, so a photonless spin ket with amplitude ``s`` puts
-    ``factor * (sign * (p * s))`` on each detector its routes list, ``p`` being
-    the photon amplitude of that input polarization.
+    ``weight * (p * s)`` on each detector its routes list, ``p`` being the
+    photon amplitude of the route's input polarization.
     """
-    detectors = tuple(
-        sorted((d for (s, _, _), d in _ROUTING.items() if s is station), key=_DETECTOR_ORDER.get)
-    )
-    position = {d: i for i, d in enumerate(detectors)}
+    stationed = {d for (s, _, _), d in _ROUTING.items() if s is station}
+    detectors = tuple(d for d in DetectorLabel if d in stationed)
     routes = {}
     for spin in SpinLabel:
         entries = []
-        for pol in (_R, _L):
+        for index, pol in enumerate((_R, _L)):
             out_pol, direction, sign = _INTERACTION[(pol, _MINUS, spin)]
-            lands = tuple(
-                (position[_ROUTING[(station, direction, linear)]], factor)
-                for linear, factor in _HWP[out_pol]
-            )
-            entries.append((sign, lands))
+            for linear, factor in _HWP[out_pol]:
+                position = detectors.index(_ROUTING[(station, direction, linear)])
+                entries.append((index, position, sign * factor))
         routes[spin] = tuple(entries)
     return detectors, routes
 
@@ -200,7 +194,7 @@ def detect(state: StateVector, station: Station) -> list[DetectionEvent]:
         detector = _ROUTING[(station, photon.direction, photon.polarization)]
         groups.setdefault(detector, []).append((ket.without_photon(), amp))
     events = []
-    for detector in sorted(groups, key=_DETECTOR_ORDER.get):
+    for detector in [d for d in DetectorLabel if d in groups]:
         collapsed = combine_terms(groups[detector])
         events.append(DetectionEvent(detector, collapsed.norm() ** 2, collapsed.normalize()))
     return events

@@ -192,11 +192,6 @@ class StateVector:
         """Hermitian inner product, conjugate-linear in ``self``."""
         if self._terms and other._terms and self.shape != other.shape:
             raise ShapeMismatchError("inner product between different basis shapes")
-        if len(self._terms) > len(other._terms):
-            return sum(
-                (self._terms[k].conjugate() * a for k, a in other._terms.items() if k in self._terms),
-                0j,
-            )
         return sum(
             (a.conjugate() * other._terms[k] for k, a in self._terms.items() if k in other._terms),
             0j,

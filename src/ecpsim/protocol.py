@@ -372,15 +372,18 @@ def _station_round(
 
     Gives exactly what the composed reference route in ``tests/reference.py``
     gives, where each of these steps builds a general ``StateVector``: the
-    same complex operations in the same order, and the same
-    ``DEFAULT_TOLERANCE`` drops.  The photon, wave-plate and normalization
-    drops are made here.  The gate is a signed permutation that keeps each
-    amplitude's magnitude, and the wave plate scales it by 1/sqrt(2), so a
-    term the tensor-product or gate drop would remove is removed by the
-    wave-plate drop anyway.  Each spin ket reaches each detector at most
-    once, so the wave-plate and detector sums have a single term after
-    ``0j``.  Slots are visited in sorted ket order, which is the order every
-    intermediate state would have put them in within one detector.
+    same floats and the same ``DEFAULT_TOLERANCE`` drops.  A landing takes
+    ``0j + weight * (p * amp)`` where that route takes ``0j + factor * (0j +
+    sign * (p * amp))``; the bits agree because the sign is +1 or -1,
+    rounding is symmetric in sign and the outer ``0j +`` turns every zero
+    into +0.0.  The photon, wave-plate and normalization drops are made
+    here.  The gate is a signed permutation that keeps each amplitude's
+    magnitude, and the wave plate scales it by 1/sqrt(2), so a term the
+    tensor-product or gate drop would remove is removed by the wave-plate
+    drop anyway.  Each spin ket reaches each detector at most once, so the
+    wave-plate and detector sums have a single term after ``0j``.  Slots are
+    visited in sorted ket order, which is the order every intermediate state
+    would have put them in within one detector.
     """
     tol = DEFAULT_TOLERANCE
     photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]
@@ -389,14 +392,13 @@ def _station_round(
     for slot, amp in enumerate(state.amplitudes):
         if amp is None:
             continue
-        for p, (sign, lands) in zip(photon, plan.routes[slot]):
+        for pol, position, weight in plan.routes[slot]:
+            p = photon[pol]
             if p is None:
                 continue
-            gated = 0j + sign * (p * amp)
-            for position, factor in lands:
-                out = 0j + factor * gated
-                if abs(out) >= tol:
-                    groups[position].append((slot, out))
+            out = 0j + weight * (p * amp)
+            if abs(out) >= tol:
+                groups[position].append((slot, out))
 
     events = []
     for position, group in enumerate(groups):
@@ -490,6 +492,8 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     Likewise every success at a station leaves the same input for the next,
     so each chain is seeded from the previous station's first-round success;
     :class:`InvalidCoefficientsError` if the amplitude drop removed them all.
+    A chain ends before its round limit at its first round whose retry
+    outcomes all fall below the amplitude drop, since no retry continues it.
     """
     scatter = None
     if config.cavity is not None:
@@ -511,16 +515,20 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
         for _ in range(limit):
             outcomes = round_fn(state, coeffs, scatter)
             stages.append(outcomes)
-            retry = next(o for o in outcomes if o.classification is plan.retry_class)
+            retry = next((o for o in outcomes if o.classification is plan.retry_class), None)
+            if retry is None:
+                break
             state, coeffs = retry.post_state, retry.post_coefficients
         chains.append((plan, stages))
     return chains
 
 
 def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
-    """Merged-retry leaves in pre-order: each success continues into the next
-    station, the last station's successes and every station's exhausted
-    retries end a branch."""
+    """Merged-retry leaves in pre-order, and the sum of the last station's
+    success leaves from 0.0 in that order.  Each success continues into the
+    next station; the last station's successes and every station's exhausted
+    retries end a branch, except in a chain that ended on a round with no
+    retry outcome."""
     stations = []
     for plan, stages in chains:
         success = [[o for o in st if o.classification is plan.success_class] for st in stages]
@@ -530,10 +538,8 @@ def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
         stations.append((plan, success, tokens, retry_mass))
 
     records: list[BranchRecord] = []
-    total_success = 0.0
 
     def walk(index: int, path: tuple[str, ...], weight: float) -> None:
-        nonlocal total_success
         plan, success, tokens, retry_mass = stations[index]
         last = index == len(stations) - 1
         reach = 1.0
@@ -542,14 +548,18 @@ def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
                 prob = weight * reach * out.probability
                 if last:
                     records.append(BranchRecord(path + (out.detector.value,), prob, plan.success_class))
-                    total_success += prob
                 else:
                     walk(index + 1, path + (out.detector.value,), prob)
             reach *= mass
             path += (token,)
-        records.append(BranchRecord(path, weight * reach, plan.retry_class))
+        if tokens[-1]:
+            records.append(BranchRecord(path, weight * reach, plan.retry_class))
 
     walk(0, (), 1.0)
+    total_success = 0.0
+    for record in records:
+        if record.classification is stations[-1][0].success_class:
+            total_success += record.probability
     return records, total_success
 
 

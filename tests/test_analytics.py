@@ -110,6 +110,16 @@ def test_rounds_with_an_empty_photon_pair_are_zero():
     assert pt_one_round(WCoefficients(0.0, 0.0, 1.0)) == 0.0
 
 
+@pytest.mark.parametrize("a2, a3", [(1e-160, 1e-170), (1e-170, 1e-160), (1e-170, 1e-170), (5e-324, 0.0)])
+def test_second_station_rounds_where_squares_underflow(a2, a3):
+    # p2_round depends on the (a2, a3) pair only through its ratio, so the
+    # unit-scale pair gives the same values; at (5e-324, 0) it used to divide 0 by 0
+    unit = WCoefficients.normalized(0.0, a2 / max(a2, a3), a3 / max(a2, a3))
+    for k in (1, 2, 3):
+        expected = pytest.approx(p2_round(k, unit), rel=1e-15, abs=0.0)
+        assert p2_round(k, WCoefficients(1.0, a2, a3)) == expected
+
+
 def test_rounds_survive_extreme_ratio():
     # deep rounds underflow naively (a^(2^k)); grouped ratios must not
     c = WCoefficients.normalized(0.999, 0.01, 0.04)

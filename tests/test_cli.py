@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecpsim
+import ecpsim.errors
 from ecpsim import WCoefficients, ZeroStateError, p1_total, p2_total
 from ecpsim.cli import main
 
@@ -610,6 +616,35 @@ def test_retry_map_keeps_coefficients_whose_squares_underflow(tmp_path, capsys):
     assert all(r["post_coefficients"] == [1e-170, 1e-170, 1.0] for r in retries)
 
 
+@pytest.mark.parametrize("rounds", ["1,1", "3,3", "64,64"])
+@pytest.mark.parametrize(
+    "mode",
+    [[], ["--mode", "mc", "--shots", "2000", "--seed", "1"], ["--cavity", "0.1,0.5,0.1"]],
+    ids=["tree", "mc", "lossy"],
+)
+def test_chain_ends_on_a_round_with_no_retry_outcome(rounds, mode, tmp_path, capsys):
+    # Only the |uud> term and the photon's R component survive the 1e-12 drop,
+    # and they reach Alice's success detectors alone, so her chain ends after
+    # its first round, with no alice_retry leaf.
+    trace_file = tmp_path / "trace.json"
+    argv = ["simulate", "--alpha", "1e-180,1e-200,1", "--rounds", rounds, *mode,
+            "--out", str(trace_file)]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert out == "total_success_probability=0.0\n"
+    branches = json.loads(trace_file.read_text())["branches"]
+    assert branches
+    for branch in branches:
+        assert "" not in branch["path"]
+        assert 0.0 <= branch["probability"] <= 1.0
+        assert branch["classification"] != "alice_retry"
+    if "--mode" not in mode:
+        k_alice, k_charlie = map(int, rounds.split(","))
+        c = WCoefficients.normalized(1e-180, 1e-200, 1.0)
+        total = json.loads(trace_file.read_text())["total_success_probability"]
+        assert abs(total - p1_total(c, k_alice) * p2_total(c, k_charlie)) <= 1e-10
+
+
 def test_negative_value_in_exponent_form(capsys):
     code, out, _ = run(["coeffs", "--omega-detuning", "-1e-3"], capsys)
     assert code == 0
@@ -814,3 +849,167 @@ def test_verify_at_the_grid_limit(capsys):
     code, out, _ = run(["verify", "--grid", "100", "--depth", "1,1"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "summary: 30000 comparisons, 0 failed"
+
+
+# -- the exit contract ------------------------------------------------------------
+
+_HUGE = [2**63, 10**30, -(2**63), -(10**30)]
+
+
+def _mostly(usual, rare):
+    """``usual`` seven times in eight, else ``rare``: many command lines then
+    reach a run, and the rest the checks that come before one."""
+    return st.sampled_from([usual] * 7 + [rare]).flatmap(lambda s: s)
+
+
+def _ints(lo, hi, limit):
+    """Integers in lo..hi, or outside the flag's range lo..limit (``None`` for
+    no upper limit), including huge ones."""
+    outside = [lo - 1, *(h for h in _HUGE if h < lo)]
+    if limit is not None:
+        outside += [limit + 1, *(h for h in _HUGE if h > limit)]
+    return _mostly(st.integers(lo, hi), st.sampled_from(outside))
+
+
+# Float flag values.  Rare: signed zeros, subnormals, the normal limits,
+# +-1.7e308, exponent-form negatives, nan and inf tokens.  Usual: positive
+# values on scales far apart, so the 1e-12 amplitude drop can leave a round
+# with no outcome of some class, and ordinary values.
+_EXTREME = st.sampled_from([
+    "0", "-0.0", "5e-324", "-5e-324", "1e-310", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "-1.7976931348623157e308", "1.7e308", "-1.7e308",
+    "-1e-3", "-2.5e-200", "nan", "-nan", "inf", "-inf",
+]) | st.floats().map(repr)
+_SCALES = ["1", "1e-13", "1e-100", "1e-200", "5e-324"]
+_FLOAT_TOKENS = _mostly(
+    st.sampled_from(_SCALES) | st.floats(min_value=0.01, max_value=1.0).map(repr), _EXTREME
+)
+_ONE, _PAIR, _TRIPLE = (st.lists(_FLOAT_TOKENS, min_size=n, max_size=n) for n in (1, 2, 3))
+# Alpha triples: as other floats, or three distinct scales in any order, such
+# as (1e-13, 1e-100, 1), whose first round has no retry outcome.
+_ALPHA = _TRIPLE | st.permutations(_SCALES).map(lambda scales: scales[:3])
+_ROUNDS = st.lists(_ints(1, 16, 64), min_size=2, max_size=2)
+_MC_SHOTS = _ints(1, 500, None)
+_TREE_SHOTS = st.integers() | st.sampled_from(_HUGE)
+_SEEDS = _ints(0, 2**128 - 1, 2**128 - 1)
+_POINTS = _ints(1, 50, 100_000)
+_CAVITY_FIELDS = ["kappa", "kappa_s", "gamma", "g", "omega0", "omega_c", "omega_x"]
+_CAVITY_SECTIONS = st.dictionaries(
+    st.sampled_from(_CAVITY_FIELDS), _FLOAT_TOKENS.map(float), max_size=4
+)
+_CONVENTIONS = st.sampled_from(["verbatim", "corrected"])
+_PLACES = {False: st.sampled_from(["flag", "config", None]), True: st.sampled_from(["flag", "config"])}
+_PROBABILITY_COLUMNS = {"p1", "p2", "p_total", "p1_practical", "p2_practical", "p_practical"}
+_ERROR_NAMES = {
+    name for name, obj in vars(ecpsim.errors).items()
+    if isinstance(obj, type) and issubclass(obj, ecpsim.EcpError)
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A simulate (tree, Monte Carlo or lossy), sweep or coeffs command line:
+    (argv without ``--config``, config file contents).  Each value goes to a
+    flag or to the config file.  Within range, shots are at most 500, sweep
+    points at most 50 and rounds at most 16, so no run is long: a tree trace
+    near the 64-round limit can take half a second to write and check."""
+    command = draw(st.sampled_from(["simulate", "simulate", "sweep", "coeffs"]))
+    argv, config = [command], {}
+
+    def place(flag, key, token, value, required=False):
+        where = draw(_PLACES[required])
+        if where == "flag" or (where == "config" and command == "coeffs"):
+            argv.append(f"--{flag}={token}")
+        elif where == "config":
+            section, _, name = key.rpartition(".")
+            (config.setdefault(section, {}) if section else config)[name] = value
+
+    def floats(tokens):
+        tokens = draw(tokens)
+        return tokens, [float(t) for t in tokens]
+
+    if command == "coeffs":
+        for flag in ("kappa-s", "g", "gamma", "omega-detuning"):
+            (token,), _ = floats(_ONE)
+            place(flag, None, token, None)
+    elif command == "sweep":
+        (token,), (value,) = floats(_ONE)
+        place("alpha2", "sweep.alpha2", token, value)
+        tokens, values = floats(_PAIR)
+        place("alpha1-range", "sweep.alpha1_range", ":".join(tokens), values)
+        points = draw(_POINTS)
+        place("points", "sweep.points", points, points, required=True)
+    else:
+        mode = draw(st.sampled_from(["tree", "mc"]))
+        tokens, values = floats(_ALPHA)
+        place("alpha", "alpha", ",".join(tokens), values, required=True)
+        rounds = draw(_ROUNDS)
+        place("rounds", "rounds", ",".join(map(str, rounds)), rounds)
+        place("mode", "mode", mode, mode, required=mode == "mc")
+        shots = draw(_MC_SHOTS if mode == "mc" else _TREE_SHOTS)
+        place("shots", "shots", shots, shots, required=mode == "mc")
+        seed = draw(_SEEDS)
+        place("seed", "seed", seed, seed)
+    if command != "coeffs" and draw(st.booleans()):
+        tokens, _ = floats(_TRIPLE)
+        place("cavity", "cavity", ",".join(tokens), draw(_CAVITY_SECTIONS))
+    convention = draw(_CONVENTIONS)
+    place("convention", "convention", convention, convention)
+    return argv, config
+
+
+def _check_json_numbers(obj, key=""):
+    """Every number is finite; every probability and signal fraction lies in [0, 1]."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_json_numbers(v, k)
+    elif isinstance(obj, list):
+        for v in obj:
+            _check_json_numbers(v, key)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        assert math.isfinite(obj), (key, obj)
+        if key.endswith(("probability", "_fraction")):
+            assert 0.0 <= obj <= 1.0, (key, obj)
+
+
+@given(command=_cli_argv())
+@settings(max_examples=250, derandomize=True, deadline=None)
+def test_exit_contract(command, tmp_path_factory):
+    argv, config = command
+    if config:
+        path = tmp_path_factory.getbasetemp() / "exit-contract.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, f"--config={path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        name = re.fullmatch(r"error: (\w+): .*", err.splitlines()[-1], re.S)
+        assert name and name.group(1) in _ERROR_NAMES, err
+        return
+    if argv[0] == "sweep":
+        header, *rows = out.splitlines()
+        columns = header.split(",")
+        for row in rows:
+            for column, value in zip(columns, map(float, row.split(",")), strict=True):
+                assert math.isfinite(value), (column, value)
+                if column in _PROBABILITY_COLUMNS:
+                    assert 0.0 <= value <= 1.0, (column, value)
+        return
+    if argv[0] == "coeffs":
+        _check_json_numbers(json.loads(out))
+        return
+    text, summary = out[:-1].rsplit("\n", 1)
+    trace = json.loads(text)
+    _check_json_numbers(trace)
+    total = trace["total_success_probability"]
+    assert summary == f"total_success_probability={total!r}"
+    run_config = trace["config"]
+    if run_config["mode"] == "tree" and "cavity" not in run_config:
+        c = WCoefficients(*trace["coefficients"])
+        expected = p1_total(c, run_config["max_rounds_alice"]) * p2_total(
+            c, run_config["max_rounds_charlie"]
+        )
+        assert abs(total - expected) <= 1e-10

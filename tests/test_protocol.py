@@ -28,6 +28,7 @@ from ecpsim import (
     ProtocolConfig,
     StateVector,
     WCoefficients,
+    WState,
     alice_round,
     charlie_round,
     coefficient_update_alice,
@@ -135,6 +136,25 @@ def test_photon_degenerate_coefficients():
         alice_photon(WCoefficients(0.0, 0.0, 1.0))
     with pytest.raises(DegenerateCoefficientsError):
         charlie_photon(WCoefficients(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: alice_round(WState((1 + 0j, None, None)), WCoefficients(0.0, 0.0, 1.0)),
+         "photon amplitudes are both zero"),
+        (lambda: charlie_round(WState((None, None, 1 + 0j)), WCoefficients(1.0, 0.0, 0.0)),
+         "photon amplitudes are both zero"),
+        (lambda: coefficient_update_alice(WCoefficients(0.0, 0.0, 1.0)),
+         "retry map undefined for this triple"),
+        (lambda: coefficient_update_charlie(WCoefficients(1.0, 0.0, 0.0)),
+         "retry map undefined for this triple"),
+    ],
+    ids=["alice_round", "charlie_round", "update_alice", "update_charlie"],
+)
+def test_rounds_and_retry_maps_reject_an_empty_photon_pair(call, message):
+    with pytest.raises(DegenerateCoefficientsError, match=message):
+        call()
 
 
 # -- coefficient maps ---------------------------------------------------------

@@ -91,7 +91,7 @@ def test_each_spin_ket_reaches_each_detector_once():
         detectors, routes = photon_readout(station)
         assert len(detectors) == 4
         for entries in routes.values():
-            positions = sorted(pos for _, lands in entries for pos, _ in lands)
+            positions = sorted(pos for _, pos, _ in entries)
             assert positions == [0, 1, 2, 3]
 
 

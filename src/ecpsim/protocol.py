@@ -54,7 +54,7 @@ class WCoefficients:
     a3: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(a) for a in (self.a1, self.a2, self.a3)):
+        if not (math.isfinite(self.a1) and math.isfinite(self.a2) and math.isfinite(self.a3)):
             raise InvalidCoefficientsError("coefficients must be finite")
         if self.a1 < 0.0 or self.a2 < 0.0 or self.a3 < 0.0:
             raise InvalidCoefficientsError("coefficients must be nonnegative")

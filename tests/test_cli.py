@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ecpsim
 import ecpsim.errors
 from ecpsim import WCoefficients, ZeroStateError, p1_total, p2_total
-from ecpsim.cli import main
+from ecpsim.cli import json_text, main
 
 
 def run(argv, capsys):
@@ -659,6 +659,14 @@ def test_negative_value_in_exponent_form(capsys):
     "argv, digest",
     [
         (["sweep", "--points", "200"], "57ec234eeabaa2864574292db033bb1b9f99abead99077127a8ac20d913e7e4a"),
+        (["sweep", "--points", "1"], "f251909867f1487eee6f9b3630931838a533c6dfe470724447a5f2cadee257c2"),
+        (["coeffs"], "d0e318c87f70bb518a28f169c9052e2eaa9aa460b9ed4974ab9a8de1c8ece57d"),
+        (
+            # The deep Monte Carlo trace: the longest paths, up to 128 detector tokens.
+            ["simulate", "--alpha", "0.8,0.36,0.48", "--mode", "mc", "--rounds", "64,64",
+             "--shots", "5000", "--seed", "3"],
+            "efce339bd194ccc7465143ec6447f50c893239f9e889e463c3244821ffaca362",
+        ),
         (
             ["verify", "--grid", "3", "--depth", "4,4"],
             "c63989c55f795acfef1f0e67e744ca5fc884dde4534da48259da4eceb64012e5",
@@ -720,6 +728,43 @@ def test_lossy_stdout_golden_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# -- JSON writer -----------------------------------------------------------------------
+
+_JSON_STRINGS = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 a'))
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308])
+    | _JSON_STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=40,
+)
+_NOT_JSON = st.sampled_from([1j, b"x", {1}, frozenset(), object(), ecpsim.errors.EcpError, range(2)])
+_NOT_JSON_KEYS = st.sampled_from([1, 1.5, None, True, (1, 2)])
+
+
+@given(value=_JSON_VALUES)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_json_writer_matches_indented_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@given(value=_JSON_VALUES, foreign=_NOT_JSON, key=_NOT_JSON_KEYS, where=st.integers(0, 2))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_json_writer_rejects_other_types(value, foreign, key, where):
+    wrapped = [[value, foreign], {"k": [value, {"j": foreign}]}, {"k": value, key: value}][where]
+    with pytest.raises(TypeError):
+        json_text(wrapped)
+
+
 # -- argparse plumbing -----------------------------------------------------------------
 
 
@@ -733,6 +778,64 @@ def test_missing_subcommand_exits_2(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"], capsys)[0] == 2
+
+
+def _child_env(**extra):
+    """This environment for a new interpreter that imports the ecpsim under test."""
+    path = [str(Path(ecpsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
+
+
+def _first_call(argv, tmp_path, ecp_seed="0"):
+    """(exit code, stdout, stderr) of ``argv`` as the first and only call of a new process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "ecpsim.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(ECP_SEED=ecp_seed), timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_PLAIN_SIMULATE = ["simulate", "--alpha", "0.8,0.36,0.48"]
+_PLAIN_SWEEP = ["sweep", "--points", "3"]
+_LEAKY_CONFIG = {
+    "rounds": [3, 2], "mode": "mc", "shots": 50, "seed": 5,
+    "cavity": {"kappa_s": 0.1, "g": 0.5, "gamma": 0.1}, "convention": "corrected",
+    "sweep": {"alpha2": 0.5, "alpha1_range": [0.2, 0.5], "points": 4},
+}
+
+
+def test_parser_reuse_keeps_each_call_a_first_call(tmp_path, monkeypatch, capsys):
+    """``main`` reuses one parser per process: no call may change what a later one prints."""
+    monkeypatch.setenv("ECP_SEED", "0")
+    config = tmp_path / "leaky.json"
+    config.write_text(json.dumps(_LEAKY_CONFIG))
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps({"rounds": [1, 1], "bogus": 1}))
+    for plain in (_PLAIN_SIMULATE, _PLAIN_SWEEP):
+        first = _first_call(plain, tmp_path)
+        assert first[0] == 0
+        with_config = run([*plain, "--config", str(config)], capsys)
+        assert with_config[0] == 0 and with_config[1] != first[1]
+        assert run(plain, capsys) == first
+        for failing in (
+            [plain[0], "--bogus"],
+            [*_PLAIN_SIMULATE, "--rounds", "x"],
+            [*_PLAIN_SIMULATE, "--rounds", "0,1"],
+            ["sweep", "--points", "0"],
+            [*plain, "--config", str(bad_config)],
+        ):
+            assert run(failing, capsys)[0] == 2
+            assert run(plain, capsys) == first
+
+
+def test_parser_reuse_honours_each_calls_seed_env(tmp_path, monkeypatch, capsys):
+    argv = [*_PLAIN_SIMULATE, "--mode", "mc", "--shots", "200"]
+    outputs = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("ECP_SEED", seed)
+        outputs.append(run(argv, capsys))
+        assert outputs[-1] == _first_call(argv, tmp_path, ecp_seed=seed)
+    assert outputs[0][1] != outputs[1][1]
 
 
 # -- numpy only for Monte Carlo ----------------------------------------------------------
@@ -757,11 +860,9 @@ _IMPORTS_NUMPY = (
     ids=["verify", "verify-lossy", "sweep", "coeffs", "simulate-tree", "simulate-mc"],
 )
 def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
-    path = [str(Path(ecpsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORTS_NUMPY, *argv],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == str(imports_numpy)

@@ -659,6 +659,10 @@ def test_negative_value_in_exponent_form(capsys):
     "argv, digest",
     [
         (["sweep", "--points", "200"], "57ec234eeabaa2864574292db033bb1b9f99abead99077127a8ac20d913e7e4a"),
+        (
+            ["verify", "--grid", "3", "--depth", "4,4"],
+            "c63989c55f795acfef1f0e67e744ca5fc884dde4534da48259da4eceb64012e5",
+        ),
         (["sweep", "--points", "1"], "f251909867f1487eee6f9b3630931838a533c6dfe470724447a5f2cadee257c2"),
         (["coeffs"], "d0e318c87f70bb518a28f169c9052e2eaa9aa460b9ed4974ab9a8de1c8ece57d"),
         (
@@ -666,10 +670,6 @@ def test_negative_value_in_exponent_form(capsys):
             ["simulate", "--alpha", "0.8,0.36,0.48", "--mode", "mc", "--rounds", "64,64",
              "--shots", "5000", "--seed", "3"],
             "efce339bd194ccc7465143ec6447f50c893239f9e889e463c3244821ffaca362",
-        ),
-        (
-            ["verify", "--grid", "3", "--depth", "4,4"],
-            "c63989c55f795acfef1f0e67e744ca5fc884dde4534da48259da4eceb64012e5",
         ),
     ],
 )

@@ -72,16 +72,21 @@ class BranchNode:
                 yield node
 
 
-def _preorder(
-    c: WCoefficients, k_alice: int, k_charlie: int
-) -> Iterator[tuple[int, RoundOutcome, float, int]]:
-    """Every non-root node as ``(parent index, outcome, weight, depth)``, in
-    pre-order: the root is node 0, the others are numbered as yielded, and a
-    weight is the parent's weight times ``outcome.probability``.  Stations and
-    success classes are a run's (``protocol._stations``).  Rounds are memoized
-    on the exact input, behind an identity cache keyed by ``(id(outcome), next
-    round)`` that builds the exact key once per distinct outcome object; the
-    memo keeps every outcome alive, so ids stay unique.
+# A round table: one ``(probability, is success, child table, outcome)`` row
+# per outcome of one round, in detector order.  The child table is that of the
+# round the outcome's branch runs next, or None where the branch ends.
+_Table = list[tuple[float, bool, "_Table | None", RoundOutcome]]
+
+
+def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
+    """The round tables of the tree to the given depths, from its root's.
+
+    Stations and success classes are a run's (``protocol._stations``).  Rounds
+    are memoized on the exact input, so nodes with equal round inputs share
+    their outcomes, and each table is built once per ``(id(outcome), next
+    round)``; the memo keeps every outcome alive, so ids stay unique.  Tables
+    are built depth first in detector order, so rounds run, and raise, in the
+    pre-order of their first node.
     """
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
@@ -89,48 +94,52 @@ def _preorder(
         raise DomainError("k_charlie must be nonnegative")
     if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
         raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
-    stations = _stations(k_alice, k_charlie)
-    # Exact round input -> its outcomes.  Equal floats have equal bits except
-    # for the sign of a zero, so the key adds the sign of every amplitude
-    # component.  Coefficients are never -0.0: the root's are positive and
-    # every update multiplies or divides nonnegative values.
-    rounds: dict[tuple, list[RoundOutcome]] = {}
+    return _table(_stations(k_alice, k_charlie), {}, {}, 0, k_alice, prepare_w_state(c), c)
 
-    def expand(station: int, left: int, state: WState, coefficients: WCoefficients) -> list:
-        """The round's outcomes with their probabilities and the (station,
-        rounds left) of the round each child runs next, None for a leaf."""
-        amps = state.amplitudes
-        signs = [math.copysign(1.0, x) for a in amps if a is not None for x in (a.real, a.imag)]
-        key = (station, amps, tuple(signs), coefficients)
-        round_fn, plan, _ = stations[station]
-        if key not in rounds:
-            rounds[key] = round_fn(state, coefficients)
-        retry = (station, left - 1) if left > 1 else None
-        success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
-        return [
-            (o, o.probability, success if o.classification is plan.success_class else retry)
-            for o in rounds[key]
-        ]
 
-    # Frames (parent index, parent weight, children's depth, their iterator),
-    # innermost last; a recursive closure would keep the memo alive in a cycle.
-    stack = [(0, 1.0, 1, iter(expand(0, k_alice, prepare_w_state(c), c)))]
-    cached: dict[tuple[int, tuple[int, int]], list] = {}
-    index = 0
-    while stack:
-        parent, parent_weight, depth, kids = stack[-1]
-        for outcome, probability, next_round in kids:
-            index += 1
-            weight = parent_weight * probability
-            yield parent, outcome, weight, depth
-            if next_round is not None:
-                key = (id(outcome), next_round)
-                if key not in cached:
-                    cached[key] = expand(*next_round, outcome.post_state, outcome.post_coefficients)
-                stack.append((index, weight, depth + 1, iter(cached[key])))
-                break  # visit this node's subtree before its next sibling
-        else:
-            stack.pop()
+def _table(
+    stations: list, rounds: dict[tuple, list[RoundOutcome]], tables: dict[tuple, _Table],
+    station: int, left: int, state: WState, coefficients: WCoefficients,
+) -> _Table:
+    """The table of one round with ``left`` rounds to go at ``station``, its
+    rounds memoized in ``rounds`` and its children's tables in ``tables``."""
+    # Equal floats have equal bits except for the sign of a zero, so the key
+    # adds the sign of every amplitude component.  Coefficients are never
+    # -0.0: the root's are positive and every update multiplies or divides
+    # nonnegative values.
+    amps = state.amplitudes
+    signs = [math.copysign(1.0, x) for a in amps if a is not None for x in (a.real, a.imag)]
+    key = (station, amps, tuple(signs), coefficients)
+    round_fn, plan, _ = stations[station]
+    if key not in rounds:
+        rounds[key] = round_fn(state, coefficients)
+    retry = (station, left - 1) if left > 1 else None
+    success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
+    rows = []
+    for outcome in rounds[key]:
+        is_success = outcome.classification is plan.success_class
+        next_round = success if is_success else retry
+        child = None
+        if next_round is not None:
+            cache_key = (id(outcome), next_round)
+            if cache_key not in tables:
+                tables[cache_key] = _table(stations, rounds, tables, *next_round,
+                                           outcome.post_state, outcome.post_coefficients)
+            child = tables[cache_key]
+        rows.append((outcome.probability, is_success, child, outcome))
+    return rows
+
+
+def _grow(node: BranchNode, table: _Table) -> None:
+    """Give ``node`` a child per row of ``table``, and grow each child from its
+    row's child table."""
+    for probability, _, child_table, outcome in table:
+        child = BranchNode(node.path + (outcome.detector,), node.amplitude_weight * probability,
+                           outcome.post_state, outcome.post_coefficients, node.depth + 1,
+                           outcome.classification)
+        node.children.append(child)
+        if child_table is not None:
+            _grow(child, child_table)
 
 
 def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode:
@@ -139,19 +148,15 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     Every detector gets its own child (no merging); each depth must be at
     most :data:`MAX_TREE_ROUNDS` (:class:`DomainError` otherwise), and
     ``k_charlie`` may be 0 for a first-station-only tree, whose successes end
-    as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The nodes come
-    from :func:`_preorder`, the walk :func:`compare_all` sums without nodes;
-    its round memo makes nodes with equal round inputs share frozen
-    ``WState`` and ``WCoefficients`` objects.
+    as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The nodes grow
+    from the round tables that :func:`compare_all` sums without nodes, so
+    nodes with equal round inputs share frozen ``WState`` and
+    ``WCoefficients`` objects.
     """
-    nodes = [BranchNode(path=(), amplitude_weight=1.0, state=None, coefficients=c, depth=0)]
-    for parent, outcome, weight, depth in _preorder(c, k_alice, k_charlie):
-        up = nodes[parent]
-        nodes.append(BranchNode(up.path + (outcome.detector,), weight, outcome.post_state,
-                                outcome.post_coefficients, depth, outcome.classification))
-        up.children.append(nodes[-1])
-    nodes[0].state = prepare_w_state(c)  # after the walk, which checks the depths first
-    return nodes[0]
+    table = _root_table(c, k_alice, k_charlie)
+    root = BranchNode(path=(), amplitude_weight=1.0, state=prepare_w_state(c), coefficients=c, depth=0)
+    _grow(root, table)
+    return root
 
 
 @dataclass(frozen=True)
@@ -210,26 +215,39 @@ def simplex_grid(n: int) -> list[WCoefficients]:
     return points
 
 
+def _success_masses(table: _Table, weight: float, k: int, at: dict[int, float], later: tuple) -> None:
+    """Add the success masses under a node of ``weight`` whose children run
+    round ``k`` of their station: each success into ``at[k]``, and those of
+    the later stations, whose rounds count from 1 again, by ``later``, the
+    ``(at, later)`` of the next station (``()`` after the last)."""
+    for probability, success, child, _ in table:
+        w = weight * probability
+        if success:
+            at[k] += w
+            if child is not None:
+                _success_masses(child, w, 1, *later)
+        elif child is not None:
+            _success_masses(child, w, k + 1, at, later)
+
+
 def _tree_masses(
     c: WCoefficients, k_alice: int, k_charlie: int
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Amplitude-route success masses: per-round station-1 mass, per-round
     station-2 mass (conditional on station-1 success), and the depth-(1,1)
-    joint mass, summed over :func:`_preorder` as over the tree's nodes."""
-    alice_at: dict[int, float] = {k: 0.0 for k in range(1, k_alice + 1)}
-    charlie_at: dict[int, float] = {k: 0.0 for k in range(1, k_charlie + 1)}
-    first_round_joint = 0.0
-    # Pre-order visits every second-station node right after the first-station
-    # success it descends from, so that success's depth counts its station-1 rounds.
-    alice_rounds = 0
-    for _, outcome, weight, depth in _preorder(c, k_alice, k_charlie):
-        if outcome.classification is OutcomeClass.ALICE_SUCCESS:
-            alice_at[depth] += weight
-            alice_rounds = depth
-        elif outcome.classification is OutcomeClass.CHARLIE_SUCCESS:
-            charlie_at[depth - alice_rounds] += weight
-            if depth == 2:
-                first_round_joint += weight
+    joint mass.  The walk visits the tree's nodes in pre-order and takes each
+    node's weight as its parent's times its probability, so every mass adds
+    the node weights of ``enumerate_tree``'s tree in its pre-order."""
+    root = _root_table(c, k_alice, k_charlie)
+    alice_at = {k: 0.0 for k in range(1, k_alice + 1)}
+    charlie_at = {k: 0.0 for k in range(1, k_charlie + 1)}
+    _success_masses(root, 1.0, 1, alice_at, (charlie_at, ()))
+    first_round_joint = 0.0  # a depth-1 node's weight is 1.0 * probability, its probability
+    for probability, success, child, _ in root:
+        if success and child is not None:
+            for p, joint_success, _, _ in child:
+                if joint_success:
+                    first_round_joint += probability * p
     alice_total = sum(alice_at.values())
     if alice_total > 0.0:
         charlie_at = {k: v / alice_total for k, v in charlie_at.items()}

@@ -24,7 +24,6 @@ from .cavity import (
     CavityParams,
     DenominatorConvention,
     DetectorLabel,
-    PhotonRoutes,
     ScatterCoefficients,
     Station,
     photon_readout,
@@ -302,10 +301,11 @@ def _code(detector: DetectorLabel) -> int:
 class _StationPlan:
     """What a round at one station needs, fixed at import.
 
-    ``detectors`` come from :func:`photon_readout`, and ``routes`` holds its
-    routes for the gated spin of each :class:`WState` slot.  ``success`` and
-    ``flips`` are indexed by detector position; ``flips`` marks the slots an
-    even detector's phase correction negates, those whose gated spin is DOWN.
+    ``detectors`` come from :func:`photon_readout`.  ``landings`` and
+    ``success`` are indexed by detector position: ``landings`` holds one
+    ``(slot, polarization index, weight, flip)`` per :class:`WState` slot, in
+    slot order, from the routes of the slot's gated spin, where ``flip`` marks
+    a slot an even detector's phase correction negates (gated spin DOWN).
     ``signal_fraction`` is the lossy gate's factor on the success probability:
     the signal fraction of the station's success port.
     """
@@ -313,9 +313,8 @@ class _StationPlan:
     photon_pair: Callable[[WCoefficients], tuple[float, float]]
     signal_fraction: Callable[[ScatterCoefficients], float]
     detectors: tuple[DetectorLabel, ...]
-    routes: tuple[PhotonRoutes, PhotonRoutes, PhotonRoutes]
+    landings: tuple[tuple[tuple[int, int, float, bool], ...], ...]
     success: tuple[bool, ...]
-    flips: tuple[tuple[bool, bool, bool], ...]
     success_class: OutcomeClass
     retry_class: OutcomeClass
     success_coefficients: Callable[[WCoefficients], WCoefficients]
@@ -327,13 +326,15 @@ def _station_plan(
 ) -> _StationPlan:
     detectors, routes = photon_readout(station)
     gated = [spins[gated_spin] for spins in _W_SPINS]
+    landings: list[list[tuple[int, int, float, bool]]] = [[] for _ in detectors]
+    for slot, spin in enumerate(gated):
+        for pol, position, weight in routes[spin]:
+            flip = _code(detectors[position]) % 2 == 0 and spin is _DOWN
+            landings[position].append((slot, pol, weight, flip))
     return _StationPlan(
         detectors=detectors,
-        routes=tuple(routes[spin] for spin in gated),
+        landings=tuple(map(tuple, landings)),
         success=tuple(d in success for d in detectors),
-        flips=tuple(
-            tuple(_code(d) % 2 == 0 and spin is _DOWN for spin in gated) for d in detectors
-        ),
         **fields,
     )
 
@@ -381,38 +382,37 @@ def _station_round(
     magnitude, and the wave plate scales it by 1/sqrt(2), so a term the
     tensor-product or gate drop would remove is removed by the wave-plate
     drop anyway.  Each spin ket reaches each detector at most once, so the
-    wave-plate and detector sums have a single term after ``0j``.  Slots are
-    visited in sorted ket order, which is the order every intermediate state
-    would have put them in within one detector.
+    wave-plate and detector sums have a single term after ``0j``.  A
+    detector's landings are visited in sorted ket order, which is the order
+    every intermediate state would have put them in, and ``sum`` adds its
+    squares in that order, as the reference route's norm does.
     """
     tol = DEFAULT_TOLERANCE
     photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]
     photon = [None if abs(p) < tol else p for p in photon]
-    groups: list[list[tuple[int, complex]]] = [[] for _ in plan.detectors]
-    for slot, amp in enumerate(state.amplitudes):
-        if amp is None:
-            continue
-        for pol, position, weight in plan.routes[slot]:
-            p = photon[pol]
-            if p is None:
+    amps = state.amplitudes
+    events = []
+    for position, landings in enumerate(plan.landings):
+        kept = []
+        squares = []
+        for slot, pol, weight, flip in landings:
+            amp, p = amps[slot], photon[pol]
+            if amp is None or p is None:
                 continue
             out = 0j + weight * (p * amp)
-            if abs(out) >= tol:
-                groups[position].append((slot, out))
-
-    events = []
-    for position, group in enumerate(groups):
-        if not group:
+            size = abs(out)
+            if size >= tol:
+                kept.append((slot, out, flip))
+                squares.append(size**2)
+        if not kept:
             continue
-        norm = math.sqrt(sum(abs(a) ** 2 for _, a in group))
-        probability = norm**2
-        flips = plan.flips[position]
+        norm = math.sqrt(sum(squares))
         amplitudes: list[complex | None] = [None, None, None]
-        for slot, amp in group:
-            amp = amp / norm
-            if abs(amp) >= tol:
-                amplitudes[slot] = -amp if flips[slot] else amp
-        events.append((position, probability, WState(tuple(amplitudes))))
+        for slot, out, flip in kept:
+            out = out / norm
+            if abs(out) >= tol:
+                amplitudes[slot] = -out if flip else out
+        events.append((position, norm**2, WState(tuple(amplitudes))))
 
     if scatter is not None:
         # Success probabilities shrink by the port signal fraction; whatever
@@ -434,11 +434,11 @@ def _station_round(
             probability = probability * (factor if success else retry_scale)
         outcomes.append(
             RoundOutcome(
-                detector=plan.detectors[position],
-                probability=probability,
-                post_state=post_state,
-                post_coefficients=post_coefficients[success],
-                classification=plan.success_class if success else plan.retry_class,
+                plan.detectors[position],
+                probability,
+                post_state,
+                post_coefficients[success],
+                plan.success_class if success else plan.retry_class,
             )
         )
     return outcomes

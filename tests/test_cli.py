@@ -671,6 +671,17 @@ def test_negative_value_in_exponent_form(capsys):
              "--shots", "5000", "--seed", "3"],
             "efce339bd194ccc7465143ec6447f50c893239f9e889e463c3244821ffaca362",
         ),
+        (
+            # The full verify grid, and a small grid at depths past the four
+            # compared rounds: at two of its points the amplitude drop removes
+            # whole detectors from rounds past the fourth.
+            ["verify", "--grid", "10", "--depth", "4,4"],
+            "195c6f5ab79592800899c7bc1d3440a3e8d40329c9cb5388a0eb72579e360268",
+        ),
+        (
+            ["verify", "--grid", "3", "--depth", "6,6"],
+            "07d34b5ab787a8809fcb7189cac815ab786a28dd7dc3c6de68ec76ef58c72495",
+        ),
     ],
 )
 def test_stdout_golden_digest(argv, digest, capsys):

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import preorder, reference_masses, reference_tree
 
@@ -187,9 +187,23 @@ triples = (
     .map(lambda t: WCoefficients.normalized(*t))
 )
 
+# Fixed deep trees for the two tests below, which draw depths up to 4: each
+# station at MAX_TREE_ROUNDS, and (5, 5).  At NEAR_DROP the amplitude drop
+# removes whole detectors from many rounds.
+NEAR_DROP = WCoefficients.normalized(1.0, 0.5, 1e-11)
+_DEEP = oracle.MAX_TREE_ROUNDS
+DEEP_TREES = [(SKEWED, _DEEP, 1), (SKEWED, 1, _DEEP), (NEAR_DROP, 1, _DEEP), (NEAR_DROP, 5, 5)]
+
+
+def with_deep_trees(test):
+    for case in DEEP_TREES:
+        test = example(*case)(test)
+    return test
+
 
 @settings(max_examples=40, deadline=None)
 @given(triples, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
+@with_deep_trees
 def test_tree_matches_plain_recursion_node_for_node(c, k_alice, k_charlie):
     try:
         expected = [node_record(n) for n in preorder(reference_tree(c, k_alice, k_charlie))]
@@ -212,6 +226,7 @@ def masses_by_bits(masses):
 
 @settings(max_examples=40, deadline=None)
 @given(triples, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
+@with_deep_trees
 def test_tree_masses_match_reference_tree_bit_for_bit(c, k_alice, k_charlie):
     try:
         expected = reference_masses(reference_tree(c, k_alice, k_charlie), k_alice, k_charlie)

@@ -9,11 +9,12 @@ show.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import W_KETS, reference_round, to_w_state
+from reference import W_KETS, reference_round, to_state_vector, to_w_state
 
 from ecpsim import (
     BasisKet,
@@ -102,6 +103,41 @@ def test_each_spin_ket_reaches_each_detector_once():
 def test_round_matches_composed_reference(mode, station, c):
     state = w_state(*c.as_tuple())
     assert json.dumps(prepare_w_state(c).to_json_obj()) == json.dumps(state.to_json_obj())
+    checked_round(state, c, MODES[mode], station)
+
+
+# Round inputs as the tree feeds them: real amplitudes, some negated by an
+# even detector's phase correction, with imaginary part 0.0 or -0.0, slots the
+# drop removed (None), and magnitudes at the 1e-12 drop, which the wave plate's
+# 1/sqrt(2) takes below it; coefficients that may put a photon amplitude there.
+near_drop = st.floats(min_value=1e-12, max_value=1e-10) | st.sampled_from(
+    [1e-12, math.nextafter(1e-12, 1.0), 1.6e-12]
+)
+magnitude = st.floats(min_value=1e-3, max_value=1.0) | near_drop
+tree_amplitude = st.none() | st.builds(
+    lambda m, negated, imag: complex(-m if negated else m, imag),
+    magnitude,
+    st.booleans(),
+    st.sampled_from([0.0, -0.0]),
+)
+tree_states = st.tuples(tree_amplitude, tree_amplitude, tree_amplitude).filter(
+    lambda amps: amps != (None, None, None)
+)
+tree_coefficients = interior | st.tuples(
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(min_value=1e-14, max_value=1e-10),
+).flatmap(st.permutations).map(lambda t: WCoefficients.normalized(*t))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("station", list(Station))
+@given(amplitudes=tree_states, c=tree_coefficients)
+@settings(max_examples=60, deadline=None)
+def test_round_matches_composed_reference_on_tree_states(mode, station, amplitudes, c):
+    state = to_state_vector(WState(amplitudes))
+    # The general state keeps every drawn term and the sign of every zero.
+    assert json.dumps(to_w_state(state).to_json_obj()) == json.dumps(WState(amplitudes).to_json_obj())
     checked_round(state, c, MODES[mode], station)
 
 

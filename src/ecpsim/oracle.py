@@ -82,11 +82,12 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     """The round tables of the tree to the given depths, from its root's.
 
     Stations and success classes are a run's (``protocol._stations``).  Rounds
-    are memoized on the exact input, so nodes with equal round inputs share
-    their outcomes, and each table is built once per ``(id(outcome), next
-    round)``; the memo keeps every outcome alive, so ids stay unique.  Tables
-    are built depth first in detector order, so rounds run, and raise, in the
-    pre-order of their first node.
+    are memoized on the input's values, so nodes with equal round inputs share
+    their outcomes, even where their amplitudes differ in the sign of a zero
+    (see :func:`_table`), and each table is built once per ``(id(outcome),
+    next round)``; the memo keeps every outcome alive, so ids stay unique.
+    Tables are built depth first in detector order, so rounds run, and raise,
+    in the pre-order of their first node.
     """
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
@@ -103,13 +104,14 @@ def _table(
 ) -> _Table:
     """The table of one round with ``left`` rounds to go at ``station``, its
     rounds memoized in ``rounds`` and its children's tables in ``tables``."""
-    # Equal floats have equal bits except for the sign of a zero, so the key
-    # adds the sign of every amplitude component.  Coefficients are never
-    # -0.0: the root's are positive and every update multiplies or divides
-    # nonnegative values.
-    amps = state.amplitudes
-    signs = [math.copysign(1.0, x) for a in amps if a is not None for x in (a.real, a.imag)]
-    key = (station, amps, tuple(signs), coefficients)
+    # The key is by value, and floats equal by value differ at most in the
+    # sign of a zero (complex ``==`` and ``hash`` take -0.0 for 0.0).  Merging
+    # such inputs is exact: a round's outcomes do not depend on the sign of a
+    # zero amplitude component, since each landing takes ``0j + weight * (p *
+    # amp)`` and that ``0j +`` turns every zero into +0.0.  Coefficients are
+    # never -0.0: the root's are positive and every update multiplies or
+    # divides nonnegative values.
+    key = (station, state.amplitudes, coefficients)
     round_fn, plan, _ = stations[station]
     if key not in rounds:
         rounds[key] = round_fn(state, coefficients)

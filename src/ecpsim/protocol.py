@@ -350,6 +350,8 @@ _ALICE_PLAN = _station_plan(
     success_coefficients=lambda c: WCoefficients.normalized(c.a2, c.a2, c.a3),
     retry_coefficients=coefficient_update_alice,
 )
+# Every second-station success leaves the symmetric W state.
+_SYMMETRIC = WCoefficients.symmetric()
 _CHARLIE_PLAN = _station_plan(
     Station.CHARLIE,
     gated_spin=2,
@@ -358,7 +360,7 @@ _CHARLIE_PLAN = _station_plan(
     signal_fraction=lambda sc: sc.reflected_signal_fraction,
     success_class=OutcomeClass.CHARLIE_SUCCESS,
     retry_class=OutcomeClass.CHARLIE_RETRY,
-    success_coefficients=lambda _c: WCoefficients.symmetric(),
+    success_coefficients=lambda _c: _SYMMETRIC,
     retry_coefficients=coefficient_update_charlie,
 )
 

@@ -9,6 +9,7 @@ from reference import preorder, reference_masses, reference_tree
 
 from ecpsim import (
     CavityParams,
+    DenominatorConvention,
     DetectorLabel,
     DomainError,
     EcpError,
@@ -27,6 +28,7 @@ from ecpsim import (
     prepare_w_state,
     protocol,
     run_protocol,
+    scatter_coefficients,
     simplex_grid,
 )
 
@@ -250,29 +252,27 @@ def test_compare_all_builds_no_tree(monkeypatch):
         enumerate_tree(SKEWED, 1, 1)
 
 
-def exact_input(station, state, coefficients):
-    """A round input by its bits."""
-    return (
-        station,
-        tuple(None if a is None else (a.real.hex(), a.imag.hex()) for a in state.amplitudes),
-        tuple(x.hex() for x in coefficients.as_tuple()),
-    )
+def value_input(station, state, coefficients):
+    """A round input by value, as the oracle's memo keys it: complex ``==``
+    and ``hash`` take -0.0 for 0.0."""
+    return (station, state.amplitudes, coefficients.as_tuple())
 
 
 _ALICE_CLASSES = (OutcomeClass.ALICE_SUCCESS, OutcomeClass.ALICE_RETRY)
+ROUND_OF = {"alice": alice_round, "charlie": charlie_round}
+
+
+def round_inputs(root):
+    """``(station, state, coefficients)`` of every internal node under ``root``."""
+    for node in preorder(root):
+        if node.children:
+            station = "alice" if node.children[0].classification in _ALICE_CLASSES else "charlie"
+            yield station, node.state, node.coefficients
 
 
 def tree_inputs(root):
-    """The exact round input of every internal node under ``root``."""
-    return [
-        exact_input(
-            "alice" if node.children[0].classification in _ALICE_CLASSES else "charlie",
-            node.state,
-            node.coefficients,
-        )
-        for node in preorder(root)
-        if node.children
-    ]
+    """The round input of every internal node under ``root``, by value."""
+    return [value_input(*args) for args in round_inputs(root)]
 
 
 def spy_rounds(monkeypatch, perturb=lambda outcomes: outcomes):
@@ -283,31 +283,44 @@ def spy_rounds(monkeypatch, perturb=lambda outcomes: outcomes):
         original = getattr(protocol, f"{station}_round")
 
         def spy(state, coefficients, original=original, station=station):
-            seen.append(exact_input(station, state, coefficients))
+            seen.append(value_input(station, state, coefficients))
             return perturb(original(state, coefficients))
 
         monkeypatch.setattr(protocol, f"{station}_round", spy)
     return seen
 
 
-@pytest.mark.parametrize("c", [SKEWED, EQUAL], ids=["skewed", "equal"])
-def test_tree_evaluates_each_distinct_round_input_once(monkeypatch, c):
+# Rounds per (4, 4) tree: each retry pair (D1/D2, D7/D8) and success pair
+# (D3/D4) leaves states that differ only in the sign of a zero, so the value
+# memo runs about half the rounds a memo on exact bits would (39 and 17).
+TREE_ROUNDS = [(SKEWED, 20), (EQUAL, 8)]
+
+
+@pytest.mark.parametrize("c, rounds", TREE_ROUNDS, ids=["skewed", "equal"])
+def test_tree_evaluates_each_distinct_round_input_once(monkeypatch, c, rounds):
     inputs = tree_inputs(reference_tree(c, 4, 4))
     assert len(inputs) == 465
     seen = spy_rounds(monkeypatch)
     enumerate_tree(c, 4, 4)
-    assert len(seen) == len(set(seen))
+    assert len(seen) == len(set(seen)) == rounds
     assert set(seen) == set(inputs)
     assert len(seen) < 465 // 10
 
 
-@pytest.mark.parametrize("c", [SKEWED, EQUAL], ids=["skewed", "equal"])
-def test_compare_all_evaluates_each_distinct_round_input_once(monkeypatch, c):
+@pytest.mark.parametrize("c, rounds", TREE_ROUNDS, ids=["skewed", "equal"])
+def test_compare_all_evaluates_each_distinct_round_input_once(monkeypatch, c, rounds):
     inputs = tree_inputs(reference_tree(c, 4, 4))
     seen = spy_rounds(monkeypatch)
     compare_all([c], (4, 4))
-    assert len(seen) == len(set(seen))
+    assert len(seen) == len(set(seen)) == rounds
     assert set(seen) == set(inputs)
+
+
+def test_compare_all_round_count_on_the_verify_grid(monkeypatch):
+    # Keyed on exact bits, zero signs included, the memo would run 3 628.
+    seen = spy_rounds(monkeypatch)
+    compare_all(simplex_grid(10), (4, 4))
+    assert len(seen) == 1864
 
 
 def one_ulp_up(amp):
@@ -319,8 +332,10 @@ def flip_zero_imag(amp):
     return complex(amp.real, -amp.imag)
 
 
-@pytest.mark.parametrize("change", [one_ulp_up, flip_zero_imag])
-def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
+def perturb_d2(change):
+    """A ``perturb`` for :func:`spy_rounds` that applies ``change`` to the first
+    amplitude of every D2 post-state."""
+
     def perturb(outcomes):
         out = []
         for o in outcomes:
@@ -330,13 +345,119 @@ def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
             out.append(o)
         return out
 
-    seen = spy_rounds(monkeypatch, perturb)
-    inputs = tree_inputs(enumerate_tree(SKEWED, 4, 4))
+    return perturb
+
+
+@pytest.mark.parametrize("change", [one_ulp_up, flip_zero_imag])
+def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
+    seen = spy_rounds(monkeypatch, perturb_d2(change))
+    root = enumerate_tree(SKEWED, 4, 4)
+    inputs = tree_inputs(root)
     assert len(inputs) == 465
     assert len(seen) == len(set(seen))
     assert set(seen) == set(inputs)
-    # the perturbed states are inputs of their own, absent from the plain tree
-    assert set(seen) - set(tree_inputs(reference_tree(SKEWED, 4, 4)))
+    plain = set(tree_inputs(reference_tree(SKEWED, 4, 4)))
+    d1, d2 = root.children[:2]
+    assert (d1.path, d2.path) == ((DetectorLabel.D1,), (DetectorLabel.D2,))
+    if change is one_ulp_up:
+        # the perturbed states are inputs of their own, absent from the plain tree
+        assert set(seen) - plain
+        assert d2.children[0].state is not d1.children[0].state
+    else:
+        # a flipped zero changes no value: D2's state shares D1's round
+        assert set(seen) == plain
+        assert len(seen) == dict(TREE_ROUNDS)[SKEWED]
+        assert d2.state.amplitudes[0].imag.hex() != d1.state.amplitudes[0].imag.hex()
+        assert all(a.state is b.state for a, b in zip(d1.children, d2.children))
+
+
+# -- zero signs: why the memo may key rounds by value ------------------------------
+
+
+def outcome_bits(outcomes):
+    """Every field of a round's outcomes, floats by their bits."""
+    return [
+        (
+            o.detector,
+            o.classification,
+            o.probability.hex(),
+            tuple(None if a is None else (a.real.hex(), a.imag.hex()) for a in o.post_state.amplitudes),
+            tuple(x.hex() for x in o.post_coefficients.as_tuple()),
+        )
+        for o in outcomes
+    ]
+
+
+def zero_sign_flips(state):
+    """``state`` with each nonempty set of its zero amplitude components negated."""
+    zeros = [
+        (slot, part)
+        for slot, amp in enumerate(state.amplitudes)
+        if amp is not None
+        for part, x in enumerate((amp.real, amp.imag))
+        if x == 0.0
+    ]
+    for mask in range(1, 1 << len(zeros)):
+        parts = [None if amp is None else [amp.real, amp.imag] for amp in state.amplitudes]
+        for bit, (slot, part) in enumerate(zeros):
+            if mask >> bit & 1:
+                parts[slot][part] = -parts[slot][part]
+        yield WState(tuple(None if p is None else complex(*p) for p in parts))
+
+
+def assert_zero_signs_change_nothing(round_fn, state, c, scatter=None):
+    try:
+        expected = outcome_bits(round_fn(state, c, scatter))
+    except EcpError as exc:
+        for flipped in zero_sign_flips(state):
+            with pytest.raises(type(exc)):
+                round_fn(flipped, c, scatter)
+        return
+    for flipped in zero_sign_flips(state):
+        assert outcome_bits(round_fn(flipped, c, scatter)) == expected
+
+
+@pytest.mark.parametrize("c", [SKEWED, EQUAL], ids=["skewed", "equal"])
+def test_round_outcomes_ignore_zero_signs_on_tree_inputs(c):
+    flips = 0
+    for station, state, coefficients in round_inputs(reference_tree(c, 4, 4)):
+        assert_zero_signs_change_nothing(ROUND_OF[station], state, coefficients)
+        flips += sum(1 for _ in zero_sign_flips(state))
+    assert flips > 465
+
+
+zero = st.sampled_from([0.0, -0.0])
+signed_magnitude = st.builds(
+    lambda m, negated: -m if negated else m, st.floats(min_value=1e-12, max_value=1.0), st.booleans()
+)
+# A slot is dropped, or complex with a zero part of either sign.
+zero_part_amplitude = st.none() | st.builds(
+    lambda z, x, zero_imag: complex(x, z) if zero_imag else complex(z, x),
+    zero,
+    zero | signed_magnitude,
+    st.booleans(),
+)
+cavities = st.builds(
+    CavityParams,
+    kappa=st.floats(min_value=0.1, max_value=10.0),
+    kappa_s=st.floats(min_value=0.0, max_value=10.0),
+    gamma=st.floats(min_value=0.0, max_value=10.0),
+    g=st.floats(min_value=0.0, max_value=10.0),
+)
+scatters = st.none() | st.builds(
+    scatter_coefficients, cavities, convention=st.sampled_from(list(DenominatorConvention))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(zero_part_amplitude, zero_part_amplitude, zero_part_amplitude),
+    triples,
+    st.sampled_from(sorted(ROUND_OF)),
+    scatters,
+)
+def test_round_outcomes_ignore_zero_signs(amplitudes, c, station, scatter):
+    assert_zero_signs_change_nothing(ROUND_OF[station], WState(amplitudes), c, scatter)
 
 
 # -- simplex grid ------------------------------------------------------------------

@@ -81,11 +81,12 @@ _Table = list[tuple[float, bool, "_Table | None", RoundOutcome]]
 def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     """The round tables of the tree to the given depths, from its root's.
 
-    Stations and success classes are a run's (``protocol._stations``).  Rounds
-    are memoized on the input's values, so nodes with equal round inputs share
-    their outcomes, even where their amplitudes differ in the sign of a zero
-    (see :func:`_table`), and each table is built once per ``(id(outcome),
-    next round)``; the memo keeps every outcome alive, so ids stay unique.
+    Stations and success classes are a run's (``protocol._stations``).  One
+    rule memoizes both rounds and tables: by the value of their inputs.  A
+    table is built once per ``(station, rounds left, amplitudes,
+    coefficients)``, and its round runs once per ``(station, amplitudes,
+    coefficients)``, so nodes with equal round inputs and equal rounds left
+    share one table, even where their amplitudes differ in the sign of a zero.
     Tables are built depth first in detector order, so rounds run, and raise,
     in the pre-order of their first node.
     """
@@ -95,41 +96,40 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
         raise DomainError("k_charlie must be nonnegative")
     if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
         raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
-    return _table(_stations(k_alice, k_charlie), {}, {}, 0, k_alice, prepare_w_state(c), c)
+    stations = _stations(k_alice, k_charlie)
+    rounds: dict[tuple, list[RoundOutcome]] = {}
+    tables: dict[tuple, _Table] = {}
 
+    def table(station: int, left: int, state: WState, coefficients: WCoefficients) -> _Table:
+        """The table of one round with ``left`` rounds to go at ``station``."""
+        # Both keys are by value, and floats equal by value differ at most in
+        # the sign of a zero (complex ``==`` and ``hash`` take -0.0 for 0.0).
+        # Merging such inputs is exact: a round's outcomes do not depend on the
+        # sign of a zero amplitude component, since each landing takes ``0j +
+        # weight * (p * amp)`` and that ``0j +`` turns every zero into +0.0.
+        # Coefficients are never -0.0: the root's are positive and every update
+        # multiplies or divides nonnegative values.
+        key = (station, left, state.amplitudes, coefficients)
+        if key in tables:
+            return tables[key]
+        round_fn, plan, _ = stations[station]
+        round_key = (station, state.amplitudes, coefficients)
+        if round_key not in rounds:
+            rounds[round_key] = round_fn(state, coefficients)
+        retry = (station, left - 1) if left > 1 else None
+        success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
+        rows = []
+        for outcome in rounds[round_key]:
+            is_success = outcome.classification is plan.success_class
+            next_round = success if is_success else retry
+            child = None
+            if next_round is not None:
+                child = table(*next_round, outcome.post_state, outcome.post_coefficients)
+            rows.append((outcome.probability, is_success, child, outcome))
+        tables[key] = rows
+        return rows
 
-def _table(
-    stations: list, rounds: dict[tuple, list[RoundOutcome]], tables: dict[tuple, _Table],
-    station: int, left: int, state: WState, coefficients: WCoefficients,
-) -> _Table:
-    """The table of one round with ``left`` rounds to go at ``station``, its
-    rounds memoized in ``rounds`` and its children's tables in ``tables``."""
-    # The key is by value, and floats equal by value differ at most in the
-    # sign of a zero (complex ``==`` and ``hash`` take -0.0 for 0.0).  Merging
-    # such inputs is exact: a round's outcomes do not depend on the sign of a
-    # zero amplitude component, since each landing takes ``0j + weight * (p *
-    # amp)`` and that ``0j +`` turns every zero into +0.0.  Coefficients are
-    # never -0.0: the root's are positive and every update multiplies or
-    # divides nonnegative values.
-    key = (station, state.amplitudes, coefficients)
-    round_fn, plan, _ = stations[station]
-    if key not in rounds:
-        rounds[key] = round_fn(state, coefficients)
-    retry = (station, left - 1) if left > 1 else None
-    success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
-    rows = []
-    for outcome in rounds[key]:
-        is_success = outcome.classification is plan.success_class
-        next_round = success if is_success else retry
-        child = None
-        if next_round is not None:
-            cache_key = (id(outcome), next_round)
-            if cache_key not in tables:
-                tables[cache_key] = _table(stations, rounds, tables, *next_round,
-                                           outcome.post_state, outcome.post_coefficients)
-            child = tables[cache_key]
-        rows.append((outcome.probability, is_success, child, outcome))
-    return rows
+    return table(0, k_alice, prepare_w_state(c), c)
 
 
 def _grow(node: BranchNode, table: _Table) -> None:

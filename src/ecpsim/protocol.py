@@ -496,6 +496,10 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     :class:`InvalidCoefficientsError` if the amplitude drop removed them all.
     A chain ends before its round limit at its first round whose retry
     outcomes all fall below the amplitude drop, since no retry continues it.
+    On a gate that loses signal, such a round raises
+    :class:`InvalidCoefficientsError` instead: the loss model books the
+    share that did not herald success to the retry outcomes, and there are
+    none to carry it.
     """
     scatter = None
     if config.cavity is not None:
@@ -519,6 +523,12 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
             stages.append(outcomes)
             retry = next((o for o in outcomes if o.classification is plan.retry_class), None)
             if retry is None:
+                if scatter is not None and plan.signal_fraction(scatter) < 1.0:
+                    raise InvalidCoefficientsError(
+                        f"no {plan.retry_class.value} outcome: its amplitudes fall below the "
+                        f"{DEFAULT_TOLERANCE:g} amplitude drop, so the retry share of a "
+                        f"lossy round has no branch"
+                    )
                 break
             state, coeffs = retry.post_state, retry.post_coefficients
         chains.append((plan, stages))

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecpsim
@@ -625,11 +625,17 @@ def test_retry_map_keeps_coefficients_whose_squares_underflow(tmp_path, capsys):
 def test_chain_ends_on_a_round_with_no_retry_outcome(rounds, mode, tmp_path, capsys):
     # Only the |uud> term and the photon's R component survive the 1e-12 drop,
     # and they reach Alice's success detectors alone, so her chain ends after
-    # its first round, with no alice_retry leaf.
+    # its first round, with no alice_retry leaf.  A lossy gate books the signal
+    # it loses to the retry outcomes, and with none to carry it the run exits 2.
     trace_file = tmp_path / "trace.json"
     argv = ["simulate", "--alpha", "1e-180,1e-200,1", "--rounds", rounds, *mode,
             "--out", str(trace_file)]
     code, out, err = run(argv, capsys)
+    if "--cavity" in mode:
+        assert code == 2
+        assert err.startswith("error: InvalidCoefficientsError: no alice_retry outcome")
+        assert not trace_file.exists()
+        return
     assert code == 0, err
     assert out == "total_success_probability=0.0\n"
     branches = json.loads(trace_file.read_text())["branches"]
@@ -1090,6 +1096,9 @@ def _check_json_numbers(obj, key=""):
 
 
 @given(command=_cli_argv())
+# A lossy run whose first round has no retry outcome: the loss model's retry
+# share would have no branch, so its leaves would sum to 0.778.
+@example(command=(["simulate", "--alpha=1e-180,1e-200,1", "--rounds=3,3", "--cavity=0.1,0.5,0.1"], {}))
 @settings(max_examples=250, derandomize=True, deadline=None)
 def test_exit_contract(command, tmp_path_factory):
     argv, config = command
@@ -1124,6 +1133,9 @@ def test_exit_contract(command, tmp_path_factory):
     total = trace["total_success_probability"]
     assert summary == f"total_success_probability={total!r}"
     run_config = trace["config"]
+    if run_config["mode"] == "tree":
+        leaves = math.fsum(branch["probability"] for branch in trace["branches"])
+        assert abs(leaves - 1.0) <= 1e-9, leaves
     if run_config["mode"] == "tree" and "cavity" not in run_config:
         c = WCoefficients(*trace["coefficients"])
         expected = p1_total(c, run_config["max_rounds_alice"]) * p2_total(

@@ -323,6 +323,51 @@ def test_compare_all_round_count_on_the_verify_grid(monkeypatch):
     assert len(seen) == 1864
 
 
+def distinct_tables(c, k_alice, k_charlie):
+    """``(table, station, rounds left)`` of each distinct table object of the
+    tree: the table and the round its rows come from."""
+    limits = [k for k in (k_alice, k_charlie) if k > 0]
+    stack = [(oracle._root_table(c, k_alice, k_charlie), 0, k_alice)]
+    found = {}
+    while stack:
+        table, station, left = stack.pop()
+        if id(table) not in found:
+            found[id(table)] = (table, station, left)
+            for _, success, child, _ in table:
+                if child is not None:
+                    next_round = (station + 1, limits[station + 1]) if success else (station, left - 1)
+                    stack.append((child, *next_round))
+    return list(found.values())
+
+
+# Distinct tables per tree at (4, 4) and (8, 8).  A table per outcome object,
+# rather than per round input and rounds left, would give 39/93 and 27/51.
+TREE_TABLES = [(SKEWED, 20, 43), (EQUAL, 13, 25)]
+
+
+@pytest.mark.parametrize("c, at4, at8", TREE_TABLES, ids=["skewed", "equal"])
+def test_tree_builds_one_table_per_round_input_and_rounds_left(c, at4, at8):
+    assert len(distinct_tables(c, 4, 4)) == at4
+    assert len(distinct_tables(c, 8, 8)) == at8
+
+
+@pytest.mark.parametrize("c", [SKEWED, EQUAL], ids=["skewed", "equal"])
+@pytest.mark.parametrize("depths", [(4, 4), (8, 8), (3, 0)])
+def test_rows_with_equal_outcomes_share_one_child_table(c, depths):
+    # Each D1/D2, D3/D4 and D7/D8 pair leaves outcomes equal by value.
+    children = {}
+    for table, station, left in distinct_tables(c, *depths):
+        for _, success, child, outcome in table:
+            key = (station, left, success, outcome.post_state.amplitudes, outcome.post_coefficients)
+            children.setdefault(key, set()).add(id(child))
+    assert all(len(ids) == 1 for ids in children.values())
+    assert len(children) < sum(len(table) for table, _, _ in distinct_tables(c, *depths))
+
+
+def test_table_count_on_the_verify_grid():
+    assert sum(len(distinct_tables(c, 4, 4)) for c in simplex_grid(10)) == 1864
+
+
 def one_ulp_up(amp):
     return complex(math.nextafter(amp.real, math.inf), amp.imag)
 

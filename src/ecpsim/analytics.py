@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 from .cavity import CavityParams, DenominatorConvention, ScatterCoefficients, scatter_coefficients
@@ -132,28 +131,40 @@ def p2_simplified(alpha1: float) -> float:
 # -- parameter sweeps -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional sweep over a1 at fixed a2 (a3 follows from normalization)."""
-
+class _SweepSpecFields(NamedTuple):
     alpha2: float = _ALPHA2_DEFAULT
     alpha1_range: tuple[float, float] = (0.01, 0.8105)
     n_points: int = 200
     cavity: CavityParams | None = None
     convention: DenominatorConvention = DenominatorConvention.VERBATIM
 
-    def __post_init__(self) -> None:
+
+class SweepSpec(_SweepSpecFields):
+    """One-dimensional sweep over a1 at fixed a2 (a3 follows from normalization),
+    checked where it is built (:class:`DomainError`): every point it sweeps gives
+    a triple :class:`WCoefficients` accepts."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SweepSpec:
+        self = super().__new__(cls, *args, **kwargs)
         lo, hi = self.alpha1_range
         if not (0.0 < self.alpha2 < 1.0):
             raise DomainError(f"alpha2 {self.alpha2} outside (0, 1)")
-        if lo <= 0.0 or hi < lo:
+        if not 0.0 < lo <= hi:  # NaN fails too
             raise DomainError(f"invalid alpha1 range {self.alpha1_range}")
-        if hi * hi + self.alpha2 * self.alpha2 > 1.0 + 1e-12:
+        # WCoefficients's norm test where a1 and a2 fill the norm (a3 = 0), on
+        # hi and on the largest point, the last, which can round one ulp past hi
+        # (on lo where n_points is below 1, which the next check refuses).
+        n = max(self.n_points, 1)
+        top = max(hi, _alpha1(lo, hi, n, n - 1))
+        if top * top + self.alpha2 * self.alpha2 - 1.0 > 1e-12:
             raise DomainError("alpha1 range exceeds normalization with this alpha2")
         if self.n_points < 1:
             raise DomainError("n_points must be at least 1")
         if self.n_points > MAX_POINTS:
             raise DomainError(f"n_points must be at most {MAX_POINTS}")
+        return self
 
 
 class CurvePoint(NamedTuple):
@@ -182,7 +193,7 @@ def sweep(spec: SweepSpec) -> list[CurvePoint]:
 
     points = []
     for i in range(spec.n_points):
-        x = lo if spec.n_points == 1 else lo + i * (hi - lo) / (spec.n_points - 1)
+        x = _alpha1(lo, hi, spec.n_points, i)
         a3_sq = 1.0 - x * x - spec.alpha2 * spec.alpha2
         c = WCoefficients(x, spec.alpha2, math.sqrt(max(0.0, a3_sq)))
         p1 = p1_round(1, c)
@@ -190,6 +201,11 @@ def sweep(spec: SweepSpec) -> list[CurvePoint]:
         pt = pt_one_round(c)
         points.append(CurvePoint(x, c.a2, c.a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))
     return points
+
+
+def _alpha1(lo: float, hi: float, n: int, i: int) -> float:
+    """a1 at point ``i`` of ``n`` over [lo, hi]."""
+    return lo if n == 1 else lo + i * (hi - lo) / (n - 1)
 
 
 CSV_HEADER = ",".join(CurvePoint._fields)

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     CircularBasisPhotonError,
@@ -216,12 +217,7 @@ class DenominatorConvention(Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class CavityParams:
-    """Cavity and emitter rates; everything is normalized to kappa internally.
-
-    The trace's ``cavity`` record lists the fields in declaration order."""
-
+class _CavityParamsFields(NamedTuple):
     kappa: float = 1.0
     kappa_s: float = 0.0
     gamma: float = 0.0
@@ -230,17 +226,27 @@ class CavityParams:
     omega_c: float = 0.0
     omega_x: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in astuple(self)):
+
+class CavityParams(_CavityParamsFields):
+    """Cavity and emitter rates; everything is normalized to kappa internally.
+    Checked where it is built (:class:`ValueError`).
+
+    The trace's ``cavity`` record lists the fields in declaration order."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CavityParams:
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(math.isfinite(v) for v in self):
             raise ValueError("cavity parameters must be finite")
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
         if self.kappa_s < 0.0 or self.gamma < 0.0 or self.g < 0.0:
             raise ValueError("rates must be nonnegative")
+        return self
 
 
-@dataclass(frozen=True)
-class ScatterCoefficients:
+class ScatterCoefficients(NamedTuple):
     """Hot (t, r) and cold (t0, r0) cavity scattering amplitudes at one frequency."""
 
     t: complex
@@ -263,10 +269,7 @@ class ScatterCoefficients:
         return abs(self.r) / denom if denom > 0.0 else 0.0
 
     def to_json_obj(self) -> dict:
-        return {
-            name: {"re": value.real, "im": value.imag}
-            for name, value in (("t", self.t), ("r", self.r), ("t0", self.t0), ("r0", self.r0))
-        }
+        return {name: {"re": v.real, "im": v.imag} for name, v in zip(self._fields, self)}
 
 
 # The least positive float: the coupling term where g > 0 but it rounds to 0.

@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterator, Sequence, TextIO
@@ -103,7 +102,7 @@ _CONFIG_KEYS = {
     "sweep": dict,
 }
 _SECTION_KEYS = {
-    "cavity": {f.name for f in fields(CavityParams)},
+    "cavity": set(CavityParams._fields),
     "sweep": {"alpha2", "alpha1_range", "points"},
 }
 

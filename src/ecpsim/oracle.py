@@ -152,7 +152,7 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     ``k_charlie`` may be 0 for a first-station-only tree, whose successes end
     as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The nodes grow
     from the round tables that :func:`compare_all` sums without nodes, so
-    nodes with equal round inputs share frozen ``WState`` and
+    nodes with equal round inputs share immutable ``WState`` and
     ``WCoefficients`` objects.
     """
     table = _root_table(c, k_alice, k_charlie)

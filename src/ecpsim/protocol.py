@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cavity import (
     CavityParams,
@@ -44,22 +43,27 @@ _W_SPINS = ((_UP, _UP, _DOWN), (_UP, _DOWN, _UP), (_DOWN, _UP, _UP))
 _W_SPIN_VALUES = tuple(tuple(s.value for s in spins) for spins in _W_SPINS)
 
 
-@dataclass(frozen=True)
-class WCoefficients:
-    """Real nonnegative W-state coefficient triple with unit norm."""
-
+class _WCoefficientsFields(NamedTuple):
     a1: float
     a2: float
     a3: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a1) and math.isfinite(self.a2) and math.isfinite(self.a3)):
+
+class WCoefficients(_WCoefficientsFields):
+    """Real nonnegative W-state coefficient triple with unit norm, checked where
+    it is built (:class:`InvalidCoefficientsError`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a1: float, a2: float, a3: float) -> WCoefficients:
+        if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
             raise InvalidCoefficientsError("coefficients must be finite")
-        if self.a1 < 0.0 or self.a2 < 0.0 or self.a3 < 0.0:
+        if a1 < 0.0 or a2 < 0.0 or a3 < 0.0:
             raise InvalidCoefficientsError("coefficients must be nonnegative")
-        norm_sq = self.a1 * self.a1 + self.a2 * self.a2 + self.a3 * self.a3
+        norm_sq = a1 * a1 + a2 * a2 + a3 * a3
         if abs(norm_sq - 1.0) > _NORM_TOLERANCE:
             raise InvalidCoefficientsError(f"coefficients not normalized: |a|^2 = {norm_sq}")
+        return super().__new__(cls, a1, a2, a3)
 
     @classmethod
     def normalized(cls, a1: float, a2: float, a3: float) -> WCoefficients:
@@ -93,8 +97,7 @@ class OutcomeClass(Enum):
     CHARLIE_RETRY = "charlie_retry"
 
 
-@dataclass(frozen=True)
-class WState:
+class WState(NamedTuple):
     """A state in span{|uud>, |udu>, |duu>}, the sector every round stays in.
 
     ``amplitudes`` holds one amplitude per ket in sorted ket order (``uud``,
@@ -116,8 +119,7 @@ class WState:
         ]
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     """One detector branch of a round: its probability within the round,
     the corrected post-measurement spin state, and the coefficient triple
     that parameterizes it."""
@@ -138,12 +140,7 @@ class RoundOutcome:
         }
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """One run: round limits (1..MAX_ROUNDS), the lossy gate's cavity (``None``
-    for the ideal gate) and denominator convention, the tree or Monte Carlo
-    mode, seed and shots; checked where it is built (:class:`ConfigError`)."""
-
+class _ProtocolConfigFields(NamedTuple):
     max_rounds_alice: int = 1
     max_rounds_charlie: int = 1
     cavity: CavityParams | None = None
@@ -152,7 +149,16 @@ class ProtocolConfig:
     mode: str = "tree"  # "tree" or "mc"
     n_shots: int = 0
 
-    def __post_init__(self) -> None:
+
+class ProtocolConfig(_ProtocolConfigFields):
+    """One run: round limits (1..MAX_ROUNDS), the lossy gate's cavity (``None``
+    for the ideal gate) and denominator convention, the tree or Monte Carlo
+    mode, seed and shots; checked where it is built (:class:`ConfigError`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ProtocolConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_rounds_alice < 1 or self.max_rounds_charlie < 1:
             raise ConfigError("round limits must be at least 1")
         if self.max_rounds_alice > MAX_ROUNDS or self.max_rounds_charlie > MAX_ROUNDS:
@@ -163,6 +169,7 @@ class ProtocolConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "mc" and self.n_shots < 1:
             raise ConfigError("mc mode requires n_shots >= 1")
+        return self
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -174,13 +181,12 @@ class ProtocolConfig:
         if self.mode == "mc":
             obj["n_shots"] = self.n_shots
         if self.cavity is not None:
-            obj["cavity"] = asdict(self.cavity)
+            obj["cavity"] = self.cavity._asdict()
             obj["convention"] = self.convention.value
         return obj
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(NamedTuple):
     """One aggregated leaf of the protocol tree (or one sampled path class).
 
     Retry steps merge the two equivalent detectors into a single token such
@@ -204,8 +210,7 @@ class BranchRecord:
         return obj
 
 
-@dataclass
-class ProtocolTrace:
+class ProtocolTrace(NamedTuple):
     """Complete record of one protocol execution."""
 
     config: ProtocolConfig
@@ -297,8 +302,7 @@ def _code(detector: DetectorLabel) -> int:
     return int(detector.value[1:])
 
 
-@dataclass(frozen=True)
-class _StationPlan:
+class _StationPlan(NamedTuple):
     """What a round at one station needs, fixed at import.
 
     ``detectors`` come from :func:`photon_readout`.  ``landings`` and

@@ -14,7 +14,6 @@ sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.  No
 command-line route runs this code, so it lives with the tests.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -171,8 +170,7 @@ def reference_round(state, c, scatter, station):
         p_retry = sum(o.probability for o in outcomes if o.classification is retry_class)
         retry_scale = (1.0 - factor * p_succ) / p_retry if p_retry > 0.0 else 0.0
         outcomes = [
-            dataclasses.replace(
-                o,
+            o._replace(
                 probability=o.probability
                 * (factor if o.classification is success_class else retry_scale),
             )

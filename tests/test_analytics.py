@@ -2,12 +2,13 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecpsim import (
     CavityParams,
     DomainError,
+    InvalidCoefficientsError,
     SweepSpec,
     WCoefficients,
     coefficient_update_alice,
@@ -246,6 +247,40 @@ def test_sweep_spec_validation():
     with pytest.raises(DomainError, match="n_points must be at most 100000"):
         SweepSpec(n_points=100_001)
     assert SweepSpec(n_points=100_000).n_points == 100_000
+
+
+# The largest a1 whose triple WCoefficients accepts beside a2 = 0.6: one ulp
+# more puts a1^2 + a2^2 past its 1e-12 norm tolerance.
+EDGE = 0.8000000000006249
+
+
+def _sweep_points_accepted(lo, hi, n):
+    """Whether WCoefficients accepts hi's triple and every point's, with each
+    point's a1 and a3 taken as the sweep takes them."""
+    xs = [hi] + [lo if n == 1 else lo + i * (hi - lo) / (n - 1) for i in range(n)]
+    try:
+        for x in xs:
+            WCoefficients(x, 0.6, math.sqrt(max(0.0, 1.0 - x * x - 0.36)))
+    except InvalidCoefficientsError:
+        return False
+    return True
+
+
+@given(st.floats(min_value=0.01, max_value=0.8), st.integers(-3, 3), st.integers(1, 300))
+@example(0.01, 0, 8)  # EDGE is accepted, but the last point rounds one ulp past it
+@example(0.1, 1, 2)  # one ulp past EDGE
+@settings(max_examples=300, deadline=None)
+def test_sweep_spec_accepts_exactly_the_ranges_whose_points_are_accepted(lo, ulps, n):
+    hi = EDGE
+    for _ in range(abs(ulps)):
+        hi = math.nextafter(hi, math.copysign(1.0, ulps))
+    try:
+        spec = SweepSpec(alpha2=0.6, alpha1_range=(lo, hi), n_points=n)
+    except DomainError:
+        assert not _sweep_points_accepted(lo, hi, n)
+    else:
+        assert _sweep_points_accepted(lo, hi, n)
+        assert len(sweep(spec)) == n
 
 
 def test_sweep_grid_and_columns():

@@ -941,6 +941,21 @@ def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
         (["sweep", "--alpha1-range", "a:b"], "ConfigError: alpha1-range: non-numeric bound in 'a:b'"),
         (["simulate", "--config", [1]], "ConfigError: config: top level must be an object"),
         (["simulate", "--config", {"mode": 3}], "ConfigError: config: key 'mode' has wrong type"),
+        # sweep ranges whose points WCoefficients would refuse: a NaN bound, and
+        # an end just past the norm tolerance as WCoefficients measures it
+        (
+            ["sweep", "--alpha1-range", "0.1:nan", "--points", "1"],
+            "DomainError: invalid alpha1 range (0.1, nan)",
+        ),
+        (
+            ["sweep", "--alpha2", "0.6", "--alpha1-range", "0.1:0.8000000000006251", "--points", "2"],
+            "DomainError: alpha1 range exceeds normalization with this alpha2",
+        ),
+        # an end WCoefficients accepts, but the last point rounds one ulp past it
+        (
+            ["sweep", "--alpha2", "0.6", "--alpha1-range", "0.01:0.8000000000006249", "--points", "8"],
+            "DomainError: alpha1 range exceeds normalization with this alpha2",
+        ),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(argv, error, capsys, tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -386,7 +385,7 @@ def perturb_d2(change):
         for o in outcomes:
             if o.detector is DetectorLabel.D2:
                 first, *rest = o.post_state.amplitudes
-                o = dataclasses.replace(o, post_state=WState((change(first), *rest)))
+                o = o._replace(post_state=WState((change(first), *rest)))
             out.append(o)
         return out
 
@@ -482,12 +481,17 @@ zero_part_amplitude = st.none() | st.builds(
     zero | signed_magnitude,
     st.booleans(),
 )
+# ``st.builds`` draws every field of a named tuple, defaults included, so the
+# detunings are pinned at their resonant default.
 cavities = st.builds(
     CavityParams,
     kappa=st.floats(min_value=0.1, max_value=10.0),
     kappa_s=st.floats(min_value=0.0, max_value=10.0),
     gamma=st.floats(min_value=0.0, max_value=10.0),
     g=st.floats(min_value=0.0, max_value=10.0),
+    omega0=st.just(0.0),
+    omega_c=st.just(0.0),
+    omega_x=st.just(0.0),
 )
 scatters = st.none() | st.builds(
     scatter_coefficients, cavities, convention=st.sampled_from(list(DenominatorConvention))

@@ -27,6 +27,7 @@ from ecpsim import (
     Polarization,
     ProtocolConfig,
     StateVector,
+    SweepSpec,
     WCoefficients,
     WState,
     alice_round,
@@ -39,6 +40,7 @@ from ecpsim import (
     scatter_coefficients,
     simplex_grid,
 )
+from ecpsim import protocol
 
 EQUAL = WCoefficients.symmetric()
 SKEWED = WCoefficients(0.8, 0.36, 0.48)  # 0.64 + 0.1296 + 0.2304 = 1
@@ -530,3 +532,48 @@ def test_trace_json_monte_carlo_block():
     obj = run_protocol(EQUAL, ProtocolConfig(mode="mc", n_shots=1000)).to_json_obj()
     assert obj["monte_carlo"]["shots"] == 1000
     assert "philox" in obj["monte_carlo"]["rng"]
+
+
+# -- value types ---------------------------------------------------------------
+
+
+def _value_samples():
+    """``(value, field, replacement)`` for each value type a CLI route builds."""
+    cavity = CavityParams(kappa_s=0.1, g=0.5, gamma=0.1)
+    state = prepare_w_state(SKEWED)
+    trace = run_protocol(SKEWED, ProtocolConfig(2, 2))
+    return [
+        (SKEWED, "a1", 0.0),
+        (state, "amplitudes", (None, None, 1 + 0j)),
+        (alice_round(state, SKEWED)[0], "probability", 0.5),
+        (ProtocolConfig(2, 2, cavity=cavity), "rng_seed", 7),
+        (trace.branches[0], "count", 3),
+        # A run's trace holds lists; one that holds tuples hashes.
+        (trace._replace(rounds=tuple(trace.rounds), branches=tuple(trace.branches)),
+         "total_success_probability", 0.5),
+        (protocol._ALICE_PLAN, "success_class", OutcomeClass.CHARLIE_SUCCESS),
+        (cavity, "g", 1.0),
+        (scatter_coefficients(cavity), "t", 0j),
+        (SweepSpec(n_points=3, cavity=cavity), "n_points", 4),
+    ]
+
+
+VALUE_SAMPLES = _value_samples()
+
+
+@pytest.mark.parametrize(
+    "value, field, replacement", VALUE_SAMPLES, ids=[type(v).__name__ for v, _, _ in VALUE_SAMPLES]
+)
+def test_value_types_are_immutable_hashable_values(value, field, replacement):
+    # Nodes of an enumerate_tree tree share these values, and verify's memo keys on them.
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = None  # no instance dict
+    twin = type(value)(*value)  # built again, through any checks
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    old = getattr(value, field)
+    changed = value._replace(**{field: replacement})
+    assert changed is not value and type(changed) is type(value)
+    assert getattr(changed, field) == replacement and getattr(value, field) is old

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .cavity import CavityParams, DenominatorConvention, ScatterCoefficients, scatter_coefficients
 from .errors import DomainError
@@ -22,9 +22,11 @@ from .protocol import MAX_ROUNDS, WCoefficients
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
 SERIES_TOLERANCE = 1e-12
+_NORMAL_MIN = sys.float_info.min  # least positive normal float
 
 # Most points in one sweep: the CLI holds every point until it writes, about
-# 0.4 KB each, so 100 000 points peak near 54 MiB.
+# 0.3 KB each without a cavity and 0.4 KB with one, so 100 000 points peak
+# near 44 MiB (53 MiB with a cavity).
 MAX_POINTS = 100_000
 
 
@@ -59,7 +61,7 @@ def p2_round(k: int, c: WCoefficients) -> float:
     if m == 0.0:
         return 0.0
     r = min(a2, a3) / m
-    if m * m < sys.float_info.min:
+    if m * m < _NORMAL_MIN:
         a2, a3, m = a2 / m, a3 / m, 1.0
     power = 2**k
     denominator = a3 * a3 + 2.0 * a2 * a2
@@ -92,11 +94,46 @@ def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS, tol: float = SERIES_TOLE
 
 def pt_one_round(c: WCoefficients) -> float:
     """Single-round total: 3 a1^2 a2^2 a3^2 / ((a1^2 + a2^2)(a3^2 + a2^2))."""
-    a1, a2, a3 = c.as_tuple()
-    denominator = (a1 * a1 + a2 * a2) * (a3 * a3 + a2 * a2)
-    if denominator == 0.0:
-        return 0.0
-    return 3.0 * a1 * a1 * a2 * a2 * a3 * a3 / denominator
+    return _round_one(*c)[2]
+
+
+def _round_one(a1: float, a2: float, a3: float) -> tuple[float, float, float]:
+    """``(p1_round(1, c), p2_round(1, c), pt_one_round(c))`` for ``c = (a1, a2, a3)``,
+    in one call and bit for bit: the same operations, less the exact factors 1.0.
+
+    Every factor of pt's numerator after 3.0 is a coefficient, at most 1, so the
+    running product only shrinks: where it ends at or above the smallest normal
+    float, no step underflowed.  Below that, the squares are taken relative to
+    the larger coefficient of each pair, so a normal-range total is not lost.
+    """
+    sq2, sq3 = a2 * a2, a3 * a3
+    weight = sq3 + 2.0 * a2 * a2
+    m = max(a1, a2)
+    if m == 0.0:
+        p1 = 0.0
+    else:
+        s1 = (a1 / m) ** 2
+        p1 = s1 * weight / (s1 + (a2 / m) ** 2)
+    m = max(a2, a3)
+    if m == 0.0:
+        p2 = 0.0
+    else:
+        r = min(a2, a3) / m
+        b2, b3 = a2, a3
+        if m * m < _NORMAL_MIN:
+            b2, b3, m = a2 / m, a3 / m, 1.0
+            weight = b3 * b3 + 2.0 * b2 * b2
+        p2 = 3.0 * m * m * r**2 / (weight * ((b2 / m) ** 2 + (b3 / m) ** 2))
+    numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
+    if numerator >= _NORMAL_MIN:
+        pt = numerator / ((a1 * a1 + sq2) * (sq3 + sq2))
+    elif a2 == 0.0:
+        pt = 0.0
+    else:
+        m1, m2 = max(a1, a2), max(a2, a3)
+        u1, u2, v2, v3 = a1 / m1, a2 / m1, a2 / m2, a3 / m2
+        pt = 3.0 * u1 * u1 * v3 * v3 * a2 * a2 / ((u1 * u1 + u2 * u2) * (v3 * v3 + v2 * v2))
+    return p1, p2, pt
 
 
 def practical_p1(c: WCoefficients, coefficients: ScatterCoefficients) -> float:
@@ -183,23 +220,26 @@ class CurvePoint(NamedTuple):
 
 def sweep(spec: SweepSpec) -> list[CurvePoint]:
     """Single-round probabilities along the sweep, each point built positionally in
-    CSV column order; practical columns equal the ideal ones when no cavity is given."""
+    CSV column order.  Without a cavity the practical columns are the ideal
+    column objects themselves, which :func:`write_sweep_csv` formats once."""
     lo, hi = spec.alpha1_range
+    n, a2 = spec.n_points, spec.alpha2
     if spec.cavity is not None:
         sc = scatter_coefficients(spec.cavity, convention=spec.convention)
         f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
     else:
-        f1 = f2 = 1.0
+        f1 = None
 
     points = []
-    for i in range(spec.n_points):
-        x = _alpha1(lo, hi, spec.n_points, i)
-        a3_sq = 1.0 - x * x - spec.alpha2 * spec.alpha2
-        c = WCoefficients(x, spec.alpha2, math.sqrt(max(0.0, a3_sq)))
-        p1 = p1_round(1, c)
-        p2 = p2_round(1, c)
-        pt = pt_one_round(c)
-        points.append(CurvePoint(x, c.a2, c.a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))
+    for i in range(n):
+        x = _alpha1(lo, hi, n, i)
+        a3 = math.sqrt(max(0.0, 1.0 - x * x - a2 * a2))
+        WCoefficients(x, a2, a3)  # refuses a point that is not a state
+        p1, p2, pt = _round_one(x, a2, a3)
+        if f1 is None:
+            points.append(CurvePoint(x, a2, a3, p1, p2, pt, p1, p2, pt))
+        else:
+            points.append(CurvePoint(x, a2, a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))
     return points
 
 
@@ -215,4 +255,20 @@ def write_sweep_csv(points: list[CurvePoint], stream: TextIO) -> None:
     """Write sweep points as CSV, one ``repr`` per field (shortest round-trip
     float formatting), all rows in one ``writelines``."""
     stream.write(CSV_HEADER + "\n")
-    stream.writelines(",".join(map(repr, point)) + "\n" for point in points)
+    stream.writelines(_csv_rows(points))
+
+
+def _csv_rows(points: list[CurvePoint]) -> Iterator[str]:
+    """One CSV line per point.  A field that holds the same object as one already
+    formatted reuses its text: the practical triple where it is the ideal one,
+    and ``alpha2`` while consecutive rows share it.  Reuse goes by identity, never
+    by value, since ``0.0 == -0.0`` but their reprs differ."""
+    last_a2 = a2_text = None
+    for a1, a2, a3, p1, p2, pt, q1, q2, qt in points:
+        if a2 is not last_a2:
+            last_a2, a2_text = a2, repr(a2)
+        ideal = f"{p1!r},{p2!r},{pt!r}"
+        if q1 is p1 and q2 is p2 and qt is pt:
+            yield f"{a1!r},{a2_text},{a3!r},{ideal},{ideal}\n"
+        else:
+            yield f"{a1!r},{a2_text},{a3!r},{ideal},{q1!r},{q2!r},{qt!r}\n"

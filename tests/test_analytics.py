@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from ecpsim import (
     CavityParams,
+    DenominatorConvention,
     DomainError,
     InvalidCoefficientsError,
     SweepSpec,
@@ -25,7 +28,7 @@ from ecpsim import (
     scatter_coefficients,
     sweep,
 )
-from ecpsim.analytics import CSV_HEADER, write_sweep_csv
+from ecpsim.analytics import CSV_HEADER, CurvePoint, write_sweep_csv
 
 EQUAL = WCoefficients.symmetric()
 SKEWED = WCoefficients(0.8, 0.36, 0.48)
@@ -181,6 +184,39 @@ def test_pt_factorizes(c):
     assert pt_one_round(c) == pytest.approx(p1_round(1, c) * p2_round(1, c), abs=1e-15)
 
 
+def _exact_pt(c: WCoefficients) -> Fraction:
+    s1, s2, s3 = (Fraction(a) ** 2 for a in c)
+    denominator = (s1 + s2) * (s3 + s2)
+    return 3 * s1 * s2 * s3 / denominator if denominator else Fraction(0)
+
+
+def _decades(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+@given(st.tuples(_decades(-300, 0), _decades(-300, 0), _decades(-300, 0)))
+@example((1e-100, 1e-100, 1.0))  # numerator 3e-400 underflows; pt is 1.5e-200
+@example((1e-80, 1e-90, 1.0))  # pt is 3e-180
+@example((1.0, 1e-160, 1e-160))
+@settings(max_examples=400, deadline=None)
+def test_pt_one_round_where_its_numerator_underflows(triple):
+    # The numerator 3 a1^2 a2^2 a3^2 underflows long before the quotient does;
+    # where the exact value is a normal float, pt stays within 2e-15 relative.
+    c = WCoefficients.normalized(*triple)
+    exact = _exact_pt(c)
+    pt = pt_one_round(c)
+    if exact >= Fraction(sys.float_info.min):
+        assert abs(Fraction(pt) - exact) <= Fraction(2e-15) * exact
+    else:
+        assert abs(Fraction(pt) - exact) <= Fraction(8 * 5e-324) + Fraction(2e-15) * exact
+    a1, a2, a3 = c
+    numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
+    if numerator >= sys.float_info.min:
+        # nothing underflowed: the direct expression, bit for bit
+        direct = numerator / ((a1 * a1 + a2 * a2) * (a3 * a3 + a2 * a2))
+        assert pt.hex() == direct.hex()
+
+
 # -- practical (lossy) forms ---------------------------------------------------------
 
 
@@ -283,6 +319,25 @@ def test_sweep_spec_accepts_exactly_the_ranges_whose_points_are_accepted(lo, ulp
         assert len(sweep(spec)) == n
 
 
+def _assert_columns_pinned(spec: SweepSpec, pts: list) -> None:
+    """Every column, bit for bit, against the k-general closed forms."""
+    if spec.cavity is None:
+        f1 = f2 = None
+    else:
+        sc = scatter_coefficients(spec.cavity, convention=spec.convention)
+        f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
+    for p in pts:
+        c = WCoefficients(p.alpha1, p.alpha2, p.alpha3)
+        p1, p2, pt = p1_round(1, c), p2_round(1, c), pt_one_round(c)
+        assert (p.p1.hex(), p.p2.hex(), p.p_total.hex()) == (p1.hex(), p2.hex(), pt.hex())
+        if f1 is None:
+            # no cavity: practical columns are the ideal ones
+            practical = (p1, p2, pt)
+        else:
+            practical = (p1 * f1, p2 * f2, pt * f1 * f2)
+        assert tuple(v.hex() for v in p[6:]) == tuple(v.hex() for v in practical)
+
+
 def test_sweep_grid_and_columns():
     spec = SweepSpec(alpha1_range=(0.1, 0.8), n_points=8)
     pts = sweep(spec)
@@ -290,24 +345,60 @@ def test_sweep_grid_and_columns():
     assert pts[0].alpha1 == pytest.approx(0.1)
     assert pts[-1].alpha1 == pytest.approx(0.8)
     for p in pts:
-        c = WCoefficients(p.alpha1, p.alpha2, p.alpha3)
         assert p.alpha3 == pytest.approx(math.sqrt(1 - p.alpha1**2 - p.alpha2**2), abs=1e-12)
-        assert p.p1 == pytest.approx(p1_round(1, c), abs=1e-14)
-        assert p.p2 == pytest.approx(p2_round(1, c), abs=1e-14)
-        assert p.p_total == pytest.approx(pt_one_round(c), abs=1e-14)
-        # no cavity: practical columns collapse onto the ideal ones
-        assert p.p1_practical == p.p1
-        assert p.p_practical == p.p_total
+    _assert_columns_pinned(spec, pts)
 
 
 def test_sweep_with_cavity_applies_fractions():
     cav = CavityParams(kappa=1.0, kappa_s=0.1, g=0.5, gamma=0.1)
-    sc = scatter_coefficients(cav)
-    pts = sweep(SweepSpec(alpha1_range=(0.3, 0.6), n_points=3, cavity=cav))
+    spec = SweepSpec(alpha1_range=(0.3, 0.6), n_points=3, cavity=cav)
+    pts = sweep(spec)
+    _assert_columns_pinned(spec, pts)
     for p in pts:
-        assert p.p1_practical == pytest.approx(p.p1 * sc.transmitted_signal_fraction, abs=1e-14)
-        assert p.p2_practical == pytest.approx(p.p2 * sc.reflected_signal_fraction, abs=1e-14)
         assert p.p_practical == pytest.approx(p.p1_practical * p.p2_practical, abs=1e-15)
+
+
+cavities = st.one_of(
+    st.none(),
+    st.tuples(
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=0.5),
+    ).map(lambda t: CavityParams(kappa=1.0, kappa_s=t[0], g=t[1], gamma=t[2])),
+)
+
+
+@st.composite
+def sweep_specs(draw):
+    alpha2 = draw(_decades(-320, math.log10(0.99)))
+    hi = draw(st.floats(min_value=1e-3, max_value=1.0)) * math.sqrt(1.0 - alpha2 * alpha2)
+    lo = draw(st.floats(min_value=1e-3, max_value=1.0)) * hi
+    return SweepSpec(
+        alpha2=alpha2,
+        alpha1_range=(lo, hi),
+        n_points=draw(st.integers(1, 12)),
+        cavity=draw(cavities),
+        convention=draw(st.sampled_from(DenominatorConvention)),
+    )
+
+
+# a1 = 1 leaves a3 = 0, so m^2 underflows at a2 = 1e-160 and p2_round scales its
+# squares; at a2 = 5e-324 the unscaled denominator would be 0
+@given(sweep_specs())
+@example(SweepSpec(alpha2=1e-160, alpha1_range=(1.0, 1.0), n_points=1))
+@example(SweepSpec(alpha2=5e-324, alpha1_range=(1.0, 1.0), n_points=1))
+@example(
+    SweepSpec(
+        alpha2=1e-160,
+        alpha1_range=(0.5, 1.0),
+        n_points=3,
+        cavity=CavityParams(kappa=1.0, kappa_s=0.1, g=0.5, gamma=0.1),
+        convention=DenominatorConvention.CORRECTED,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sweep_columns_equal_the_closed_forms_bit_for_bit(spec):
+    _assert_columns_pinned(spec, sweep(spec))
 
 
 def test_csv_output_round_trips():
@@ -320,3 +411,20 @@ def test_csv_output_round_trips():
     first = lines[1].split(",")
     assert float(first[0]) == pts[0].alpha1  # repr round-trip is exact
     assert float(first[5]) == pts[0].p_total
+
+
+def test_csv_writer_reuses_text_by_identity_only():
+    zero, negative_zero = 0.0, float("-0.0")
+    half, other_half = 0.5, float("0.5")
+    assert other_half is not half and zero == negative_zero
+    shared = (0.1, half, 0.2, zero, 0.25, zero)
+    rows = [
+        CurvePoint(*shared, *shared[3:]),  # practical triple is the ideal one
+        CurvePoint(0.3, half, 0.4, zero, 0.25, zero, negative_zero, 0.25, negative_zero),
+        CurvePoint(0.5, other_half, 0.6, 0.1, 0.2, 0.3, 0.1, 0.2, 0.3),  # equal, not the same
+        CurvePoint(0.7, zero, 0.8, zero, zero, zero, zero, zero, zero),
+        CurvePoint(0.9, negative_zero, 0.1, zero, zero, zero, zero, zero, zero),
+    ]
+    buf = io.StringIO()
+    write_sweep_csv(rows, buf)
+    assert buf.getvalue().split("\n") == [CSV_HEADER, *(",".join(map(repr, row)) for row in rows), ""]

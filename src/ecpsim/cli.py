@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from functools import cache, partial
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterator, Sequence, TextIO
 
 from .analytics import SweepSpec, sweep, write_sweep_csv
@@ -184,47 +183,6 @@ def _output(out: str | None) -> Iterator[TextIO]:
         raise ConfigError(f"out: cannot write {out}: {exc}") from None
 
 
-# -- JSON output ---------------------------------------------------------------
-
-
-def json_text(value, newline: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it, in one pass.
-
-    With ``indent`` set, CPython 3.11's :mod:`json` has no C encoder and walks the
-    value in pure Python, a generator per container; this joins each container's
-    items with ``","`` and the next line's indent.  Scalars are encoded as :mod:`json`
-    encodes them.  ``newline`` is the line break and indent of ``value``'s own level.
-    Only dicts with str keys, lists, tuples, str, int, float, bool and None are
-    written; any other type, a subclass of these included, raises :class:`TypeError`,
-    as does a key that is not a str.
-    """
-    kind = type(value)
-    if kind is str:
-        return _json_str(value)
-    if kind is float:
-        if value - value == 0.0:  # finite
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
-    inner = newline + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        items = [_json_str(key) + ": " + json_text(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        items = [json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -245,7 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     trace = run_protocol(coefficients, config)
     with _output(args.out) as stream:
-        stream.write(json_text(trace.to_json_obj()) + "\n")
+        stream.write(trace.to_json_text() + "\n")
     print(f"total_success_probability={trace.total_success_probability!r}")
     return 0
 
@@ -292,7 +250,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     obj.update(sc.to_json_obj())
     obj["transmitted_signal_fraction"] = sc.transmitted_signal_fraction
     obj["reflected_signal_fraction"] = sc.reflected_signal_fraction
-    print(json_text(obj))
+    print(json.dumps(obj, indent=2))
     return 0
 
 

@@ -14,6 +14,7 @@ single-spin phase rotation at the station that ran the gate.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from enum import Enum
@@ -41,6 +42,34 @@ _UP, _DOWN = SpinLabel.UP, SpinLabel.DOWN
 # The kets a WState holds, in sorted ket order: |uud>, |udu>, |duu>.
 _W_SPINS = ((_UP, _UP, _DOWN), (_UP, _DOWN, _UP), (_DOWN, _UP, _UP))
 _W_SPIN_VALUES = tuple(tuple(s.value for s in spins) for spins in _W_SPINS)
+
+
+# -- JSON text ---------------------------------------------------------------------
+# A record's ``_json_text`` is its ``to_json_obj`` as ``json.dumps(..., indent=2)``
+# writes it in the trace, from a fixed template: its strings need no escaping.
+
+
+class _JsonFloats(dict):
+    """Each float's JSON text, made once per distinct value: ``repr`` is most of
+    the writing time, and a trace's floats repeat (the detectors of a pair,
+    branches with equal counts)."""
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x) if x - x == 0.0 else json.dumps(x)  # NaN, Infinity
+        if x:  # 0.0 and -0.0 are one key but two texts
+            self[x] = text
+        return text
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """The JSON list of the written ``items``; ``indent`` is the list's own."""
+    inner = ",\n" + indent + "  "
+    return "[" + inner[1:] + inner.join(items) + "\n" + indent + "]" if items else "[]"
+
+
+_KET_HEADS = tuple('{\n          "photon": null,\n          "spins": [\n            "'
+                   + '",\n            "'.join(spins) + '"\n          ],\n          "re": '
+                   for spins in _W_SPIN_VALUES)
 
 
 class _WCoefficientsFields(NamedTuple):
@@ -118,6 +147,11 @@ class WState(NamedTuple):
             if amp is not None
         ]
 
+    def _json_text(self, num: _JsonFloats) -> str:
+        kets = [f'{head}{num[amp.real]},\n          "im": {num[amp.imag]}\n        }}'
+                for head, amp in zip(_KET_HEADS, self.amplitudes) if amp is not None]
+        return _json_list(kets, "      ")
+
 
 class RoundOutcome(NamedTuple):
     """One detector branch of a round: its probability within the round,
@@ -138,6 +172,16 @@ class RoundOutcome(NamedTuple):
             "post_coefficients": list(self.post_coefficients.as_tuple()),
             "post_state": self.post_state.to_json_obj(),
         }
+
+    def _json_text(self, num: _JsonFloats) -> str:
+        c1, c2, c3 = self.post_coefficients
+        return (
+            f'{{\n      "detector": "{self.detector.value}",\n'
+            f'      "probability": {num[self.probability]},\n'
+            f'      "classification": "{self.classification.value}",\n'
+            f'      "post_coefficients": [\n        {num[c1]},\n        {num[c2]},\n        {num[c3]}\n      ],\n'
+            f'      "post_state": {self.post_state._json_text(num)}\n    }}'
+        )
 
 
 class _ProtocolConfigFields(NamedTuple):
@@ -209,6 +253,12 @@ class BranchRecord(NamedTuple):
             obj["count"] = self.count
         return obj
 
+    def _json_text(self, num: _JsonFloats) -> str:
+        path = '[\n        "' + '",\n        "'.join(self.path) + '"\n      ]' if self.path else "[]"
+        count = "" if self.count is None else f',\n      "count": {self.count}'
+        return (f'{{\n      "path": {path},\n      "probability": {num[self.probability]},\n'
+                f'      "classification": "{self.classification.value}"{count}\n    }}')
+
 
 class ProtocolTrace(NamedTuple):
     """Complete record of one protocol execution."""
@@ -222,20 +272,30 @@ class ProtocolTrace(NamedTuple):
     counts: dict[str, int] | None = None
 
     def to_json_obj(self) -> dict:
+        return self._json_obj([r.to_json_obj() for r in self.rounds], [b.to_json_obj() for b in self.branches])
+
+    def _json_obj(self, rounds: list, branches: list) -> dict:
         obj: dict = {
             "config": self.config.to_json_obj(),
             "coefficients": list(self.coefficients.as_tuple()),
-            "rounds": [r.to_json_obj() for r in self.rounds],
-            "branches": [b.to_json_obj() for b in self.branches],
+            "rounds": rounds,
+            "branches": branches,
             "total_success_probability": self.total_success_probability,
         }
         if self.shots is not None:
-            obj["monte_carlo"] = {
-                "shots": self.shots,
-                "counts": self.counts,
-                "rng": _RNG_ALGORITHM,
-            }
+            obj["monte_carlo"] = {"shots": self.shots, "counts": self.counts, "rng": _RNG_ALGORITHM}
         return obj
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2)`` in one pass: the records'
+        texts spliced into json's text of the rest, where json escapes each newline
+        inside a string, so only the top-level keys start a line indented by two."""
+        num = _JsonFloats()
+        rounds = _json_list([r._json_text(num) for r in self.rounds], "  ")
+        branches = _json_list([b._json_text(num) for b in self.branches], "  ")
+        text = json.dumps(self._json_obj([], []), indent=2)
+        return text.replace('\n  "rounds": [],\n  "branches": []',
+                            f'\n  "rounds": {rounds},\n  "branches": {branches}', 1)
 
 
 # -- state preparation ------------------------------------------------------------

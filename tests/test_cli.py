@@ -10,13 +10,22 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import ecpsim
 import ecpsim.errors
-from ecpsim import WCoefficients, ZeroStateError, p1_total, p2_total
-from ecpsim.cli import json_text, main
+from ecpsim import (
+    CavityParams,
+    DenominatorConvention,
+    ProtocolConfig,
+    WCoefficients,
+    ZeroStateError,
+    p1_total,
+    p2_total,
+    run_protocol,
+)
+from ecpsim.cli import main
 
 
 def run(argv, capsys):
@@ -750,41 +759,44 @@ def test_lossy_stdout_golden_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# -- JSON writer -----------------------------------------------------------------------
+# -- JSON trace writer -----------------------------------------------------------------
 
-_JSON_STRINGS = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 a'))
-_JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
-    | st.floats()
-    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308])
-    | _JSON_STRINGS
+# Coefficients over 300 decades: the 1e-12 drop removes a triple's small terms,
+# which leaves None slots in post-states and ends chains before their limits.
+_COEFFICIENT = st.floats(0.01, 1.0) | st.builds(
+    lambda mantissa, decades: mantissa * 10.0**-decades,
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(0, 300),
 )
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=3).map(tuple)
-    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
-    max_leaves=40,
+_TRACE_CAVITY = st.none() | st.builds(
+    lambda kappa_s, g, gamma: CavityParams(kappa_s=kappa_s, g=g, gamma=gamma),
+    st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
 )
-_NOT_JSON = st.sampled_from([1j, b"x", {1}, frozenset(), object(), ecpsim.errors.EcpError, range(2)])
-_NOT_JSON_KEYS = st.sampled_from([1, 1.5, None, True, (1, 2)])
 
 
-@given(value=_JSON_VALUES)
-@settings(max_examples=200, derandomize=True, deadline=None)
-def test_json_writer_matches_indented_json_dumps(value):
-    assert json_text(value) == json.dumps(value, indent=2)
-
-
-@given(value=_JSON_VALUES, foreign=_NOT_JSON, key=_NOT_JSON_KEYS, where=st.integers(0, 2))
-@settings(max_examples=100, derandomize=True, deadline=None)
-def test_json_writer_rejects_other_types(value, foreign, key, where):
-    wrapped = [[value, foreign], {"k": [value, {"j": foreign}]}, {"k": value, key: value}][where]
-    with pytest.raises(TypeError):
-        json_text(wrapped)
+@given(
+    alpha=st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT),
+    rounds=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+    mode=st.sampled_from(["tree", "mc"]),
+    cavity=_TRACE_CAVITY,
+    convention=st.sampled_from(DenominatorConvention),
+    shots=st.integers(1, 2000),
+    seed=st.integers(0, 2**128 - 1),
+)
+@example(alpha=(0.8, 0.36, 0.48), rounds=(64, 64), mode="mc", cavity=None,
+         convention=DenominatorConvention.VERBATIM, shots=2000, seed=2**128 - 1)
+@example(alpha=(1e-180, 1e-200, 1.0), rounds=(3, 3), mode="tree", cavity=None,
+         convention=DenominatorConvention.VERBATIM, shots=1, seed=0)
+@example(alpha=(0.8, 0.36, 0.48), rounds=(7, 7), mode="mc", cavity=CavityParams(kappa_s=0.1, g=0.5, gamma=0.1),
+         convention=DenominatorConvention.CORRECTED, shots=2000, seed=7)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_trace_writer_matches_indented_json_dumps(alpha, rounds, mode, cavity, convention, shots, seed):
+    config = ProtocolConfig(rounds[0], rounds[1], cavity, convention, seed, mode, shots)
+    try:
+        trace = run_protocol(WCoefficients.normalized(*alpha), config)
+    except ecpsim.EcpError:
+        reject()
+    assert trace.to_json_text() == json.dumps(trace.to_json_obj(), indent=2)
 
 
 # -- argparse plumbing -----------------------------------------------------------------

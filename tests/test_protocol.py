@@ -455,7 +455,8 @@ def test_run_protocol_mc_chunking_invariant():
 
 # SHA-256 of ``json.dumps(trace.to_json_obj(), indent=2)`` for SKEWED Monte
 # Carlo runs, pinned from the row-sorting path counter that packed keys
-# replaced.  Branch order and every count enter the digest.
+# replaced.  Branch order and every count enter the digest, and ``to_json_text``
+# must write the hashed text.
 @pytest.mark.parametrize(
     "rounds, shots, seed, digest",
     [
@@ -478,14 +479,17 @@ def test_run_protocol_mc_golden_traces(rounds, shots, seed, digest):
         n_shots=shots,
         rng_seed=seed,
     )
-    text = json.dumps(run_protocol(SKEWED, cfg).to_json_obj(), indent=2)
+    trace = run_protocol(SKEWED, cfg)
+    text = json.dumps(trace.to_json_obj(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert trace.to_json_text() == text
 
 
 # SHA-256 of ``json.dumps(trace.to_json_obj(), indent=2)`` for ideal tree
-# runs.  At (7, 7) the last first-station stage is ragged; at (40, 1) the
-# deep retry rounds shed terms at the amplitude drop: (0.9, 0.3, 0.3) at the
-# photon and normalization drops, (0.01, 0.3, 0.3) also at the wave-plate drop.
+# runs, whose text ``to_json_text`` must write.  At (7, 7) the last
+# first-station stage is ragged; at (40, 1) the deep retry rounds shed terms at
+# the amplitude drop: (0.9, 0.3, 0.3) at the photon and normalization drops,
+# (0.01, 0.3, 0.3) also at the wave-plate drop.
 @pytest.mark.parametrize(
     "coefficients, rounds, digest",
     [
@@ -505,8 +509,10 @@ def test_run_protocol_mc_golden_traces(rounds, shots, seed, digest):
 )
 def test_run_protocol_tree_golden_traces(coefficients, rounds, digest):
     cfg = ProtocolConfig(max_rounds_alice=rounds[0], max_rounds_charlie=rounds[1])
-    text = json.dumps(run_protocol(coefficients, cfg).to_json_obj(), indent=2)
+    trace = run_protocol(coefficients, cfg)
+    text = json.dumps(trace.to_json_obj(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert trace.to_json_text() == text
 
 
 def test_run_protocol_validates_config():

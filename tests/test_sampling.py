@@ -1,6 +1,8 @@
 """The Monte Carlo sampler against the searchsorted and packed-key sampler it
-replaced, and its comparison rule for choosing a stage's outcome."""
+replaced, its comparison rule for choosing a stage's outcome, and its branch
+counts against the exact tree's probabilities."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from reference import reference_sample_branches
 
 import ecpsim.sampling as sampling
-from ecpsim import InvalidCoefficientsError, ProtocolConfig, WCoefficients
+from ecpsim import InvalidCoefficientsError, ProtocolConfig, WCoefficients, run_protocol
 from ecpsim.protocol import _stage_chains
 
 # Tiny coefficients send whole detectors below the 1e-12 drop within a few
@@ -106,3 +108,50 @@ def test_choice_equals_clipped_searchsorted(probabilities, picks, uniforms):
     at = [cum[i % cum.size] for i in picks]
     u = np.array(uniforms + at + [np.nextafter(x, 0.0) for x in at])
     assert sampling._choose(u, cum).tolist() == searchsorted_choice(cum, u).tolist()
+
+
+# -- branches against the tree ---------------------------------------------------------
+
+_MERGED = {"D1": "D1|D2", "D2": "D1|D2", "D7": "D7|D8", "D8": "D7|D8"}
+
+
+def merged_key(path):
+    """A path with each retry step, a detector or the tree's merged token, as the
+    pair's merged token; the tree has one retry token per stage, so its paths stay
+    distinct."""
+    return tuple(_MERGED.get(token.split("|")[0], token) for token in path)
+
+
+def tree_counts(tree_branches, mc_branches):
+    """Each tree branch with the shots of the Monte Carlo paths that land on it:
+    the same steps, each retry detector one the tree's token merges."""
+    tree = {merged_key(b.path): b for b in tree_branches}
+    assert len(tree) == len(tree_branches)
+    counts = dict.fromkeys(tree, 0)
+    for b in mc_branches:
+        key = merged_key(b.path)
+        assert key in tree, f"Monte Carlo path {b.path} is not in the tree"
+        branch = tree[key]
+        assert all(d in token.split("|") for d, token in zip(b.path, branch.path)), b.path
+        assert b.classification is branch.classification
+        counts[key] += b.count
+    return [(tree[key], count) for key, count in counts.items()]
+
+
+@pytest.mark.parametrize(
+    "alpha, rounds, shots, seed",
+    [
+        ((0.8, 0.36, 0.48), (4, 4), 20_000, 1),
+        # The first station's retries fall below the drop: its chain ends at round 1.
+        ((1e-180, 1e-200, 1.0), (3, 3), 20_000, 2),
+        ((0.8, 0.36, 0.48), (64, 64), 5_000, 3),
+    ],
+)
+def test_monte_carlo_branches_match_the_tree(alpha, rounds, shots, seed):
+    coefficients = WCoefficients.normalized(*alpha)
+    tree = run_protocol(coefficients, ProtocolConfig(*rounds))
+    mc = run_protocol(coefficients, ProtocolConfig(*rounds, mode="mc", n_shots=shots, rng_seed=seed))
+    for branch, count in tree_counts(tree.branches, mc.branches):
+        expected = shots * branch.probability
+        sigma = math.sqrt(expected * (1.0 - branch.probability))
+        assert abs(count - expected) <= 5.0 * sigma + 1.0, (branch.path, count, expected)

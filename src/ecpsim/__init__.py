@@ -40,6 +40,7 @@ from .errors import (
     EcpError,
     InvalidCoefficientsError,
     LinearBasisPhotonError,
+    RoutingError,
     ShapeMismatchError,
     ZeroStateError,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolTrace",
     "RoundOutcome",
+    "RoutingError",
     "ScatterCoefficients",
     "ShapeMismatchError",
     "SpinLabel",

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ShapeMismatchError, ZeroStateError
@@ -177,7 +179,9 @@ class StateVector:
         return None
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._terms.values()))
+        # Added left to right from 0.0, as the round kernel adds its squares;
+        # built-in sum() compensates float sums from Python 3.12 on.
+        return math.sqrt(reduce(add, (abs(a) ** 2 for a in self._terms.values()), 0.0))
 
     # -- algebra ------------------------------------------------------------
 

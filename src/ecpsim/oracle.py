@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterator
 
 from . import analytics
@@ -110,22 +112,32 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
         # Coefficients are never -0.0: the root's are positive and every update
         # multiplies or divides nonnegative values.
         key = (station, left, state.amplitudes, coefficients)
-        if key in tables:
-            return tables[key]
+        rows = tables.get(key)
+        if rows is not None:
+            return rows
         round_fn, plan, _ = stations[station]
         round_key = (station, state.amplitudes, coefficients)
-        if round_key not in rounds:
-            rounds[round_key] = round_fn(state, coefficients)
+        outcomes = rounds.get(round_key)
+        if outcomes is None:
+            outcomes = rounds[round_key] = round_fn(state, coefficients)
         retry = (station, left - 1) if left > 1 else None
         success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
         rows = []
-        for outcome in rounds[round_key]:
+        prev = child = None
+        for outcome in outcomes:
             is_success = outcome.classification is plan.success_class
             next_round = success if is_success else retry
-            child = None
-            if next_round is not None:
+            if next_round is None:
+                child = None
+            # An outcome with the previous row's class, coefficients and state
+            # by value, as a pair's second detector has, has its child's key:
+            # it takes that child without hashing the key again.
+            elif (prev is None or outcome.classification is not prev.classification
+                  or outcome.post_coefficients is not prev.post_coefficients
+                  or outcome.post_state != prev.post_state):
                 child = table(*next_round, outcome.post_state, outcome.post_coefficients)
             rows.append((outcome.probability, is_success, child, outcome))
+            prev = outcome
         tables[key] = rows
         return rows
 
@@ -217,19 +229,31 @@ def simplex_grid(n: int) -> list[WCoefficients]:
     return points
 
 
-def _success_masses(table: _Table, weight: float, k: int, at: dict[int, float], later: tuple) -> None:
-    """Add the success masses under a node of ``weight`` whose children run
-    round ``k`` of their station: each success into ``at[k]``, and those of
-    the later stations, whose rounds count from 1 again, by ``later``, the
-    ``(at, later)`` of the next station (``()`` after the last)."""
+def _success_masses(table: _Table, weight: float, slot: int, later: tuple, adds: list) -> None:
+    """Append to ``adds``, in pre-order, a ``(slot, mass)`` per success under a
+    node of ``weight`` whose children run the round that ``slot`` sums; those
+    of the later stations, whose rounds count from 1 again, go from their first
+    slots, which ``later`` holds as ``(slot, later)`` (``()`` after the last).
+
+    A row whose child table is the previous row's (``is``), with its class
+    and its mass, repeats the previous row's records in place of a walk: that
+    walk would append the same masses in the same order.  The two rows of a
+    detector pair are such rows, so each pair's subtree is walked once.
+    """
+    prev_child = prev_success = prev_w = None
+    begin = 0  # where the previous row's records start
     for probability, success, child, _ in table:
         w = weight * probability
-        if success:
-            at[k] += w
+        start = len(adds)
+        if child is prev_child and success is prev_success and w == prev_w:
+            adds.extend(adds[begin:start])
+        elif success:
+            adds.append((slot, w))
             if child is not None:
-                _success_masses(child, w, 1, *later)
+                _success_masses(child, w, *later, adds)
         elif child is not None:
-            _success_masses(child, w, k + 1, at, later)
+            _success_masses(child, w, slot + 1, later, adds)
+        begin, prev_child, prev_success, prev_w = start, child, success, w
 
 
 def _tree_masses(
@@ -237,20 +261,28 @@ def _tree_masses(
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Amplitude-route success masses: per-round station-1 mass, per-round
     station-2 mass (conditional on station-1 success), and the depth-(1,1)
-    joint mass.  The walk visits the tree's nodes in pre-order and takes each
-    node's weight as its parent's times its probability, so every mass adds
-    the node weights of ``enumerate_tree``'s tree in its pre-order."""
+    joint mass.  The walk records the tree's success nodes in pre-order and
+    takes each node's weight as its parent's times its probability; each
+    mass then adds its nodes' weights from 0.0 in that order, so it adds the
+    node weights of ``enumerate_tree``'s tree in its pre-order.  Replayed
+    records (:func:`_success_masses`) keep that order, since they stand
+    where the walk they replace would have put its own."""
     root = _root_table(c, k_alice, k_charlie)
-    alice_at = {k: 0.0 for k in range(1, k_alice + 1)}
-    charlie_at = {k: 0.0 for k in range(1, k_charlie + 1)}
-    _success_masses(root, 1.0, 1, alice_at, (charlie_at, ()))
+    adds: list[tuple[int, float]] = []
+    _success_masses(root, 1.0, 0, (k_alice, ()), adds)
+    at = [0.0] * (k_alice + k_charlie)  # station-1 rounds, then station-2 rounds
+    for slot, mass in adds:
+        at[slot] += mass
+    alice_at = dict(zip(range(1, k_alice + 1), at))
+    charlie_at = dict(zip(range(1, k_charlie + 1), at[k_alice:]))
     first_round_joint = 0.0  # a depth-1 node's weight is 1.0 * probability, its probability
     for probability, success, child, _ in root:
         if success and child is not None:
             for p, joint_success, _, _ in child:
                 if joint_success:
                     first_round_joint += probability * p
-    alice_total = sum(alice_at.values())
+    # left to right from 0.0: built-in sum() compensates from Python 3.12 on
+    alice_total = reduce(add, alice_at.values(), 0.0)
     if alice_total > 0.0:
         charlie_at = {k: v / alice_total for k, v in charlie_at.items()}
     return alice_at, charlie_at, first_round_joint
@@ -301,8 +333,9 @@ def compare_all(
             report("pt_one_round", point, analytics.pt_one_round(c), joint)
 
         if cavity is not None:
+            # each station's first-round success mass, left to right as alice_total
             sim_p1, sim_p2 = (
-                sum(o.probability for o in stages[0] if o.classification is plan.success_class)
+                reduce(add, (o.probability for o in stages[0] if o.classification is plan.success_class), 0.0)
                 for plan, stages in _stage_chains(c, lossy)
             )
             report("p1_practical", point, analytics.practical_p1(c, sc), sim_p1)

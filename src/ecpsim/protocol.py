@@ -18,6 +18,8 @@ import json
 import math
 import sys
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Callable, NamedTuple
 
 from .cavity import (
@@ -29,7 +31,12 @@ from .cavity import (
     photon_readout,
     scatter_coefficients,
 )
-from .errors import ConfigError, DegenerateCoefficientsError, InvalidCoefficientsError
+from .errors import (
+    ConfigError,
+    DegenerateCoefficientsError,
+    InvalidCoefficientsError,
+    RoutingError,
+)
 from .hilbert import DEFAULT_TOLERANCE, SpinLabel
 
 _NORM_TOLERANCE = 1e-12
@@ -362,22 +369,32 @@ def _code(detector: DetectorLabel) -> int:
     return int(detector.value[1:])
 
 
+# (slot, polarization index, weight, flip, paired weight, paired flip)
+_PairLanding = tuple[int, int, float, bool, float, bool]
+# What the generated constructor of a named tuple calls; the round kernel
+# builds its WState and RoundOutcome values with it directly.
+_tuple_new = tuple.__new__
+
+
 class _StationPlan(NamedTuple):
     """What a round at one station needs, fixed at import.
 
-    ``detectors`` come from :func:`photon_readout`.  ``landings`` and
-    ``success`` are indexed by detector position: ``landings`` holds one
-    ``(slot, polarization index, weight, flip)`` per :class:`WState` slot, in
-    slot order, from the routes of the slot's gated spin, where ``flip`` marks
-    a slot an even detector's phase correction negates (gated spin DOWN).
-    ``signal_fraction`` is the lossy gate's factor on the success probability:
-    the signal fraction of the station's success port.
+    ``detectors`` come from :func:`photon_readout`, and ``success`` is indexed
+    by detector position.  ``pairs`` holds one ``(detector, paired detector,
+    success, landings)`` per detector pair (D1/D2, D3/D4, D5/D6, D7/D8):
+    ``landings`` holds one ``(slot, polarization index, weight, flip, paired
+    weight, paired flip)`` per :class:`WState` slot, in slot order, from the
+    routes of the slot's gated spin, where a ``flip`` marks a slot an even
+    detector's phase correction negates (gated spin DOWN).  The two weights
+    of a landing differ at most in sign.  ``signal_fraction`` is the lossy
+    gate's factor on the success probability: the signal fraction of the
+    station's success port.
     """
 
     photon_pair: Callable[[WCoefficients], tuple[float, float]]
     signal_fraction: Callable[[ScatterCoefficients], float]
     detectors: tuple[DetectorLabel, ...]
-    landings: tuple[tuple[tuple[int, int, float, bool], ...], ...]
+    pairs: tuple[tuple[DetectorLabel, DetectorLabel, bool, tuple[_PairLanding, ...]], ...]
     success: tuple[bool, ...]
     success_class: OutcomeClass
     retry_class: OutcomeClass
@@ -386,25 +403,43 @@ class _StationPlan(NamedTuple):
 
 
 def _station_plan(
-    station: Station, gated_spin: int, success: tuple[DetectorLabel, ...], **fields
+    readout: tuple[tuple[DetectorLabel, ...], dict],
+    gated_spin: int,
+    success: tuple[DetectorLabel, ...],
+    **fields,
 ) -> _StationPlan:
-    detectors, routes = photon_readout(station)
+    """The plan of a station whose :func:`photon_readout` is ``readout``.
+
+    :class:`RoutingError` unless the detectors pair up in label order, each
+    pair in one class and reached by the same ``(slot, polarization)``
+    routes with weights of equal magnitude, which lets a round share one
+    probability and one norm between the two.
+    """
+    detectors, routes = readout
+    if len(detectors) % 2:
+        raise RoutingError(f"{len(detectors)} detectors do not pair up")
     gated = [spins[gated_spin] for spins in _W_SPINS]
     landings: list[list[tuple[int, int, float, bool]]] = [[] for _ in detectors]
     for slot, spin in enumerate(gated):
         for pol, position, weight in routes[spin]:
             flip = _code(detectors[position]) % 2 == 0 and spin is _DOWN
             landings[position].append((slot, pol, weight, flip))
-    return _StationPlan(
-        detectors=detectors,
-        landings=tuple(map(tuple, landings)),
-        success=tuple(d in success for d in detectors),
-        **fields,
-    )
+    is_success = tuple(d in success for d in detectors)
+    pairs = []
+    for position in range(0, len(detectors), 2):
+        first, second = landings[position], landings[position + 1]
+        names = f"{detectors[position].value}/{detectors[position + 1].value}"
+        if is_success[position] is not is_success[position + 1]:
+            raise RoutingError(f"{names} herald different outcome classes")
+        if [(s, p, abs(w)) for s, p, w, _ in first] != [(s, p, abs(w)) for s, p, w, _ in second]:
+            raise RoutingError(f"{names} do not share (slot, polarization) routes of equal weight")
+        pair = tuple((s, p, w, f, w2, f2) for (s, p, w, f), (_, _, w2, f2) in zip(first, second))
+        pairs.append((detectors[position], detectors[position + 1], is_success[position], pair))
+    return _StationPlan(detectors=detectors, pairs=tuple(pairs), success=is_success, **fields)
 
 
 _ALICE_PLAN = _station_plan(
-    Station.ALICE,
+    photon_readout(Station.ALICE),
     gated_spin=0,
     success=(DetectorLabel.D3, DetectorLabel.D4),
     photon_pair=lambda c: (c.a1, c.a2),
@@ -417,7 +452,7 @@ _ALICE_PLAN = _station_plan(
 # Every second-station success leaves the symmetric W state.
 _SYMMETRIC = WCoefficients.symmetric()
 _CHARLIE_PLAN = _station_plan(
-    Station.CHARLIE,
+    photon_readout(Station.CHARLIE),
     gated_spin=2,
     success=(DetectorLabel.D5, DetectorLabel.D6),
     photon_pair=lambda c: (c.a2, c.a3),
@@ -450,63 +485,71 @@ def _station_round(
     drop anyway.  Each spin ket reaches each detector at most once, so the
     wave-plate and detector sums have a single term after ``0j``.  A
     detector's landings are visited in sorted ket order, which is the order
-    every intermediate state would have put them in, and ``sum`` adds its
-    squares in that order, as the reference route's norm does.
+    every intermediate state would have put them in, and its squares are
+    added in that order from 0.0, as the reference route's norm adds them.
+
+    The two detectors of a pair take weights that differ at most in sign
+    (``_station_plan`` checks it), so their landings have equal magnitudes,
+    bit for bit, and so do their squares, norm, probability and drops.  Each
+    landing's ``p * amp``, magnitude and square, and each pair's norm and
+    post-coefficients, are therefore made once per pair; each detector still
+    takes its own ``0j + weight * (p * amp)``, so the signs of zeros are its
+    own.
     """
     tol = DEFAULT_TOLERANCE
-    photon = [complex(p) for p in _photon_amplitudes(*plan.photon_pair(coefficients))]
-    photon = [None if abs(p) < tol else p for p in photon]
+    photon_pair = _photon_amplitudes(*plan.photon_pair(coefficients))
+    photon = [None if abs(p) < tol else complex(p) for p in photon_pair]
     amps = state.amplitudes
-    events = []
-    for position, landings in enumerate(plan.landings):
+    outcomes = []
+    for detector, paired, success, landings in plan.pairs:
         kept = []
-        squares = []
-        for slot, pol, weight, flip in landings:
+        norm_sq = 0.0
+        for slot, pol, weight, flip, paired_weight, paired_flip in landings:
             amp, p = amps[slot], photon[pol]
             if amp is None or p is None:
                 continue
-            out = 0j + weight * (p * amp)
-            size = abs(out)
+            out = p * amp
+            first = 0j + weight * out
+            size = abs(first)
             if size >= tol:
-                kept.append((slot, out, flip))
-                squares.append(size**2)
+                kept.append((slot, first, flip, 0j + paired_weight * out, paired_flip))
+                norm_sq += size**2
         if not kept:
             continue
-        norm = math.sqrt(sum(squares))
-        amplitudes: list[complex | None] = [None, None, None]
-        for slot, out, flip in kept:
-            out = out / norm
-            if abs(out) >= tol:
-                amplitudes[slot] = -out if flip else out
-        events.append((position, norm**2, WState(tuple(amplitudes))))
+        norm = math.sqrt(norm_sq)
+        first_amps: list[complex | None] = [None, None, None]
+        paired_amps: list[complex | None] = [None, None, None]
+        for slot, first, flip, second, paired_flip in kept:
+            first = first / norm
+            if abs(first) >= tol:
+                second = second / norm
+                first_amps[slot] = -first if flip else first
+                paired_amps[slot] = -second if paired_flip else second
+        probability = norm**2
+        if success:
+            post, cls = plan.success_coefficients(coefficients), plan.success_class
+        else:
+            post, cls = plan.retry_coefficients(coefficients), plan.retry_class
+        first_state = _tuple_new(WState, (tuple(first_amps),))
+        paired_state = _tuple_new(WState, (tuple(paired_amps),))
+        outcomes.append(_tuple_new(RoundOutcome, (detector, probability, first_state, post, cls)))
+        outcomes.append(_tuple_new(RoundOutcome, (paired, probability, paired_state, post, cls)))
 
     if scatter is not None:
         # Success probabilities shrink by the port signal fraction; whatever
         # did not herald success (including photons lost to leakage) counts
         # toward the retry branches.  Post-states keep their ideal form.
         factor = plan.signal_fraction(scatter)
-        p_succ = sum(p for position, p, _ in events if plan.success[position])
-        p_retry = sum(p for position, p, _ in events if not plan.success[position])
+        p_succ = p_retry = 0.0
+        for o in outcomes:
+            if o.classification is plan.success_class:
+                p_succ += o.probability
+            else:
+                p_retry += o.probability
         retry_scale = (1.0 - factor * p_succ) / p_retry if p_retry > 0.0 else 0.0
-
-    post_coefficients: dict[bool, WCoefficients] = {}
-    outcomes = []
-    for position, probability, post_state in events:
-        success = plan.success[position]
-        if success not in post_coefficients:
-            update = plan.success_coefficients if success else plan.retry_coefficients
-            post_coefficients[success] = update(coefficients)
-        if scatter is not None:
-            probability = probability * (factor if success else retry_scale)
-        outcomes.append(
-            RoundOutcome(
-                plan.detectors[position],
-                probability,
-                post_state,
-                post_coefficients[success],
-                plan.success_class if success else plan.retry_class,
-            )
-        )
+        scale = {plan.success_class: factor, plan.retry_class: retry_scale}
+        outcomes = [_tuple_new(RoundOutcome, (d, prob * scale[cls], post_state, post, cls))
+                    for d, prob, post_state, post, cls in outcomes]
     return outcomes
 
 
@@ -610,7 +653,8 @@ def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
         success = [[o for o in st if o.classification is plan.success_class] for st in stages]
         retries = [[o for o in st if o.classification is not plan.success_class] for st in stages]
         tokens = ["|".join(o.detector.value for o in st) for st in retries]
-        retry_mass = [sum(o.probability for o in st) for st in retries]
+        # left to right from 0.0: built-in sum() compensates from Python 3.12 on
+        retry_mass = [reduce(add, (o.probability for o in st), 0.0) for st in retries]
         stations.append((plan, success, tokens, retry_mass))
 
     records: list[BranchRecord] = []

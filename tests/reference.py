@@ -15,6 +15,8 @@ command-line route runs this code, so it lives with the tests.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -166,8 +168,10 @@ def reference_round(state, c, scatter, station):
             if station is Station.ALICE
             else scatter.reflected_signal_fraction
         )
-        p_succ = sum(o.probability for o in outcomes if o.classification is success_class)
-        p_retry = sum(o.probability for o in outcomes if o.classification is retry_class)
+        # Left to right from 0.0, as the package adds; built-in sum() compensates
+        # float sums from Python 3.12 on.
+        p_succ = reduce(add, (o.probability for o in outcomes if o.classification is success_class), 0.0)
+        p_retry = reduce(add, (o.probability for o in outcomes if o.classification is retry_class), 0.0)
         retry_scale = (1.0 - factor * p_succ) / p_retry if p_retry > 0.0 else 0.0
         outcomes = [
             o._replace(
@@ -238,7 +242,7 @@ def reference_masses(root: BranchNode, k_alice: int, k_charlie: int):
             charlie_at[node.depth - alice_rounds] += node.amplitude_weight
             if node.depth == 2:
                 joint += node.amplitude_weight
-    alice_total = sum(alice_at.values())
+    alice_total = reduce(add, alice_at.values(), 0.0)
     if alice_total > 0.0:
         charlie_at = {k: v / alice_total for k, v in charlie_at.items()}
     return alice_at, charlie_at, joint

@@ -702,6 +702,11 @@ def test_negative_value_in_exponent_form(capsys):
             ["verify", "--grid", "2", "--depth", "8,8"],
             "27c4da08f4cc66d013c24f999f3b530d1c2aeeaf7c7732ba62602a63247b02d7",
         ),
+        (
+            # Deep trees at 16 points, where the mass walk replays the most rows.
+            ["verify", "--grid", "4", "--depth", "8,8"],
+            "2b5d7a8853e88fceda6e66e5e5382b38cdc8bce883b45c2874644462b390316d",
+        ),
     ],
 )
 def test_stdout_golden_digest(argv, digest, capsys):

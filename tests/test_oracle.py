@@ -169,12 +169,12 @@ def test_tree_leaves_match_merged_branches(depths):
 def node_record(node):
     """A node's fields, floats by their bits (``float.hex`` tells -0.0 from 0.0)."""
     return (
-        tuple(d.value for d in node.path),
+        node.path,
         node.amplitude_weight.hex(),
         tuple(a.hex() for a in node.coefficients.as_tuple()),
         node.depth,
         node.classification,
-        json.dumps(node.state.to_json_obj()),
+        tuple(None if a is None else (a.real.hex(), a.imag.hex()) for a in node.state.amplitudes),
     )
 
 
@@ -190,21 +190,28 @@ triples = (
 
 # Fixed deep trees for the two tests below, which draw depths up to 4: each
 # station at MAX_TREE_ROUNDS, and (5, 5).  At NEAR_DROP the amplitude drop
-# removes whole detectors from many rounds.
+# removes whole detectors from many rounds.  The mass walk also gets two
+# (6, 6) trees, the deepest at both stations within about a second: at EQUAL
+# every pair's two rows share a child table and a mass in every table, so
+# the walk replays half of all rows.
 NEAR_DROP = WCoefficients.normalized(1.0, 0.5, 1e-11)
 _DEEP = oracle.MAX_TREE_ROUNDS
 DEEP_TREES = [(SKEWED, _DEEP, 1), (SKEWED, 1, _DEEP), (NEAR_DROP, 1, _DEEP), (NEAR_DROP, 5, 5)]
+MASS_TREES = DEEP_TREES + [(EQUAL, 6, 6), (NEAR_DROP, 6, 6)]
 
 
-def with_deep_trees(test):
-    for case in DEEP_TREES:
-        test = example(*case)(test)
-    return test
+def with_examples(cases):
+    def add(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return add
 
 
 @settings(max_examples=40, deadline=None)
 @given(triples, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
-@with_deep_trees
+@with_examples(DEEP_TREES)
 def test_tree_matches_plain_recursion_node_for_node(c, k_alice, k_charlie):
     try:
         expected = [node_record(n) for n in preorder(reference_tree(c, k_alice, k_charlie))]
@@ -227,7 +234,7 @@ def masses_by_bits(masses):
 
 @settings(max_examples=40, deadline=None)
 @given(triples, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
-@with_deep_trees
+@with_examples(MASS_TREES)
 def test_tree_masses_match_reference_tree_bit_for_bit(c, k_alice, k_charlie):
     try:
         expected = reference_masses(reference_tree(c, k_alice, k_charlie), k_alice, k_charlie)
@@ -237,6 +244,80 @@ def test_tree_masses_match_reference_tree_bit_for_bit(c, k_alice, k_charlie):
         return
     got = oracle._tree_masses(c, k_alice, k_charlie)
     assert masses_by_bits(got) == masses_by_bits(expected)
+
+
+# -- the mass walk's replay rule ---------------------------------------------------
+# Hand-made round tables at depths (2, 2): rows are ``(probability, success,
+# child table, outcome)``, and the walk reads no outcome.
+
+
+def rows(*specs):
+    return [(probability, success, child, None) for probability, success, child in specs]
+
+
+def plain_records(table, k_alice, station=0, k=1, weight=1.0):
+    """``(slot, mass)`` of each success under ``table`` in pre-order, every row
+    walked: station 1's round k sums into slot k - 1, station 2's into slot
+    k_alice + k - 1."""
+    records = []
+    for probability, success, child, _ in table:
+        w = weight * probability
+        if success:
+            records.append((k - 1 if station == 0 else k_alice + k - 1, w))
+            if child is not None:
+                records += plain_records(child, k_alice, station + 1, 1, w)
+        elif child is not None:
+            records += plain_records(child, k_alice, station, k + 1, w)
+    return records
+
+
+CHARLIE_LAST = rows((0.375, True, None), (0.375, True, None), (0.125, False, None), (0.125, False, None))
+CHARLIE_FIRST = rows((0.25, True, None), (0.25, True, None), (0.25, False, CHARLIE_LAST),
+                     (0.25, False, CHARLIE_LAST))
+OTHER_CHARLIE_FIRST = rows((0.5, True, None), (0.5, False, CHARLIE_LAST))
+# Read as a second-station table after a success row and as the first
+# station's round 2 after a retry row: its rows end their branches either way.
+EITHER = rows((0.5, True, None), (0.5, False, None))
+REPLAY_ROOTS = {
+    # adjacent rows with equal class and mass but different child tables
+    "other child": rows((0.25, True, CHARLIE_FIRST), (0.25, True, OTHER_CHARLIE_FIRST)),
+    # adjacent rows with one child table and one mass but different classes
+    "other class": rows((0.25, True, EITHER), (0.25, False, EITHER)),
+    # adjacent rows with one child table and one class but different masses
+    "other mass": rows((0.375, True, CHARLIE_FIRST), (0.125, True, CHARLIE_FIRST)),
+    # a pair: one child table, one class, one mass
+    "pair": rows((0.25, True, CHARLIE_FIRST), (0.25, True, CHARLIE_FIRST),
+                 (0.25, False, EITHER), (0.25, False, EITHER)),
+}
+# Tables walked under each root above: a replayed row's subtree is not walked
+# again, so "pair" walks 4 tables where walking every row would take 9.
+REPLAY_WALKS = {"other child": 5, "other class": 3, "other mass": 5, "pair": 4}
+
+
+@pytest.mark.parametrize("name", REPLAY_ROOTS)
+def test_mass_walk_replays_only_a_pair(monkeypatch, name):
+    root = REPLAY_ROOTS[name]
+    walks = []
+    walk = oracle._success_masses
+
+    def counted(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(oracle, "_success_masses", counted)
+    records = []
+    oracle._success_masses(root, 1.0, 0, (2, ()), records)
+    assert records == plain_records(root, 2)
+    assert len(walks) == REPLAY_WALKS[name]
+
+    # _tree_masses adds those records from 0.0 in pre-order
+    monkeypatch.setattr(oracle, "_root_table", lambda c, k_alice, k_charlie: root)
+    alice_at, charlie_at, _ = oracle._tree_masses(EQUAL, 2, 2)
+    at = [0.0] * 4
+    for slot, mass in plain_records(root, 2):
+        at[slot] += mass
+    assert alice_at == {1: at[0], 2: at[1]}
+    assert charlie_at == {1: at[2] / (at[0] + at[1]), 2: at[3] / (at[0] + at[1])}
 
 
 def test_compare_all_builds_no_tree(monkeypatch):

@@ -26,6 +26,9 @@ from ecpsim import (
     PhotonLabel,
     Polarization,
     ProtocolConfig,
+    RoutingError,
+    SpinLabel,
+    Station,
     StateVector,
     SweepSpec,
     WCoefficients,
@@ -41,6 +44,7 @@ from ecpsim import (
     simplex_grid,
 )
 from ecpsim import protocol
+from ecpsim.cavity import photon_readout
 
 EQUAL = WCoefficients.symmetric()
 SKEWED = WCoefficients(0.8, 0.36, 0.48)  # 0.64 + 0.1296 + 0.2304 = 1
@@ -326,6 +330,58 @@ def test_round_probabilities_complete(c):
         for o in outcomes:
             assert 0.0 <= o.probability <= 1.0
             assert to_state_vector(o.post_state).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+# -- detector pairs ----------------------------------------------------------------
+
+
+def doctored(station, change):
+    """``photon_readout(station)`` with ``change(spin, route)`` applied to each
+    ``(polarization index, position, weight)`` route."""
+    detectors, routes = photon_readout(station)
+    return detectors, {spin: tuple(change(spin, r) for r in rs) for spin, rs in routes.items()}
+
+
+def d2_route(change):
+    """A ``change`` that rewrites only the gated-spin-DOWN route onto D2."""
+    return lambda spin, r: change(r) if spin is SpinLabel.DOWN and r[1] == 1 else r
+
+
+ALICE_SUCCESS = (DetectorLabel.D3, DetectorLabel.D4)
+
+
+def alice_plan(readout, success=ALICE_SUCCESS):
+    fields = protocol._ALICE_PLAN._asdict()
+    for name in ("detectors", "pairs", "success"):
+        del fields[name]
+    return protocol._station_plan(readout, gated_spin=0, success=success, **fields)
+
+
+def test_station_plans_pair_each_detector_with_the_next():
+    assert alice_plan(photon_readout(Station.ALICE)) == protocol._ALICE_PLAN
+    for plan in (protocol._ALICE_PLAN, protocol._CHARLIE_PLAN):
+        pairs = [(first, second) for first, second, _, _ in plan.pairs]
+        assert pairs == list(zip(plan.detectors[::2], plan.detectors[1::2]))
+        for _, _, _, landings in plan.pairs:
+            assert len(landings) == 3
+            for _, _, weight, _, paired_weight, _ in landings:
+                assert abs(weight) == abs(paired_weight)
+
+
+@pytest.mark.parametrize(
+    "readout, success, message",
+    [
+        (doctored(Station.ALICE, d2_route(lambda r: (r[0], r[1], 0.5 * r[2]))), ALICE_SUCCESS, "equal weight"),
+        (doctored(Station.ALICE, d2_route(lambda r: (1 - r[0], r[1], r[2]))), ALICE_SUCCESS, "equal weight"),
+        (doctored(Station.ALICE, d2_route(lambda r: (r[0], 2, r[2]))), ALICE_SUCCESS, "equal weight"),
+        (photon_readout(Station.ALICE), (DetectorLabel.D2, DetectorLabel.D3), "different outcome classes"),
+        ((photon_readout(Station.ALICE)[0][:3], {}), ALICE_SUCCESS, "do not pair up"),
+    ],
+    ids=["weight", "polarization", "detector", "class", "odd"],
+)
+def test_station_plan_refuses_routes_that_break_a_pair(readout, success, message):
+    with pytest.raises(RoutingError, match=message):
+        alice_plan(readout, success)
 
 
 # -- lossy rounds -----------------------------------------------------------------

@@ -138,15 +138,15 @@ def tree_counts(tree_branches, mc_branches):
     return [(tree[key], count) for key, count in counts.items()]
 
 
-@pytest.mark.parametrize(
-    "alpha, rounds, shots, seed",
-    [
-        ((0.8, 0.36, 0.48), (4, 4), 20_000, 1),
-        # The first station's retries fall below the drop: its chain ends at round 1.
-        ((1e-180, 1e-200, 1.0), (3, 3), 20_000, 2),
-        ((0.8, 0.36, 0.48), (64, 64), 5_000, 3),
-    ],
-)
+MC_RUNS = [
+    ((0.8, 0.36, 0.48), (4, 4), 20_000, 1),
+    # The first station's retries fall below the drop: its chain ends at round 1.
+    ((1e-180, 1e-200, 1.0), (3, 3), 20_000, 2),
+    ((0.8, 0.36, 0.48), (64, 64), 5_000, 3),
+]
+
+
+@pytest.mark.parametrize("alpha, rounds, shots, seed", MC_RUNS)
 def test_monte_carlo_branches_match_the_tree(alpha, rounds, shots, seed):
     coefficients = WCoefficients.normalized(*alpha)
     tree = run_protocol(coefficients, ProtocolConfig(*rounds))
@@ -155,3 +155,60 @@ def test_monte_carlo_branches_match_the_tree(alpha, rounds, shots, seed):
         expected = shots * branch.probability
         sigma = math.sqrt(expected * (1.0 - branch.probability))
         assert abs(count - expected) <= 5.0 * sigma + 1.0, (branch.path, count, expected)
+
+
+# -- pair splits against the round tables ------------------------------------------
+
+
+def binomial_two_sided_p(k, n):
+    """P(|X - n/2| >= |k - n/2|) for X ~ Binomial(n, 1/2), from ``math`` alone."""
+    low = min(k, n - k)
+    if 2 * low == n:
+        return 1.0
+    log_norm = math.lgamma(n + 1) + n * math.log(0.5)
+    tail = sum(math.exp(log_norm - math.lgamma(i + 1) - math.lgamma(n - i + 1)) for i in range(low + 1))
+    return min(1.0, 2.0 * tail)
+
+
+def test_binomial_two_sided_p():
+    assert binomial_two_sided_p(5, 10) == 1.0
+    assert binomial_two_sided_p(0, 4) == pytest.approx(2 / 16)
+    assert binomial_two_sided_p(1, 4) == binomial_two_sided_p(3, 4) == pytest.approx(10 / 16)
+    assert binomial_two_sided_p(0, 1) == 1.0
+
+
+def pair_splits(chains, branches):
+    """``{(station, round, detector): (shots, shots on it)}`` for the first
+    detector of each pair that a Monte Carlo path's step reached, rounds
+    counted from 0 at each station."""
+    success = [{d.value for d, s in zip(plan.detectors, plan.success) if s} for plan, _ in chains]
+    splits = {}
+    for b in branches:
+        station = rnd = 0
+        for token in b.path:
+            code = int(token[1:])
+            first = f"D{code - 1 if code % 2 == 0 else code}"
+            n, k = splits.get((station, rnd, first), (0, 0))
+            splits[(station, rnd, first)] = (n + b.count, k + b.count * (token == first))
+            if token in success[station]:
+                station, rnd = station + 1, 0
+            else:
+                rnd += 1
+    return splits
+
+
+@pytest.mark.parametrize("alpha, rounds, shots, seed", MC_RUNS)
+def test_monte_carlo_pair_splits_match_the_round_tables(alpha, rounds, shots, seed):
+    # The two detectors of a pair (D1/D2, D3/D4, D5/D6, D7/D8) get equal halves
+    # of the pair's mass in every round, so the shots that reach a pair split
+    # between its detectors as Binomial(n, 1/2).  A cell's two-sided p-value
+    # must stay above 1e-4 at these seeds.
+    config = ProtocolConfig(*rounds, mode="mc", n_shots=shots, rng_seed=seed)
+    chains = _stage_chains(WCoefficients.normalized(*alpha), config)
+    splits = pair_splits(chains, run_protocol(WCoefficients.normalized(*alpha), config).branches)
+    assert splits
+    for (station, rnd, first), (n, k) in splits.items():
+        table = {o.detector.value: o.probability for o in chains[station][1][rnd]}
+        second = f"D{int(first[1:]) + 1}"
+        assert table[first] == table[second]
+        assert binomial_two_sided_p(k, n) > 1e-4, (station, rnd, first, k, n)

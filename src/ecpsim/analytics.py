@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .cavity import CavityParams, DenominatorConvention, ScatterCoefficients, scatter_coefficients
 from .errors import DomainError
-from .protocol import MAX_ROUNDS, WCoefficients
+from .protocol import _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
 SERIES_TOLERANCE = 1e-12
@@ -26,7 +26,7 @@ _NORMAL_MIN = sys.float_info.min  # least positive normal float
 
 # Most points in one sweep: the CLI holds every point until it writes, about
 # 0.3 KB each without a cavity and 0.4 KB with one, so 100 000 points peak
-# near 44 MiB (53 MiB with a cavity).
+# near 45 MiB resident (54 MiB with a cavity).
 MAX_POINTS = 100_000
 
 
@@ -94,46 +94,67 @@ def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS, tol: float = SERIES_TOLE
 
 def pt_one_round(c: WCoefficients) -> float:
     """Single-round total: 3 a1^2 a2^2 a3^2 / ((a1^2 + a2^2)(a3^2 + a2^2))."""
-    return _round_one(*c)[2]
+    return next(_round_ones(c.a2, ((c.a1, c.a3),)))[4]
 
 
-def _round_one(a1: float, a2: float, a3: float) -> tuple[float, float, float]:
-    """``(p1_round(1, c), p2_round(1, c), pt_one_round(c))`` for ``c = (a1, a2, a3)``,
-    in one call and bit for bit: the same operations, less the exact factors 1.0.
+def _round_ones(
+    a2: float, pairs: Iterable[tuple[float, float]]
+) -> Iterator[tuple[float, float, float, float, float]]:
+    """``(a1, a3, p1_round(1, c), p2_round(1, c), pt_one_round(c))`` for each
+    ``(a1, a3)`` of ``pairs``, ``c = (a1, a2, a3)`` a nonnegative finite triple,
+    bit for bit: the same operations, less the exact factors 1.0.
 
-    Every factor of pt's numerator after 3.0 is a coefficient, at most 1, so the
-    running product only shrinks: where it ends at or above the smallest normal
-    float, no step underflowed.  Below that, the squares are taken relative to
-    the larger coefficient of each pair, so a normal-range total is not lost.
+    The larger coefficient m of each pair is picked as ``max`` picks it, and its
+    ratio to itself, exactly 1.0, is not computed.  The a2-only terms are taken
+    once.  Every factor of pt's numerator after 3.0 is a coefficient, at most 1,
+    so the running product only shrinks: where it ends at or above the smallest
+    normal float, no step underflowed.  Below that, the squares are taken
+    relative to the larger coefficient of each pair, so a normal-range total is
+    not lost.
     """
-    sq2, sq3 = a2 * a2, a3 * a3
-    weight = sq3 + 2.0 * a2 * a2
-    m = max(a1, a2)
-    if m == 0.0:
-        p1 = 0.0
-    else:
-        s1 = (a1 / m) ** 2
-        p1 = s1 * weight / (s1 + (a2 / m) ** 2)
-    m = max(a2, a3)
-    if m == 0.0:
-        p2 = 0.0
-    else:
-        r = min(a2, a3) / m
-        b2, b3 = a2, a3
-        if m * m < _NORMAL_MIN:
-            b2, b3, m = a2 / m, a3 / m, 1.0
-            weight = b3 * b3 + 2.0 * b2 * b2
-        p2 = 3.0 * m * m * r**2 / (weight * ((b2 / m) ** 2 + (b3 / m) ** 2))
-    numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
-    if numerator >= _NORMAL_MIN:
-        pt = numerator / ((a1 * a1 + sq2) * (sq3 + sq2))
-    elif a2 == 0.0:
-        pt = 0.0
-    else:
-        m1, m2 = max(a1, a2), max(a2, a3)
-        u1, u2, v2, v3 = a1 / m1, a2 / m1, a2 / m2, a3 / m2
-        pt = 3.0 * u1 * u1 * v3 * v3 * a2 * a2 / ((u1 * u1 + u2 * u2) * (v3 * v3 + v2 * v2))
-    return p1, p2, pt
+    sq2 = a2 * a2
+    two_sq2 = 2.0 * a2 * a2
+    three_sq2 = 3.0 * a2 * a2
+    for a1, a3 in pairs:
+        sq3 = a3 * a3
+        weight = sq3 + two_sq2
+        # p1 over m = max(a1, a2)
+        if a2 > a1:
+            s1 = (a1 / a2) ** 2
+            p1 = s1 * weight / (s1 + 1.0)
+        elif a1 == 0.0:
+            p1 = 0.0
+        else:
+            p1 = weight / (1.0 + (a2 / a1) ** 2)
+        # p2 over m = max(a2, a3), r = min(a2, a3) / m; where m^2 underflows,
+        # the pair is taken relative to m (which becomes 1.0)
+        if a3 > a2:
+            r = a2 / a3
+            r2 = r**2
+            if sq3 < _NORMAL_MIN:
+                p2 = 3.0 * r2 / ((1.0 + 2.0 * r * r) * (r2 + 1.0))
+            else:
+                p2 = 3.0 * a3 * a3 * r2 / (weight * (r2 + 1.0))
+        elif a2 == 0.0:
+            p2 = 0.0
+        else:
+            r = a3 / a2
+            r2 = r**2
+            if sq2 < _NORMAL_MIN:
+                p2 = 3.0 * r2 / ((r * r + 2.0) * (1.0 + r2))
+            else:
+                p2 = three_sq2 * r2 / (weight * (1.0 + r2))
+        numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
+        if numerator >= _NORMAL_MIN:
+            pt = numerator / ((a1 * a1 + sq2) * (sq3 + sq2))
+        elif a2 == 0.0:
+            pt = 0.0
+        else:
+            m1 = a2 if a2 > a1 else a1
+            m2 = a3 if a3 > a2 else a2
+            u1, u2, v2, v3 = a1 / m1, a2 / m1, a2 / m2, a3 / m2
+            pt = 3.0 * u1 * u1 * v3 * v3 * a2 * a2 / ((u1 * u1 + u2 * u2) * (v3 * v3 + v2 * v2))
+        yield a1, a3, p1, p2, pt
 
 
 def practical_p1(c: WCoefficients, coefficients: ScatterCoefficients) -> float:
@@ -219,28 +240,41 @@ class CurvePoint(NamedTuple):
 
 
 def sweep(spec: SweepSpec) -> list[CurvePoint]:
-    """Single-round probabilities along the sweep, each point built positionally in
-    CSV column order.  Without a cavity the practical columns are the ideal
-    column objects themselves, which :func:`write_sweep_csv` formats once."""
+    """Single-round probabilities along the sweep, in one pass of :func:`_round_ones`
+    over the checked points, each point built positionally in CSV column order.
+    Without a cavity the practical columns are the ideal column objects
+    themselves, which :func:`write_sweep_csv` formats once."""
     lo, hi = spec.alpha1_range
-    n, a2 = spec.n_points, spec.alpha2
-    if spec.cavity is not None:
-        sc = scatter_coefficients(spec.cavity, convention=spec.convention)
-        f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
-    else:
-        f1 = None
+    a2 = spec.alpha2
+    rows = _round_ones(a2, _sweep_pairs(lo, hi, spec.n_points, a2))
+    if spec.cavity is None:
+        return [
+            _tuple_new(CurvePoint, (a1, a2, a3, p1, p2, pt, p1, p2, pt))
+            for a1, a3, p1, p2, pt in rows
+        ]
+    sc = scatter_coefficients(spec.cavity, convention=spec.convention)
+    f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
+    return [
+        _tuple_new(CurvePoint, (a1, a2, a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))
+        for a1, a3, p1, p2, pt in rows
+    ]
 
-    points = []
+
+def _sweep_pairs(lo: float, hi: float, n: int, a2: float) -> Iterator[tuple[float, float]]:
+    """``(a1, a3)`` at each of the ``n`` points, a1 as :func:`_alpha1` gives it.
+    Each point gets the test :class:`WCoefficients` applies (a3, a square root,
+    is never negative, and NaN or inf fails the norm test); a point that fails
+    it is handed to :class:`WCoefficients`, which raises its refusal."""
+    sq2 = a2 * a2
+    span, last = hi - lo, n - 1
     for i in range(n):
-        x = _alpha1(lo, hi, n, i)
-        a3 = math.sqrt(max(0.0, 1.0 - x * x - a2 * a2))
-        WCoefficients(x, a2, a3)  # refuses a point that is not a state
-        p1, p2, pt = _round_one(x, a2, a3)
-        if f1 is None:
-            points.append(CurvePoint(x, a2, a3, p1, p2, pt, p1, p2, pt))
-        else:
-            points.append(CurvePoint(x, a2, a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))
-    return points
+        a1 = lo + i * span / last if last else lo
+        sq1 = a1 * a1
+        rest = 1.0 - sq1 - sq2
+        a3 = math.sqrt(rest) if rest > 0.0 else 0.0
+        if not (a1 >= 0.0 and a2 >= 0.0 and abs(sq1 + sq2 + a3 * a3 - 1.0) <= _NORM_TOLERANCE):
+            WCoefficients(a1, a2, a3)
+        yield a1, a3
 
 
 def _alpha1(lo: float, hi: float, n: int, i: int) -> float:

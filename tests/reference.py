@@ -10,11 +10,16 @@ bit.  ``reference_tree`` builds the tree of ``enumerate_tree`` with a round
 at every internal node and nothing reused, and ``reference_masses`` sums the
 success masses of ``compare_all`` over its nodes.  ``reference_sample_branches``
 is the Monte Carlo sampler that ``ecpsim.sampling`` replaced: active index
-sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.  No
-command-line route runs this code, so it lives with the tests.
+sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.
+``reference_round_one`` and ``reference_sweep`` are the round-1 closed forms
+and the sweep loop that ``ecpsim.analytics`` folded into one kernel over the
+whole curve: one call per point, ``max`` and ``min`` for the larger of each
+pair, and a ``WCoefficients`` built to check each point.  No command-line
+route runs this code, so it lives with the tests.
 """
 
 import math
+import sys
 from functools import reduce
 from operator import add
 
@@ -43,7 +48,8 @@ from ecpsim import (
     coefficient_update_charlie,
     prepare_w_state,
 )
-from ecpsim.cavity import apply_ebs_gate, detect, hwp45
+from ecpsim.analytics import CurvePoint
+from ecpsim.cavity import apply_ebs_gate, detect, hwp45, scatter_coefficients
 from ecpsim.protocol import BranchRecord, _code
 
 # The ket of each WState slot.
@@ -341,3 +347,71 @@ def reference_sample_branches(config, chains):
         counts[branch.classification.value] += branch.count
     total = counts[chains[-1][0].success_class.value] / config.n_shots
     return branches, counts, total
+
+
+# -- round-1 closed forms and the sweep ------------------------------------------------
+
+_NORMAL_MIN = sys.float_info.min
+
+
+def reference_round_one(a1: float, a2: float, a3: float) -> tuple[float, float, float]:
+    """``(p1_round(1, c), p2_round(1, c), pt_one_round(c))`` for ``c = (a1, a2, a3)``,
+    in one call and bit for bit: the same operations, less the exact factors 1.0.
+
+    Every factor of pt's numerator after 3.0 is a coefficient, at most 1, so the
+    running product only shrinks: where it ends at or above the smallest normal
+    float, no step underflowed.  Below that, the squares are taken relative to
+    the larger coefficient of each pair, so a normal-range total is not lost.
+    """
+    sq2, sq3 = a2 * a2, a3 * a3
+    weight = sq3 + 2.0 * a2 * a2
+    m = max(a1, a2)
+    if m == 0.0:
+        p1 = 0.0
+    else:
+        s1 = (a1 / m) ** 2
+        p1 = s1 * weight / (s1 + (a2 / m) ** 2)
+    m = max(a2, a3)
+    if m == 0.0:
+        p2 = 0.0
+    else:
+        r = min(a2, a3) / m
+        b2, b3 = a2, a3
+        if m * m < _NORMAL_MIN:
+            b2, b3, m = a2 / m, a3 / m, 1.0
+            weight = b3 * b3 + 2.0 * b2 * b2
+        p2 = 3.0 * m * m * r**2 / (weight * ((b2 / m) ** 2 + (b3 / m) ** 2))
+    numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
+    if numerator >= _NORMAL_MIN:
+        pt = numerator / ((a1 * a1 + sq2) * (sq3 + sq2))
+    elif a2 == 0.0:
+        pt = 0.0
+    else:
+        m1, m2 = max(a1, a2), max(a2, a3)
+        u1, u2, v2, v3 = a1 / m1, a2 / m1, a2 / m2, a3 / m2
+        pt = 3.0 * u1 * u1 * v3 * v3 * a2 * a2 / ((u1 * u1 + u2 * u2) * (v3 * v3 + v2 * v2))
+    return p1, p2, pt
+
+
+def reference_sweep(spec):
+    """``ecpsim.analytics.sweep`` as one call of :func:`reference_round_one` per
+    point, each point checked by building its ``WCoefficients``."""
+    lo, hi = spec.alpha1_range
+    n, a2 = spec.n_points, spec.alpha2
+    if spec.cavity is not None:
+        sc = scatter_coefficients(spec.cavity, convention=spec.convention)
+        f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
+    else:
+        f1 = None
+
+    points = []
+    for i in range(n):
+        x = lo if n == 1 else lo + i * (hi - lo) / (n - 1)
+        a3 = math.sqrt(max(0.0, 1.0 - x * x - a2 * a2))
+        WCoefficients(x, a2, a3)  # refuses a point that is not a state
+        p1, p2, pt = reference_round_one(x, a2, a3)
+        if f1 is None:
+            points.append(CurvePoint(x, a2, a3, p1, p2, pt, p1, p2, pt))
+        else:
+            points.append(CurvePoint(x, a2, a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))
+    return points

@@ -28,7 +28,8 @@ from ecpsim import (
     scatter_coefficients,
     sweep,
 )
-from ecpsim.analytics import CSV_HEADER, CurvePoint, write_sweep_csv
+from ecpsim.analytics import CSV_HEADER, CurvePoint, _round_ones, write_sweep_csv
+from reference import reference_round_one, reference_sweep
 
 EQUAL = WCoefficients.symmetric()
 SKEWED = WCoefficients(0.8, 0.36, 0.48)
@@ -399,6 +400,112 @@ def sweep_specs(draw):
 @settings(max_examples=200, deadline=None)
 def test_sweep_columns_equal_the_closed_forms_bit_for_bit(spec):
     _assert_columns_pinned(spec, sweep(spec))
+
+
+# -- the one-pass sweep against the per-point reference ----------------------------------
+
+
+def _hex_rows(points) -> list:
+    return [tuple(v.hex() for v in p) for p in points]
+
+
+def _csv_text(points) -> str:
+    buf = io.StringIO()
+    write_sweep_csv(points, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def wide_sweep_specs(draw):
+    """Ranges over 300 decades, a2 down to the least subnormal float, and a
+    thousand points as well as the one-, two- and three-point grids."""
+    alpha2 = draw(st.one_of(st.just(5e-324), _decades(-323, math.log10(0.99))))
+    top = math.sqrt(1.0 - alpha2 * alpha2)
+    ends = st.one_of(st.just(1.0), _decades(-300, 0)).map(lambda f: f * top)
+    return SweepSpec(
+        alpha2=alpha2,
+        alpha1_range=tuple(sorted(draw(st.tuples(ends, ends)))),
+        n_points=draw(st.sampled_from((1, 2, 3, 1000))),
+        cavity=draw(cavities),
+        convention=draw(st.sampled_from(DenominatorConvention)),
+    )
+
+
+@given(wide_sweep_specs())
+@example(SweepSpec(alpha2=5e-324, alpha1_range=(1e-300, 1.0), n_points=1000))
+@example(SweepSpec(alpha2=1e-160, alpha1_range=(1e-170, 1.0), n_points=3))  # ties at a1 = a2 nearby
+@example(SweepSpec(alpha2=0.5, alpha1_range=(0.01, 0.84), n_points=1000))
+@settings(max_examples=60, deadline=None)
+def test_sweep_equals_the_per_point_reference_bit_for_bit(spec):
+    # every column by float.hex and every CSV byte, against one reference_round_one
+    # call and one WCoefficients per point
+    points, expected = sweep(spec), reference_sweep(spec)
+    assert _hex_rows(points) == _hex_rows(expected)
+    assert _csv_text(points) == _csv_text(expected)
+
+
+coefficient = st.one_of(st.just(0.0), st.just(-0.0), _decades(-300, 0))
+
+
+@st.composite
+def triples_with_ties(draw):
+    a1, a2, a3 = draw(st.tuples(coefficient, coefficient, coefficient))
+    tie = draw(st.sampled_from(("none", "a1=a2", "a2=a3", "all")))
+    if tie in ("a1=a2", "all"):
+        a1 = a2
+    if tie in ("a2=a3", "all"):
+        a3 = a2
+    return a1, a2, a3
+
+
+@given(triples_with_ties())
+@example((1.0, 1.0, 0.0))
+@example((0.0, 1.0, 1.0))
+@example((-0.0, 0.0, 1.0))
+@example((1.0, -0.0, 1.0))
+@example((1e-170, 1e-170, 1.0))  # pt's numerator underflows where a1 = a2
+@example((1.0, 1e-170, 1e-170))  # m^2 underflows where a2 = a3
+@example((1.0, 6.864336754504866e-161, 8.098510160219619e-161))  # subnormal p1: rounds 2 a2^2 once
+@settings(max_examples=400, deadline=None)
+def test_round_one_kernel_equals_the_reference_bit_for_bit(triple):
+    if not any(triple):
+        return  # the zero triple is not a state
+    c = WCoefficients.normalized(*triple)
+    expected = tuple(v.hex() for v in reference_round_one(*c))
+    a1, a2, a3 = c
+    (row,) = _round_ones(a2, [(a1, a3)])
+    assert row[:2] == (a1, a3)
+    assert tuple(v.hex() for v in row[2:]) == expected
+    assert pt_one_round(c).hex() == expected[2]
+
+
+def _outcome(run, spec):
+    try:
+        return _hex_rows(run(spec))
+    except Exception as exc:  # the refusal, compared by class and message
+        return type(exc), str(exc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# SweepSpec._replace skips the spec's checks, so these reach the loop's own test:
+# a2 = -0.5 beside a1 = 0.5 leaves a normalized triple only a2's sign test refuses
+@pytest.mark.parametrize("alpha2", [-0.5, -5e-324, -0.0, 0.0, NAN, INF, -INF, 5e-324, 0.5, 1.0])
+def test_sweep_refuses_what_the_per_point_reference_refuses(alpha2):
+    base = SweepSpec(alpha2=0.5, alpha1_range=(0.5, 0.5), n_points=1)
+    ranges = [
+        (0.5, 0.5), (0.1, 0.9), (0.8, 0.8660254037844386), (0.0, 0.0), (-0.0, -0.0),
+        (1.0, 1.0), (-0.1, 0.5), (NAN, 0.5), (0.1, NAN), (INF, INF), (0.1, INF), (-INF, 0.5),
+    ]
+    refused = 0
+    for alpha1_range in ranges:
+        for n in (0, 1, 3):
+            spec = base._replace(alpha2=alpha2, alpha1_range=alpha1_range, n_points=n)
+            expected = _outcome(reference_sweep, spec)
+            assert _outcome(sweep, spec) == expected, spec
+            refused += isinstance(expected, tuple)
+    assert refused > 0
 
 
 def test_csv_output_round_trips():

@@ -216,7 +216,7 @@ class SweepSpec(_SweepSpecFields):
         # (on lo where n_points is below 1, which the next check refuses).
         n = max(self.n_points, 1)
         top = max(hi, _alpha1(lo, hi, n, n - 1))
-        if top * top + self.alpha2 * self.alpha2 - 1.0 > 1e-12:
+        if top * top + self.alpha2 * self.alpha2 - 1.0 > _NORM_TOLERANCE:
             raise DomainError("alpha1 range exceeds normalization with this alpha2")
         if self.n_points < 1:
             raise DomainError("n_points must be at least 1")

@@ -83,14 +83,13 @@ _Table = list[tuple[float, bool, "_Table | None", RoundOutcome]]
 def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     """The round tables of the tree to the given depths, from its root's.
 
-    Stations and success classes are a run's (``protocol._stations``).  One
-    rule memoizes both rounds and tables: by the value of their inputs.  A
-    table is built once per ``(station, rounds left, amplitudes,
-    coefficients)``, and its round runs once per ``(station, amplitudes,
-    coefficients)``, so nodes with equal round inputs and equal rounds left
-    share one table, even where their amplitudes differ in the sign of a zero.
-    Tables are built depth first in detector order, so rounds run, and raise,
-    in the pre-order of their first node.
+    Stations and success classes are a run's (``protocol._stations``).  Tables
+    are memoized by the value of their inputs: one table, and one run of its
+    round, per ``(station, rounds left, amplitudes, coefficients)``, so nodes
+    with equal round inputs and equal rounds left share one table, even where
+    their amplitudes differ in the sign of a zero.  Tables are built depth
+    first in detector order, so rounds run, and raise, in the pre-order of
+    their table's first node.
     """
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
@@ -99,12 +98,11 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
         raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
     stations = _stations(k_alice, k_charlie)
-    rounds: dict[tuple, list[RoundOutcome]] = {}
     tables: dict[tuple, _Table] = {}
 
     def table(station: int, left: int, state: WState, coefficients: WCoefficients) -> _Table:
         """The table of one round with ``left`` rounds to go at ``station``."""
-        # Both keys are by value, and floats equal by value differ at most in
+        # The key is by value, and floats equal by value differ at most in
         # the sign of a zero (complex ``==`` and ``hash`` take -0.0 for 0.0).
         # Merging such inputs is exact: a round's outcomes do not depend on the
         # sign of a zero amplitude component, since each landing takes ``0j +
@@ -116,28 +114,15 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
         if rows is not None:
             return rows
         round_fn, plan, _ = stations[station]
-        round_key = (station, state.amplitudes, coefficients)
-        outcomes = rounds.get(round_key)
-        if outcomes is None:
-            outcomes = rounds[round_key] = round_fn(state, coefficients)
         retry = (station, left - 1) if left > 1 else None
         success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
         rows = []
-        prev = child = None
-        for outcome in outcomes:
+        for outcome in round_fn(state, coefficients):
             is_success = outcome.classification is plan.success_class
             next_round = success if is_success else retry
-            if next_round is None:
-                child = None
-            # An outcome with the previous row's class, coefficients and state
-            # by value, as a pair's second detector has, has its child's key:
-            # it takes that child without hashing the key again.
-            elif (prev is None or outcome.classification is not prev.classification
-                  or outcome.post_coefficients is not prev.post_coefficients
-                  or outcome.post_state != prev.post_state):
-                child = table(*next_round, outcome.post_state, outcome.post_coefficients)
+            child = (None if next_round is None
+                     else table(*next_round, outcome.post_state, outcome.post_coefficients))
             rows.append((outcome.probability, is_success, child, outcome))
-            prev = outcome
         tables[key] = rows
         return rows
 

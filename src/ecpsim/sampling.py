@@ -3,13 +3,14 @@ needs numpy; :func:`ecpsim.protocol.run_protocol` imports it in ``mc`` mode
 only, so every other command starts without numpy.
 
 The sampler neither searches nor sorts arrays.  A stage's outcome is a sum of
-comparisons against its cumulative probabilities (:func:`_choose`).  A path
-is a chain of nodes, one per stage it reached: each node holds its parent,
-its detector number and its stage's column.  Each live shot carries the
-dense id of its path prefix, and the (prefix, outcome) pairs of a stage are
-ranked with ``np.bincount``, which also counts the shots on each node.  Only
-the distinct finished paths are rebuilt into rows, by walking up the parents
-of all of them at once.
+comparisons against its cumulative probabilities (:func:`_choose`).  Each
+live shot carries the dense id of its path prefix, and each id has a row of
+detector numbers by stage column, 0 past the prefix's last stage.  The
+(prefix, outcome) pairs of a stage are ranked with ``np.bincount``, which
+also counts the shots on each pair, and each pair some shot took gets its
+prefix's row with the outcome's detector number in the stage's column.  A
+pair whose path ends there is a finished row; only distinct paths are ever
+held as rows.
 """
 
 from __future__ import annotations
@@ -46,92 +47,52 @@ def _choose(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return choice
 
 
-class _PathNodes:
-    """The path nodes of one chunk, added a stage at a time: per node its
-    parent (-1 for a first stage) and detector number, per stage its column,
-    and the finished paths with their shot counts."""
-
-    def __init__(self) -> None:
-        self.size = 0
-        self.parents: list[np.ndarray] = []
-        self.codes: list[np.ndarray] = []
-        self.columns: list[int] = []
-        self.ends: list[np.ndarray] = []
-        self.end_counts: list[np.ndarray] = []
-
-    def add(self, parents: np.ndarray, codes: np.ndarray, column: int) -> np.ndarray:
-        """Append one stage's nodes; returns their ids.  A chunk has at most
-        2^16 shots x 128 stages of nodes, so ids fit in int32."""
-        ids = np.arange(self.size, self.size + parents.size, dtype=np.int32)
-        self.size += parents.size
-        self.parents.append(parents)
-        self.codes.append(codes)
-        self.columns.append(column)
-        return ids
-
-    def finish(self, ids: np.ndarray, counts: np.ndarray) -> None:
-        self.ends.append(ids)
-        self.end_counts.append(counts)
-
-    def rows(self, n_stages: int) -> tuple[list[list[int]], list[int]]:
-        """Each finished path as a row of detector numbers by column, 0 where
-        the shot had stopped before, and its shot count."""
-        parents = np.concatenate(self.parents)
-        codes = np.concatenate(self.codes)
-        columns = np.repeat(self.columns, [p.size for p in self.parents])
-        node = np.concatenate(self.ends)
-        rows = np.zeros((node.size, n_stages), dtype=np.int8)
-        cell = np.arange(0, rows.size, n_stages)  # each row's first cell
-        # One level up per pass, for every path still below its first stage.
-        while node.size:
-            rows.flat[cell + columns.take(node)] = codes.take(node)
-            node = parents.take(node)
-            up = np.flatnonzero(node >= 0)
-            cell, node = cell.take(up), node.take(up)
-        return rows.tolist(), np.concatenate(self.end_counts).tolist()
-
-
-def _walk_chunk(u: np.ndarray, tables: list) -> _PathNodes:
+def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[list[int]], list[int]]:
     """Walk the shots of one chunk, row i of ``u`` for shot i, through the
-    stage tables of every station.
+    stage tables of every station.  Returns each distinct finished path as a
+    row of detector numbers by column, 0 where the shot had stopped before,
+    and its shot count.
 
     Boolean masks select with ``compress``, or with ``flatnonzero`` and
     ``take`` where one mask selects from several arrays: either is several
     times faster than indexing with the mask."""
-    nodes = _PathNodes()
+    ended, ended_counts = [], []
     # The shots at a stage, the dense id of each one's path prefix, and the
-    # node of each id (-1 for the empty prefix).
+    # row of each id (one all-zero row for the empty prefix).
     shots = np.arange(u.shape[0])
     prefix = np.zeros(shots.size, dtype=np.intp)
-    prefix_node = np.array([-1], dtype=np.int32)
+    prefix_rows = np.zeros((1, u.shape[1]), dtype=np.int8)
     col = 0
     for station, (cum, success, codes) in enumerate(tables):
         last_station = station == len(tables) - 1
-        passed, passed_prefix, passed_node = [], [], []
+        passed, passed_prefix, passed_rows = [], [], []
         n_passed = 0
         for k in range(len(cum)):
             if shots.size == 0:
                 break
             # A (prefix, outcome) pair's key holds the outcome in its low bits;
-            # the pairs some shot took become this stage's nodes.
+            # the pairs some shot took become this stage's rows.
             bits = (cum[k].size - 1).bit_length()
             low = (1 << bits) - 1
             key = (prefix << bits) | _choose(u[shots, col + k], cum[k])
-            hits = np.bincount(key, minlength=prefix_node.size << bits)
+            hits = np.bincount(key, minlength=len(prefix_rows) << bits)
             pairs = np.flatnonzero(hits > 0)
             won = success[k].take(pairs & low)
-            # Retry nodes first: a shot's dense id below n_lost means it retries.
+            # Retry rows first: a shot's dense id below n_lost means it retries.
             pairs = np.concatenate((pairs.compress(~won), pairs.compress(won)))
             n_lost = pairs.size - np.count_nonzero(won)
             rank = np.empty(hits.size, dtype=np.intp)
             rank[pairs] = np.arange(pairs.size)
-            ids = nodes.add(prefix_node.take(pairs >> bits), codes[k].take(pairs & low), col + k)
+            rows = prefix_rows.take(pairs >> bits, axis=0)
+            rows[:, col + k] = codes[k].take(pairs & low)
             if last_station:
-                nodes.finish(ids[n_lost:], hits.take(pairs[n_lost:]))
+                ended.append(rows[n_lost:])
+                ended_counts.append(hits.take(pairs[n_lost:]))
             else:
-                passed_node.append(ids[n_lost:])
+                passed_rows.append(rows[n_lost:])
             if k == len(cum) - 1:
-                nodes.finish(ids[:n_lost], hits.take(pairs[:n_lost]))
+                ended.append(rows[:n_lost])
+                ended_counts.append(hits.take(pairs[:n_lost]))
             shot_rank = rank.take(key)
             shot_won = shot_rank >= n_lost
             if not last_station:
@@ -140,14 +101,14 @@ def _walk_chunk(u: np.ndarray, tables: list) -> _PathNodes:
                 passed_prefix.append(shot_rank.take(go) + (n_passed - n_lost))
                 n_passed += pairs.size - n_lost
             stay = np.flatnonzero(~shot_won)
-            shots, prefix, prefix_node = shots.take(stay), shot_rank.take(stay), ids[:n_lost]
+            shots, prefix, prefix_rows = shots.take(stay), shot_rank.take(stay), rows[:n_lost]
         col += len(cum)
         if last_station or not passed:
             break
         shots = np.concatenate(passed)
         prefix = np.concatenate(passed_prefix)
-        prefix_node = np.concatenate(passed_node)
-    return nodes
+        prefix_rows = np.concatenate(passed_rows)
+    return np.concatenate(ended).tolist(), np.concatenate(ended_counts).tolist()
 
 
 def _sample_branches(
@@ -182,7 +143,7 @@ def _sample_branches(
         n = min(remaining, _CHUNK)
         remaining -= n
         u = rng.random((n, n_stages))
-        rows, counts = _walk_chunk(u, tables).rows(n_stages)
+        rows, counts = _walk_chunk(u, tables)
         for row, count in zip(rows, counts):
             key = tuple(row)
             path_counts[key] = path_counts.get(key, 0) + count

@@ -698,7 +698,7 @@ def test_negative_value_in_exponent_form(capsys):
             "07d34b5ab787a8809fcb7189cac815ab786a28dd7dc3c6de68ec76ef58c72495",
         ),
         (
-            # The deepest trees, where the round memo merges the most inputs.
+            # The deepest trees, where the table memo merges the most inputs.
             ["verify", "--grid", "2", "--depth", "8,8"],
             "27c4da08f4cc66d013c24f999f3b530d1c2aeeaf7c7732ba62602a63247b02d7",
         ),

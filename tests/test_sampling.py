@@ -70,6 +70,50 @@ def test_sampler_matches_reference_at_128_stages(alpha, shots, seed):
     assert sum(b.count for b in branches) == shots
 
 
+def assert_one_path(row, tables):
+    """``row`` is a path a shot can take: in each station's columns, one of the
+    stage's detectors per stage it reached, each a retry but the last, then
+    zeros; its last detector there is a success, or a retry at the station's
+    last stage, which ends the path and leaves later stations' columns zero."""
+    col, live = 0, True
+    for cum, success, codes in tables:
+        block = row[col:col + len(cum)]
+        col += len(cum)
+        stop = next((k for k, code in enumerate(block) if code == 0), len(block))
+        assert not any(block[stop:]), row
+        if not live:
+            assert stop == 0, row
+            continue
+        assert stop >= 1, row
+        won = [success[k][list(codes[k]).index(code)] for k, code in enumerate(block[:stop])]
+        assert not any(won[:-1]), row
+        assert won[-1] or stop == len(block), row
+        live = won[-1]
+    assert col == len(row)
+
+
+@pytest.mark.parametrize(
+    "alpha, rounds, shots, seed",
+    [
+        # ragged stages in both stations: four outcomes, then two
+        ((1e-6, 1e-5, 1.0), (6, 6), 20_000, 4),
+        ((0.8, 0.36, 0.48), (64, 64), 20_000, 5),
+        ((1.0, 1e-3, 1.0), (64, 64), 5_000, 6),
+    ],
+)
+def test_walk_chunk_gives_each_finished_path_once(alpha, rounds, shots, seed):
+    config = ProtocolConfig(max_rounds_alice=rounds[0], max_rounds_charlie=rounds[1], mode="mc", n_shots=shots)
+    chains = _stage_chains(WCoefficients.normalized(*alpha), config)
+    tables = [sampling._stage_tables(stages, plan.success_class) for plan, stages in chains]
+    u = np.random.Generator(np.random.Philox(key=seed)).random((shots, sum(len(s) for _, s in chains)))
+    rows, counts = sampling._walk_chunk(u, tables)
+    assert len({tuple(row) for row in rows}) == len(rows) == len(counts)
+    assert sum(counts) == shots
+    assert min(counts) >= 1
+    for row in rows:
+        assert_one_path(row, tables)
+
+
 def searchsorted_choice(cum, u):
     return np.clip(np.searchsorted(cum, u, side="right"), 0, cum.size - 1)
 

@@ -13,16 +13,14 @@ underflow gracefully to zero instead of producing 0/0.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .cavity import CavityParams, DenominatorConvention, ScatterCoefficients, scatter_coefficients
 from .errors import DomainError
-from .protocol import _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
+from .protocol import _NORMAL_MIN, _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
 SERIES_TOLERANCE = 1e-12
-_NORMAL_MIN = sys.float_info.min  # least positive normal float
 
 # Most points in one sweep: the CLI holds every point until it writes, about
 # 0.3 KB each without a cavity and 0.4 KB with one, so 100 000 points peak

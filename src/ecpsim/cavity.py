@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -168,8 +167,7 @@ def photon_readout(
     return detectors, routes
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
+class DetectionEvent(NamedTuple):
     """One detector that can fire: its label, probability, and the collapsed spins."""
 
     detector: DetectorLabel
@@ -348,8 +346,7 @@ def scatter_coefficients(
     return ScatterCoefficients(t=t, r=r, t0=t0, r0=r0)
 
 
-@dataclass(frozen=True)
-class LossyOperators:
+class LossyOperators(NamedTuple):
     """Transmission/reflection weights of the gate under cavity leakage.
 
     Uncoupled kets scatter with the cold-cavity pair (t0, r0), coupled kets

@@ -17,11 +17,10 @@ reference route in ``tests/reference.py`` that the rounds are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ShapeMismatchError, ZeroStateError
 
@@ -64,8 +63,7 @@ _SPIN_ORDER = {SpinLabel.UP: 0, SpinLabel.DOWN: 1}
 _SPIN_CHARS = {"u": SpinLabel.UP, "d": SpinLabel.DOWN}
 
 
-@dataclass(frozen=True)
-class PhotonLabel:
+class PhotonLabel(NamedTuple):
     """Polarization plus propagation direction of a single photon."""
 
     polarization: Polarization
@@ -82,8 +80,7 @@ class PhotonLabel:
         return {"polarization": self.polarization.value, "direction": self.direction.value}
 
 
-@dataclass(frozen=True)
-class BasisKet:
+class BasisKet(NamedTuple):
     """One basis element: an optional photon label and a tuple of spins."""
 
     photon: PhotonLabel | None

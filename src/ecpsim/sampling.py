@@ -47,11 +47,11 @@ def _choose(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return choice
 
 
-def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[list[int]], list[int]]:
+def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
     """Walk the shots of one chunk, row i of ``u`` for shot i, through the
-    stage tables of every station.  Returns each distinct finished path as a
-    row of detector numbers by column, 0 where the shot had stopped before,
-    and its shot count.
+    stage tables of every station.  Returns each distinct finished path as the
+    bytes of its row of detector numbers by column, 0 where the shot had
+    stopped before, and its shot count.
 
     Boolean masks select with ``compress``, or with ``flatnonzero`` and
     ``take`` where one mask selects from several arrays: either is several
@@ -108,7 +108,9 @@ def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[list[int]], list[int]
         shots = np.concatenate(passed)
         prefix = np.concatenate(passed_prefix)
         prefix_rows = np.concatenate(passed_rows)
-    return np.concatenate(ended).tolist(), np.concatenate(ended_counts).tolist()
+    rows = np.concatenate(ended)
+    rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    return rows.tolist(), np.concatenate(ended_counts).tolist()
 
 
 def _sample_branches(
@@ -120,8 +122,9 @@ def _sample_branches(
     reproducible for a given (seed, shot index) regardless of chunking: each
     chunk of up to ``_CHUNK`` shots draws its block and is walked by
     :func:`_walk_chunk`.  The shots that succeed at a station are the next
-    station's input.  Branches come out in the lexicographic order of their
-    rows of detector numbers by stage.
+    station's input.  Paths are counted by their rows' bytes, which sort as
+    the rows do since every detector number is in 0..8, so branches come out
+    in the lexicographic order of their rows of detector numbers by stage.
     """
     tables = [_stage_tables(stages, plan.success_class) for plan, stages in chains]
     n_stages = sum(len(stages) for _, stages in chains)
@@ -136,7 +139,7 @@ def _sample_branches(
             ending[d.value] = (cls, cls.value)
 
     rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
-    path_counts: dict[tuple[int, ...], int] = {}
+    path_counts: dict[bytes, int] = {}
 
     remaining = config.n_shots
     while remaining > 0:
@@ -145,8 +148,7 @@ def _sample_branches(
         u = rng.random((n, n_stages))
         rows, counts = _walk_chunk(u, tables)
         for row, count in zip(rows, counts):
-            key = tuple(row)
-            path_counts[key] = path_counts.get(key, 0) + count
+            path_counts[row] = path_counts.get(row, 0) + count
 
     branches = []
     counts = {cls.value: 0 for cls in OutcomeClass}

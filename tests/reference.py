@@ -14,8 +14,10 @@ sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.
 ``reference_round_one`` and ``reference_sweep`` are the round-1 closed forms
 and the sweep loop that ``ecpsim.analytics`` folded into one kernel over the
 whole curve: one call per point, ``max`` and ``min`` for the larger of each
-pair, and a ``WCoefficients`` built to check each point.  No command-line
-route runs this code, so it lives with the tests.
+pair, and a ``WCoefficients`` built to check each point.
+``lossy_chain_total`` is the as-published lossy chain's total from the closed
+round terms, with no amplitude code.  No command-line route runs this code,
+so it lives with the tests.
 """
 
 import math
@@ -46,6 +48,8 @@ from ecpsim import (
     charlie_round,
     coefficient_update_alice,
     coefficient_update_charlie,
+    p1_round,
+    p2_round,
     prepare_w_state,
 )
 from ecpsim.analytics import CurvePoint
@@ -415,3 +419,32 @@ def reference_sweep(spec):
         else:
             points.append(CurvePoint(x, a2, a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))
     return points
+
+
+# -- the as-published lossy chain in closed form -----------------------------------
+
+
+def lossy_chain_total(c, scatter, k_alice, k_charlie):
+    """The as-published lossy total within ``(k_alice, k_charlie)`` rounds, from
+    ``p1_round``/``p2_round`` and the two ports' signal fractions alone.
+
+    With p(k) a station's ideal round-k term, s_k = p(k)/(1 − Σ_{j<k} p(j)) is
+    its ideal success given round k is reached.  A lossy round succeeds with
+    f·s_k, f the port's signal fraction, and retries otherwise, so the station
+    succeeds within K rounds with Σ_{k≤K} f·s_k·Π_{j<k}(1 − f·s_j); the total
+    is the product over the two stations.
+    """
+    total = 1.0
+    for p_round, f, rounds in (
+        (p1_round, scatter.transmitted_signal_fraction, k_alice),
+        (p2_round, scatter.reflected_signal_fraction, k_charlie),
+    ):
+        success, reach, done = 0.0, 1.0, 0.0
+        for k in range(1, rounds + 1):
+            p = p_round(k, c)
+            s = p / (1.0 - done)
+            success += reach * f * s
+            reach *= 1.0 - f * s
+            done += p
+        total *= success
+    return total

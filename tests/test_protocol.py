@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
 import sys
 
 import pytest
@@ -22,6 +25,7 @@ from ecpsim import (
     DetectorLabel,
     Direction,
     InvalidCoefficientsError,
+    LossyOperators,
     OutcomeClass,
     PhotonLabel,
     Polarization,
@@ -43,8 +47,9 @@ from ecpsim import (
     scatter_coefficients,
     simplex_grid,
 )
+import ecpsim
 from ecpsim import protocol
-from ecpsim.cavity import photon_readout
+from ecpsim.cavity import detect, hwp45, photon_readout
 
 EQUAL = WCoefficients.symmetric()
 SKEWED = WCoefficients(0.8, 0.36, 0.48)  # 0.64 + 0.1296 + 0.2304 = 1
@@ -600,10 +605,14 @@ def test_trace_json_monte_carlo_block():
 
 
 def _value_samples():
-    """``(value, field, replacement)`` for each value type a CLI route builds."""
+    """``(value, field, replacement)`` for each value type a CLI route builds,
+    then for the four of the reference route's gate, wave plate and detectors."""
     cavity = CavityParams(kappa_s=0.1, g=0.5, gamma=0.1)
     state = prepare_w_state(SKEWED)
     trace = run_protocol(SKEWED, ProtocolConfig(2, 2))
+    photon = PhotonLabel(Polarization.R, Direction.MINUS_Z)
+    ket = BasisKet.from_spins("udu").with_photon(photon)
+    event = detect(hwp45(StateVector({ket: 1.0})), Station.ALICE)[0]
     return [
         (SKEWED, "a1", 0.0),
         (state, "amplitudes", (None, None, 1 + 0j)),
@@ -617,6 +626,10 @@ def _value_samples():
         (cavity, "g", 1.0),
         (scatter_coefficients(cavity), "t", 0j),
         (SweepSpec(n_points=3, cavity=cavity), "n_points", 4),
+        (photon, "direction", Direction.PLUS_Z),
+        (ket, "photon", photon.reflected()),
+        (event, "probability", 0.25),
+        (LossyOperators(scatter_coefficients(cavity)), "coefficients", scatter_coefficients(CavityParams())),
     ]
 
 
@@ -639,3 +652,18 @@ def test_value_types_are_immutable_hashable_values(value, field, replacement):
     changed = value._replace(**{field: replacement})
     assert changed is not value and type(changed) is type(value)
     assert getattr(changed, field) == replacement and getattr(value, field) is old
+
+
+def test_only_two_oracle_classes_are_dataclasses():
+    # BranchNode stays one because the cyclic GC makes a named-tuple tree from
+    # enumerate_tree about twice as slow to build; ComparisonReport because
+    # bench/test_bench.py passes it to dataclasses.replace.
+    found = set()
+    for info in pkgutil.iter_modules(ecpsim.__path__):
+        module = importlib.import_module(f"ecpsim.{info.name}")
+        found |= {
+            f"{info.name}.{name}"
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
+        }
+    assert found == {"oracle.BranchNode", "oracle.ComparisonReport"}

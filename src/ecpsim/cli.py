@@ -18,13 +18,17 @@ import os
 import re
 import sys
 from functools import cache, partial
-from typing import Callable, Iterator, Sequence, TextIO
 
-from .analytics import SweepSpec, sweep, write_sweep_csv
-from .cavity import CavityParams, DenominatorConvention, scatter_coefficients
 from .errors import ConfigError, EcpError
-from .oracle import compare_all, simplex_grid
-from .protocol import ProtocolConfig, WCoefficients, run_protocol
+
+# Only errors is imported here: each subcommand and flag converter imports the
+# modules it runs when it runs, so a process loads those alone.  Annotations are
+# not evaluated, so the names they use are imported for type checkers only.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Iterator, Sequence, TextIO
+
+    from .cavity import CavityParams, DenominatorConvention
 
 
 # -- flag parsing helpers ------------------------------------------------------
@@ -62,6 +66,8 @@ def _parse_range(text: str, field: str) -> tuple[float, float]:
 
 
 def _cavity(prefix: str, **rates) -> CavityParams:
+    from .cavity import CavityParams
+
     try:
         return CavityParams(**rates)
     except ValueError as exc:
@@ -74,6 +80,8 @@ def _cavity_flag(text: str) -> CavityParams:
 
 
 def _convention(token: str) -> DenominatorConvention:
+    from .cavity import DenominatorConvention
+
     try:
         return DenominatorConvention(token)
     except ValueError:
@@ -99,10 +107,6 @@ _CONFIG_KEYS = {
     "cavity": dict,
     "convention": str,
     "sweep": dict,
-}
-_SECTION_KEYS = {
-    "cavity": set(CavityParams._fields),
-    "sweep": {"alpha2", "alpha1_range", "points"},
 }
 
 
@@ -132,6 +136,8 @@ _SHAPES = (
 
 def _load_config(path: str) -> dict:
     """Read and schema-check a run-config JSON file; unknown keys are errors."""
+    from .cavity import CavityParams
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -148,7 +154,8 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config: unknown key {key!r}")
         if not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool):
             raise ConfigError(f"config: key {key!r} has wrong type")
-    for section, known in _SECTION_KEYS.items():
+    sections = {"cavity": CavityParams._fields, "sweep": ("alpha2", "alpha1_range", "points")}
+    for section, known in sections.items():
         for key in raw.get(section, {}):
             if key not in known:
                 raise ConfigError(f"config: unknown {section} key {key!r}")
@@ -187,6 +194,8 @@ def _output(out: str | None) -> Iterator[TextIO]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .protocol import ProtocolConfig, WCoefficients, run_protocol
+
     if args.alpha is None:
         raise ConfigError("alpha: required (flag --alpha or config file)")
     # As floats, so a config integer squares like the flag's value instead
@@ -209,6 +218,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .analytics import SweepSpec, sweep, write_sweep_csv
+
     spec = SweepSpec(
         alpha2=args.alpha2,
         alpha1_range=tuple(map(float, args.alpha1_range)),
@@ -235,6 +246,8 @@ def _print_report_table(reports, stream: TextIO) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import compare_all, simplex_grid
+
     reports = compare_all(simplex_grid(args.grid), depths=args.depth, tolerance=args.tol,
                           cavity=args.cavity, convention=args.convention)
     _print_report_table(reports, sys.stdout)
@@ -244,6 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
+    from .cavity import scatter_coefficients
+
     params = _cavity("", kappa_s=args.kappa_s, g=args.g, gamma=args.gamma)
     sc = scatter_coefficients(params, omega=args.omega_detuning, convention=args.convention)
     obj = {"convention": args.convention.value}

@@ -409,7 +409,7 @@ def test_every_package_error_exits_2(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ZeroStateError("cannot normalize the zero vector")
 
-    monkeypatch.setattr("ecpsim.cli.scatter_coefficients", fail)
+    monkeypatch.setattr("ecpsim.cavity.scatter_coefficients", fail)
     code, out, err = run(["coeffs"], capsys)
     assert code == 2
     assert err == "error: ZeroStateError: cannot normalize the zero vector\n"
@@ -905,6 +905,51 @@ def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == str(imports_numpy)
+
+
+# -- modules each entry point loads ------------------------------------------------------
+
+# Imports the package and the CLI in a fresh interpreter, runs the command given,
+# if any, and prints the ecpsim modules loaded and whether dataclasses and numpy are.
+_LOADED_MODULES = (
+    "import contextlib, io, json, sys; import ecpsim, ecpsim.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = ecpsim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "names = sorted(m for m in sys.modules if m.split('.')[0] == 'ecpsim')\n"
+    "print(json.dumps([names, 'dataclasses' in sys.modules, 'numpy' in sys.modules]))\n"
+    "sys.exit(code)"
+)
+_IMPORT_ONLY = ["ecpsim", "ecpsim.cli", "ecpsim.errors"]
+_COEFFS = [*_IMPORT_ONLY, "ecpsim.cavity", "ecpsim.hilbert"]
+_TREE = [*_COEFFS, "ecpsim.protocol"]
+_VERIFY = [*_TREE, "ecpsim.analytics", "ecpsim.oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules, imports_dataclasses, imports_numpy",
+    [
+        ([], _IMPORT_ONLY, False, False),
+        (["coeffs"], _COEFFS, False, False),
+        (["sweep", "--points", "5"], [*_TREE, "ecpsim.analytics"], False, False),
+        (["simulate", "--alpha", "0.8,0.36,0.48", "--rounds", "4,4"], _TREE, False, False),
+        (
+            ["simulate", "--alpha", "0.8,0.36,0.48", "--mode", "mc", "--shots", "100"],
+            [*_TREE, "ecpsim.sampling"], False, True,
+        ),
+        (["verify", "--grid", "1", "--depth", "2,2"], _VERIFY, True, False),
+        (["verify", "--grid", "1", "--depth", "2,2", "--cavity", "0.1,0.5,0.1"], _VERIFY, True, False),
+    ],
+    ids=["import", "coeffs", "sweep", "simulate-tree", "simulate-mc", "verify", "verify-lossy"],
+)
+def test_each_entry_point_loads_only_the_modules_it_runs(
+    argv, modules, imports_dataclasses, imports_numpy, tmp_path
+):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [sorted(modules), imports_dataclasses, imports_numpy]
 
 
 # -- non-finite and out-of-range input ------------------------------------------------

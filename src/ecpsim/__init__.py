@@ -11,11 +11,11 @@ each other.
 ``errors``.  Each public name, ``ecpsim.<name>`` or ``from ecpsim import
 <name>``, imports the module that defines it on first use and is read from
 that module on every access, never copied here.  Each subcommand imports
-what it runs when it runs: ``coeffs`` loads ``cavity`` (and ``hilbert``
-through it), tree ``simulate`` also ``protocol``, Monte Carlo ``simulate``
-also ``sampling`` and numpy, ``sweep`` ``protocol`` and ``analytics``, and
-``verify`` those and ``oracle``, the one module that imports
-``dataclasses``.
+what it runs when it runs: ``coeffs`` loads ``cavity``, tree ``simulate``
+also ``protocol``, Monte Carlo ``simulate`` also ``sampling`` and numpy,
+``sweep`` ``protocol`` and ``analytics``, and ``verify`` those and
+``oracle``, the one module that imports ``dataclasses``.  No subcommand loads
+``hilbert``, the reference route's general states.
 """
 
 # The public names, by the submodule that defines them.
@@ -26,15 +26,15 @@ _EXPORTS = {
         "sweep", "write_sweep_csv",
     ),
     "cavity": (
-        "CavityParams", "DenominatorConvention", "DetectorLabel", "LossyOperators",
-        "ScatterCoefficients", "Station", "scatter_coefficients",
+        "CavityParams", "DenominatorConvention", "DetectorLabel", "Direction", "LossyOperators",
+        "Polarization", "ScatterCoefficients", "SpinLabel", "Station", "scatter_coefficients",
     ),
     "errors": (
         "CircularBasisPhotonError", "ConfigError", "DegenerateCoefficientsError",
         "DomainError", "EcpError", "InvalidCoefficientsError", "LinearBasisPhotonError",
         "RoutingError", "ShapeMismatchError", "ZeroStateError",
     ),
-    "hilbert": ("BasisKet", "Direction", "PhotonLabel", "Polarization", "SpinLabel", "StateVector"),
+    "hilbert": ("BasisKet", "PhotonLabel", "StateVector"),
     "oracle": ("BranchNode", "ComparisonReport", "compare_all", "enumerate_tree", "simplex_grid"),
     "protocol": (
         "BranchRecord", "OutcomeClass", "ProtocolConfig", "ProtocolTrace", "RoundOutcome",

@@ -197,10 +197,12 @@ class _SweepSpecFields(NamedTuple):
 
 class SweepSpec(_SweepSpecFields):
     """One-dimensional sweep over a1 at fixed a2 (a3 follows from normalization),
-    checked where it is built (:class:`DomainError`): every point it sweeps gives
-    a triple :class:`WCoefficients` accepts."""
+    checked where it is built, ``_replace`` and ``_make`` included
+    (:class:`DomainError`): every point it sweeps gives a triple
+    :class:`WCoefficients` accepts, so :func:`sweep` tests none."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs) -> SweepSpec:
         self = super().__new__(cls, *args, **kwargs)
@@ -212,8 +214,8 @@ class SweepSpec(_SweepSpecFields):
         # WCoefficients's norm test where a1 and a2 fill the norm (a3 = 0), on
         # hi and on the largest point, the last, which can round one ulp past hi
         # (on lo where n_points is below 1, which the next check refuses).
-        n = max(self.n_points, 1)
-        top = max(hi, _alpha1(lo, hi, n, n - 1))
+        last = max(self.n_points, 1) - 1
+        top = max(hi, lo + last * (hi - lo) / last if last else lo)
         if top * top + self.alpha2 * self.alpha2 - 1.0 > _NORM_TOLERANCE:
             raise DomainError("alpha1 range exceeds normalization with this alpha2")
         if self.n_points < 1:
@@ -239,7 +241,7 @@ class CurvePoint(NamedTuple):
 
 def sweep(spec: SweepSpec) -> list[CurvePoint]:
     """Single-round probabilities along the sweep, in one pass of :func:`_round_ones`
-    over the checked points, each point built positionally in CSV column order.
+    over the spec's points, each point built positionally in CSV column order.
     Without a cavity the practical columns are the ideal column objects
     themselves, which :func:`write_sweep_csv` formats once."""
     lo, hi = spec.alpha1_range
@@ -259,25 +261,15 @@ def sweep(spec: SweepSpec) -> list[CurvePoint]:
 
 
 def _sweep_pairs(lo: float, hi: float, n: int, a2: float) -> Iterator[tuple[float, float]]:
-    """``(a1, a3)`` at each of the ``n`` points, a1 as :func:`_alpha1` gives it.
-    Each point gets the test :class:`WCoefficients` applies (a3, a square root,
-    is never negative, and NaN or inf fails the norm test); a point that fails
-    it is handed to :class:`WCoefficients`, which raises its refusal."""
+    """``(a1, a3)`` at each of the ``n`` points spaced evenly over [lo, hi] (lo where n
+    is 1), a3 = sqrt(1 - a1^2 - a2^2), or 0.0 where that is not positive.  A
+    :class:`SweepSpec`'s points need no test: its checks bound the last, largest a1."""
     sq2 = a2 * a2
     span, last = hi - lo, n - 1
     for i in range(n):
         a1 = lo + i * span / last if last else lo
-        sq1 = a1 * a1
-        rest = 1.0 - sq1 - sq2
-        a3 = math.sqrt(rest) if rest > 0.0 else 0.0
-        if not (a1 >= 0.0 and a2 >= 0.0 and abs(sq1 + sq2 + a3 * a3 - 1.0) <= _NORM_TOLERANCE):
-            WCoefficients(a1, a2, a3)
-        yield a1, a3
-
-
-def _alpha1(lo: float, hi: float, n: int, i: int) -> float:
-    """a1 at point ``i`` of ``n`` over [lo, hi]."""
-    return lo if n == 1 else lo + i * (hi - lo) / (n - 1)
+        rest = 1.0 - a1 * a1 - sq2
+        yield a1, math.sqrt(rest) if rest > 0.0 else 0.0
 
 
 CSV_HEADER = ",".join(CurvePoint._fields)

@@ -12,6 +12,9 @@ a polarizing beam splitter per output port routes H/V onto labeled detectors.
 With a leaky cavity the same gate is described by frequency-dependent
 scattering coefficients: the coupled (reflecting) subspace scatters with
 (t, r) and the uncoupled (transmitting) subspace with (t0, r0).
+
+The labels, the amplitude drop and the tables live here.  The functions on the
+reference route's general states import their module only when called.
 """
 
 from __future__ import annotations
@@ -27,15 +30,43 @@ from .errors import (
     LinearBasisPhotonError,
     ShapeMismatchError,
 )
-from .hilbert import (
-    BasisKet,
-    Direction,
-    PhotonLabel,
-    Polarization,
-    SpinLabel,
-    StateVector,
-    combine_terms,
-)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations are not evaluated
+    from .hilbert import BasisKet, StateVector
+
+DEFAULT_TOLERANCE = 1e-12  # the package's one amplitude drop, wherever a state is built
+
+
+class SpinLabel(Enum):
+    """Electron spin projection along the cavity axis."""
+
+    UP = "up"
+    DOWN = "down"
+
+
+class Polarization(Enum):
+    """Photon polarization label; R/L are circular, H/V linear."""
+
+    R = "R"
+    L = "L"
+    H = "H"
+    V = "V"
+
+    @property
+    def is_circular(self) -> bool:
+        return self in (Polarization.R, Polarization.L)
+
+
+class Direction(Enum):
+    """Photon propagation direction along the cavity axis."""
+
+    PLUS_Z = "plus_z"
+    MINUS_Z = "minus_z"
+
+    def flipped(self) -> Direction:
+        return Direction.MINUS_Z if self is Direction.PLUS_Z else Direction.PLUS_Z
+
 
 _R, _L, _H, _V = Polarization.R, Polarization.L, Polarization.H, Polarization.V
 _UP, _DOWN = SpinLabel.UP, SpinLabel.DOWN
@@ -93,6 +124,7 @@ def ideal_interaction(ket: BasisKet, spin_index: int) -> tuple[BasisKet, int]:
 
     Returns the image ket and its sign (+1 reflected, -1 transmitted).
     """
+    from .hilbert import BasisKet, PhotonLabel
     if ket.photon is None:
         raise ShapeMismatchError("ket carries no photon")
     if not ket.photon.polarization.is_circular:
@@ -109,6 +141,7 @@ def couples(polarization: Polarization, direction: Direction, spin: SpinLabel) -
 
 def apply_ebs_gate(state: StateVector, spin_index: int) -> StateVector:
     """Linear extension of :func:`ideal_interaction` over a whole state."""
+    from .hilbert import combine_terms
     return combine_terms(
         ((new_ket, sign * amp) for ket, amp in state.items()
          for new_ket, sign in (ideal_interaction(ket, spin_index),))
@@ -125,6 +158,7 @@ _HWP = {
 
 def hwp45(state: StateVector) -> StateVector:
     """Half-wave plate at 45 degrees: map circular polarizations to linear."""
+    from .hilbert import BasisKet, PhotonLabel, combine_terms
     pairs = []
     for ket, amp in state.items():
         photon = ket.photon
@@ -183,6 +217,7 @@ def detect(state: StateVector, station: Station) -> list[DetectionEvent]:
     probabilities sum to the squared norm of ``state``; collapsed spin states
     are normalized and carry no photon.
     """
+    from .hilbert import combine_terms
     groups: dict[DetectorLabel, list[tuple[BasisKet, complex]]] = {}
     for ket, amp in state.items():
         photon = ket.photon
@@ -227,11 +262,12 @@ class _CavityParamsFields(NamedTuple):
 
 class CavityParams(_CavityParamsFields):
     """Cavity and emitter rates; everything is normalized to kappa internally.
-    Checked where it is built (:class:`ValueError`).
+    Checked where it is built, ``_replace`` and ``_make`` included (:class:`ValueError`).
 
     The trace's ``cavity`` record lists the fields in declaration order."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs) -> CavityParams:
         self = super().__new__(cls, *args, **kwargs)
@@ -362,6 +398,7 @@ class LossyOperators(NamedTuple):
         The result is generally subnormalized; the missing mass is photon
         loss through the leakage channel.
         """
+        from .hilbert import BasisKet, combine_terms
         sc = self.coefficients
         pairs = []
         for ket, amp in state.items():

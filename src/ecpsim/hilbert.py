@@ -5,57 +5,24 @@ ordered tuple of electron spins) to complex amplitudes.  Everything is
 value-semantic: operations return new states and never mutate their inputs,
 so intermediate states can be shared freely across branching computations.
 Global phase is never canonicalized; fidelity is the phase-insensitive
-comparator.  Amplitudes below :data:`DEFAULT_TOLERANCE` are dropped wherever
-a state is built; it is the one amplitude drop of the package.
+comparator.  Amplitudes below :data:`ecpsim.cavity.DEFAULT_TOLERANCE`, the
+package's one amplitude drop, are dropped wherever a state is built.
 
-Protocol rounds never leave the W sector and carry
-:class:`ecpsim.protocol.WState` instead.  General states serve the gate,
-wave-plate and detector functions of :mod:`ecpsim.cavity` and the composed
-reference route in ``tests/reference.py`` that the rounds are checked against.
+No production route loads this module: protocol rounds carry
+:class:`ecpsim.protocol.WState`.  General states serve the reference route: the
+gate, wave-plate and detector functions of :mod:`ecpsim.cavity`, which import
+this module when called, and the composed route in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import reduce
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .cavity import DEFAULT_TOLERANCE, Direction, Polarization, SpinLabel
 from .errors import ShapeMismatchError, ZeroStateError
-
-DEFAULT_TOLERANCE = 1e-12
-
-
-class SpinLabel(Enum):
-    """Electron spin projection along the cavity axis."""
-
-    UP = "up"
-    DOWN = "down"
-
-
-class Polarization(Enum):
-    """Photon polarization label; R/L are circular, H/V linear."""
-
-    R = "R"
-    L = "L"
-    H = "H"
-    V = "V"
-
-    @property
-    def is_circular(self) -> bool:
-        return self in (Polarization.R, Polarization.L)
-
-
-class Direction(Enum):
-    """Photon propagation direction along the cavity axis."""
-
-    PLUS_Z = "plus_z"
-    MINUS_Z = "minus_z"
-
-    def flipped(self) -> Direction:
-        return Direction.MINUS_Z if self is Direction.PLUS_Z else Direction.PLUS_Z
-
 
 _POL_ORDER = {Polarization.R: 0, Polarization.L: 1, Polarization.H: 2, Polarization.V: 3}
 _DIR_ORDER = {Direction.PLUS_Z: 0, Direction.MINUS_Z: 1}

@@ -23,10 +23,12 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .cavity import (
+    DEFAULT_TOLERANCE,
     CavityParams,
     DenominatorConvention,
     DetectorLabel,
     ScatterCoefficients,
+    SpinLabel,
     Station,
     photon_readout,
     scatter_coefficients,
@@ -37,7 +39,6 @@ from .errors import (
     InvalidCoefficientsError,
     RoutingError,
 )
-from .hilbert import DEFAULT_TOLERANCE, SpinLabel
 
 _NORM_TOLERANCE = 1e-12
 _NORMAL_MIN = sys.float_info.min  # least positive normal float
@@ -87,9 +88,10 @@ class _WCoefficientsFields(NamedTuple):
 
 class WCoefficients(_WCoefficientsFields):
     """Real nonnegative W-state coefficient triple with unit norm, checked where
-    it is built (:class:`InvalidCoefficientsError`)."""
+    it is built, ``_replace`` and ``_make`` included (:class:`InvalidCoefficientsError`)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, a1: float, a2: float, a3: float) -> WCoefficients:
         if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
@@ -204,9 +206,11 @@ class _ProtocolConfigFields(NamedTuple):
 class ProtocolConfig(_ProtocolConfigFields):
     """One run: round limits (1..MAX_ROUNDS), the lossy gate's cavity (``None``
     for the ideal gate) and denominator convention, the tree or Monte Carlo
-    mode, seed and shots; checked where it is built (:class:`ConfigError`)."""
+    mode, seed and shots; checked where it is built, ``_replace`` and ``_make``
+    included (:class:`ConfigError`)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs) -> ProtocolConfig:
         self = super().__new__(cls, *args, **kwargs)

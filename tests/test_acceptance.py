@@ -41,7 +41,6 @@ from ecpsim import (
 )
 from ecpsim.cavity import (
     Direction,
-    PhotonLabel,
     Polarization,
     SpinLabel,
     apply_ebs_gate,
@@ -49,6 +48,7 @@ from ecpsim.cavity import (
     ideal_interaction,
 )
 from ecpsim.cli import main as cli_main
+from ecpsim.hilbert import PhotonLabel
 
 EQUAL = WCoefficients.symmetric()
 ALPHA2 = 1.0 / math.sqrt(3.0)

@@ -319,37 +319,64 @@ def test_sweep_spec_validation():
     assert SweepSpec(n_points=100_000).n_points == 100_000
 
 
-# The largest a1 whose triple WCoefficients accepts beside a2 = 0.6: one ulp
-# more puts a1^2 + a2^2 past its 1e-12 norm tolerance.
-EDGE = 0.8000000000006249
-
-
-def _sweep_points_accepted(lo, hi, n):
-    """Whether WCoefficients accepts hi's triple and every point's, with each
-    point's a1 and a3 taken as the sweep takes them."""
-    xs = [hi] + [lo if n == 1 else lo + i * (hi - lo) / (n - 1) for i in range(n)]
+def _accepted(a1, a2):
+    """Whether WCoefficients accepts the triple the sweep takes at a1 beside a2."""
     try:
-        for x in xs:
-            WCoefficients(x, 0.6, math.sqrt(max(0.0, 1.0 - x * x - 0.36)))
+        WCoefficients(a1, a2, math.sqrt(max(0.0, 1.0 - a1 * a1 - a2 * a2)))
     except InvalidCoefficientsError:
         return False
     return True
 
 
-@given(st.floats(min_value=0.01, max_value=0.8), st.integers(-3, 3), st.integers(1, 300))
-@example(0.01, 0, 8)  # EDGE is accepted, but the last point rounds one ulp past it
-@example(0.1, 1, 2)  # one ulp past EDGE
-@settings(max_examples=300, deadline=None)
-def test_sweep_spec_accepts_exactly_the_ranges_whose_points_are_accepted(lo, ulps, n):
-    hi = EDGE
+def _edge(a2):
+    """The largest a1 whose triple WCoefficients accepts beside a2: one ulp more
+    puts a1^2 + a2^2 past its 1e-12 norm tolerance."""
+    a1 = math.sqrt(1.0 + 1e-12 - a2 * a2)
+    while _accepted(math.nextafter(a1, 2.0), a2):
+        a1 = math.nextafter(a1, 2.0)
+    while not _accepted(a1, a2):
+        a1 = math.nextafter(a1, 0.0)
+    return a1
+
+
+EDGE = _edge(0.6)
+assert EDGE == 0.8000000000006249
+
+
+@st.composite
+def edge_ranges(draw):
+    """``(a2, lo, hi, n)``: a2 over 300 decades, hi within three ulps of a2's edge,
+    lo from 1% of the edge down by 300 decades or up to 99% of it."""
+    alpha2 = draw(st.one_of(st.just(0.6), _decades(-300, math.log10(0.99))))
+    hi = edge = _edge(alpha2)
+    ulps = draw(st.integers(-3, 3))
     for _ in range(abs(ulps)):
         hi = math.nextafter(hi, math.copysign(1.0, ulps))
+    lo = draw(st.one_of(st.floats(0.01, 0.99), _decades(-300, -2))) * edge
+    return alpha2, lo, hi, draw(st.integers(1, 300))
+
+
+def _sweep_points_accepted(alpha2, lo, hi, n):
+    """Whether WCoefficients accepts hi's triple and every point's, with each
+    point's a1 and a3 taken as the sweep takes them."""
+    xs = [hi] + [lo if n == 1 else lo + i * (hi - lo) / (n - 1) for i in range(n)]
+    return all(_accepted(x, alpha2) for x in xs)
+
+
+# The only check that every point of an accepted spec is a triple WCoefficients
+# accepts: sweep tests no point itself.
+@given(edge_ranges())
+@example((0.6, 0.01, EDGE, 8))  # EDGE is accepted, but the last point rounds one ulp past it
+@example((0.6, 0.1, math.nextafter(EDGE, 1.0), 2))  # one ulp past EDGE
+@settings(max_examples=300, deadline=None)
+def test_sweep_spec_accepts_exactly_the_ranges_whose_points_are_accepted(ranges):
+    alpha2, lo, hi, n = ranges
     try:
-        spec = SweepSpec(alpha2=0.6, alpha1_range=(lo, hi), n_points=n)
+        spec = SweepSpec(alpha2=alpha2, alpha1_range=(lo, hi), n_points=n)
     except DomainError:
-        assert not _sweep_points_accepted(lo, hi, n)
+        assert not _sweep_points_accepted(alpha2, lo, hi, n)
     else:
-        assert _sweep_points_accepted(lo, hi, n)
+        assert _sweep_points_accepted(alpha2, lo, hi, n)
         assert len(sweep(spec)) == n
 
 
@@ -512,9 +539,9 @@ def test_round_one_kernel_equals_the_reference_bit_for_bit(triple):
     assert pt_one_round(c).hex() == expected[2]
 
 
-def _outcome(run, spec):
+def _outcome(build):
     try:
-        return _hex_rows(run(spec))
+        return build()
     except Exception as exc:  # the refusal, compared by class and message
         return type(exc), str(exc)
 
@@ -522,8 +549,10 @@ def _outcome(run, spec):
 NAN, INF = float("nan"), float("inf")
 
 
-# SweepSpec._replace skips the spec's checks, so these reach the loop's own test:
-# a2 = -0.5 beside a1 = 0.5 leaves a normalized triple only a2's sign test refuses
+# _replace refuses exactly what SweepSpec refuses, and every spec both accept sweeps
+# as the per-point reference does, which builds each point's WCoefficients: no spec
+# reaches sweep with a point that is not a state.  a2 = -0.5 beside a1 = 0.5 leaves
+# a normalized triple only a2's sign test refuses.
 @pytest.mark.parametrize("alpha2", [-0.5, -5e-324, -0.0, 0.0, NAN, INF, -INF, 5e-324, 0.5, 1.0])
 def test_sweep_refuses_what_the_per_point_reference_refuses(alpha2):
     base = SweepSpec(alpha2=0.5, alpha1_range=(0.5, 0.5), n_points=1)
@@ -534,10 +563,13 @@ def test_sweep_refuses_what_the_per_point_reference_refuses(alpha2):
     refused = 0
     for alpha1_range in ranges:
         for n in (0, 1, 3):
-            spec = base._replace(alpha2=alpha2, alpha1_range=alpha1_range, n_points=n)
-            expected = _outcome(reference_sweep, spec)
-            assert _outcome(sweep, spec) == expected, spec
-            refused += isinstance(expected, tuple)
+            fields = {"alpha2": alpha2, "alpha1_range": alpha1_range, "n_points": n}
+            spec = _outcome(lambda: SweepSpec(**fields))
+            assert _outcome(lambda: base._replace(**fields)) == spec
+            if isinstance(spec, SweepSpec):
+                assert _hex_rows(sweep(spec)) == _hex_rows(reference_sweep(spec)), spec
+            else:
+                refused += 1
     assert refused > 0
 
 

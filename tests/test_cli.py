@@ -707,6 +707,19 @@ def test_negative_value_in_exponent_form(capsys):
             ["verify", "--grid", "4", "--depth", "8,8"],
             "2b5d7a8853e88fceda6e66e5e5382b38cdc8bce883b45c2874644462b390316d",
         ),
+        (
+            # The 1000-point sweep CI pins, so the one-pass kernel's CSV bytes are
+            # checked on every tier-1 run as well.
+            ["sweep", "--points", "1000", "--alpha2", "0.5", "--alpha1-range", "0.01:0.84"],
+            "a034f0752723d4f0edc7a1c12fdf18e1b43fa262de7c51d100c2a72d3cd7c0d5",
+        ),
+        (
+            # The 100 000-shot Monte Carlo trace CI pins; it ends on
+            # total_success_probability=0.2482.
+            ["simulate", "--alpha", "0.577,0.577,0.577", "--mode", "mc", "--shots", "100000",
+             "--seed", "7"],
+            "ce3dd56f8436e865b50a69dc3c368d7d5631903ea8bbd7a8807e97b9d267360e",
+        ),
     ],
 )
 def test_stdout_golden_digest(argv, digest, capsys):
@@ -755,8 +768,20 @@ _CORRECTED = ["--convention", "corrected"]
             ["sweep", "--cavity", "0.3,0.8,0.1"],
             "73d044c2f1fa30212a3b418eebda02154cd218fe478c391cbda8651922f2e365",
         ),
+        (
+            # The lossy 1000-point sweep CI pins.
+            ["sweep", "--points", "1000", "--alpha2", "0.5", "--alpha1-range", "0.01:0.84",
+             "--cavity", "0.3,1.0,0.1"] + _CORRECTED,
+            "0259968421be856bca5db9739b371a07702366c12e30b7e5d608b94fc15a1792",
+        ),
+        (
+            # The small lossy verify CI runs; it ends on "summary: 32 comparisons, 0 failed".
+            ["verify", "--grid", "2", "--depth", "2,2", "--cavity", "0.1,0.5,0.1"],
+            "febbbf6366e28302942bf17290790e85f16cd74a3f6ce2a307b69048da2f8f79",
+        ),
     ],
-    ids=["tree", "tree-corrected", "mc", "mc-corrected", "verify", "verify-corrected", "sweep"],
+    ids=["tree", "tree-corrected", "mc", "mc-corrected", "verify", "verify-corrected", "sweep",
+         "sweep-1000-corrected", "verify-small"],
 )
 def test_lossy_stdout_golden_digest(argv, digest, capsys):
     code, out, _ = run(argv, capsys)
@@ -877,36 +902,6 @@ def test_parser_reuse_honours_each_calls_seed_env(tmp_path, monkeypatch, capsys)
     assert outputs[0][1] != outputs[1][1]
 
 
-# -- numpy only for Monte Carlo ----------------------------------------------------------
-
-# Runs one command in a fresh interpreter and prints whether numpy was imported.
-_IMPORTS_NUMPY = (
-    "import sys; from ecpsim.cli import main; code = main(sys.argv[1:]); "
-    "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
-)
-
-
-@pytest.mark.parametrize(
-    "argv, imports_numpy",
-    [
-        (["verify", "--grid", "2", "--depth", "2,2"], False),
-        (["verify", "--grid", "2", "--depth", "2,2", "--cavity", "0.1,0.5,0.1"], False),
-        (["sweep", "--points", "5"], False),
-        (["coeffs"], False),
-        (["simulate", "--alpha", "0.8,0.36,0.48", "--rounds", "4,4"], False),
-        (["simulate", "--alpha", "0.8,0.36,0.48", "--mode", "mc", "--shots", "100"], True),
-    ],
-    ids=["verify", "verify-lossy", "sweep", "coeffs", "simulate-tree", "simulate-mc"],
-)
-def test_numpy_is_imported_only_for_monte_carlo(argv, imports_numpy, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_NUMPY, *argv],
-        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == str(imports_numpy)
-
-
 # -- modules each entry point loads ------------------------------------------------------
 
 # Imports the package and the CLI in a fresh interpreter, runs the command given,
@@ -920,7 +915,7 @@ _LOADED_MODULES = (
     "sys.exit(code)"
 )
 _IMPORT_ONLY = ["ecpsim", "ecpsim.cli", "ecpsim.errors"]
-_COEFFS = [*_IMPORT_ONLY, "ecpsim.cavity", "ecpsim.hilbert"]
+_COEFFS = [*_IMPORT_ONLY, "ecpsim.cavity"]
 _TREE = [*_COEFFS, "ecpsim.protocol"]
 _VERIFY = [*_TREE, "ecpsim.analytics", "ecpsim.oracle"]
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import importlib
@@ -614,7 +615,7 @@ def _value_samples():
     ket = BasisKet.from_spins("udu").with_photon(photon)
     event = detect(hwp45(StateVector({ket: 1.0})), Station.ALICE)[0]
     return [
-        (SKEWED, "a1", 0.0),
+        (SKEWED, "a1", math.nextafter(SKEWED.a1, 0.0)),  # still within the norm tolerance
         (state, "amplitudes", (None, None, 1 + 0j)),
         (alice_round(state, SKEWED)[0], "probability", 0.5),
         (ProtocolConfig(2, 2, cavity=cavity), "rng_seed", 7),
@@ -652,6 +653,35 @@ def test_value_types_are_immutable_hashable_values(value, field, replacement):
     changed = value._replace(**{field: replacement})
     assert changed is not value and type(changed) is type(value)
     assert getattr(changed, field) == replacement and getattr(value, field) is old
+
+
+# A value the constructor refuses, for each validated type: _replace, _make and,
+# from Python 3.13, copy.replace build through the constructor and raise as it does.
+REFUSED_FIELDS = [
+    (SKEWED, "a1", 0.0),
+    (ProtocolConfig(), "max_rounds_alice", 0),
+    (ProtocolConfig(), "mode", "mc"),
+    (CavityParams(g=0.5, gamma=0.1), "g", math.nan),
+    (SweepSpec(), "alpha2", 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "value, field, refused", REFUSED_FIELDS,
+    ids=[f"{type(v).__name__}-{f}" for v, f, _ in REFUSED_FIELDS],
+)
+def test_every_construction_path_refuses_what_the_constructor_refuses(value, field, refused):
+    fields = {**value._asdict(), field: refused}
+    with pytest.raises(Exception) as expected:
+        type(value)(**fields)
+    builds = [lambda: value._replace(**{field: refused}), lambda: type(value)._make(fields.values())]
+    if hasattr(copy, "replace"):
+        builds.append(lambda: copy.replace(value, **{field: refused}))
+    for build in builds:
+        with pytest.raises(Exception) as caught:
+            build()
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
 
 
 def test_only_two_oracle_classes_are_dataclasses():

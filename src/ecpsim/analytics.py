@@ -32,7 +32,7 @@ def p1_round(k: int, c: WCoefficients) -> float:
     """Probability that the first station succeeds exactly at repetition ``k``."""
     if k < 1 or k > MAX_ROUNDS:
         raise DomainError(f"round index {k} outside 1..{MAX_ROUNDS}")
-    a1, a2, a3 = c.as_tuple()
+    a1, a2, a3 = c
     m = max(a1, a2)
     if m == 0.0:
         return 0.0
@@ -196,16 +196,18 @@ class _SweepSpecFields(NamedTuple):
 
 
 class SweepSpec(_SweepSpecFields):
-    """One-dimensional sweep over a1 at fixed a2 (a3 follows from normalization),
-    checked where it is built, ``_replace`` and ``_make`` included
-    (:class:`DomainError`): every point it sweeps gives a triple
-    :class:`WCoefficients` accepts, so :func:`sweep` tests none."""
+    """One-dimensional sweep of ``n_points`` (an ``int``, not a ``bool``) over a1
+    at fixed a2 (a3 follows from normalization), checked where it is built,
+    ``_replace`` and ``_make`` included (:class:`DomainError`): every point it
+    sweeps gives a triple :class:`WCoefficients` accepts, so :func:`sweep` tests none."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs) -> SweepSpec:
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool):
+            raise DomainError(f"n_points must be an int, not {type(self.n_points).__name__}")
         lo, hi = self.alpha1_range
         if not (0.0 < self.alpha2 < 1.0):
             raise DomainError(f"alpha2 {self.alpha2} outside (0, 1)")

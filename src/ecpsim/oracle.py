@@ -19,7 +19,6 @@ from .cavity import CavityParams, DenominatorConvention, DetectorLabel, scatter_
 from .errors import DomainError
 from .protocol import (
     OutcomeClass,
-    ProtocolConfig,
     RoundOutcome,
     WCoefficients,
     WState,
@@ -289,9 +288,10 @@ def compare_all(
     rounds), the one-round joint probability, and, when cavity parameters
     are given, the three lossy one-round quantities of the as-published
     model, taken from the first round of each station chain that a run with
-    that cavity computes (``protocol._stage_chains``).  Both sides of a lossy
-    row scale by the same signal fraction, so those rows do not check the
-    loss model itself.  A comparison passes when its absolute error is at
+    that cavity computes (``protocol._stage_chains``).  The cavity is
+    evaluated once per call, not per grid point.  Both sides of a lossy row
+    scale by the same signal fraction, so those rows do not check the loss
+    model itself.  A comparison passes when its absolute error is at
     most ``tolerance``, which must be finite and nonnegative
     (:class:`DomainError` otherwise).
     """
@@ -303,12 +303,9 @@ def compare_all(
     def report(*row) -> None:  # quantity, point, analytic, simulated
         reports.append(ComparisonReport(*row, tolerance))
 
-    if cavity is not None:
-        sc = scatter_coefficients(cavity, convention=convention)
-        lossy = ProtocolConfig(cavity=cavity, convention=convention)
-
+    sc = None if cavity is None else scatter_coefficients(cavity, convention=convention)
     for c in grid:
-        point = c.as_tuple()
+        point = tuple(c)
         alice_at, charlie_at, joint = _tree_masses(c, k_alice, k_charlie)
         for k in range(1, min(_ROUND_COMPARISONS, k_alice) + 1):
             report(f"p1_round[k={k}]", point, analytics.p1_round(k, c), alice_at[k])
@@ -317,11 +314,11 @@ def compare_all(
         if k_charlie >= 1:
             report("pt_one_round", point, analytics.pt_one_round(c), joint)
 
-        if cavity is not None:
+        if sc is not None:
             # each station's first-round success mass, left to right as alice_total
             sim_p1, sim_p2 = (
                 reduce(add, (o.probability for o in stages[0] if o.classification is plan.success_class), 0.0)
-                for plan, stages in _stage_chains(c, lossy)
+                for plan, stages in _stage_chains(c, 1, 1, sc)
             )
             report("p1_practical", point, analytics.practical_p1(c, sc), sim_p1)
             report("p2_practical", point, analytics.practical_p2(c, sc), sim_p2)

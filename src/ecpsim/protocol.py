@@ -124,9 +124,6 @@ class WCoefficients(_WCoefficientsFields):
         a = 1.0 / math.sqrt(3.0)
         return cls(a, a, a)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.a1, self.a2, self.a3)
-
 
 class OutcomeClass(Enum):
     ALICE_SUCCESS = "alice_success"
@@ -178,7 +175,7 @@ class RoundOutcome(NamedTuple):
             "detector": self.detector.value,
             "probability": self.probability,
             "classification": self.classification.value,
-            "post_coefficients": list(self.post_coefficients.as_tuple()),
+            "post_coefficients": list(self.post_coefficients),
             "post_state": self.post_state.to_json_obj(),
         }
 
@@ -206,14 +203,18 @@ class _ProtocolConfigFields(NamedTuple):
 class ProtocolConfig(_ProtocolConfigFields):
     """One run: round limits (1..MAX_ROUNDS), the lossy gate's cavity (``None``
     for the ideal gate) and denominator convention, the tree or Monte Carlo
-    mode, seed and shots; checked where it is built, ``_replace`` and ``_make``
-    included (:class:`ConfigError`)."""
+    mode, seed and shots, the counts each an ``int`` and not a ``bool``; checked
+    where it is built, ``_replace`` and ``_make`` included (:class:`ConfigError`)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs) -> ProtocolConfig:
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("max_rounds_alice", "max_rounds_charlie", "rng_seed", "n_shots"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, not {type(value).__name__}")
         if self.max_rounds_alice < 1 or self.max_rounds_charlie < 1:
             raise ConfigError("round limits must be at least 1")
         if self.max_rounds_alice > MAX_ROUNDS or self.max_rounds_charlie > MAX_ROUNDS:
@@ -288,7 +289,7 @@ class ProtocolTrace(NamedTuple):
     def _json_obj(self, rounds: list, branches: list) -> dict:
         obj: dict = {
             "config": self.config.to_json_obj(),
-            "coefficients": list(self.coefficients.as_tuple()),
+            "coefficients": list(self.coefficients),
             "rounds": rounds,
             "branches": branches,
             "total_success_probability": self.total_success_probability,
@@ -314,7 +315,7 @@ class ProtocolTrace(NamedTuple):
 
 def prepare_w_state(coefficients: WCoefficients) -> WState:
     """Three-spin input state; all three coefficients must be strictly positive."""
-    a1, a2, a3 = coefficients.as_tuple()
+    a1, a2, a3 = coefficients
     if a1 == 0.0 or a2 == 0.0 or a3 == 0.0:
         raise InvalidCoefficientsError("protocol requires strictly positive coefficients")
     return WState(tuple(None if a < DEFAULT_TOLERANCE else complex(a) for a in (a3, a2, a1)))
@@ -337,7 +338,7 @@ def coefficient_update_alice(coefficients: WCoefficients) -> WCoefficients:
     Where m^2 underflows, m = max(a1, a2) > 0, the products are taken
     relative to m*M with M = max(m, a3), so their ratios survive at any scale.
     """
-    a1, a2, a3 = coefficients.as_tuple()
+    a1, a2, a3 = coefficients
     m = max(a1, a2)
     if 0.0 < m and m * m < _NORMAL_MIN:
         big = max(m, a3)
@@ -383,23 +384,21 @@ _tuple_new = tuple.__new__
 class _StationPlan(NamedTuple):
     """What a round at one station needs, fixed at import.
 
-    ``detectors`` come from :func:`photon_readout`, and ``success`` is indexed
-    by detector position.  ``pairs`` holds one ``(detector, paired detector,
-    success, landings)`` per detector pair (D1/D2, D3/D4, D5/D6, D7/D8):
-    ``landings`` holds one ``(slot, polarization index, weight, flip, paired
-    weight, paired flip)`` per :class:`WState` slot, in slot order, from the
-    routes of the slot's gated spin, where a ``flip`` marks a slot an even
-    detector's phase correction negates (gated spin DOWN).  The two weights
-    of a landing differ at most in sign.  ``signal_fraction`` is the lossy
-    gate's factor on the success probability: the signal fraction of the
-    station's success port.
+    ``pairs`` holds one ``(detector, paired detector, success, landings)`` per
+    detector pair (D1/D2, D3/D4, D5/D6, D7/D8), in :func:`photon_readout`'s
+    detector order; it is the plan's only record of its detectors and of
+    which of them herald success.  ``landings`` holds one ``(slot,
+    polarization index, weight, flip, paired weight, paired flip)`` per
+    :class:`WState` slot, in slot order, from the routes of the slot's gated
+    spin, where a ``flip`` marks a slot an even detector's phase correction
+    negates (gated spin DOWN).  The two weights of a landing differ at most
+    in sign.  ``signal_fraction`` is the lossy gate's factor on the success
+    probability: the signal fraction of the station's success port.
     """
 
     photon_pair: Callable[[WCoefficients], tuple[float, float]]
     signal_fraction: Callable[[ScatterCoefficients], float]
-    detectors: tuple[DetectorLabel, ...]
     pairs: tuple[tuple[DetectorLabel, DetectorLabel, bool, tuple[_PairLanding, ...]], ...]
-    success: tuple[bool, ...]
     success_class: OutcomeClass
     retry_class: OutcomeClass
     success_coefficients: Callable[[WCoefficients], WCoefficients]
@@ -439,7 +438,7 @@ def _station_plan(
             raise RoutingError(f"{names} do not share (slot, polarization) routes of equal weight")
         pair = tuple((s, p, w, f, w2, f2) for (s, p, w, f), (_, _, w2, f2) in zip(first, second))
         pairs.append((detectors[position], detectors[position + 1], is_success[position], pair))
-    return _StationPlan(detectors=detectors, pairs=tuple(pairs), success=is_success, **fields)
+    return _StationPlan(pairs=tuple(pairs), **fields)
 
 
 _ALICE_PLAN = _station_plan(
@@ -597,8 +596,11 @@ def _stations(k_alice: int, k_charlie: int) -> list[tuple[Callable, _StationPlan
 _Chain = tuple[_StationPlan, list[list[RoundOutcome]]]
 
 
-def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_Chain]:
-    """Per-round outcome tables, one chain per station.
+def _stage_chains(
+    coefficients: WCoefficients, k_alice: int, k_charlie: int, scatter: ScatterCoefficients | None
+) -> list[_Chain]:
+    """Per-round outcome tables, one chain per station whose round limit is
+    above 0, on the lossy gate of ``scatter`` (``None`` for the ideal gate).
 
     Retry physics is path-independent (both retry detectors collapse to the
     same state), so one chain per station carries the complete dynamics.
@@ -612,12 +614,9 @@ def _stage_chains(coefficients: WCoefficients, config: ProtocolConfig) -> list[_
     share that did not herald success to the retry outcomes, and there are
     none to carry it.
     """
-    scatter = None
-    if config.cavity is not None:
-        scatter = scatter_coefficients(config.cavity, convention=config.convention)
     state, coeffs = prepare_w_state(coefficients), coefficients
     chains: list[_Chain] = []
-    for round_fn, plan, limit in _stations(config.max_rounds_alice, config.max_rounds_charlie):
+    for round_fn, plan, limit in _stations(k_alice, k_charlie):
         if chains:
             prev_plan, prev_stages = chains[-1]
             success = prev_plan.success_class
@@ -699,7 +698,8 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
     sampled with a counter-based generator (one uniform row per shot), and
     branch records carry observed frequencies.
     """
-    chains = _stage_chains(coefficients, config)
+    scatter = None if config.cavity is None else scatter_coefficients(config.cavity, convention=config.convention)
+    chains = _stage_chains(coefficients, config.max_rounds_alice, config.max_rounds_charlie, scatter)
     rounds = [o for _, stages in chains for stage in stages for o in stage]
 
     shots = counts = None

@@ -125,18 +125,16 @@ def _sample_branches(
     station's input.  Paths are counted by their rows' bytes, which sort as
     the rows do since every detector number is in 0..8, so branches come out
     in the lexicographic order of their rows of detector numbers by stage.
+    Detector labels, and the class of a path (that of its last outcome), are
+    read from the outcomes in the chains' stages, not from their plans.
     """
     tables = [_stage_tables(stages, plan.success_class) for plan, stages in chains]
     n_stages = sum(len(stages) for _, stages in chains)
-    # Each detector number's label, and the class (with its name) of a path
-    # that ends on that label: the class of its last detector's outcome.
-    label: dict[int, str] = {}
-    ending: dict[str, tuple[OutcomeClass, str]] = {}
-    for plan, _ in chains:
-        for d, success in zip(plan.detectors, plan.success):
-            cls = plan.success_class if success else plan.retry_class
-            label[_code(d)] = d.value
-            ending[d.value] = (cls, cls.value)
+    # Each sampled detector number's label, and the class (with its name) of a
+    # path that ends on that label: the class of its last detector's outcome.
+    outcomes = [o for _, stages in chains for st in stages for o in st]
+    label = {_code(o.detector): o.detector.value for o in outcomes}
+    ending = {o.detector.value: (o.classification, o.classification.value) for o in outcomes}
 
     rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
     path_counts: dict[bytes, int] = {}

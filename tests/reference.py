@@ -298,11 +298,7 @@ def reference_sample_branches(config, chains):
         for plan, stages in chains
     ]
     n_stages = sum(len(stages) for _, stages in chains)
-    code_class = {
-        _code(d): plan.success_class if success else plan.retry_class
-        for plan, _ in chains
-        for d, success in zip(plan.detectors, plan.success)
-    }
+    code_class = {_code(o.detector): o.classification for _, stages in chains for st in stages for o in st}
 
     rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
     path_counts = {}

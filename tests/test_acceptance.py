@@ -158,7 +158,7 @@ def test_criterion_6_state_fidelities():
             if node.path and node.path[-1] is DetectorLabel.D5:
                 ok = ok and to_state_vector(node.state).fidelity(w_max) >= 1.0 - 1e-12
         outcomes = alice_round(prepare_w_state(c), c)
-        a1, a2, a3 = c.as_tuple()
+        a1, a2, a3 = c
         for o in outcomes:
             if o.detector is DetectorLabel.D3:
                 expected = WCoefficients.normalized(a2, a2, a3)
@@ -166,8 +166,8 @@ def test_criterion_6_state_fidelities():
                 expected = WCoefficients.normalized(a1 * a1, a2 * a2, a2 * a3)
             else:
                 continue
-            got = o.post_coefficients.as_tuple()
-            ok = ok and all(abs(g - e) <= 1e-12 for g, e in zip(got, expected.as_tuple()))
+            got = o.post_coefficients
+            ok = ok and all(abs(g - e) <= 1e-12 for g, e in zip(got, expected))
             fidelity = to_state_vector(o.post_state).fidelity(
                 to_state_vector(prepare_w_state(expected))
             )

@@ -58,7 +58,7 @@ def p1_round_by_iteration(k: int, c: WCoefficients) -> float:
     """Chain single-round probabilities through the retry coefficient map."""
 
     def single(cur: WCoefficients) -> float:
-        a1, a2, a3 = cur.as_tuple()
+        a1, a2, a3 = cur
         return a1 * a1 * (a3 * a3 + 2 * a2 * a2) / (a1 * a1 + a2 * a2)
 
     reach, cur = 1.0, c
@@ -70,10 +70,10 @@ def p1_round_by_iteration(k: int, c: WCoefficients) -> float:
 
 def p2_round_by_iteration(k: int, c: WCoefficients) -> float:
     def single(cur: WCoefficients) -> float:
-        _, a2, a3 = cur.as_tuple()
+        _, a2, a3 = cur
         return 3 * a2 * a2 * a3 * a3 / ((a3 * a3 + a2 * a2) * (a3 * a3 + 2 * a2 * a2))
 
-    _, a2, a3 = c.as_tuple()
+    _, a2, a3 = c
     reach, cur = 1.0, WCoefficients.normalized(a2, a2, a3)
     for _ in range(k - 1):
         reach *= 1.0 - single(cur)

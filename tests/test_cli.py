@@ -720,6 +720,11 @@ def test_negative_value_in_exponent_form(capsys):
              "--seed", "7"],
             "ce3dd56f8436e865b50a69dc3c368d7d5631903ea8bbd7a8807e97b9d267360e",
         ),
+        (
+            # A one-station tree (k_charlie = 0); it ends on "summary: 8 comparisons, 0 failed".
+            ["verify", "--grid", "2", "--depth", "2,0"],
+            "1b3ffda43cd5355aa541ea66cb4d8204b3bdd6700817f0b19e009eee7c45fc7d",
+        ),
     ],
 )
 def test_stdout_golden_digest(argv, digest, capsys):
@@ -779,9 +784,15 @@ _CORRECTED = ["--convention", "corrected"]
             ["verify", "--grid", "2", "--depth", "2,2", "--cavity", "0.1,0.5,0.1"],
             "febbbf6366e28302942bf17290790e85f16cd74a3f6ce2a307b69048da2f8f79",
         ),
+        (
+            # One-station trees with the lossy rows, which still take both
+            # stations' first rounds; it ends on "summary: 54 comparisons, 0 failed".
+            ["verify", "--grid", "3", "--depth", "3,0", "--cavity", "0.1,0.5,0.1"],
+            "75af085cb5d8d299eb1b1c1ec0f14674b2b0860764cc4c460e708668a343b016",
+        ),
     ],
     ids=["tree", "tree-corrected", "mc", "mc-corrected", "verify", "verify-corrected", "sweep",
-         "sweep-1000-corrected", "verify-small"],
+         "sweep-1000-corrected", "verify-small", "verify-one-station"],
 )
 def test_lossy_stdout_golden_digest(argv, digest, capsys):
     code, out, _ = run(argv, capsys)

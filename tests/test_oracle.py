@@ -171,7 +171,7 @@ def node_record(node):
     return (
         node.path,
         node.amplitude_weight.hex(),
-        tuple(a.hex() for a in node.coefficients.as_tuple()),
+        tuple(a.hex() for a in node.coefficients),
         node.depth,
         node.classification,
         tuple(None if a is None else (a.real.hex(), a.imag.hex()) for a in node.state.amplitudes),
@@ -335,7 +335,7 @@ def test_compare_all_builds_no_tree(monkeypatch):
 def value_input(station, state, coefficients):
     """A round input by value, as the oracle's memo keys it: complex ``==``
     and ``hash`` take -0.0 for 0.0."""
-    return (station, state.amplitudes, coefficients.as_tuple())
+    return (station, state.amplitudes, coefficients)
 
 
 _ALICE_CLASSES = (OutcomeClass.ALICE_SUCCESS, OutcomeClass.ALICE_RETRY)
@@ -515,7 +515,7 @@ def outcome_bits(outcomes):
             o.classification,
             o.probability.hex(),
             tuple(None if a is None else (a.real.hex(), a.imag.hex()) for a in o.post_state.amplitudes),
-            tuple(x.hex() for x in o.post_coefficients.as_tuple()),
+            tuple(x.hex() for x in o.post_coefficients),
         )
         for o in outcomes
     ]
@@ -603,14 +603,14 @@ def test_round_outcomes_ignore_zero_signs(amplitudes, c, station, scatter):
 
 def test_simplex_grid_degenerate_size():
     (only,) = simplex_grid(1)
-    assert only.as_tuple() == pytest.approx(EQUAL.as_tuple())
+    assert only == pytest.approx(EQUAL)
 
 
 def test_simplex_grid_interior_points():
     grid = simplex_grid(10)
     assert len(grid) == 100
     for c in grid:
-        a1, a2, a3 = c.as_tuple()
+        a1, a2, a3 = c
         assert min(a1, a2, a3) > 0.01
         assert a1 * a1 + a2 * a2 + a3 * a3 == pytest.approx(1.0, abs=1e-12)
 
@@ -643,6 +643,22 @@ def test_compare_all_with_cavity_adds_lossy_rows():
     assert quantities.count("p2_practical") == 1
     assert quantities.count("p_practical") == 1
     assert all(r.passed for r in reports)
+
+
+def test_compare_all_evaluates_the_cavity_once(monkeypatch):
+    # Every grid point's lossy rows share one scattering evaluation, made where
+    # compare_all starts; the station chains take it and evaluate none.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scatter_coefficients(*args, **kwargs)
+
+    for module in (oracle, protocol):
+        monkeypatch.setattr(module, "scatter_coefficients", counted)
+    reports = compare_all(simplex_grid(3), (2, 2), cavity=CavityParams(kappa_s=0.1, g=0.5, gamma=0.1))
+    assert len(calls) == 1
+    assert [r.quantity for r in reports].count("p_practical") == 9
 
 
 def test_compare_all_with_cavity_rejects_vanishing_first_success():

@@ -25,6 +25,7 @@ from ecpsim import (
     DegenerateCoefficientsError,
     DetectorLabel,
     Direction,
+    DomainError,
     InvalidCoefficientsError,
     LossyOperators,
     OutcomeClass,
@@ -76,7 +77,7 @@ def test_coefficients_validation():
             WCoefficients(0.6, bad, 0.8)
         with pytest.raises(InvalidCoefficientsError):
             WCoefficients.normalized(bad, 1.0, 1.0)
-    assert WCoefficients(1.0, 0.0, 0.0).as_tuple() == (1.0, 0.0, 0.0)
+    assert WCoefficients(1.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
 
 
 def test_normalized_rescales():
@@ -92,7 +93,7 @@ def test_normalized_at_any_scale(scale):
     # the sum of squares overflows, or underflows to a subnormal or to 0
     assert WCoefficients.normalized(scale, scale, scale) == WCoefficients.normalized(1.0, 1.0, 1.0)
     c = WCoefficients.normalized(scale, 0.0, scale)
-    assert c.as_tuple() == WCoefficients.normalized(1.0, 0.0, 1.0).as_tuple()
+    assert c == WCoefficients.normalized(1.0, 0.0, 1.0)
 
 
 @given(st.tuples(*[st.just(0.0) | st.floats(min_value=1e-150, max_value=1e150)] * 3))
@@ -100,11 +101,11 @@ def test_normalized_keeps_the_plain_norm_in_the_normal_range(triple):
     sum_sq = sum(a * a for a in triple)
     assume(sys.float_info.min <= sum_sq < math.inf)
     n = math.sqrt(sum_sq)
-    assert WCoefficients.normalized(*triple).as_tuple() == tuple(a / n for a in triple)
+    assert WCoefficients.normalized(*triple) == tuple(a / n for a in triple)
 
 
 def test_symmetric_is_unit_norm():
-    a1, a2, a3 = EQUAL.as_tuple()
+    a1, a2, a3 = EQUAL
     assert a1 == a2 == a3
     assert a1 * a1 + a2 * a2 + a3 * a3 == pytest.approx(1.0, abs=1e-12)
 
@@ -183,25 +184,25 @@ def test_update_alice_frozen():
 def test_update_charlie_frozen():
     c = coefficient_update_charlie(SKEWED)
     n = math.sqrt(0.1296**2 + 0.1296**2 + 0.2304**2)
-    assert c.as_tuple() == pytest.approx((0.1296 / n, 0.1296 / n, 0.2304 / n), abs=1e-12)
+    assert c == pytest.approx((0.1296 / n, 0.1296 / n, 0.2304 / n), abs=1e-12)
 
 
 @pytest.mark.parametrize("update", [coefficient_update_alice, coefficient_update_charlie])
 def test_updates_fix_symmetric_point(update):
     c = update(EQUAL)
-    assert c.as_tuple() == pytest.approx(EQUAL.as_tuple(), abs=1e-12)
+    assert c == pytest.approx(EQUAL, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "update, c, expected",
     [
         (coefficient_update_alice, (1e-170, 1e-170, 1.0), (1e-170, 1e-170, 1.0)),
-        (coefficient_update_charlie, (1.0, 1e-170, 1e-170), EQUAL.as_tuple()),
+        (coefficient_update_charlie, (1.0, 1e-170, 1e-170), EQUAL),
     ],
     ids=["alice", "charlie"],
 )
 def test_updates_keep_ratios_where_squares_underflow(update, c, expected):
-    assert update(WCoefficients(*c)).as_tuple() == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert update(WCoefficients(*c)) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 @given(
@@ -210,20 +211,20 @@ def test_updates_keep_ratios_where_squares_underflow(update, c, expected):
     .map(lambda t: WCoefficients.normalized(*t))
 )
 def test_updates_keep_the_plain_formula_where_squares_are_normal(c):
-    a1, a2, a3 = c.as_tuple()
+    a1, a2, a3 = c
     if max(a1, a2) ** 2 >= sys.float_info.min:
         plain = WCoefficients.normalized(a1 * a1, a2 * a2, a2 * a3)
-        assert coefficient_update_alice(c).as_tuple() == plain.as_tuple()
+        assert coefficient_update_alice(c) == plain
     if max(a2, a3) ** 2 >= sys.float_info.min:
         plain = WCoefficients.normalized(a2 * a2, a2 * a2, a3 * a3)
-        assert coefficient_update_charlie(c).as_tuple() == plain.as_tuple()
+        assert coefficient_update_charlie(c) == plain
 
 
 @given(interior)
 def test_updates_return_valid_coefficients(c):
     for update in (coefficient_update_alice, coefficient_update_charlie):
         out = update(c)
-        a1, a2, a3 = out.as_tuple()
+        a1, a2, a3 = out
         assert a1 * a1 + a2 * a2 + a3 * a3 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -293,7 +294,7 @@ def test_alice_round_post_states_are_canonical(w_pattern):
 def test_alice_success_drops_first_coefficient():
     outcomes = alice_round(prepare_w_state(SKEWED), SKEWED)
     d3 = next(o for o in outcomes if o.detector is DetectorLabel.D3)
-    a1, a2, a3 = d3.post_coefficients.as_tuple()
+    a1, a2, a3 = d3.post_coefficients
     assert a1 == a2  # two distinct values only
     n = math.sqrt(2 * 0.36**2 + 0.48**2)
     assert (a1, a2, a3) == pytest.approx((0.36 / n, 0.36 / n, 0.48 / n), abs=1e-12)
@@ -321,7 +322,7 @@ def test_charlie_retry_coefficients():
     outcomes = charlie_round(prepare_w_state(SKEWED), SKEWED)
     d7 = next(o for o in outcomes if o.detector is DetectorLabel.D7)
     n = math.sqrt(2 * 0.1296**2 + 0.2304**2)
-    assert d7.post_coefficients.as_tuple() == pytest.approx(
+    assert d7.post_coefficients == pytest.approx(
         (0.1296 / n, 0.1296 / n, 0.2304 / n), abs=1e-12
     )
 
@@ -358,16 +359,16 @@ ALICE_SUCCESS = (DetectorLabel.D3, DetectorLabel.D4)
 
 def alice_plan(readout, success=ALICE_SUCCESS):
     fields = protocol._ALICE_PLAN._asdict()
-    for name in ("detectors", "pairs", "success"):
-        del fields[name]
+    del fields["pairs"]
     return protocol._station_plan(readout, gated_spin=0, success=success, **fields)
 
 
 def test_station_plans_pair_each_detector_with_the_next():
     assert alice_plan(photon_readout(Station.ALICE)) == protocol._ALICE_PLAN
-    for plan in (protocol._ALICE_PLAN, protocol._CHARLIE_PLAN):
+    for station, plan in ((Station.ALICE, protocol._ALICE_PLAN), (Station.CHARLIE, protocol._CHARLIE_PLAN)):
+        detectors = photon_readout(station)[0]
         pairs = [(first, second) for first, second, _, _ in plan.pairs]
-        assert pairs == list(zip(plan.detectors[::2], plan.detectors[1::2]))
+        assert pairs == list(zip(detectors[::2], detectors[1::2]))
         for _, _, _, landings in plan.pairs:
             assert len(landings) == 3
             for _, _, weight, _, paired_weight, _ in landings:
@@ -682,6 +683,32 @@ def test_every_construction_path_refuses_what_the_constructor_refuses(value, fie
             build()
         assert type(caught.value) is type(expected.value)
         assert str(caught.value) == str(expected.value)
+
+
+# Each count field of a validated type, with the type that must hold it and the
+# error a value of another type raises: a bool or a float would pass the range
+# checks, and a str or None would fail them with a bare TypeError.
+COUNT_FIELDS = [
+    *((ProtocolConfig(mode="mc", n_shots=10), name, ConfigError)
+      for name in ("max_rounds_alice", "max_rounds_charlie", "rng_seed", "n_shots")),
+    (SweepSpec(), "n_points", DomainError),
+]
+
+
+@pytest.mark.parametrize("wrong", [True, 2.0, "2", None], ids=repr)
+@pytest.mark.parametrize(
+    "value, field, error", COUNT_FIELDS, ids=[f"{type(v).__name__}-{f}" for v, f, _ in COUNT_FIELDS]
+)
+def test_counts_must_be_ints_on_every_construction_path(value, field, error, wrong):
+    fields = {**value._asdict(), field: wrong}
+    builds = [
+        lambda: type(value)(**fields),
+        lambda: type(value)._make(fields.values()),
+        lambda: value._replace(**{field: wrong}),
+    ]
+    for build in builds:
+        with pytest.raises(error, match=f"^{field} must be an int, not {type(wrong).__name__}$"):
+            build()
 
 
 def test_only_two_oracle_classes_are_dataclasses():

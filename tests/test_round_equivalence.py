@@ -101,7 +101,7 @@ def test_each_spin_ket_reaches_each_detector_once():
 @given(c=interior)
 @settings(max_examples=60, deadline=None)
 def test_round_matches_composed_reference(mode, station, c):
-    state = w_state(*c.as_tuple())
+    state = w_state(*c)
     assert json.dumps(prepare_w_state(c).to_json_obj()) == json.dumps(state.to_json_obj())
     checked_round(state, c, MODES[mode], station)
 
@@ -143,7 +143,7 @@ def test_round_matches_composed_reference_on_tree_states(mode, station, amplitud
 
 def retry_chain(c, rounds, scatter, station, state=None):
     """Follow the retry branch for ``rounds`` rounds, checking every round."""
-    state = w_state(*c.as_tuple()) if state is None else state
+    state = w_state(*c) if state is None else state
     seen = []
     for _ in range(rounds):
         outcomes = checked_round(state, c, scatter, station)

@@ -29,7 +29,7 @@ def sample_both(alpha, rounds, shots, seed):
         rng_seed=seed,
     )
     try:
-        chains = _stage_chains(WCoefficients.normalized(*alpha), config)
+        chains = _stage_chains(WCoefficients.normalized(*alpha), *rounds, None)
     except InvalidCoefficientsError:
         return None
     # Chunks of 4096 shots, so that larger runs span several.
@@ -102,8 +102,7 @@ def assert_one_path(row, tables):
     ],
 )
 def test_walk_chunk_gives_each_finished_path_once(alpha, rounds, shots, seed):
-    config = ProtocolConfig(max_rounds_alice=rounds[0], max_rounds_charlie=rounds[1], mode="mc", n_shots=shots)
-    chains = _stage_chains(WCoefficients.normalized(*alpha), config)
+    chains = _stage_chains(WCoefficients.normalized(*alpha), *rounds, None)
     tables = [sampling._stage_tables(stages, plan.success_class) for plan, stages in chains]
     u = np.random.Generator(np.random.Philox(key=seed)).random((shots, sum(len(s) for _, s in chains)))
     rows, counts = sampling._walk_chunk(u, tables)
@@ -201,6 +200,85 @@ def test_monte_carlo_branches_match_the_tree(alpha, rounds, shots, seed):
         assert abs(count - expected) <= 5.0 * sigma + 1.0, (branch.path, count, expected)
 
 
+def chi_square_tail(x, df):
+    """P(X >= x) for X ~ chi-square with ``df`` degrees of freedom, from ``math``
+    alone: the regularized upper incomplete gamma Q(df/2, x/2), by its series
+    below df/2 + 1 and by its continued fraction (modified Lentz) above."""
+    a, x = df / 2.0, x / 2.0
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > 1e-17 * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        return max(0.0, 1.0 - front * total)
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    fraction = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = c * d
+        fraction *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return front * fraction
+
+
+def test_chi_square_tail():
+    assert chi_square_tail(3.841, 1) == pytest.approx(0.05, abs=1e-4)
+    assert chi_square_tail(18.307, 10) == pytest.approx(0.05, abs=1e-4)
+    assert chi_square_tail(0.0, 4) == 1.0
+    # Both branches against the closed forms at one and two degrees of freedom.
+    for x in (0.01, 0.5, 1.9, 2.1, 7.0, 30.0, 120.0):
+        assert chi_square_tail(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2.0)), rel=1e-12)
+        assert chi_square_tail(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-12)
+
+
+def g_test_p(observed_expected):
+    """The G-test's p-value for ``(observed, expected)`` counts: G = 2 sum o ln(o/e),
+    with the bins whose expected count is under 5 pooled into one, and bins - 1
+    degrees of freedom."""
+    bins, pooled_o, pooled_e = [], 0, 0.0
+    for o, e in observed_expected:
+        if e < 5.0:
+            pooled_o, pooled_e = pooled_o + o, pooled_e + e
+        else:
+            bins.append((o, e))
+    if pooled_o or pooled_e:
+        bins.append((pooled_o, pooled_e))
+    g = 2.0 * sum(o * math.log(o / e) for o, e in bins if o)
+    return chi_square_tail(g, len(bins) - 1)
+
+
+# MC_RUNS' inputs and seeds, with the shots to see a 1% move of one stage's mass,
+# and stages near the drop that turn ragged: four outcomes, then two.
+G_RUNS = [
+    ((0.8, 0.36, 0.48), (4, 4), 200_000, 1),
+    ((1e-180, 1e-200, 1.0), (3, 3), 200_000, 2),
+    ((0.8, 0.36, 0.48), (64, 64), 20_000, 3),
+    ((1e-6, 1e-5, 1.0), (6, 6), 200_000, 4),
+]
+
+
+@pytest.mark.parametrize("alpha, rounds, shots, seed", G_RUNS)
+def test_monte_carlo_branches_pass_a_g_test_against_the_tree(alpha, rounds, shots, seed):
+    coefficients = WCoefficients.normalized(*alpha)
+    tree = run_protocol(coefficients, ProtocolConfig(*rounds))
+    mc = run_protocol(coefficients, ProtocolConfig(*rounds, mode="mc", n_shots=shots, rng_seed=seed))
+    p = g_test_p([(count, shots * branch.probability) for branch, count in tree_counts(tree.branches, mc.branches)])
+    assert p > 1e-4
+
+
 # -- pair splits against the round tables ------------------------------------------
 
 
@@ -225,7 +303,7 @@ def pair_splits(chains, branches):
     """``{(station, round, detector): (shots, shots on it)}`` for the first
     detector of each pair that a Monte Carlo path's step reached, rounds
     counted from 0 at each station."""
-    success = [{d.value for d, s in zip(plan.detectors, plan.success) if s} for plan, _ in chains]
+    success = [{d.value for d1, d2, won, _ in plan.pairs if won for d in (d1, d2)} for plan, _ in chains]
     splits = {}
     for b in branches:
         station = rnd = 0
@@ -248,7 +326,7 @@ def test_monte_carlo_pair_splits_match_the_round_tables(alpha, rounds, shots, se
     # between its detectors as Binomial(n, 1/2).  A cell's two-sided p-value
     # must stay above 1e-4 at these seeds.
     config = ProtocolConfig(*rounds, mode="mc", n_shots=shots, rng_seed=seed)
-    chains = _stage_chains(WCoefficients.normalized(*alpha), config)
+    chains = _stage_chains(WCoefficients.normalized(*alpha), *rounds, None)
     splits = pair_splits(chains, run_protocol(WCoefficients.normalized(*alpha), config).branches)
     assert splits
     for (station, rnd, first), (n, k) in splits.items():

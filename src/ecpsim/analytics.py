@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .cavity import CavityParams, DenominatorConvention, ScatterCoefficients, scatter_coefficients
+from .cavity import _REAL_TYPES, CavityParams, ScatterCoefficients, scatter_coefficients
 from .errors import DomainError
 from .protocol import _NORMAL_MIN, _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
 
@@ -192,12 +192,12 @@ class _SweepSpecFields(NamedTuple):
     alpha1_range: tuple[float, float] = (0.01, 0.8105)
     n_points: int = 200
     cavity: CavityParams | None = None
-    convention: DenominatorConvention = DenominatorConvention.VERBATIM
 
 
 class SweepSpec(_SweepSpecFields):
     """One-dimensional sweep of ``n_points`` (an ``int``, not a ``bool``) over a1
-    at fixed a2 (a3 follows from normalization), checked where it is built,
+    in ``alpha1_range``, a ``(lo, hi)`` tuple of floats, at fixed a2 (a float or an
+    int, not a bool; a3 follows from normalization), checked where it is built,
     ``_replace`` and ``_make`` included (:class:`DomainError`): every point it
     sweeps gives a triple :class:`WCoefficients` accepts, so :func:`sweep` tests none."""
 
@@ -208,7 +208,14 @@ class SweepSpec(_SweepSpecFields):
         self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.n_points, int) or isinstance(self.n_points, bool):
             raise DomainError(f"n_points must be an int, not {type(self.n_points).__name__}")
-        lo, hi = self.alpha1_range
+        if self.cavity is not None and not isinstance(self.cavity, CavityParams):
+            raise DomainError(f"cavity must be a CavityParams or None, not {type(self.cavity).__name__}")
+        if type(self.alpha2) not in _REAL_TYPES:
+            raise DomainError(f"alpha2 must be a real number, not {type(self.alpha2).__name__}")
+        bounds = self.alpha1_range
+        if not (type(bounds) is tuple and len(bounds) == 2 and all(type(b) is float for b in bounds)):
+            raise DomainError(f"alpha1_range must be a (lo, hi) tuple of floats, not {bounds!r}")
+        lo, hi = bounds
         if not (0.0 < self.alpha2 < 1.0):
             raise DomainError(f"alpha2 {self.alpha2} outside (0, 1)")
         if not 0.0 < lo <= hi:  # NaN fails too
@@ -254,7 +261,7 @@ def sweep(spec: SweepSpec) -> list[CurvePoint]:
             _tuple_new(CurvePoint, (a1, a2, a3, p1, p2, pt, p1, p2, pt))
             for a1, a3, p1, p2, pt in rows
         ]
-    sc = scatter_coefficients(spec.cavity, convention=spec.convention)
+    sc = scatter_coefficients(spec.cavity)
     f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
     return [
         _tuple_new(CurvePoint, (a1, a2, a3, p1, p2, pt, p1 * f1, p2 * f2, pt * f1 * f2))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -36,6 +37,15 @@ if TYPE_CHECKING:  # annotations are not evaluated
     from .hilbert import BasisKet, StateVector
 
 DEFAULT_TOLERANCE = 1e-12  # the package's one amplitude drop, wherever a state is built
+_FLOAT_MAX = sys.float_info.max
+# The exact types of a real number: a float, or an int, which each holder's finiteness
+# test keeps within the float range.  A bool, complex, str or None is neither.
+_REAL_TYPES = frozenset((float, int))
+
+
+def _unreal(values) -> str | None:
+    """The type name of the first of ``values`` that is not a real number, else None."""
+    return next((type(v).__name__ for v in values if type(v) not in _REAL_TYPES), None)
 
 
 class SpinLabel(Enum):
@@ -258,25 +268,32 @@ class _CavityParamsFields(NamedTuple):
     omega0: float = 0.0
     omega_c: float = 0.0
     omega_x: float = 0.0
+    convention: DenominatorConvention = DenominatorConvention.VERBATIM
 
 
 class CavityParams(_CavityParamsFields):
-    """Cavity and emitter rates; everything is normalized to kappa internally.
+    """Cavity and emitter rates, each a finite float or int (not a bool) and
+    normalized to kappa internally, and the cavity's denominator convention.
     Checked where it is built, ``_replace`` and ``_make`` included (:class:`ValueError`).
 
-    The trace's ``cavity`` record lists the fields in declaration order."""
+    A trace writes the rates as ``cavity``, in declaration order, and ``convention`` beside it."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, *args, **kwargs) -> CavityParams:
         self = super().__new__(cls, *args, **kwargs)
-        if not all(math.isfinite(v) for v in self):
+        rates = self[:-1]
+        if (unreal := _unreal(rates)) is not None:
+            raise ValueError(f"cavity parameters must be real numbers, not {unreal}")
+        if not all(abs(v) <= _FLOAT_MAX for v in rates):  # an int past the float range too
             raise ValueError("cavity parameters must be finite")
         if not self.kappa > 0.0:
             raise ValueError("kappa must be positive")
         if self.kappa_s < 0.0 or self.gamma < 0.0 or self.g < 0.0:
             raise ValueError("rates must be nonnegative")
+        if not isinstance(self.convention, DenominatorConvention):
+            raise ValueError(f"convention must be a DenominatorConvention, not {type(self.convention).__name__}")
         return self
 
 
@@ -317,12 +334,9 @@ def _neg_reciprocal(d: complex) -> complex:
     return q if q != 0 else -1.0 / (d / 4.0) / 4.0
 
 
-def scatter_coefficients(
-    params: CavityParams,
-    omega: float | None = None,
-    convention: DenominatorConvention = DenominatorConvention.VERBATIM,
-) -> ScatterCoefficients:
-    """Weak-excitation scattering coefficients at probe frequency ``omega``.
+def scatter_coefficients(params: CavityParams, omega: float | None = None) -> ScatterCoefficients:
+    """Weak-excitation scattering coefficients at probe frequency ``omega``, in the
+    denominator form of ``params.convention``.
 
     ``omega`` defaults to the input-photon frequency ``params.omega0`` and must
     be finite (:class:`DomainError` otherwise).  All rates and detunings are
@@ -370,7 +384,7 @@ def scatter_coefficients(
     emitter = 1j * d_x + gm / 2.0
     coupled = params.g > 0.0
     coupling = gg * gg
-    if convention is DenominatorConvention.CORRECTED and coupled:
+    if params.convention is DenominatorConvention.CORRECTED and coupled:
         coupling = coupling / emitter if emitter != 0 else math.inf
     if coupled and coupling == 0:
         coupling = _WEAKEST_COUPLING

@@ -79,6 +79,11 @@ def _cavity_flag(text: str) -> CavityParams:
     return _cavity("cavity: ", kappa_s=ks, g=g, gamma=gm)
 
 
+def _lossy(args: argparse.Namespace) -> CavityParams | None:
+    """The flag's or config file's cavity in the ``--convention`` form, or None."""
+    return None if args.cavity is None else args.cavity._replace(convention=args.convention)
+
+
 def _convention(token: str) -> DenominatorConvention:
     from .cavity import DenominatorConvention
 
@@ -154,7 +159,7 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"config: unknown key {key!r}")
         if not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool):
             raise ConfigError(f"config: key {key!r} has wrong type")
-    sections = {"cavity": CavityParams._fields, "sweep": ("alpha2", "alpha1_range", "points")}
+    sections = {"cavity": CavityParams._fields[:-1], "sweep": ("alpha2", "alpha1_range", "points")}
     for section, known in sections.items():
         for key in raw.get(section, {}):
             if key not in known:
@@ -204,8 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = ProtocolConfig(
         max_rounds_alice=args.rounds[0],
         max_rounds_charlie=args.rounds[1],
-        cavity=args.cavity,
-        convention=args.convention,
+        cavity=_lossy(args),
         rng_seed=_default_seed() if args.seed is None else args.seed,
         mode=args.mode,
         n_shots=args.shots,
@@ -224,8 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         alpha2=args.alpha2,
         alpha1_range=tuple(map(float, args.alpha1_range)),
         n_points=args.points,
-        cavity=args.cavity,
-        convention=args.convention,
+        cavity=_lossy(args),
     )
     curve = sweep(spec)
     with _output(args.out) as stream:
@@ -248,8 +251,7 @@ def _print_report_table(reports, stream: TextIO) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .oracle import compare_all, simplex_grid
 
-    reports = compare_all(simplex_grid(args.grid), depths=args.depth, tolerance=args.tol,
-                          cavity=args.cavity, convention=args.convention)
+    reports = compare_all(simplex_grid(args.grid), depths=args.depth, tolerance=args.tol, cavity=_lossy(args))
     _print_report_table(reports, sys.stdout)
     failed = sum(1 for rep in reports if not rep.passed)
     print(f"summary: {len(reports)} comparisons, {failed} failed")
@@ -259,8 +261,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     from .cavity import scatter_coefficients
 
-    params = _cavity("", kappa_s=args.kappa_s, g=args.g, gamma=args.gamma)
-    sc = scatter_coefficients(params, omega=args.omega_detuning, convention=args.convention)
+    params = _cavity("", kappa_s=args.kappa_s, g=args.g, gamma=args.gamma, convention=args.convention)
+    sc = scatter_coefficients(params, omega=args.omega_detuning)
     obj = {"convention": args.convention.value}
     obj.update(sc.to_json_obj())
     obj["transmitted_signal_fraction"] = sc.transmitted_signal_fraction

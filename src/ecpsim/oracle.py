@@ -15,7 +15,7 @@ from operator import add
 from typing import Iterator
 
 from . import analytics
-from .cavity import CavityParams, DenominatorConvention, DetectorLabel, scatter_coefficients
+from .cavity import CavityParams, DetectorLabel, scatter_coefficients
 from .errors import DomainError
 from .protocol import (
     OutcomeClass,
@@ -280,20 +280,19 @@ def compare_all(
     depths: tuple[int, int] = (4, 4),
     tolerance: float = 1e-10,
     cavity: CavityParams | None = None,
-    convention: DenominatorConvention = DenominatorConvention.VERBATIM,
 ) -> list[ComparisonReport]:
     """Compare closed forms against exhaustive enumeration over a grid.
 
     Covers the per-round success probabilities of both stations (up to four
-    rounds), the one-round joint probability, and, when cavity parameters
-    are given, the three lossy one-round quantities of the as-published
-    model, taken from the first round of each station chain that a run with
-    that cavity computes (``protocol._stage_chains``).  The cavity is
-    evaluated once per call, not per grid point.  Both sides of a lossy row
-    scale by the same signal fraction, so those rows do not check the loss
-    model itself.  A comparison passes when its absolute error is at
-    most ``tolerance``, which must be finite and nonnegative
-    (:class:`DomainError` otherwise).
+    rounds), the one-round joint probability, and, when a cavity is given, the
+    three lossy one-round quantities of the as-published model in its
+    denominator convention, taken from the first round of each station chain
+    that a run with that cavity computes (``protocol._stage_chains``).  The
+    cavity is evaluated once per call, not per grid point.  Both sides of a
+    lossy row scale by the same signal fraction, so those rows do not check the
+    loss model itself.  A comparison passes when its absolute error is at most
+    ``tolerance``, which must be finite and nonnegative (:class:`DomainError`
+    otherwise).
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
@@ -303,7 +302,7 @@ def compare_all(
     def report(*row) -> None:  # quantity, point, analytic, simulated
         reports.append(ComparisonReport(*row, tolerance))
 
-    sc = None if cavity is None else scatter_coefficients(cavity, convention=convention)
+    sc = None if cavity is None else scatter_coefficients(cavity)
     for c in grid:
         point = tuple(c)
         alice_at, charlie_at, joint = _tree_masses(c, k_alice, k_charlie)

@@ -23,13 +23,14 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .cavity import (
+    _REAL_TYPES,
     DEFAULT_TOLERANCE,
     CavityParams,
-    DenominatorConvention,
     DetectorLabel,
     ScatterCoefficients,
     SpinLabel,
     Station,
+    _unreal,
     photon_readout,
     scatter_coefficients,
 )
@@ -45,6 +46,9 @@ _NORMAL_MIN = sys.float_info.min  # least positive normal float
 # Round limit per station, shared with the closed forms in ``analytics``.
 MAX_ROUNDS = 64
 _SEED_LIMIT = 1 << 128  # Philox keys are 128-bit
+# What the generated constructor of a named tuple calls; WCoefficients and the
+# round kernel's WState and RoundOutcome values are built with it directly.
+_tuple_new = tuple.__new__
 
 _UP, _DOWN = SpinLabel.UP, SpinLabel.DOWN
 # The kets a WState holds, in sorted ket order: |uud>, |udu>, |duu>.
@@ -87,21 +91,32 @@ class _WCoefficientsFields(NamedTuple):
 
 
 class WCoefficients(_WCoefficientsFields):
-    """Real nonnegative W-state coefficient triple with unit norm, checked where
-    it is built, ``_replace`` and ``_make`` included (:class:`InvalidCoefficientsError`)."""
+    """Nonnegative W-state coefficient triple with unit norm, each a finite float
+    or int (not a bool), checked where it is built, ``_replace`` and ``_make``
+    included (:class:`InvalidCoefficientsError`)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 
     def __new__(cls, a1: float, a2: float, a3: float) -> WCoefficients:
-        if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
+        if not (type(a1) in _REAL_TYPES and type(a2) in _REAL_TYPES and type(a3) in _REAL_TYPES):
+            raise InvalidCoefficientsError(f"coefficients must be real numbers, not {_unreal((a1, a2, a3))}")
+        try:
+            finite = math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise InvalidCoefficientsError("coefficients must be finite")
         if a1 < 0.0 or a2 < 0.0 or a3 < 0.0:
             raise InvalidCoefficientsError("coefficients must be nonnegative")
-        norm_sq = a1 * a1 + a2 * a2 + a3 * a3
-        if abs(norm_sq - 1.0) > _NORM_TOLERANCE:
+        try:
+            norm_sq = a1 * a1 + a2 * a2 + a3 * a3
+            off = abs(norm_sq - 1.0) > _NORM_TOLERANCE
+        except OverflowError:  # an int whose square no float holds
+            norm_sq, off = math.inf, True
+        if off:
             raise InvalidCoefficientsError(f"coefficients not normalized: |a|^2 = {norm_sq}")
-        return super().__new__(cls, a1, a2, a3)
+        return _tuple_new(cls, (a1, a2, a3))
 
     @classmethod
     def normalized(cls, a1: float, a2: float, a3: float) -> WCoefficients:
@@ -194,15 +209,14 @@ class _ProtocolConfigFields(NamedTuple):
     max_rounds_alice: int = 1
     max_rounds_charlie: int = 1
     cavity: CavityParams | None = None
-    convention: DenominatorConvention = DenominatorConvention.VERBATIM
     rng_seed: int = 0
     mode: str = "tree"  # "tree" or "mc"
     n_shots: int = 0
 
 
 class ProtocolConfig(_ProtocolConfigFields):
-    """One run: round limits (1..MAX_ROUNDS), the lossy gate's cavity (``None``
-    for the ideal gate) and denominator convention, the tree or Monte Carlo
+    """One run: round limits (1..MAX_ROUNDS), the lossy gate's
+    :class:`CavityParams` (``None`` for the ideal gate), the tree or Monte Carlo
     mode, seed and shots, the counts each an ``int`` and not a ``bool``; checked
     where it is built, ``_replace`` and ``_make`` included (:class:`ConfigError`)."""
 
@@ -215,6 +229,8 @@ class ProtocolConfig(_ProtocolConfigFields):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an int, not {type(value).__name__}")
+        if self.cavity is not None and not isinstance(self.cavity, CavityParams):
+            raise ConfigError(f"cavity must be a CavityParams or None, not {type(self.cavity).__name__}")
         if self.max_rounds_alice < 1 or self.max_rounds_charlie < 1:
             raise ConfigError("round limits must be at least 1")
         if self.max_rounds_alice > MAX_ROUNDS or self.max_rounds_charlie > MAX_ROUNDS:
@@ -237,8 +253,8 @@ class ProtocolConfig(_ProtocolConfigFields):
         if self.mode == "mc":
             obj["n_shots"] = self.n_shots
         if self.cavity is not None:
-            obj["cavity"] = self.cavity._asdict()
-            obj["convention"] = self.convention.value
+            obj["cavity"] = rates = self.cavity._asdict()
+            obj["convention"] = rates.pop("convention").value
         return obj
 
 
@@ -376,9 +392,6 @@ def _code(detector: DetectorLabel) -> int:
 
 # (slot, polarization index, weight, flip, paired weight, paired flip)
 _PairLanding = tuple[int, int, float, bool, float, bool]
-# What the generated constructor of a named tuple calls; the round kernel
-# builds its WState and RoundOutcome values with it directly.
-_tuple_new = tuple.__new__
 
 
 class _StationPlan(NamedTuple):
@@ -698,7 +711,7 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
     sampled with a counter-based generator (one uniform row per shot), and
     branch records carry observed frequencies.
     """
-    scatter = None if config.cavity is None else scatter_coefficients(config.cavity, convention=config.convention)
+    scatter = None if config.cavity is None else scatter_coefficients(config.cavity)
     chains = _stage_chains(coefficients, config.max_rounds_alice, config.max_rounds_charlie, scatter)
     rounds = [o for _, stages in chains for stage in stages for o in stage]
 

@@ -399,7 +399,7 @@ def reference_sweep(spec):
     lo, hi = spec.alpha1_range
     n, a2 = spec.n_points, spec.alpha2
     if spec.cavity is not None:
-        sc = scatter_coefficients(spec.cavity, convention=spec.convention)
+        sc = scatter_coefficients(spec.cavity)
         f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
     else:
         f1 = None

@@ -219,7 +219,7 @@ def test_criterion_8_algebraic_identities():
         convention = (
             DenominatorConvention.VERBATIM if rng.random() < 0.5 else DenominatorConvention.CORRECTED
         )
-        sc = scatter_coefficients(params, omega=omega, convention=convention)
+        sc = scatter_coefficients(params._replace(convention=convention), omega=omega)
         ok = ok and abs(sc.r - sc.t - 1.0) <= 1e-15
         ok = ok and abs(sc.r0 - sc.t0 - 1.0) <= 1e-15
 

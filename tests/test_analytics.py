@@ -273,9 +273,9 @@ LOSSY_CHAIN_REL = 2.0**13 * sys.float_info.epsilon
 def test_lossy_chain_matches_its_closed_form(c, cavity, convention, rounds):
     """The tree's as-published lossy chain, its retry booking included, against
     the closed form built from the ideal round terms."""
-    config = ProtocolConfig(*rounds, cavity=cavity, convention=convention)
-    tree = run_protocol(c, config).total_success_probability
-    closed = lossy_chain_total(c, scatter_coefficients(cavity, convention=convention), *rounds)
+    cavity = cavity._replace(convention=convention)
+    tree = run_protocol(c, ProtocolConfig(*rounds, cavity=cavity)).total_success_probability
+    closed = lossy_chain_total(c, scatter_coefficients(cavity), *rounds)
     assert abs(tree - closed) <= LOSSY_CHAIN_REL * closed
 
 
@@ -385,7 +385,7 @@ def _assert_columns_pinned(spec: SweepSpec, pts: list) -> None:
     if spec.cavity is None:
         f1 = f2 = None
     else:
-        sc = scatter_coefficients(spec.cavity, convention=spec.convention)
+        sc = scatter_coefficients(spec.cavity)
         f1, f2 = sc.transmitted_signal_fraction, sc.reflected_signal_fraction
     for p in pts:
         c = WCoefficients(p.alpha1, p.alpha2, p.alpha3)
@@ -429,6 +429,10 @@ cavities = st.one_of(
 )
 
 
+def _in_convention(cavity, convention):
+    return None if cavity is None else cavity._replace(convention=convention)
+
+
 @st.composite
 def sweep_specs(draw):
     alpha2 = draw(_decades(-320, math.log10(0.99)))
@@ -438,8 +442,7 @@ def sweep_specs(draw):
         alpha2=alpha2,
         alpha1_range=(lo, hi),
         n_points=draw(st.integers(1, 12)),
-        cavity=draw(cavities),
-        convention=draw(st.sampled_from(DenominatorConvention)),
+        cavity=_in_convention(draw(cavities), draw(st.sampled_from(DenominatorConvention))),
     )
 
 
@@ -453,8 +456,7 @@ def sweep_specs(draw):
         alpha2=1e-160,
         alpha1_range=(0.5, 1.0),
         n_points=3,
-        cavity=CavityParams(kappa=1.0, kappa_s=0.1, g=0.5, gamma=0.1),
-        convention=DenominatorConvention.CORRECTED,
+        cavity=CavityParams(kappa=1.0, kappa_s=0.1, g=0.5, gamma=0.1, convention=DenominatorConvention.CORRECTED),
     )
 )
 @settings(max_examples=200, deadline=None)
@@ -486,8 +488,7 @@ def wide_sweep_specs(draw):
         alpha2=alpha2,
         alpha1_range=tuple(sorted(draw(st.tuples(ends, ends)))),
         n_points=draw(st.sampled_from((1, 2, 3, 1000))),
-        cavity=draw(cavities),
-        convention=draw(st.sampled_from(DenominatorConvention)),
+        cavity=_in_convention(draw(cavities), draw(st.sampled_from(DenominatorConvention))),
     )
 
 

@@ -207,8 +207,8 @@ def test_detect_rejects_circular_basis(w_pattern):
 # -- scattering coefficients -------------------------------------------------
 
 
-def params(ks=0.0, g=0.0, gamma=0.0):
-    return CavityParams(kappa=1.0, kappa_s=ks, g=g, gamma=gamma)
+def params(ks=0.0, g=0.0, gamma=0.0, convention=DenominatorConvention.VERBATIM):
+    return CavityParams(kappa=1.0, kappa_s=ks, g=g, gamma=gamma, convention=convention)
 
 
 def test_scatter_frozen_values_low_leakage():
@@ -244,8 +244,8 @@ def test_gamma_cancels_at_resonance_in_default_form():
 
 def test_conventions_differ():
     p = params(ks=0.1, g=0.5, gamma=0.1)
-    t_default = scatter_coefficients(p, convention=DenominatorConvention.VERBATIM).t
-    t_corrected = scatter_coefficients(p, convention=DenominatorConvention.CORRECTED).t
+    t_default = scatter_coefficients(p._replace(convention=DenominatorConvention.VERBATIM)).t
+    t_corrected = scatter_coefficients(p._replace(convention=DenominatorConvention.CORRECTED)).t
     assert t_corrected == pytest.approx(-0.05 / 0.3025, abs=1e-15)
     assert abs(t_default - t_corrected) > 0.1
 
@@ -256,28 +256,28 @@ def test_scatter_finite_limits_without_dipole_decay():
     corrected = DenominatorConvention.CORRECTED
     sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.0))
     assert sc.t == pytest.approx(-1 / (1 + 0.05 + 0.25), abs=1e-15)
-    assert scatter_coefficients(params(), convention=corrected).t == -1.0
-    sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.0), convention=corrected)
+    assert scatter_coefficients(params(convention=corrected)).t == -1.0
+    sc = scatter_coefficients(params(ks=0.1, g=0.5, gamma=0.0, convention=corrected))
     assert sc.t == 0.0 and sc.r == 1.0
     # a subnormal emitter detuning makes g^2/e overflow; the same limit holds
-    sc = scatter_coefficients(params(g=1.0), omega=5e-324, convention=corrected)
+    sc = scatter_coefficients(params(g=1.0, convention=corrected), omega=5e-324)
     assert sc.t == 0.0 and sc.r == 1.0
 
 
 @pytest.mark.parametrize("convention", list(DenominatorConvention))
 def test_scatter_limit_where_the_hot_transmission_overflows(convention):
     # g^2 overflows: r would read NaN
-    sc = scatter_coefficients(params(g=1e200), convention=convention)
+    sc = scatter_coefficients(params(g=1e200, convention=convention))
     assert sc.t == 0.0 and sc.r == 1.0
     # Python's -1/D overflows inside and reads 0 with D finite (r would read 0
     # in the VERBATIM form), and |g^2/e| overflows with finite parts (abs() of
     # it would raise)
     for p, omega in ((params(g=1.2e154), 1.3e308), (params(g=1.3e154, gamma=1.0), -0.5)):
-        sc = scatter_coefficients(p, omega, convention)
+        sc = scatter_coefficients(p._replace(convention=convention), omega)
         assert cmath.isfinite(sc.r) and abs(sc.r) == pytest.approx(1.0)
     # Python's complex division overflows inside both quotients, which are
     # still taken; at g = 0 hot equals cold
-    sc = scatter_coefficients(params(ks=1.7e308), -1.7e308, convention)
+    sc = scatter_coefficients(params(ks=1.7e308, convention=convention), -1.7e308)
     assert sc.t == sc.t0 != 0 and sc.r == sc.r0
 
 
@@ -291,10 +291,10 @@ def test_transmitted_fraction_keeps_two_tiny_transmissions():
 @pytest.mark.parametrize("convention", list(DenominatorConvention))
 def test_scatter_weak_coupling_is_not_zero_coupling(convention):
     # g/kappa itself rounds to 0 here; g > 0 still reflects
-    sc = scatter_coefficients(CavityParams(kappa=1e300, g=1e-100), convention=convention)
+    sc = scatter_coefficients(CavityParams(kappa=1e300, g=1e-100, convention=convention))
     assert sc.r != 0 and sc.reflected_signal_fraction == 1.0
     # no coupling keeps r = r0 = 0, and the fraction's 0.0
-    sc = scatter_coefficients(params(), convention=convention)
+    sc = scatter_coefficients(params(convention=convention))
     assert sc.r == sc.r0 == 0 and sc.reflected_signal_fraction == 0.0
 
 
@@ -305,7 +305,7 @@ def test_scatter_weak_coupling_is_not_zero_coupling(convention):
     st.sampled_from(list(DenominatorConvention)),
 )
 def test_any_coupling_reflects_fully_without_leakage_at_resonance(g, gamma, convention):
-    sc = scatter_coefficients(params(g=g, gamma=gamma), convention=convention)
+    sc = scatter_coefficients(params(g=g, gamma=gamma, convention=convention))
     assert sc.reflected_signal_fraction == 1.0
 
 
@@ -323,7 +323,8 @@ def test_scatter_rejects_rates_that_overflow_over_kappa(field):
 )
 def test_scatter_amplitudes_finite_and_bounded(ks, g, gamma, omega):
     p = params(ks=ks, g=g, gamma=gamma)
-    coeffs = [scatter_coefficients(p, omega, convention) for convention in DenominatorConvention]
+    coeffs = [scatter_coefficients(p._replace(convention=convention), omega)
+              for convention in DenominatorConvention]
     for sc in coeffs:
         for value in (sc.t, sc.r, sc.t0, sc.r0):
             assert cmath.isfinite(value)
@@ -359,7 +360,7 @@ def test_reflection_exact_at_weak_coupling_and_leakage():
         (DenominatorConvention.VERBATIM, Fraction(g) ** 2),
         (DenominatorConvention.CORRECTED, Fraction(g) ** 2 / (Fraction(gamma) / 2)),
     ):
-        sc = scatter_coefficients(params(ks=ks, g=g, gamma=gamma), convention=convention)
+        sc = scatter_coefficients(params(ks=ks, g=g, gamma=gamma, convention=convention))
         r = (Fraction(ks) / 2 + coupling) / (1 + Fraction(ks) / 2 + coupling)
         assert sc.r.imag == 0.0 and sc.r0.imag == 0.0
         assert abs(Fraction(sc.r.real) - r) / r <= Fraction(1, 10**15)
@@ -374,6 +375,12 @@ def test_cavity_params_validation():
     for bad in ({"kappa": math.inf}, {"kappa_s": math.nan}, {"g": math.inf}, {"omega_x": math.nan}):
         with pytest.raises(ValueError, match="finite"):
             CavityParams(**bad)
+    # a string would fail CORRECTED's identity test and run the verbatim form
+    for build in (lambda: CavityParams(convention="corrected"), lambda: params()._replace(convention="corrected")):
+        with pytest.raises(ValueError, match="^convention must be a DenominatorConvention, not str$"):
+            build()
+    assert CavityParams._fields[-1] == "convention"
+    assert CavityParams().convention is DenominatorConvention.VERBATIM
 
 
 def test_scatter_json_fields():

@@ -215,12 +215,14 @@ def test_config_file_unknown_key_named(tmp_path, capsys):
 
 
 def test_config_file_unknown_cavity_key(tmp_path, capsys):
-    path = write_config(
-        tmp_path, {"alpha": [0.5774, 0.5774, 0.5774], "cavity": {"kappa_s": 0.1, "xi": 2}}
-    )
-    code, _, err = run(["simulate", "--config", path], capsys)
-    assert code == 2
-    assert "xi" in err
+    # "convention" is CavityParams's last field, but the file keeps it a top-level key
+    for key, value in (("xi", 2), ("convention", "corrected")):
+        path = write_config(
+            tmp_path, {"alpha": [0.5774, 0.5774, 0.5774], "cavity": {"kappa_s": 0.1, key: value}}
+        )
+        code, _, err = run(["simulate", "--config", path], capsys)
+        assert code == 2
+        assert err == f"error: ConfigError: config: unknown cavity key {key!r}\n"
 
 
 def test_config_file_invalid_json(tmp_path, capsys):
@@ -832,7 +834,8 @@ _TRACE_CAVITY = st.none() | st.builds(
          convention=DenominatorConvention.CORRECTED, shots=2000, seed=7)
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_trace_writer_matches_indented_json_dumps(alpha, rounds, mode, cavity, convention, shots, seed):
-    config = ProtocolConfig(rounds[0], rounds[1], cavity, convention, seed, mode, shots)
+    cavity = None if cavity is None else cavity._replace(convention=convention)
+    config = ProtocolConfig(rounds[0], rounds[1], cavity, seed, mode, shots)
     try:
         trace = run_protocol(WCoefficients.normalized(*alpha), config)
     except ecpsim.EcpError:

@@ -583,7 +583,8 @@ cavities = st.builds(
     omega_x=st.just(0.0),
 )
 scatters = st.none() | st.builds(
-    scatter_coefficients, cavities, convention=st.sampled_from(list(DenominatorConvention))
+    lambda cavity, convention: scatter_coefficients(cavity._replace(convention=convention)),
+    cavities, st.sampled_from(list(DenominatorConvention)),
 )
 
 

@@ -23,6 +23,7 @@ from ecpsim import (
     CavityParams,
     ConfigError,
     DegenerateCoefficientsError,
+    DenominatorConvention,
     DetectorLabel,
     Direction,
     DomainError,
@@ -77,7 +78,11 @@ def test_coefficients_validation():
             WCoefficients(0.6, bad, 0.8)
         with pytest.raises(InvalidCoefficientsError):
             WCoefficients.normalized(bad, 1.0, 1.0)
-    assert WCoefficients(1.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
+    # ints a float holds whose squares it does not, beside a float and beside ints
+    for others in ((0.0, 0.0), (0, 0)):
+        with pytest.raises(InvalidCoefficientsError, match=r"not normalized: \|a\|\^2 = inf$"):
+            WCoefficients(10**200, *others)
+    assert WCoefficients(1.0, 0.0, 0.0) == (1.0, 0.0, 0.0) == WCoefficients(1, 0, 0)
 
 
 def test_normalized_rescales():
@@ -709,6 +714,76 @@ def test_counts_must_be_ints_on_every_construction_path(value, field, error, wro
     for build in builds:
         with pytest.raises(error, match=f"^{field} must be an int, not {type(wrong).__name__}$"):
             build()
+
+
+# Wrong-typed values for each kind of field: what a real number (a float, or an
+# int a float can hold) is not, what an int count is not, and so on.
+_UNTYPED = st.booleans() | st.none() | st.complex_numbers()
+_NUMBERS = st.floats() | st.integers()
+_NOT_REAL = _UNTYPED | st.text(max_size=3) | st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+_NOT_INT = _UNTYPED | st.text(max_size=3) | st.floats()
+_NOT_CAVITY = (st.booleans() | st.text(max_size=3) | st.complex_numbers() | _NUMBERS
+               | st.sampled_from([DenominatorConvention.CORRECTED, SKEWED, (0.1, 0.5, 0.1)]))
+_NOT_CONVENTION = _UNTYPED | _NUMBERS | st.sampled_from(["verbatim", "corrected"])
+# alpha1_range is a (lo, hi) tuple of floats
+_NOT_RANGE = (_NOT_REAL | st.lists(st.floats(0.1, 0.5), min_size=2, max_size=2)
+              | st.tuples(st.floats(0.1, 0.5)) | st.tuples(st.floats(0.1, 0.5), _NOT_REAL | st.integers()))
+
+
+def _typed_fields():
+    """``(value, field, wrong-typed values, the type's error)`` for every field of
+    the four validated types."""
+    cavity = CavityParams(kappa_s=0.1, g=0.5, gamma=0.1)
+    config = ProtocolConfig(2, 2, cavity=cavity, mode="mc", n_shots=10)
+    spec = SweepSpec(n_points=3, cavity=cavity)
+    return [
+        *((SKEWED, name, _NOT_REAL, InvalidCoefficientsError) for name in SKEWED._fields),
+        *((cavity, name, _NOT_REAL, ValueError) for name in cavity._fields[:-1]),
+        (cavity, "convention", _NOT_CONVENTION, ValueError),
+        *((config, name, _NOT_INT, ConfigError)
+          for name in ("max_rounds_alice", "max_rounds_charlie", "rng_seed", "n_shots")),
+        (config, "cavity", _NOT_CAVITY, ConfigError),
+        (config, "mode", _UNTYPED | _NUMBERS, ConfigError),
+        (spec, "alpha2", _NOT_REAL, DomainError),
+        (spec, "alpha1_range", _NOT_RANGE, DomainError),
+        (spec, "n_points", _NOT_INT, DomainError),
+        (spec, "cavity", _NOT_CAVITY, DomainError),
+    ]
+
+
+TYPED_FIELDS = _typed_fields()
+
+
+@given(st.sampled_from(TYPED_FIELDS).flatmap(lambda case: st.tuples(st.just(case), case[2])))
+@settings(max_examples=400, deadline=None)
+def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn):
+    (value, field, _, error), wrong = drawn
+    fields = {**value._asdict(), field: wrong}
+    builds = [
+        lambda: type(value)(**fields),
+        lambda: type(value)._make(fields.values()),
+        lambda: value._replace(**{field: wrong}),
+    ]
+    if hasattr(copy, "replace"):
+        builds.append(lambda: copy.replace(value, **{field: wrong}))
+    messages = set()
+    for build in builds:
+        with pytest.raises(Exception) as caught:
+            build()
+        assert type(caught.value) is error, (field, wrong, caught.value)
+        messages.add(str(caught.value))
+    assert len(messages) == 1
+
+
+def test_a_corrected_cavity_runs_the_corrected_form():
+    verbatim = CavityParams(kappa_s=0.1, g=0.5, gamma=0.1)
+    corrected = verbatim._replace(convention=DenominatorConvention.CORRECTED)
+    runs = [run_protocol(SKEWED, ProtocolConfig(4, 4, cavity=cavity)) for cavity in (verbatim, corrected)]
+    assert runs[1].total_success_probability == 0.38335440027397466
+    assert runs[0].total_success_probability != runs[1].total_success_probability
+    obj = json.loads(runs[1].to_json_text())["config"]
+    assert obj["cavity"] == {name: getattr(corrected, name) for name in CavityParams._fields[:-1]}
+    assert obj["convention"] == "corrected"
 
 
 def test_only_two_oracle_classes_are_dataclasses():

@@ -39,8 +39,8 @@ from ecpsim.cavity import photon_readout
 CAVITY = CavityParams(kappa_s=0.3, g=0.8, gamma=0.1)
 MODES = {
     "ideal": None,
-    "lossy-verbatim": scatter_coefficients(CAVITY, convention=DenominatorConvention.VERBATIM),
-    "lossy-corrected": scatter_coefficients(CAVITY, convention=DenominatorConvention.CORRECTED),
+    "lossy-verbatim": scatter_coefficients(CAVITY._replace(convention=DenominatorConvention.VERBATIM)),
+    "lossy-corrected": scatter_coefficients(CAVITY._replace(convention=DenominatorConvention.CORRECTED)),
 }
 
 interior = st.tuples(

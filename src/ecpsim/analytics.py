@@ -222,9 +222,13 @@ class SweepSpec(_SweepSpecFields):
             raise DomainError(f"invalid alpha1 range {self.alpha1_range}")
         # WCoefficients's norm test where a1 and a2 fill the norm (a3 = 0), on
         # hi and on the largest point, the last, which can round one ulp past hi
-        # (on lo where n_points is below 1, which the next check refuses).
+        # (on lo where n_points is below 1, and on hi where no float holds the
+        # count, both of which the next checks refuse).
         last = max(self.n_points, 1) - 1
-        top = max(hi, lo + last * (hi - lo) / last if last else lo)
+        try:
+            top = max(hi, lo + last * (hi - lo) / last if last else lo)
+        except OverflowError:
+            top = hi
         if top * top + self.alpha2 * self.alpha2 - 1.0 > _NORM_TOLERANCE:
             raise DomainError("alpha1 range exceeds normalization with this alpha2")
         if self.n_points < 1:

@@ -369,13 +369,14 @@ def scatter_coefficients(params: CavityParams, omega: float | None = None) -> Sc
         omega = params.omega0
     elif not math.isfinite(omega):
         raise DomainError(f"probe frequency {omega} is not finite")
+    omega = float(omega)  # in floats: the exact difference of two ints can leave the float range
     k = params.kappa
     ks = params.kappa_s / k
     gm = params.gamma / k
     gg = params.g / k
-    d_x = (params.omega_x - omega) / k
-    d_c = (params.omega_c - omega) / k
-    d_0 = (params.omega0 - omega) / k
+    d_x = (float(params.omega_x) - omega) / k
+    d_c = (float(params.omega_c) - omega) / k
+    d_0 = (float(params.omega0) - omega) / k
     if not all(map(math.isfinite, (ks, d_x, d_c, d_0))):
         raise DomainError("kappa_s and the detunings over kappa must be finite")
 

@@ -122,7 +122,16 @@ class WCoefficients(_WCoefficientsFields):
     def normalized(cls, a1: float, a2: float, a3: float) -> WCoefficients:
         """The triple over its norm.  Where the sum of squares leaves the normal
         float range (it underflows, to 0 or to a few significant bits, or it
-        overflows), the triple is first divided by its largest coefficient."""
+        overflows), the triple is first divided by its largest coefficient.
+        Ints are taken as floats; what the constructor refuses as not a real
+        number, or as an int past the float range, is refused alike."""
+        if not (type(a1) is float and type(a2) is float and type(a3) is float):
+            if (unreal := _unreal((a1, a2, a3))) is not None:
+                raise InvalidCoefficientsError(f"coefficients must be real numbers, not {unreal}")
+            try:
+                a1, a2, a3 = float(a1), float(a2), float(a3)
+            except OverflowError:
+                raise InvalidCoefficientsError("coefficients must be finite") from None
         sum_sq = a1 * a1 + a2 * a2 + a3 * a3
         if not _NORMAL_MIN <= sum_sq < math.inf:
             m = max(abs(a1), abs(a2), abs(a3))

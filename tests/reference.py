@@ -25,8 +25,6 @@ import sys
 from functools import reduce
 from operator import add
 
-import numpy as np
-
 from ecpsim import (
     BasisKet,
     BranchNode,
@@ -270,6 +268,8 @@ _BLOCK_BITS = 4 * _BLOCK
 
 def _count_paths(paths):
     """Distinct rows of ``paths`` in lexicographic order, and how often each occurs."""
+    import numpy as np
+
     rank = np.zeros(len(paths), dtype=np.int64)
     for start in range(0, paths.shape[1], _BLOCK):
         key = rank << _BLOCK_BITS
@@ -288,6 +288,8 @@ def reference_sample_branches(config, chains):
     their uniform up in the cumulative table with ``np.searchsorted``, every
     shot's detector numbers go into an int8 matrix, and each chunk of 2^16
     shots has its distinct rows counted by packed keys."""
+    import numpy as np
+
     chunk = 1 << 16  # a prefix rank must fit in the key's top 16 bits
     tables = [
         (

@@ -9,7 +9,6 @@ state fidelities, gate algebra, scattering identities, and series behavior.
 import math
 import time
 
-import numpy as np
 from reference import to_state_vector
 
 from ecpsim import (
@@ -176,6 +175,8 @@ def test_criterion_6_state_fidelities():
 
 
 def test_criterion_7_gate_invariants():
+    import numpy as np
+
     kets = [
         BasisKet(PhotonLabel(pol, direction), (spin,))
         for pol in (Polarization.R, Polarization.L)
@@ -206,6 +207,8 @@ def test_criterion_7_gate_invariants():
 
 
 def test_criterion_8_algebraic_identities():
+    import numpy as np
+
     rng = np.random.default_rng(123)
     ok = True
     for _ in range(1000):

@@ -451,6 +451,8 @@ def sweep_specs(draw):
 @given(sweep_specs())
 @example(SweepSpec(alpha2=1e-160, alpha1_range=(1.0, 1.0), n_points=1))
 @example(SweepSpec(alpha2=5e-324, alpha1_range=(1.0, 1.0), n_points=1))
+# pt's numerator underflows; test_pt_one_round_where_its_numerator_underflows pins pt = 1.5e-200
+@example(SweepSpec(alpha2=1e-100, alpha1_range=(1e-100, 1e-100), n_points=1))
 @example(
     SweepSpec(
         alpha2=1e-160,

@@ -277,10 +277,11 @@ SQUARE_BEYOND_FLOAT = 10**200  # a float can hold it, but not its square
             {"sweep": {"alpha1_range": [0.1, SQUARE_BEYOND_FLOAT]}},
             "DomainError: alpha1 range exceeds normalization",
         ),
+        (["sweep"], {"sweep": {"points": BEYOND_FLOAT}}, "DomainError: n_points must be at most 100000"),
     ],
     ids=[
         "alpha", "cavity", "alpha1_range", "alpha2", "sweep-cavity", "rounds", "alpha-square",
-        "alpha1_range-square",
+        "alpha1_range-square", "points",
     ],
 )
 def test_config_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, obj, error):
@@ -710,13 +711,12 @@ def test_negative_value_in_exponent_form(capsys):
             "2b5d7a8853e88fceda6e66e5e5382b38cdc8bce883b45c2874644462b390316d",
         ),
         (
-            # The 1000-point sweep CI pins, so the one-pass kernel's CSV bytes are
-            # checked on every tier-1 run as well.
+            # The one-pass sweep kernel's CSV bytes over 1000 points.
             ["sweep", "--points", "1000", "--alpha2", "0.5", "--alpha1-range", "0.01:0.84"],
             "a034f0752723d4f0edc7a1c12fdf18e1b43fa262de7c51d100c2a72d3cd7c0d5",
         ),
         (
-            # The 100 000-shot Monte Carlo trace CI pins; it ends on
+            # The 100 000-shot Monte Carlo trace; it ends on
             # total_success_probability=0.2482.
             ["simulate", "--alpha", "0.577,0.577,0.577", "--mode", "mc", "--shots", "100000",
              "--seed", "7"],
@@ -776,13 +776,13 @@ _CORRECTED = ["--convention", "corrected"]
             "73d044c2f1fa30212a3b418eebda02154cd218fe478c391cbda8651922f2e365",
         ),
         (
-            # The lossy 1000-point sweep CI pins.
+            # The lossy 1000-point sweep.
             ["sweep", "--points", "1000", "--alpha2", "0.5", "--alpha1-range", "0.01:0.84",
              "--cavity", "0.3,1.0,0.1"] + _CORRECTED,
             "0259968421be856bca5db9739b371a07702366c12e30b7e5d608b94fc15a1792",
         ),
         (
-            # The small lossy verify CI runs; it ends on "summary: 32 comparisons, 0 failed".
+            # A small lossy verify; it ends on "summary: 32 comparisons, 0 failed".
             ["verify", "--grid", "2", "--depth", "2,2", "--cavity", "0.1,0.5,0.1"],
             "febbbf6366e28302942bf17290790e85f16cd74a3f6ce2a307b69048da2f8f79",
         ),
@@ -832,6 +832,23 @@ _TRACE_CAVITY = st.none() | st.builds(
          convention=DenominatorConvention.VERBATIM, shots=1, seed=0)
 @example(alpha=(0.8, 0.36, 0.48), rounds=(7, 7), mode="mc", cavity=CavityParams(kappa_s=0.1, g=0.5, gamma=0.1),
          convention=DenominatorConvention.CORRECTED, shots=2000, seed=7)
+# Runs whose digests or totals other tests pin: a tree, both digest-pinned Monte
+# Carlo runs, a lossy tree, an overflowing g, the chain-end run as Monte Carlo,
+# and the README config file.
+@example(alpha=(0.8, 0.36, 0.48), rounds=(4, 4), mode="tree", cavity=None,
+         convention=DenominatorConvention.VERBATIM, shots=1, seed=0)
+@example(alpha=(0.577, 0.577, 0.577), rounds=(1, 1), mode="mc", cavity=None,
+         convention=DenominatorConvention.VERBATIM, shots=100_000, seed=7)
+@example(alpha=(0.8, 0.36, 0.48), rounds=(64, 64), mode="mc", cavity=None,
+         convention=DenominatorConvention.VERBATIM, shots=5000, seed=3)
+@example(alpha=(0.8, 0.36, 0.48), rounds=(4, 4), mode="tree", cavity=CavityParams(kappa_s=0.1, g=0.5, gamma=0.1),
+         convention=DenominatorConvention.CORRECTED, shots=1, seed=0)
+@example(alpha=(0.8, 0.36, 0.48), rounds=(1, 1), mode="tree", cavity=CavityParams(kappa_s=0.0, g=1e200, gamma=0.0),
+         convention=DenominatorConvention.VERBATIM, shots=1, seed=0)
+@example(alpha=(1e-180, 1e-200, 1.0), rounds=(3, 3), mode="mc", cavity=None,
+         convention=DenominatorConvention.VERBATIM, shots=1000, seed=1)
+@example(alpha=(0.8, 0.36, 0.48), rounds=(4, 4), mode="mc", cavity=CavityParams(kappa_s=0.1, g=0.5, gamma=0.1),
+         convention=DenominatorConvention.VERBATIM, shots=100_000, seed=7)
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_trace_writer_matches_indented_json_dumps(alpha, rounds, mode, cavity, convention, shots, seed):
     cavity = None if cavity is None else cavity._replace(convention=convention)
@@ -1026,6 +1043,15 @@ def test_each_entry_point_loads_only_the_modules_it_runs(
         (
             ["sweep", "--alpha2", "0.6", "--alpha1-range", "0.01:0.8000000000006249", "--points", "8"],
             "DomainError: alpha1 range exceeds normalization with this alpha2",
+        ),
+        # a detuning whose two ends a float holds, but not their difference: as ints, as floats
+        (
+            ["simulate", "--config", {"alpha": [1, 1, 1], "cavity": {"omega_x": 10**308, "omega0": -(10**308)}}],
+            "DomainError: kappa_s and the detunings over kappa must be finite",
+        ),
+        (
+            ["simulate", "--config", {"alpha": [1, 1, 1], "cavity": {"omega_x": 1e308, "omega0": -1e308}}],
+            "DomainError: kappa_s and the detunings over kappa must be finite",
         ),
     ],
 )

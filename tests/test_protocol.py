@@ -8,7 +8,7 @@ import pkgutil
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (
     UnknownDetectorError,
@@ -93,17 +93,22 @@ def test_normalized_rescales():
         WCoefficients.normalized(0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1.7e308, 1e154, 1e-155, 1e-160, 1e-200, 5e-324])
+@pytest.mark.parametrize(
+    "scale", [1e200, 1.7e308, 1e154, 1e-155, 1e-160, 1e-200, 5e-324, pytest.param(10**200, id="int-1e200")]
+)
 def test_normalized_at_any_scale(scale):
-    # the sum of squares overflows, or underflows to a subnormal or to 0
+    # the sum of squares overflows, or underflows to a subnormal or to 0; an int is taken as a float
     assert WCoefficients.normalized(scale, scale, scale) == WCoefficients.normalized(1.0, 1.0, 1.0)
     c = WCoefficients.normalized(scale, 0.0, scale)
     assert c == WCoefficients.normalized(1.0, 0.0, 1.0)
 
 
 @given(st.tuples(*[st.just(0.0) | st.floats(min_value=1e-150, max_value=1e150)] * 3))
+# built-in sum() adds with compensation from Python 3.12, and gives this sum of squares one ulp lower
+@example((1.2353286062997109e148, 1.0780662253327386e149, 1.2353286062997109e148))
 def test_normalized_keeps_the_plain_norm_in_the_normal_range(triple):
-    sum_sq = sum(a * a for a in triple)
+    a1, a2, a3 = triple
+    sum_sq = a1 * a1 + a2 * a2 + a3 * a3  # left to right, as the package adds
     assume(sys.float_info.min <= sum_sq < math.inf)
     n = math.sqrt(sum_sq)
     assert WCoefficients.normalized(*triple) == tuple(a / n for a in triple)
@@ -752,9 +757,11 @@ def _typed_fields():
 
 
 TYPED_FIELDS = _typed_fields()
+_CONFIG_CAVITY = next(case for case in TYPED_FIELDS if type(case[0]) is ProtocolConfig and case[1] == "cavity")
 
 
 @given(st.sampled_from(TYPED_FIELDS).flatmap(lambda case: st.tuples(st.just(case), case[2])))
+@example((_CONFIG_CAVITY, 1.0))
 @settings(max_examples=400, deadline=None)
 def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn):
     (value, field, _, error), wrong = drawn
@@ -766,6 +773,8 @@ def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn)
     ]
     if hasattr(copy, "replace"):
         builds.append(lambda: copy.replace(value, **{field: wrong}))
+    if type(value) is WCoefficients:
+        builds.append(lambda: WCoefficients.normalized(**fields))
     messages = set()
     for build in builds:
         with pytest.raises(Exception) as caught:

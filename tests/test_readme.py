@@ -30,7 +30,7 @@ def test_readme_config_file_runs(tmp_path, capsys):
     assert trace["monte_carlo"]["shots"] == cfg["shots"]
     assert {k: trace["config"]["cavity"][k] for k in cfg["cavity"]} == cfg["cavity"]
 
-    # Flags override the file: the exact tree at (2, 2) rounds, whose total CI pins too.
+    # Flags override the file: the exact tree at (2, 2) rounds, with its pinned total.
     assert main(["simulate", "--config", str(path), "--mode", "tree", "--rounds", "2,2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "total_success_probability=0.27723021164135453"
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .cavity import _REAL_TYPES, CavityParams, ScatterCoefficients, scatter_coefficients
-from .errors import DomainError
+from .cavity import CavityParams, ScatterCoefficients, scatter_coefficients
+from .errors import _REAL_TYPES, DomainError, InvalidCoefficientsError, _is_count, _is_real
 from .protocol import _NORMAL_MIN, _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
@@ -30,6 +30,10 @@ MAX_POINTS = 100_000
 
 def p1_round(k: int, c: WCoefficients) -> float:
     """Probability that the first station succeeds exactly at repetition ``k``."""
+    if not _is_count(k):
+        raise DomainError(f"round index must be an int, not {type(k).__name__}")
+    if not isinstance(c, WCoefficients):
+        raise InvalidCoefficientsError(f"c must be a WCoefficients, not {type(c).__name__}")
     if k < 1 or k > MAX_ROUNDS:
         raise DomainError(f"round index {k} outside 1..{MAX_ROUNDS}")
     a1, a2, a3 = c
@@ -52,6 +56,10 @@ def p2_round(k: int, c: WCoefficients) -> float:
     first station when this loop runs.  Where m^2 underflows, m = max(a2, a3),
     the squares are taken relative to m^2, so the denominator is not 0.
     """
+    if not _is_count(k):
+        raise DomainError(f"round index must be an int, not {type(k).__name__}")
+    if not isinstance(c, WCoefficients):
+        raise InvalidCoefficientsError(f"c must be a WCoefficients, not {type(c).__name__}")
     if k < 1 or k > MAX_ROUNDS:
         raise DomainError(f"round index {k} outside 1..{MAX_ROUNDS}")
     a2, a3 = c.a2, c.a3
@@ -69,6 +77,10 @@ def p2_round(k: int, c: WCoefficients) -> float:
 
 
 def _series(term, k_max: int, tol: float) -> float:
+    if not _is_count(k_max):
+        raise DomainError(f"k_max must be an int, not {type(k_max).__name__}")
+    if not _is_real(tol):
+        raise DomainError(f"tol must be a real number within the float range, not {type(tol).__name__}")
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     total = 0.0
@@ -92,6 +104,8 @@ def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS, tol: float = SERIES_TOLE
 
 def pt_one_round(c: WCoefficients) -> float:
     """Single-round total: 3 a1^2 a2^2 a3^2 / ((a1^2 + a2^2)(a3^2 + a2^2))."""
+    if not isinstance(c, WCoefficients):
+        raise InvalidCoefficientsError(f"c must be a WCoefficients, not {type(c).__name__}")
     return next(_round_ones(c.a2, ((c.a1, c.a3),)))[4]
 
 
@@ -157,11 +171,15 @@ def _round_ones(
 
 def practical_p1(c: WCoefficients, coefficients: ScatterCoefficients) -> float:
     """First-station single-round success with a leaky cavity."""
+    if not isinstance(coefficients, ScatterCoefficients):
+        raise DomainError(f"coefficients must be a ScatterCoefficients, not {type(coefficients).__name__}")
     return p1_round(1, c) * coefficients.transmitted_signal_fraction
 
 
 def practical_p2(c: WCoefficients, coefficients: ScatterCoefficients) -> float:
     """Second-station single-round success with a leaky cavity."""
+    if not isinstance(coefficients, ScatterCoefficients):
+        raise DomainError(f"coefficients must be a ScatterCoefficients, not {type(coefficients).__name__}")
     return p2_round(1, c) * coefficients.reflected_signal_fraction
 
 
@@ -178,6 +196,8 @@ def p2_simplified(alpha1: float) -> float:
 
     Uses the substituted form (2/3 - a1^2) / ((1 - a1^2)(4/3 - a1^2)).
     """
+    if not _is_real(alpha1):
+        raise DomainError(f"alpha1 must be a real number within the float range, not {type(alpha1).__name__}")
     if not (0.0 <= alpha1 <= _ALPHA1_LIMIT + 1e-12):
         raise DomainError(f"alpha1 {alpha1} outside [0, sqrt(2/3)]")
     x = min(alpha1 * alpha1, 2.0 / 3.0)
@@ -206,7 +226,7 @@ class SweepSpec(_SweepSpecFields):
 
     def __new__(cls, *args, **kwargs) -> SweepSpec:
         self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool):
+        if not _is_count(self.n_points):
             raise DomainError(f"n_points must be an int, not {type(self.n_points).__name__}")
         if self.cavity is not None and not isinstance(self.cavity, CavityParams):
             raise DomainError(f"cavity must be a CavityParams or None, not {type(self.cavity).__name__}")
@@ -257,6 +277,8 @@ def sweep(spec: SweepSpec) -> list[CurvePoint]:
     over the spec's points, each point built positionally in CSV column order.
     Without a cavity the practical columns are the ideal column objects
     themselves, which :func:`write_sweep_csv` formats once."""
+    if not isinstance(spec, SweepSpec):
+        raise DomainError(f"spec must be a SweepSpec, not {type(spec).__name__}")
     lo, hi = spec.alpha1_range
     a2 = spec.alpha2
     rows = _round_ones(a2, _sweep_pairs(lo, hi, spec.n_points, a2))

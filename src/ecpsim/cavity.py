@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import (
+    _FLOAT_MAX,
     CircularBasisPhotonError,
     DomainError,
     LinearBasisPhotonError,
     ShapeMismatchError,
+    _is_real,
+    _unreal,
 )
 
 TYPE_CHECKING = False
@@ -37,15 +39,6 @@ if TYPE_CHECKING:  # annotations are not evaluated
     from .hilbert import BasisKet, StateVector
 
 DEFAULT_TOLERANCE = 1e-12  # the package's one amplitude drop, wherever a state is built
-_FLOAT_MAX = sys.float_info.max
-# The exact types of a real number: a float, or an int, which each holder's finiteness
-# test keeps within the float range.  A bool, complex, str or None is neither.
-_REAL_TYPES = frozenset((float, int))
-
-
-def _unreal(values) -> str | None:
-    """The type name of the first of ``values`` that is not a real number, else None."""
-    return next((type(v).__name__ for v in values if type(v) not in _REAL_TYPES), None)
 
 
 class SpinLabel(Enum):
@@ -339,9 +332,9 @@ def scatter_coefficients(params: CavityParams, omega: float | None = None) -> Sc
     denominator form of ``params.convention``.
 
     ``omega`` defaults to the input-photon frequency ``params.omega0`` and must
-    be finite (:class:`DomainError` otherwise).  All rates and detunings are
-    divided by kappa before evaluation; kappa_s and every detuning must stay
-    finite once divided (:class:`DomainError` otherwise).
+    be a finite real number (:class:`DomainError` otherwise).  All rates and
+    detunings are divided by kappa before evaluation; kappa_s and every detuning
+    must stay finite once divided (:class:`DomainError` otherwise).
 
     The emitter bracket ``e = i*d_x + gamma/2`` is cancelled out of the hot
     transmission: t = -1/D with D = i*d_c + 1 + kappa_s/2 + g^2 in the
@@ -365,8 +358,12 @@ def scatter_coefficients(params: CavityParams, omega: float | None = None) -> Sc
     1 + t would cancel when t is near -1, at weak coupling and leakage.
     r - t = 1 and r0 - t0 = 1 then hold to rounding.
     """
+    if not isinstance(params, CavityParams):
+        raise DomainError(f"cavity must be a CavityParams, not {type(params).__name__}")
     if omega is None:
         omega = params.omega0
+    elif not _is_real(omega):
+        raise DomainError(f"omega must be a real number within the float range, or None, not {type(omega).__name__}")
     elif not math.isfinite(omega):
         raise DomainError(f"probe frequency {omega} is not finite")
     omega = float(omega)  # in floats: the exact difference of two ints can leave the float range

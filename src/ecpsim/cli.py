@@ -19,7 +19,7 @@ import re
 import sys
 from functools import cache, partial
 
-from .errors import ConfigError, EcpError
+from .errors import ConfigError, EcpError, _is_count, _is_real
 
 # Only errors is imported here: each subcommand and flag converter imports the
 # modules it runs when it runs, so a process loads those alone.  Annotations are
@@ -115,27 +115,18 @@ _CONFIG_KEYS = {
 }
 
 
-def _is_number(value) -> bool:
-    """A JSON number a float can hold: not a bool, nor an integer beyond the float range."""
-    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _list_of(n: int, ok: Callable) -> Callable:
     return lambda value: isinstance(value, list) and len(value) == n and all(map(ok, value))
 
 
 # Checked in this order, after the types and key names: (name, check, requirement).
 _SHAPES = (
-    ("alpha", _list_of(3, _is_number), "must be 3 numbers"),
-    ("rounds", _list_of(2, _is_int), "must be 2 integers"),
-    ("sweep.alpha1_range", _list_of(2, _is_number), "must be [lo, hi]"),
-    ("sweep.alpha2", _is_number, "must be a number"),
-    ("sweep.points", _is_int, "must be an integer"),
-    ("cavity", lambda section: all(map(_is_number, section.values())), "values must be numbers"),
+    ("alpha", _list_of(3, _is_real), "must be 3 numbers"),
+    ("rounds", _list_of(2, _is_count), "must be 2 integers"),
+    ("sweep.alpha1_range", _list_of(2, _is_real), "must be [lo, hi]"),
+    ("sweep.alpha2", _is_real, "must be a number"),
+    ("sweep.points", _is_count, "must be an integer"),
+    ("cavity", lambda section: all(map(_is_real, section.values())), "values must be numbers"),
 )
 
 
@@ -157,7 +148,7 @@ def _load_config(path: str) -> dict:
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config: unknown key {key!r}")
-        if not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool):
+        if not (_is_count(value) if _CONFIG_KEYS[key] is int else isinstance(value, _CONFIG_KEYS[key])):
             raise ConfigError(f"config: key {key!r} has wrong type")
     sections = {"cavity": CavityParams._fields[:-1], "sweep": ("alpha2", "alpha1_range", "points")}
     for section, known in sections.items():
@@ -203,9 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.alpha is None:
         raise ConfigError("alpha: required (flag --alpha or config file)")
-    # As floats, so a config integer squares like the flag's value instead
-    # of growing past the float range.
-    coefficients = WCoefficients.normalized(*map(float, args.alpha))
+    coefficients = WCoefficients.normalized(*args.alpha)
     config = ProtocolConfig(
         max_rounds_alice=args.rounds[0],
         max_rounds_charlie=args.rounds[1],

@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rule they enforce."""
+
+import sys
+
+_FLOAT_MAX = sys.float_info.max
+# The exact types of a real number: a float, or an int, which each holder's finiteness
+# test keeps within the float range.  A bool, complex, str or None is neither.
+_REAL_TYPES = frozenset((float, int))
+
+
+def _unreal(values) -> str | None:
+    """The type name of the first of ``values`` that is not a real number, else None."""
+    return next((type(v).__name__ for v in values if type(v) not in _REAL_TYPES), None)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A number a float can hold: a float (a subclass too), or a count within the float range."""
+    return isinstance(value, float) or (_is_count(value) and abs(value) <= _FLOAT_MAX)
 
 
 class EcpError(Exception):

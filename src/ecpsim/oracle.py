@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import analytics
 from .cavity import CavityParams, DetectorLabel, scatter_coefficients
-from .errors import DomainError
+from .errors import DomainError, _is_count, _is_real
 from .protocol import (
     OutcomeClass,
     RoundOutcome,
@@ -90,6 +90,8 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     first in detector order, so rounds run, and raise, in the pre-order of
     their table's first node.
     """
+    if not (_is_count(k_alice) and _is_count(k_charlie)):
+        raise DomainError(f"tree depths must be ints, not {type(k_alice).__name__} and {type(k_charlie).__name__}")
     if k_alice < 1:
         raise DomainError("k_alice must be at least 1")
     if k_charlie < 0:
@@ -194,6 +196,8 @@ def simplex_grid(n: int) -> list[WCoefficients]:
     ``(a1^2, a2^2, a3^2) = (u, (1-u) v, (1-u)(1-v))``; for n = 1 it
     degenerates to the symmetric triple.
     """
+    if not _is_count(n):
+        raise DomainError(f"grid size must be an int, not {type(n).__name__}")
     if n < 1:
         raise DomainError("grid size must be at least 1")
     if n > MAX_GRID:
@@ -294,6 +298,10 @@ def compare_all(
     ``tolerance``, which must be finite and nonnegative (:class:`DomainError`
     otherwise).
     """
+    if not (isinstance(depths, tuple) and len(depths) == 2 and all(map(_is_count, depths))):
+        raise DomainError("depths must be a tuple of two ints")
+    if not _is_real(tolerance):
+        raise DomainError(f"tolerance must be a real number within the float range, not {type(tolerance).__name__}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
     k_alice, k_charlie = depths
@@ -304,8 +312,8 @@ def compare_all(
 
     sc = None if cavity is None else scatter_coefficients(cavity)
     for c in grid:
+        alice_at, charlie_at, joint = _tree_masses(c, k_alice, k_charlie)  # refuses a c of another type
         point = tuple(c)
-        alice_at, charlie_at, joint = _tree_masses(c, k_alice, k_charlie)
         for k in range(1, min(_ROUND_COMPARISONS, k_alice) + 1):
             report(f"p1_round[k={k}]", point, analytics.p1_round(k, c), alice_at[k])
         for k in range(1, min(_ROUND_COMPARISONS, k_charlie) + 1):

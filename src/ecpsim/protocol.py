@@ -23,22 +23,24 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .cavity import (
-    _REAL_TYPES,
     DEFAULT_TOLERANCE,
     CavityParams,
     DetectorLabel,
     ScatterCoefficients,
     SpinLabel,
     Station,
-    _unreal,
     photon_readout,
     scatter_coefficients,
 )
 from .errors import (
+    _REAL_TYPES,
     ConfigError,
     DegenerateCoefficientsError,
+    DomainError,
     InvalidCoefficientsError,
     RoutingError,
+    _is_count,
+    _unreal,
 )
 
 _NORM_TOLERANCE = 1e-12
@@ -235,8 +237,7 @@ class ProtocolConfig(_ProtocolConfigFields):
     def __new__(cls, *args, **kwargs) -> ProtocolConfig:
         self = super().__new__(cls, *args, **kwargs)
         for name in ("max_rounds_alice", "max_rounds_charlie", "rng_seed", "n_shots"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_count(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be an int, not {type(value).__name__}")
         if self.cavity is not None and not isinstance(self.cavity, CavityParams):
             raise ConfigError(f"cavity must be a CavityParams or None, not {type(self.cavity).__name__}")
@@ -340,6 +341,8 @@ class ProtocolTrace(NamedTuple):
 
 def prepare_w_state(coefficients: WCoefficients) -> WState:
     """Three-spin input state; all three coefficients must be strictly positive."""
+    if not isinstance(coefficients, WCoefficients):
+        raise InvalidCoefficientsError(f"coefficients must be a WCoefficients, not {type(coefficients).__name__}")
     a1, a2, a3 = coefficients
     if a1 == 0.0 or a2 == 0.0 or a3 == 0.0:
         raise InvalidCoefficientsError("protocol requires strictly positive coefficients")
@@ -362,6 +365,7 @@ def coefficient_update_alice(coefficients: WCoefficients) -> WCoefficients:
 
     Where m^2 underflows, m = max(a1, a2) > 0, the products are taken
     relative to m*M with M = max(m, a3), so their ratios survive at any scale.
+    It runs once per retry on values the engine built, so it takes no type test.
     """
     a1, a2, a3 = coefficients
     m = max(a1, a2)
@@ -380,7 +384,8 @@ def coefficient_update_charlie(coefficients: WCoefficients) -> WCoefficients:
     """Retry map for the second station: (a1, a2, a3) -> (a2^2, a2^2, a3^2) normalized.
 
     Where m^2 underflows, m = max(a2, a3) > 0, the squares are taken relative
-    to m^2, so their ratios survive at any scale.
+    to m^2, so their ratios survive at any scale.  Like the first station's map,
+    it takes no type test.
     """
     a2, a3 = coefficients.a2, coefficients.a3
     m = max(a2, a3)
@@ -561,6 +566,8 @@ def _station_round(
         outcomes.append(_tuple_new(RoundOutcome, (paired, probability, paired_state, post, cls)))
 
     if scatter is not None:
+        if not isinstance(scatter, ScatterCoefficients):
+            raise DomainError(f"scatter must be a ScatterCoefficients or None, not {type(scatter).__name__}")
         # Success probabilities shrink by the port signal fraction; whatever
         # did not herald success (including photons lost to leakage) counts
         # toward the retry branches.  Post-states keep their ideal form.
@@ -587,7 +594,9 @@ def alice_round(
 
     ``scatter`` gives the lossy gate of the as-published model, where the
     success probability is scaled by the transmitted-port signal fraction;
-    ``None`` is the ideal gate.
+    ``None`` is the ideal gate (any other value: :class:`DomainError`).  It runs
+    once per round on values the engine built, so ``state`` and ``coefficients``
+    take no type test.
     """
     return _station_round(state, coefficients, scatter, _ALICE_PLAN)
 
@@ -720,6 +729,8 @@ def run_protocol(coefficients: WCoefficients, config: ProtocolConfig) -> Protoco
     sampled with a counter-based generator (one uniform row per shot), and
     branch records carry observed frequencies.
     """
+    if not isinstance(config, ProtocolConfig):
+        raise ConfigError(f"config must be a ProtocolConfig, not {type(config).__name__}")
     scatter = None if config.cavity is None else scatter_coefficients(config.cavity)
     chains = _stage_chains(coefficients, config.max_rounds_alice, config.max_rounds_charlie, scatter)
     rounds = [o for _, stages in chains for stage in stages for o in stage]

@@ -45,10 +45,21 @@ from ecpsim import (
     coefficient_update_alice,
     coefficient_update_charlie,
     compare_all,
+    enumerate_tree,
+    p1_round,
+    p1_total,
+    p2_round,
+    p2_simplified,
+    p2_total,
+    practical_p1,
+    practical_p2,
+    practical_total,
     prepare_w_state,
+    pt_one_round,
     run_protocol,
     scatter_coefficients,
     simplex_grid,
+    sweep,
 )
 import ecpsim
 from ecpsim import protocol
@@ -782,6 +793,98 @@ def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn)
         assert type(caught.value) is error, (field, wrong, caught.value)
         messages.add(str(caught.value))
     assert len(messages) == 1
+
+
+# What a WCoefficients argument is not: plain triples (normalized or not), other
+# values, and another validated type.
+_NOT_COEFFS = (st.tuples(*[st.floats(0.0, 1.0)] * 3) | st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+               | st.floats() | st.none() | st.sampled_from([CavityParams(), (1.0, 1.0, 1.0), list(SKEWED)]))
+
+
+def _not_a(value):
+    """What an argument that takes ``value``'s type is not: what a cavity is not,
+    ``None``, the other value types, and ``value`` as a plain tuple."""
+    others = [CavityParams(), SweepSpec(), ProtocolConfig(), scatter_coefficients(CavityParams())]
+    return (_NOT_CAVITY | st.none()
+            | st.sampled_from([v for v in others if type(v) is not type(value)] + [tuple(value)]))
+
+
+def _public_arguments():
+    """``label: (call on one wrong value, wrong values, the named error)`` for each
+    checked argument of each public function."""
+    lossy = scatter_coefficients(CavityParams(kappa_s=0.1, g=0.5, gamma=0.1))
+    state = prepare_w_state(SKEWED)
+    not_scatter = _not_a(lossy).filter(lambda v: v is not None)  # None is the ideal gate
+    not_depths = (_NOT_INT | st.tuples(_NOT_INT, st.just(1)) | st.tuples(st.just(1), _NOT_INT)
+                  | st.sampled_from([[1, 1], (1,), (1, 1, 1)]))
+    cases = {
+        "simplex_grid.n": (simplex_grid, _NOT_INT, DomainError),
+        "compare_all.grid": (lambda v: compare_all([v], (1, 1)), _NOT_COEFFS, InvalidCoefficientsError),
+        "compare_all.depths": (lambda v: compare_all([SKEWED], v), not_depths, DomainError),
+        "compare_all.tolerance": (lambda v: compare_all([SKEWED], (1, 1), v), _NOT_REAL, DomainError),
+        "compare_all.cavity": (lambda v: compare_all([SKEWED], (1, 1), cavity=v), _NOT_CAVITY, DomainError),
+        "enumerate_tree.c": (lambda v: enumerate_tree(v, 1, 1), _NOT_COEFFS, InvalidCoefficientsError),
+        "enumerate_tree.k_alice": (lambda v: enumerate_tree(SKEWED, v, 1), _NOT_INT, DomainError),
+        "enumerate_tree.k_charlie": (lambda v: enumerate_tree(SKEWED, 1, v), _NOT_INT, DomainError),
+        "prepare_w_state.coefficients": (prepare_w_state, _NOT_COEFFS, InvalidCoefficientsError),
+        "run_protocol.coefficients": (lambda v: run_protocol(v, ProtocolConfig()), _NOT_COEFFS,
+                                      InvalidCoefficientsError),
+        "run_protocol.config": (lambda v: run_protocol(SKEWED, v), _not_a(ProtocolConfig()), ConfigError),
+        "alice_round.scatter": (lambda v: alice_round(state, SKEWED, v), not_scatter, DomainError),
+        "charlie_round.scatter": (lambda v: charlie_round(state, SKEWED, v), not_scatter, DomainError),
+        "scatter_coefficients.params": (scatter_coefficients, _not_a(CavityParams()), DomainError),
+        "scatter_coefficients.omega": (lambda v: scatter_coefficients(CavityParams(), v),
+                                       _NOT_REAL.filter(lambda v: v is not None), DomainError),
+        "pt_one_round.c": (pt_one_round, _NOT_COEFFS, InvalidCoefficientsError),
+        "p2_simplified.alpha1": (p2_simplified, _NOT_REAL, DomainError),
+        "sweep.spec": (sweep, _not_a(SweepSpec()), DomainError),
+    }
+    for name, fn in (("p1_round", p1_round), ("p2_round", p2_round)):
+        cases[f"{name}.k"] = (lambda v, fn=fn: fn(v, SKEWED), _NOT_INT, DomainError)
+        cases[f"{name}.c"] = (lambda v, fn=fn: fn(1, v), _NOT_COEFFS, InvalidCoefficientsError)
+    for name, fn in (("p1_total", p1_total), ("p2_total", p2_total)):
+        cases[f"{name}.c"] = (fn, _NOT_COEFFS, InvalidCoefficientsError)
+        cases[f"{name}.k_max"] = (lambda v, fn=fn: fn(SKEWED, v), _NOT_INT, DomainError)
+        cases[f"{name}.tol"] = (lambda v, fn=fn: fn(SKEWED, tol=v), _NOT_REAL, DomainError)
+    for name, fn in (("practical_p1", practical_p1), ("practical_p2", practical_p2),
+                     ("practical_total", practical_total)):
+        cases[f"{name}.c"] = (lambda v, fn=fn: fn(v, lossy), _NOT_COEFFS, InvalidCoefficientsError)
+        cases[f"{name}.coefficients"] = (lambda v, fn=fn: fn(SKEWED, v), _not_a(lossy), DomainError)
+    return cases
+
+
+PUBLIC_ARGUMENTS = _public_arguments()
+
+
+@given(st.sampled_from(sorted(PUBLIC_ARGUMENTS)).flatmap(
+    lambda label: st.tuples(st.just(label), PUBLIC_ARGUMENTS[label][1])))
+# each a case that once returned a value, or raised a bare TypeError or OverflowError
+@example(("p1_round.c", (1.0, 1.0, 1.0)))
+@example(("p1_total.c", (1.0, 1.0, 1.0)))
+@example(("p1_round.k", True))
+@example(("compare_all.tolerance", True))
+@example(("compare_all.depths", (1.0, 1)))
+@example(("scatter_coefficients.omega", True))
+@example(("scatter_coefficients.omega", "1"))
+@example(("scatter_coefficients.omega", 10**400))
+@example(("simplex_grid.n", True))
+@example(("simplex_grid.n", 2.0))
+@example(("p1_total.k_max", 2.0))
+@settings(max_examples=600, deadline=None)
+def test_every_public_function_refuses_wrong_types_with_the_named_error(drawn):
+    label, wrong = drawn
+    call, _, error = PUBLIC_ARGUMENTS[label]
+    with pytest.raises(Exception) as caught:
+        call(wrong)
+    assert type(caught.value) is error, (label, wrong, caught.value)
+
+
+def test_numpy_floats_are_real_numbers_and_numpy_integers_are_not_counts():
+    import numpy as np
+
+    assert scatter_coefficients(CavityParams(), np.float64(0.5)) == scatter_coefficients(CavityParams(), 0.5)
+    with pytest.raises(DomainError, match="^round index must be an int, not int64$"):
+        p1_round(np.int64(2), SKEWED)
 
 
 def test_a_corrected_cavity_runs_the_corrected_form():

@@ -16,7 +16,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .cavity import CavityParams, ScatterCoefficients, scatter_coefficients
-from .errors import _REAL_TYPES, DomainError, InvalidCoefficientsError, _is_count, _is_real
+from .errors import _REAL_TYPES, DomainError, InvalidCoefficientsError, _is_count, _is_real, _shown
 from .protocol import _NORMAL_MIN, _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
@@ -35,7 +35,7 @@ def p1_round(k: int, c: WCoefficients) -> float:
     if not isinstance(c, WCoefficients):
         raise InvalidCoefficientsError(f"c must be a WCoefficients, not {type(c).__name__}")
     if k < 1 or k > MAX_ROUNDS:
-        raise DomainError(f"round index {k} outside 1..{MAX_ROUNDS}")
+        raise DomainError(f"round index {_shown(k)} outside 1..{MAX_ROUNDS}")
     a1, a2, a3 = c
     m = max(a1, a2)
     if m == 0.0:
@@ -61,7 +61,7 @@ def p2_round(k: int, c: WCoefficients) -> float:
     if not isinstance(c, WCoefficients):
         raise InvalidCoefficientsError(f"c must be a WCoefficients, not {type(c).__name__}")
     if k < 1 or k > MAX_ROUNDS:
-        raise DomainError(f"round index {k} outside 1..{MAX_ROUNDS}")
+        raise DomainError(f"round index {_shown(k)} outside 1..{MAX_ROUNDS}")
     a2, a3 = c.a2, c.a3
     m = max(a2, a3)
     if m == 0.0:
@@ -234,10 +234,10 @@ class SweepSpec(_SweepSpecFields):
             raise DomainError(f"alpha2 must be a real number, not {type(self.alpha2).__name__}")
         bounds = self.alpha1_range
         if not (type(bounds) is tuple and len(bounds) == 2 and all(type(b) is float for b in bounds)):
-            raise DomainError(f"alpha1_range must be a (lo, hi) tuple of floats, not {bounds!r}")
+            raise DomainError(f"alpha1_range must be a (lo, hi) tuple of floats, not {_shown(bounds)}")
         lo, hi = bounds
         if not (0.0 < self.alpha2 < 1.0):
-            raise DomainError(f"alpha2 {self.alpha2} outside (0, 1)")
+            raise DomainError(f"alpha2 {_shown(self.alpha2)} outside (0, 1)")
         if not 0.0 < lo <= hi:  # NaN fails too
             raise DomainError(f"invalid alpha1 range {self.alpha1_range}")
         # WCoefficients's norm test where a1 and a2 fill the norm (a3 = 0), on

@@ -22,6 +22,18 @@ def _is_real(value) -> bool:
     return isinstance(value, float) or (_is_count(value) and abs(value) <= _FLOAT_MAX)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or a short stand-in where ``repr``
+    refuses an int past its digit limit (alone or inside the value): a range
+    check then raises its own error, not ``ValueError`` from formatting."""
+    try:
+        return repr(value)
+    except ValueError:
+        if _is_count(value):
+            return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to show>"
+
+
 class EcpError(Exception):
     """Base class for all package-specific errors."""
 

@@ -40,6 +40,7 @@ from .errors import (
     InvalidCoefficientsError,
     RoutingError,
     _is_count,
+    _shown,
     _unreal,
 )
 
@@ -246,7 +247,7 @@ class ProtocolConfig(_ProtocolConfigFields):
         if self.max_rounds_alice > MAX_ROUNDS or self.max_rounds_charlie > MAX_ROUNDS:
             raise ConfigError(f"round limits must be at most {MAX_ROUNDS}")
         if not 0 <= self.rng_seed < _SEED_LIMIT:
-            raise ConfigError(f"seed {self.rng_seed} outside [0, 2**128)")
+            raise ConfigError(f"seed {_shown(self.rng_seed)} outside [0, 2**128)")
         if self.mode not in ("tree", "mc"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "mc" and self.n_shots < 1:

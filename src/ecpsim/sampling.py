@@ -11,15 +11,32 @@ also counts the shots on each pair, and each pair some shot took gets its
 prefix's row with the outcome's detector number in the stage's column.  A
 pair whose path ends there is a finished row; only distinct paths are ever
 held as rows.
+
+Shot i consumes row i of the seed's Philox block, so any contiguous range of
+rows can be drawn and walked on its own.  Each chunk of up to ``_CHUNK`` shots
+is split into one part per usable CPU, each at least ``_MIN_PART`` rows, so a
+full chunk into at most two: the calling thread walks the first and a
+``threading.Thread`` each other, and the
+parts' path counts are added up.  numpy drops the GIL in the draw and in most
+of the walk's array operations, so the parts run side by side; the sums do not
+depend on the order, so the output is the same for any number of parts.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
 from .protocol import BranchRecord, OutcomeClass, ProtocolConfig, RoundOutcome, _Chain, _code
 
 _CHUNK = 1 << 16
+# The fewest rows a part of a chunk is walked in, so a full chunk is cut into
+# at most two parts.  Two 32 768-row parts on two CPUs were measured faster
+# than one part; 16 384-row parts on two threads were slower than one thread,
+# and splits into more parts were not measured.
+_MIN_PART = 1 << 15
 
 
 def _stage_tables(
@@ -113,6 +130,51 @@ def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
     return rows.tolist(), np.concatenate(ended_counts).tolist()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rows(seed: int, start: int, stop: int, n_stages: int) -> np.ndarray:
+    """Rows ``start`` to ``stop - 1`` of the seed's ``(shots, n_stages)`` Philox
+    block, from a generator of their own.  Philox gives 4 words per counter step
+    and a uniform takes one word, so the generator moves ``start * n_stages // 4``
+    steps and then discards the remaining words."""
+    bit_generator = np.random.Philox(key=seed)
+    words = start * n_stages
+    bit_generator.advance(words // 4)
+    bit_generator.random_raw(words % 4)
+    return np.random.Generator(bit_generator).random((stop - start, n_stages))
+
+
+def _walk_parts(seed: int, bounds: list[int], n_stages: int, tables: list) -> list[tuple[list[bytes], list[int]]]:
+    """:func:`_walk_chunk` on each part's :func:`_rows`, ``bounds[i]`` to
+    ``bounds[i + 1] - 1``: the first on the calling thread, each other on a
+    thread of its own, all joined before this returns.  A part's exception is
+    raised here, on the calling thread, the first part's first."""
+    walks: list = [None] * (len(bounds) - 1)
+
+    def walk(i: int) -> None:
+        try:
+            walks[i] = _walk_chunk(_rows(seed, bounds[i], bounds[i + 1], n_stages), tables)
+        except BaseException as exc:  # raised again on the calling thread
+            walks[i] = exc
+
+    threads = [threading.Thread(target=walk, args=(i,)) for i in range(1, len(walks))]
+    for thread in threads:
+        thread.start()
+    walk(0)
+    for thread in threads:
+        thread.join()
+    for walked in walks:
+        if isinstance(walked, BaseException):
+            raise walked
+    return walks
+
+
 def _sample_branches(
     config: ProtocolConfig, chains: list[_Chain]
 ) -> tuple[list[BranchRecord], dict[str, int], float]:
@@ -120,11 +182,15 @@ def _sample_branches(
 
     Each shot owns one row of a counter-based uniform block, so results are
     reproducible for a given (seed, shot index) regardless of chunking: each
-    chunk of up to ``_CHUNK`` shots draws its block and is walked by
-    :func:`_walk_chunk`.  The shots that succeed at a station are the next
-    station's input.  Paths are counted by their rows' bytes, which sort as
-    the rows do since every detector number is in 0..8, so branches come out
-    in the lexicographic order of their rows of detector numbers by stage.
+    chunk of up to ``_CHUNK`` shots is split into ``max(1, min(usable CPUs,
+    rows // _MIN_PART))`` contiguous parts, and each part draws its rows and is
+    walked by :func:`_walk_chunk` on a thread of its own (:func:`_walk_parts`).
+    At most one chunk's rows are drawn at a time.  The shots that succeed at a
+    station are the next station's input.  Paths are counted by their rows'
+    bytes, added over the parts in any order, and the bytes sort as the rows do
+    since every detector number is in 0..8, so branches come out in the
+    lexicographic order of their rows of detector numbers by stage, whatever
+    the number of parts.
     Detector labels, and the class of a path (that of its last outcome), are
     read from the outcomes in the chains' stages, not from their plans.
     """
@@ -136,17 +202,15 @@ def _sample_branches(
     label = {_code(o.detector): o.detector.value for o in outcomes}
     ending = {o.detector.value: (o.classification, o.classification.value) for o in outcomes}
 
-    rng = np.random.Generator(np.random.Philox(key=config.rng_seed))
+    cpus = _usable_cpus()
     path_counts: dict[bytes, int] = {}
-
-    remaining = config.n_shots
-    while remaining > 0:
-        n = min(remaining, _CHUNK)
-        remaining -= n
-        u = rng.random((n, n_stages))
-        rows, counts = _walk_chunk(u, tables)
-        for row, count in zip(rows, counts):
-            path_counts[row] = path_counts.get(row, 0) + count
+    for start in range(0, config.n_shots, _CHUNK):
+        n = min(config.n_shots - start, _CHUNK)
+        n_parts = max(1, min(cpus, n // _MIN_PART))
+        bounds = [start + n * i // n_parts for i in range(n_parts + 1)]
+        for rows, counts in _walk_parts(config.rng_seed, bounds, n_stages, tables):
+            for row, count in zip(rows, counts):
+                path_counts[row] = path_counts.get(row, 0) + count
 
     branches = []
     counts = {cls.value: 0 for cls in OutcomeClass}

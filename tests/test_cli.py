@@ -673,6 +673,12 @@ def test_negative_value_in_exponent_form(capsys):
 # -- golden outputs -----------------------------------------------------------------
 
 
+# A Monte Carlo run whose first 65 536-shot chunk the sampler walks in two
+# parts where two or more CPUs are usable.
+_THREADED_MC = ["simulate", "--mode", "mc", "--alpha", "0.8,0.36,0.48", "--rounds", "6,6",
+                "--shots", "70000", "--seed", "5"]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -726,6 +732,12 @@ def test_negative_value_in_exponent_form(capsys):
             # A one-station tree (k_charlie = 0); it ends on "summary: 8 comparisons, 0 failed".
             ["verify", "--grid", "2", "--depth", "2,0"],
             "1b3ffda43cd5355aa541ea66cb4d8204b3bdd6700817f0b19e009eee7c45fc7d",
+        ),
+        (
+            # A full 65 536-shot chunk, walked in parts on two or more usable
+            # CPUs, then a partial one of 4 464 shots.
+            _THREADED_MC,
+            "2c938b0b9b5e73ae9982bb9cf42b6d1c8eccc876362f8b213ffd54680bd3ffc1",
         ),
     ],
 )
@@ -888,6 +900,26 @@ def _first_call(argv, tmp_path, ecp_seed="0"):
         capture_output=True, text=True, cwd=tmp_path, env=_child_env(ECP_SEED=ecp_seed), timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_a_monte_carlo_run_pinned_to_one_cpu_prints_the_same_bytes(tmp_path):
+    def stdout(pin):
+        code = (
+            "import os, sys\n"
+            f"if {pin}:\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "    assert len(os.sched_getaffinity(0)) == 1\n"
+            f"sys.argv = ['ecpsim', *{_THREADED_MC!r}]\n"
+            "from ecpsim.cli import entry\n"
+            "entry()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=tmp_path,
+                              env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert stdout(True) == stdout(False)
 
 
 _PLAIN_SIMULATE = ["simulate", "--alpha", "0.8,0.36,0.48"]

@@ -733,11 +733,16 @@ def test_counts_must_be_ints_on_every_construction_path(value, field, error, wro
 
 
 # Wrong-typed values for each kind of field: what a real number (a float, or an
-# int a float can hold) is not, what an int count is not, and so on.
+# int a float can hold) is not, what an int count is not, and so on.  Each also
+# draws ints past int.__str__'s 4300-digit limit, which a message that shows the
+# value must format without raising ValueError: as a real number they are out
+# of the float range, and every count refuses a negative one by its range.
 _UNTYPED = st.booleans() | st.none() | st.complex_numbers()
 _NUMBERS = st.floats() | st.integers()
-_NOT_REAL = _UNTYPED | st.text(max_size=3) | st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
-_NOT_INT = _UNTYPED | st.text(max_size=3) | st.floats()
+_PAST_STR_LIMIT = st.integers(min_value=10**4300) | st.integers(max_value=-(10**4300))
+_NOT_REAL = (_UNTYPED | st.text(max_size=3) | st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+             | _PAST_STR_LIMIT)
+_NOT_INT = _UNTYPED | st.text(max_size=3) | st.floats() | st.integers(max_value=-(10**4300))
 _NOT_CAVITY = (st.booleans() | st.text(max_size=3) | st.complex_numbers() | _NUMBERS
                | st.sampled_from([DenominatorConvention.CORRECTED, SKEWED, (0.1, 0.5, 0.1)]))
 _NOT_CONVENTION = _UNTYPED | _NUMBERS | st.sampled_from(["verbatim", "corrected"])
@@ -768,11 +773,18 @@ def _typed_fields():
 
 
 TYPED_FIELDS = _typed_fields()
-_CONFIG_CAVITY = next(case for case in TYPED_FIELDS if type(case[0]) is ProtocolConfig and case[1] == "cavity")
+
+
+def _typed_field(kind, field):
+    return next(case for case in TYPED_FIELDS if type(case[0]) is kind and case[1] == field)
 
 
 @given(st.sampled_from(TYPED_FIELDS).flatmap(lambda case: st.tuples(st.just(case), case[2])))
-@example((_CONFIG_CAVITY, 1.0))
+@example((_typed_field(ProtocolConfig, "cavity"), 1.0))
+# each a case that once raised a bare ValueError from formatting the int
+@example((_typed_field(ProtocolConfig, "rng_seed"), 10**5000))
+@example((_typed_field(SweepSpec, "alpha1_range"), (0.1, 10**5000)))
+@example((_typed_field(SweepSpec, "alpha2"), 10**5000))
 @settings(max_examples=400, deadline=None)
 def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn):
     (value, field, _, error), wrong = drawn
@@ -793,6 +805,28 @@ def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn)
         assert type(caught.value) is error, (field, wrong, caught.value)
         messages.add(str(caught.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SweepSpec(alpha1_range="ab"), DomainError,
+         "alpha1_range must be a (lo, hi) tuple of floats, not 'ab'"),
+        (lambda: SweepSpec(alpha1_range=(0.1, 10**5000)), DomainError,
+         "alpha1_range must be a (lo, hi) tuple of floats, not <tuple too long to show>"),
+        (lambda: SweepSpec(alpha2=2), DomainError, "alpha2 2 outside (0, 1)"),
+        (lambda: SweepSpec(alpha2=10**5000), DomainError, "alpha2 <int of 16610 bits> outside (0, 1)"),
+        (lambda: ProtocolConfig(rng_seed=-1), ConfigError, "seed -1 outside [0, 2**128)"),
+        (lambda: ProtocolConfig(rng_seed=10**5000, mode="mc", n_shots=1), ConfigError,
+         "seed <int of 16610 bits> outside [0, 2**128)"),
+        (lambda: p1_round(0, SKEWED), DomainError, "round index 0 outside 1..64"),
+        (lambda: p1_round(-(10**5000), SKEWED), DomainError, "round index -<int of 16610 bits> outside 1..64"),
+    ],
+)
+def test_range_messages_show_the_value_by_repr_and_huge_ints_by_their_bit_length(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 # What a WCoefficients argument is not: plain triples (normalized or not), other
@@ -870,6 +904,9 @@ PUBLIC_ARGUMENTS = _public_arguments()
 @example(("simplex_grid.n", True))
 @example(("simplex_grid.n", 2.0))
 @example(("p1_total.k_max", 2.0))
+# each a case that once raised a bare ValueError from formatting the int
+@example(("p1_round.k", 10**5000))
+@example(("p2_round.k", -(10**5000)))
 @settings(max_examples=600, deadline=None)
 def test_every_public_function_refuses_wrong_types_with_the_named_error(drawn):
     label, wrong = drawn

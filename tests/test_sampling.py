@@ -1,8 +1,12 @@
 """The Monte Carlo sampler against the searchsorted and packed-key sampler it
-replaced, its comparison rule for choosing a stage's outcome, and its branch
-counts against the exact tree's probabilities."""
+replaced, its comparison rule for choosing a stage's outcome, its parts of a
+chunk on threads against one part, and its branch counts against the exact
+tree's probabilities."""
 
 import math
+import os
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -111,6 +115,154 @@ def test_walk_chunk_gives_each_finished_path_once(alpha, rounds, shots, seed):
     assert min(counts) >= 1
     for row in rows:
         assert_one_path(row, tables)
+
+
+# -- parts of a chunk -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_stages", range(1, 14))
+def test_rows_drawn_from_any_start_are_a_slice_of_one_draw(n_stages):
+    # 4 words per Philox counter step: start * n_stages % 4 takes every value.
+    seed = 2**128 - 1
+    block = np.random.Generator(np.random.Philox(key=seed)).random((70, n_stages))
+    for start in range(65):
+        rows = sampling._rows(seed, start, start + 6, n_stages)
+        assert rows.tobytes() == block[start:start + 6].tobytes(), start
+
+
+def chains_of(n_stages, alpha=(0.8, 0.36, 0.48)):
+    """Stage chains with ``n_stages`` stages in all: the first station's one
+    round alone, or the rounds split between the two stations."""
+    coefficients = WCoefficients.normalized(*alpha)
+    if n_stages == 1:
+        return _stage_chains(coefficients, 1, 1, None)[:1]
+    return _stage_chains(coefficients, n_stages // 2, n_stages - n_stages // 2, None)
+
+
+def sample_in_parts(config, chains, cpus, min_part, chunk):
+    """``_sample_branches`` with ``cpus`` usable CPUs, parts of at least
+    ``min_part`` rows and chunks of ``chunk`` shots, and the (start, stop) of
+    each part it drew, in order."""
+    drawn = []
+    rows = sampling._rows
+
+    def recording_rows(seed, start, stop, n_stages):
+        drawn.append((start, stop))
+        return rows(seed, start, stop, n_stages)
+
+    with mock.patch.multiple(sampling, _usable_cpus=lambda: cpus, _MIN_PART=min_part, _CHUNK=chunk,
+                             _rows=recording_rows):
+        got = sampling._sample_branches(config, chains)
+    return got, sorted(drawn)
+
+
+PART_COUNTS = [1, 2, 3, 5, 7]
+# Three chunks of 256 shots, which no part count but 1 divides, and one of 43,
+# which splits into two parts of at least 16 rows.
+PART_SHOTS, PART_CHUNK, PART_MIN = 811, 256, 16
+
+
+# Chains of 1 to 13 stages, so start * n_stages % 4 takes every value; ragged
+# stages in both stations (four outcomes, then two); and the chain-end triple,
+# whose first station's chain ends at round 1.
+PART_CHAINS = [pytest.param(n, (0.8, 0.36, 0.48), None, id=f"{n}-stages") for n in range(1, 14)] + [
+    pytest.param(12, (1e-6, 1e-5, 1.0), (6, 6), id="ragged"),
+    pytest.param(4, (1e-180, 1e-200, 1.0), (3, 3), id="chain-end"),
+]
+
+
+@pytest.mark.parametrize("n_stages, alpha, rounds", PART_CHAINS)
+def test_any_part_count_gives_the_one_part_result(n_stages, alpha, rounds):
+    if rounds is None:
+        chains = chains_of(n_stages, alpha)
+    else:
+        chains = _stage_chains(WCoefficients.normalized(*alpha), *rounds, None)
+    assert sum(len(stages) for _, stages in chains) == n_stages
+    config = ProtocolConfig(mode="mc", n_shots=PART_SHOTS, rng_seed=n_stages)
+    one = sampling._sample_branches(config, chains)
+    assert one == reference_sample_branches(config, chains)
+    for cpus in PART_COUNTS:
+        got, drawn = sample_in_parts(config, chains, cpus, PART_MIN, PART_CHUNK)
+        assert got == one, cpus
+        # The parts tile the shots, cpus of them in each full chunk.
+        assert [start for start, _ in drawn] == [0, *(stop for _, stop in drawn[:-1])]
+        assert drawn[-1][1] == PART_SHOTS
+        per_chunk = [sum(start // PART_CHUNK == chunk for start, _ in drawn) for chunk in range(4)]
+        assert per_chunk == [cpus, cpus, cpus, min(cpus, 2)]
+
+
+def test_a_full_chunk_in_two_parts_gives_the_one_part_result():
+    # The sampler's own chunk and part sizes: 65 536 rows in two parts, then
+    # 4 464 in one, on two CPUs or on more.
+    chains = chains_of(12)
+    config = ProtocolConfig(mode="mc", n_shots=70_000, rng_seed=5)
+    one, drawn = sample_in_parts(config, chains, 1, sampling._MIN_PART, sampling._CHUNK)
+    assert drawn == [(0, 65_536), (65_536, 70_000)]
+    for cpus in (2, 8, 64):
+        two, drawn = sample_in_parts(config, chains, cpus, sampling._MIN_PART, sampling._CHUNK)
+        assert drawn == [(0, 32_768), (32_768, 65_536), (65_536, 70_000)]
+        assert two == one
+
+
+def test_more_parts_than_cpus_under_a_short_switch_interval_give_the_one_part_result():
+    # Each part writes only its own slot, and the counts are added after every join.
+    chains = chains_of(7)
+    config = ProtocolConfig(mode="mc", n_shots=5_000, rng_seed=3)
+    one = sampling._sample_branches(config, chains)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            got, drawn = sample_in_parts(config, chains, 16, 64, 2048)
+            assert got == one and len(drawn) == 16 + 16 + 14
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    assert sampling._usable_cpus() >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert sampling._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+    assert sampling._usable_cpus() == 1
+
+
+def test_each_part_runs_on_its_own_thread_and_every_thread_is_joined():
+    walkers = []
+    walk_chunk = sampling._walk_chunk
+
+    def recording_walk(u, tables):
+        walkers.append((u.shape[0], threading.current_thread()))
+        return walk_chunk(u, tables)
+
+    config = ProtocolConfig(mode="mc", n_shots=7, rng_seed=1)
+    before = threading.active_count()
+    with mock.patch.multiple(sampling, _usable_cpus=lambda: 3, _MIN_PART=1, _walk_chunk=recording_walk):
+        sampling._sample_branches(config, chains_of(4))
+    assert threading.active_count() == before
+    # Parts of 2, 2 and 3 rows, each on a thread of its own, one the calling thread.
+    assert sorted(rows for rows, _ in walkers) == [2, 2, 3]
+    threads = {thread for _, thread in walkers}
+    assert len(threads) == 3 and threading.current_thread() in threads
+
+
+def test_a_parts_exception_reaches_the_caller_unchanged():
+    error = RuntimeError("part 2 failed")
+    walk_chunk = sampling._walk_chunk
+
+    def failing_walk(u, tables):
+        if u.shape[0] == 3:  # part 2 of the parts 0..1, 2..3 and 4..6
+            raise error
+        return walk_chunk(u, tables)
+
+    config = ProtocolConfig(mode="mc", n_shots=7, rng_seed=1)
+    before = threading.active_count()
+    with mock.patch.multiple(sampling, _usable_cpus=lambda: 3, _MIN_PART=1, _walk_chunk=failing_walk):
+        with pytest.raises(RuntimeError) as caught:
+            sampling._sample_branches(config, chains_of(4))
+    assert caught.value is error
+    assert threading.active_count() == before
 
 
 def searchsorted_choice(cum, u):

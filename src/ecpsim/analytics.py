@@ -4,15 +4,18 @@ These formulas are an independent route to the same numbers the state-vector
 simulation produces, which is what makes the cross-validation in
 :mod:`ecpsim.oracle` meaningful: nothing here touches amplitudes.
 
-Round probabilities involve coefficients raised to the power 2^k.  They are
-evaluated with every power expressed relative to the larger coefficient of
-the pair, so the large common factors cancel algebraically and deep rounds
-underflow gracefully to zero instead of producing 0/0.
+Round k of a station is a ratio whose denominator is round k-1's times one
+more factor, so one loop per station returns its rounds 1..K from that running
+product, and a total is the left fold of those rounds from 0.0.  Every power 2^k
+is taken relative to the larger coefficient of the pair, so the large common
+factors cancel and deep rounds underflow to zero instead of producing 0/0.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .cavity import CavityParams, ScatterCoefficients, scatter_coefficients
@@ -20,7 +23,6 @@ from .errors import _REAL_TYPES, DomainError, InvalidCoefficientsError, _is_coun
 from .protocol import _NORMAL_MIN, _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
-SERIES_TOLERANCE = 1e-12
 
 # Most points in one sweep: the CLI holds every point until it writes, about
 # 0.3 KB each without a cavity and 0.4 KB with one, so 100 000 points peak
@@ -30,76 +32,73 @@ MAX_POINTS = 100_000
 
 def p1_round(k: int, c: WCoefficients) -> float:
     """Probability that the first station succeeds exactly at repetition ``k``."""
-    if not _is_count(k):
-        raise DomainError(f"round index must be an int, not {type(k).__name__}")
-    if not isinstance(c, WCoefficients):
-        raise InvalidCoefficientsError(f"c must be a WCoefficients, not {type(c).__name__}")
-    if k < 1 or k > MAX_ROUNDS:
-        raise DomainError(f"round index {_shown(k)} outside 1..{MAX_ROUNDS}")
-    a1, a2, a3 = c
-    m = max(a1, a2)
-    if m == 0.0:
-        return 0.0
-    r1, r2 = a1 / m, a2 / m
-    power = 2**k
-    numerator = (r1**power) * (r2 ** (power - 2)) * (a3 * a3 + 2.0 * a2 * a2)
-    denominator = 1.0
-    for j in range(1, k + 1):
-        denominator *= r1 ** (2**j) + r2 ** (2**j)
-    return numerator / denominator
+    return _p1_rounds(c, _round_count(k, c))[-1]
 
 
 def p2_round(k: int, c: WCoefficients) -> float:
-    """Probability that the second station succeeds exactly at repetition ``k``.
+    """Probability that the second station succeeds exactly at repetition ``k``."""
+    return _p2_rounds(c, _round_count(k, c))[-1]
 
-    Depends only on the (a2, a3) pair; a1 has already been consumed by the
-    first station when this loop runs.  Where m^2 underflows, m = max(a2, a3),
-    the squares are taken relative to m^2, so the denominator is not 0.
-    """
+
+def p1_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
+    """Cumulative first-station success probability over ``k_max`` rounds."""
+    return reduce(add, _p1_rounds(c, _round_limit(k_max, c)), 0.0)
+
+
+def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
+    """Cumulative second-station success probability over ``k_max`` rounds."""
+    return reduce(add, _p2_rounds(c, _round_limit(k_max, c)), 0.0)
+
+
+def _round_count(k: int, c: WCoefficients, name: str = "round index") -> int:
     if not _is_count(k):
-        raise DomainError(f"round index must be an int, not {type(k).__name__}")
+        raise DomainError(f"{name} must be an int, not {type(k).__name__}")
     if not isinstance(c, WCoefficients):
         raise InvalidCoefficientsError(f"c must be a WCoefficients, not {type(c).__name__}")
     if k < 1 or k > MAX_ROUNDS:
-        raise DomainError(f"round index {_shown(k)} outside 1..{MAX_ROUNDS}")
+        raise DomainError(f"{name} {_shown(k)} outside 1..{MAX_ROUNDS}")
+    return k
+
+
+def _round_limit(k_max: int, c: WCoefficients) -> int:
+    if _is_count(k_max) and k_max < 1:
+        raise DomainError("k_max must be at least 1")
+    return _round_count(k_max, c, "k_max")
+
+
+def _p1_rounds(c: WCoefficients, k_max: int) -> list[float]:
+    """Rounds 1..k_max of the first station, over m = max(a1, a2)."""
+    a1, a2, a3 = c
+    m = max(a1, a2)
+    if m == 0.0:
+        return [0.0] * k_max
+    r1, r2 = a1 / m, a2 / m
+    weight = a3 * a3 + 2.0 * a2 * a2
+    rounds, denominator = [], 1.0
+    for k in range(1, k_max + 1):
+        power = 2**k
+        denominator *= r1**power + r2**power
+        rounds.append((r1**power) * (r2 ** (power - 2)) * weight / denominator)
+    return rounds
+
+
+def _p2_rounds(c: WCoefficients, k_max: int) -> list[float]:
+    """Rounds 1..k_max of the second station, from (a2, a3) alone, over m = max(a2, a3).
+    Where m^2 underflows, the squares are taken relative to m^2: no denominator is 0."""
     a2, a3 = c.a2, c.a3
     m = max(a2, a3)
     if m == 0.0:
-        return 0.0
+        return [0.0] * k_max
     r = min(a2, a3) / m
     if m * m < _NORMAL_MIN:
         a2, a3, m = a2 / m, a3 / m, 1.0
-    power = 2**k
-    denominator = a3 * a3 + 2.0 * a2 * a2
-    for j in range(1, k + 1):
-        denominator *= (a2 / m) ** (2**j) + (a3 / m) ** (2**j)
-    return 3.0 * m * m * (r**power) / denominator
-
-
-def _series(term, k_max: int, tol: float) -> float:
-    if not _is_count(k_max):
-        raise DomainError(f"k_max must be an int, not {type(k_max).__name__}")
-    if not _is_real(tol):
-        raise DomainError(f"tol must be a real number within the float range, not {type(tol).__name__}")
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
-    total = 0.0
-    for k in range(1, min(k_max, MAX_ROUNDS) + 1):
-        value = term(k)
-        total += value
-        if value < tol:
-            break
-    return total
-
-
-def p1_total(c: WCoefficients, k_max: int = MAX_ROUNDS, tol: float = SERIES_TOLERANCE) -> float:
-    """Cumulative first-station success probability over up to ``k_max`` rounds."""
-    return _series(lambda k: p1_round(k, c), k_max, tol)
-
-
-def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS, tol: float = SERIES_TOLERANCE) -> float:
-    """Cumulative second-station success probability over up to ``k_max`` rounds."""
-    return _series(lambda k: p2_round(k, c), k_max, tol)
+    s2, s3, scale = a2 / m, a3 / m, 3.0 * m * m
+    rounds, denominator = [], a3 * a3 + 2.0 * a2 * a2
+    for k in range(1, k_max + 1):
+        power = 2**k
+        denominator *= s2**power + s3**power
+        rounds.append(scale * (r**power) / denominator)
+    return rounds
 
 
 def pt_one_round(c: WCoefficients) -> float:

@@ -15,6 +15,8 @@ sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.
 and the sweep loop that ``ecpsim.analytics`` folded into one kernel over the
 whole curve: one call per point, ``max`` and ``min`` for the larger of each
 pair, and a ``WCoefficients`` built to check each point.
+``reference_p1_round`` and ``reference_p2_round`` are the round-k closed forms
+with each round's denominator rebuilt from its first factor.
 ``lossy_chain_total`` is the as-published lossy chain's total from the closed
 round terms, with no amplitude code.  No command-line route runs this code,
 so it lives with the tests.
@@ -393,6 +395,39 @@ def reference_round_one(a1: float, a2: float, a3: float) -> tuple[float, float, 
         u1, u2, v2, v3 = a1 / m1, a2 / m1, a2 / m2, a3 / m2
         pt = 3.0 * u1 * u1 * v3 * v3 * a2 * a2 / ((u1 * u1 + u2 * u2) * (v3 * v3 + v2 * v2))
     return p1, p2, pt
+
+
+def reference_p1_round(k: int, c: WCoefficients) -> float:
+    """``p1_round(k, c)`` in the form that ``analytics`` folded into one running
+    product: the k factors of the denominator multiplied afresh for each k."""
+    a1, a2, a3 = c
+    m = max(a1, a2)
+    if m == 0.0:
+        return 0.0
+    r1, r2 = a1 / m, a2 / m
+    power = 2**k
+    numerator = (r1**power) * (r2 ** (power - 2)) * (a3 * a3 + 2.0 * a2 * a2)
+    denominator = 1.0
+    for j in range(1, k + 1):
+        denominator *= r1 ** (2**j) + r2 ** (2**j)
+    return numerator / denominator
+
+
+def reference_p2_round(k: int, c: WCoefficients) -> float:
+    """``p2_round(k, c)`` in the form that ``analytics`` folded into one running
+    product: the k factors of the denominator multiplied afresh for each k."""
+    a2, a3 = c.a2, c.a3
+    m = max(a2, a3)
+    if m == 0.0:
+        return 0.0
+    r = min(a2, a3) / m
+    if m * m < _NORMAL_MIN:
+        a2, a3, m = a2 / m, a3 / m, 1.0
+    power = 2**k
+    denominator = a3 * a3 + 2.0 * a2 * a2
+    for j in range(1, k + 1):
+        denominator *= (a2 / m) ** (2**j) + (a3 / m) ** (2**j)
+    return 3.0 * m * m * (r**power) / denominator
 
 
 def reference_sweep(spec):

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,14 @@ from ecpsim import (
     sweep,
 )
 from ecpsim.analytics import CSV_HEADER, CurvePoint, _round_ones, write_sweep_csv
-from reference import lossy_chain_total, reference_round_one, reference_sweep
+from ecpsim.protocol import MAX_ROUNDS
+from reference import (
+    lossy_chain_total,
+    reference_p1_round,
+    reference_p2_round,
+    reference_round_one,
+    reference_sweep,
+)
 
 EQUAL = WCoefficients.symmetric()
 SKEWED = WCoefficients(0.8, 0.36, 0.48)
@@ -158,10 +166,13 @@ def test_partial_sums_monotone(c):
         assert acc <= 1.0 + 1e-12
 
 
+# The totals stop at MAX_ROUNDS; the next 64 rounds, in the reference form that
+# takes any k, add less than 1e-10 (2**-64 at a1 = a2, where rounds halve).
 @pytest.mark.parametrize("c", POINTS)
 def test_truncation_error_is_negligible(c):
-    assert abs(p1_total(c) - p1_total(c, tol=0.0)) < 1e-10
-    assert abs(p2_total(c) - p2_total(c, tol=0.0)) < 1e-10
+    for reference in (reference_p1_round, reference_p2_round):
+        tail = math.fsum(reference(k, c) for k in range(MAX_ROUNDS + 1, 2 * MAX_ROUNDS + 1))
+        assert 0.0 <= tail < 1e-10
 
 
 def test_totals_need_a_round():
@@ -511,7 +522,7 @@ coefficient = st.one_of(st.just(0.0), st.just(-0.0), _decades(-300, 0))
 
 
 @st.composite
-def triples_with_ties(draw):
+def triples_with_ties(draw, coefficient=coefficient):
     a1, a2, a3 = draw(st.tuples(coefficient, coefficient, coefficient))
     tie = draw(st.sampled_from(("none", "a1=a2", "a2=a3", "all")))
     if tie in ("a1=a2", "all"):
@@ -540,6 +551,28 @@ def test_round_one_kernel_equals_the_reference_bit_for_bit(triple):
     assert row[:2] == (a1, a3)
     assert tuple(v.hex() for v in row[2:]) == expected
     assert pt_one_round(c).hex() == expected[2]
+
+
+# Every round k of both stations over 150 decades, against the form that rebuilt
+# each round's denominator; and each total is the left fold of its rounds, all of
+# them: the early stop that once cut p1_total(EQUAL) to 1 - 9.09e-13 is gone.
+@given(triples_with_ties(st.one_of(st.just(0.0), st.just(-0.0), _decades(-150, 0))),
+       st.integers(1, MAX_ROUNDS))
+@example((1.0, 1.0, 1.0), MAX_ROUNDS)
+@example((1.0, 1e-150, 1e-150), MAX_ROUNDS)  # m^2 underflows where a2 = a3
+@example((-0.0, 0.0, 1.0), 3)
+@settings(max_examples=150, deadline=None)
+def test_rounds_equal_the_reference_and_totals_fold_every_round(triple, k_max):
+    if not any(triple):
+        return  # the zero triple is not a state
+    c = WCoefficients.normalized(*triple)
+    for round_fn, reference, total_fn in ((p1_round, reference_p1_round, p1_total),
+                                          (p2_round, reference_p2_round, p2_total)):
+        rounds = [round_fn(k, c) for k in range(1, MAX_ROUNDS + 1)]
+        assert [v.hex() for v in rounds] == [reference(k, c).hex() for k in range(1, MAX_ROUNDS + 1)]
+        folds = list(accumulate(rounds, initial=0.0))  # folds[K]: the sum of rounds 1..K
+        assert total_fn(c, k_max).hex() == folds[k_max].hex()
+        assert total_fn(c).hex() == folds[MAX_ROUNDS].hex()
 
 
 def _outcome(build):

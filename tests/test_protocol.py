@@ -487,7 +487,7 @@ def test_run_protocol_deep_tree_matches_series_totals():
 
     c = WCoefficients.normalized(0.5, 0.6, 0.75)
     trace = run_protocol(c, ProtocolConfig(max_rounds_alice=20, max_rounds_charlie=20))
-    expected = p1_total(c, k_max=20, tol=0.0) * p2_total(c, k_max=20, tol=0.0)
+    expected = p1_total(c, k_max=20) * p2_total(c, k_max=20)
     assert trace.total_success_probability == pytest.approx(expected, abs=1e-8)
 
 
@@ -743,6 +743,8 @@ _PAST_STR_LIMIT = st.integers(min_value=10**4300) | st.integers(max_value=-(10**
 _NOT_REAL = (_UNTYPED | st.text(max_size=3) | st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
              | _PAST_STR_LIMIT)
 _NOT_INT = _UNTYPED | st.text(max_size=3) | st.floats() | st.integers(max_value=-(10**4300))
+# a round limit past the closed forms' range: an int the totals refuse
+_ABOVE_ROUNDS = st.integers(min_value=protocol.MAX_ROUNDS + 1) | st.integers(min_value=10**4300)
 _NOT_CAVITY = (st.booleans() | st.text(max_size=3) | st.complex_numbers() | _NUMBERS
                | st.sampled_from([DenominatorConvention.CORRECTED, SKEWED, (0.1, 0.5, 0.1)]))
 _NOT_CONVENTION = _UNTYPED | _NUMBERS | st.sampled_from(["verbatim", "corrected"])
@@ -821,6 +823,8 @@ def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn)
          "seed <int of 16610 bits> outside [0, 2**128)"),
         (lambda: p1_round(0, SKEWED), DomainError, "round index 0 outside 1..64"),
         (lambda: p1_round(-(10**5000), SKEWED), DomainError, "round index -<int of 16610 bits> outside 1..64"),
+        (lambda: p2_total(SKEWED, 65), DomainError, "k_max 65 outside 1..64"),
+        (lambda: p2_total(SKEWED, 10**5000), DomainError, "k_max <int of 16610 bits> outside 1..64"),
     ],
 )
 def test_range_messages_show_the_value_by_repr_and_huge_ints_by_their_bit_length(build, error, message):
@@ -878,8 +882,7 @@ def _public_arguments():
         cases[f"{name}.c"] = (lambda v, fn=fn: fn(1, v), _NOT_COEFFS, InvalidCoefficientsError)
     for name, fn in (("p1_total", p1_total), ("p2_total", p2_total)):
         cases[f"{name}.c"] = (fn, _NOT_COEFFS, InvalidCoefficientsError)
-        cases[f"{name}.k_max"] = (lambda v, fn=fn: fn(SKEWED, v), _NOT_INT, DomainError)
-        cases[f"{name}.tol"] = (lambda v, fn=fn: fn(SKEWED, tol=v), _NOT_REAL, DomainError)
+        cases[f"{name}.k_max"] = (lambda v, fn=fn: fn(SKEWED, v), _NOT_INT | _ABOVE_ROUNDS, DomainError)
     for name, fn in (("practical_p1", practical_p1), ("practical_p2", practical_p2),
                      ("practical_total", practical_total)):
         cases[f"{name}.c"] = (lambda v, fn=fn: fn(v, lossy), _NOT_COEFFS, InvalidCoefficientsError)
@@ -904,6 +907,9 @@ PUBLIC_ARGUMENTS = _public_arguments()
 @example(("simplex_grid.n", True))
 @example(("simplex_grid.n", 2.0))
 @example(("p1_total.k_max", 2.0))
+# each a limit past MAX_ROUNDS that once returned the 64-round sum
+@example(("p1_total.k_max", protocol.MAX_ROUNDS + 1))
+@example(("p2_total.k_max", 10**6))
 # each a case that once raised a bare ValueError from formatting the int
 @example(("p1_round.k", 10**5000))
 @example(("p2_round.k", -(10**5000)))

@@ -32,7 +32,7 @@ _EXPORTS = {
     "errors": (
         "CircularBasisPhotonError", "ConfigError", "DegenerateCoefficientsError",
         "DomainError", "EcpError", "InvalidCoefficientsError", "LinearBasisPhotonError",
-        "RoutingError", "ShapeMismatchError", "ZeroStateError",
+        "ShapeMismatchError", "ZeroStateError",
     ),
     "hilbert": ("BasisKet", "PhotonLabel", "StateVector"),
     "oracle": ("BranchNode", "ComparisonReport", "compare_all", "enumerate_tree", "simplex_grid"),

@@ -84,7 +84,9 @@ def _p1_rounds(c: WCoefficients, k_max: int) -> list[float]:
 
 def _p2_rounds(c: WCoefficients, k_max: int) -> list[float]:
     """Rounds 1..k_max of the second station, from (a2, a3) alone, over m = max(a2, a3).
-    Where m^2 underflows, the squares are taken relative to m^2: no denominator is 0."""
+    Where m^2 underflows, the squares are taken relative to m^2: no denominator is 0.
+    Where only the numerator 3 m^2 r^(2^k) leaves the normal range, the round is
+    taken relative to m^2, so a normal round keeps its bits."""
     a2, a3 = c.a2, c.a3
     m = max(a2, a3)
     if m == 0.0:
@@ -97,7 +99,12 @@ def _p2_rounds(c: WCoefficients, k_max: int) -> list[float]:
     for k in range(1, k_max + 1):
         power = 2**k
         denominator *= s2**power + s3**power
-        rounds.append(scale * (r**power) / denominator)
+        top = r**power
+        numerator = scale * top
+        if numerator < _NORMAL_MIN <= top:
+            rounds.append(3.0 * top / (denominator / (m * m)))
+        else:
+            rounds.append(numerator / denominator)
     return rounds
 
 
@@ -138,14 +145,17 @@ def _round_ones(
         else:
             p1 = weight / (1.0 + (a2 / a1) ** 2)
         # p2 over m = max(a2, a3), r = min(a2, a3) / m; where m^2 underflows,
-        # the pair is taken relative to m (which becomes 1.0)
+        # the pair is taken relative to m (which becomes 1.0), and where only
+        # the numerator 3 m^2 r^2 does, the round is taken relative to m^2
         if a3 > a2:
             r = a2 / a3
             r2 = r**2
             if sq3 < _NORMAL_MIN:
                 p2 = 3.0 * r2 / ((1.0 + 2.0 * r * r) * (r2 + 1.0))
+            elif (num := 3.0 * a3 * a3 * r2) < _NORMAL_MIN <= r2:
+                p2 = 3.0 * r2 / (weight * (r2 + 1.0) / sq3)
             else:
-                p2 = 3.0 * a3 * a3 * r2 / (weight * (r2 + 1.0))
+                p2 = num / (weight * (r2 + 1.0))
         elif a2 == 0.0:
             p2 = 0.0
         else:
@@ -153,8 +163,10 @@ def _round_ones(
             r2 = r**2
             if sq2 < _NORMAL_MIN:
                 p2 = 3.0 * r2 / ((r * r + 2.0) * (1.0 + r2))
+            elif (num := three_sq2 * r2) < _NORMAL_MIN <= r2:
+                p2 = 3.0 * r2 / (weight * (1.0 + r2) / sq2)
             else:
-                p2 = three_sq2 * r2 / (weight * (1.0 + r2))
+                p2 = num / (weight * (1.0 + r2))
         numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
         if numerator >= _NORMAL_MIN:
             pt = numerator / ((a1 * a1 + sq2) * (sq3 + sq2))

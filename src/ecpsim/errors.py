@@ -68,7 +68,3 @@ class DomainError(EcpError):
 
 class ConfigError(EcpError):
     """A run configuration file or flag combination is invalid."""
-
-
-class RoutingError(EcpError):
-    """A station's detector routes break the pairing its rounds rely on."""

@@ -38,7 +38,6 @@ from .errors import (
     DegenerateCoefficientsError,
     DomainError,
     InvalidCoefficientsError,
-    RoutingError,
     _is_count,
     _shown,
     _unreal,
@@ -442,31 +441,23 @@ def _station_plan(
 ) -> _StationPlan:
     """The plan of a station whose :func:`photon_readout` is ``readout``.
 
-    :class:`RoutingError` unless the detectors pair up in label order, each
-    pair in one class and reached by the same ``(slot, polarization)``
-    routes with weights of equal magnitude, which lets a round share one
-    probability and one norm between the two.
+    Each detector is paired with the next in label order, and the pair takes
+    the first one's class and ``(slot, polarization)`` routes: the two
+    detectors behind one polarizing beam splitter herald one outcome along
+    the same routes, with weights of equal magnitude.
     """
     detectors, routes = readout
-    if len(detectors) % 2:
-        raise RoutingError(f"{len(detectors)} detectors do not pair up")
     gated = [spins[gated_spin] for spins in _W_SPINS]
     landings: list[list[tuple[int, int, float, bool]]] = [[] for _ in detectors]
     for slot, spin in enumerate(gated):
         for pol, position, weight in routes[spin]:
             flip = _code(detectors[position]) % 2 == 0 and spin is _DOWN
             landings[position].append((slot, pol, weight, flip))
-    is_success = tuple(d in success for d in detectors)
     pairs = []
     for position in range(0, len(detectors), 2):
         first, second = landings[position], landings[position + 1]
-        names = f"{detectors[position].value}/{detectors[position + 1].value}"
-        if is_success[position] is not is_success[position + 1]:
-            raise RoutingError(f"{names} herald different outcome classes")
-        if [(s, p, abs(w)) for s, p, w, _ in first] != [(s, p, abs(w)) for s, p, w, _ in second]:
-            raise RoutingError(f"{names} do not share (slot, polarization) routes of equal weight")
         pair = tuple((s, p, w, f, w2, f2) for (s, p, w, f), (_, _, w2, f2) in zip(first, second))
-        pairs.append((detectors[position], detectors[position + 1], is_success[position], pair))
+        pairs.append((detectors[position], detectors[position + 1], detectors[position] in success, pair))
     return _StationPlan(pairs=tuple(pairs), **fields)
 
 
@@ -522,12 +513,12 @@ def _station_round(
     from 0.0, as the reference route's norm adds them.
 
     The two detectors of a pair take weights that differ at most in sign
-    (``_station_plan`` checks it), so their landings have equal magnitudes,
-    bit for bit, and so do their squares, norm, probability and drops.  Each
-    landing's ``p * amp``, magnitude and square, and each pair's norm and
-    post-coefficients, are therefore made once per pair; each detector still
-    takes its own ``0j + weight * (p * amp)``, so the signs of zeros are its
-    own.
+    (``tests/test_protocol.py::test_station_plans_pair_each_detector_with_the_next``
+    pins it), so their landings have equal magnitudes, bit for bit, and so do
+    their squares, norm, probability and drops.  Each landing's ``p * amp``,
+    magnitude and square, and each pair's norm and post-coefficients, are
+    therefore made once per pair; each detector still takes its own ``0j +
+    weight * (p * amp)``, so the signs of zeros are its own.
     """
     tol = DEFAULT_TOLERANCE
     photon_pair = _photon_amplitudes(*plan.photon_pair(coefficients))

@@ -385,7 +385,11 @@ def reference_round_one(a1: float, a2: float, a3: float) -> tuple[float, float, 
         if m * m < _NORMAL_MIN:
             b2, b3, m = a2 / m, a3 / m, 1.0
             weight = b3 * b3 + 2.0 * b2 * b2
-        p2 = 3.0 * m * m * r**2 / (weight * ((b2 / m) ** 2 + (b3 / m) ** 2))
+        numerator, denominator = 3.0 * m * m * r**2, weight * ((b2 / m) ** 2 + (b3 / m) ** 2)
+        if numerator < _NORMAL_MIN <= r**2:  # a normal round, taken relative to m^2
+            p2 = 3.0 * r**2 / (denominator / (m * m))
+        else:
+            p2 = numerator / denominator
     numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
     if numerator >= _NORMAL_MIN:
         pt = numerator / ((a1 * a1 + sq2) * (sq3 + sq2))
@@ -428,7 +432,10 @@ def reference_p2_round(k: int, c: WCoefficients) -> float:
     denominator = a3 * a3 + 2.0 * a2 * a2
     for j in range(1, k + 1):
         denominator *= (a2 / m) ** (2**j) + (a3 / m) ** (2**j)
-    return 3.0 * m * m * (r**power) / denominator
+    numerator = 3.0 * m * m * (r**power)
+    if numerator < _NORMAL_MIN <= r**power:  # a normal round, taken relative to m^2
+        return 3.0 * (r**power) / (denominator / (m * m))
+    return numerator / denominator
 
 
 def reference_sweep(spec):

@@ -136,6 +136,14 @@ def test_second_station_rounds_where_squares_underflow(a2, a3):
         assert p2_round(k, WCoefficients(1.0, a2, a3)) == expected
 
 
+# Round 8's numerator 3 m^2 r^256 is subnormal while the round is a normal float;
+# formed before the division it was 3.9e-4 off the limit of the repeated protocol.
+def test_second_station_round_with_a_subnormal_numerator():
+    c = WCoefficients(0.9999999999999967, 5.171145324693072e-09, 8.163546531054125e-08)
+    rounds = limit_rounds(c, 8)[1][0]
+    assert p2_round(8, c) == pytest.approx(rounds[7], rel=1e-12, abs=0.0)
+
+
 def test_rounds_survive_extreme_ratio():
     # deep rounds underflow naively (a^(2^k)); grouped ratios must not
     c = WCoefficients.normalized(0.999, 0.01, 0.04)
@@ -541,6 +549,8 @@ def triples_with_ties(draw, coefficient=coefficient):
 @example((1e-170, 1e-170, 1.0))  # pt's numerator underflows where a1 = a2
 @example((1.0, 1e-170, 1e-170))  # m^2 underflows where a2 = a3
 @example((1.0, 6.864336754504866e-161, 8.098510160219619e-161))  # subnormal p1: rounds 2 a2^2 once
+@example((1.0, 1e-150, 1e-155))  # p2's numerator 3 m^2 r^2 is subnormal, r^2 is not
+@example((1.0, 1e-155, 1e-150))
 @settings(max_examples=400, deadline=None)
 def test_round_one_kernel_equals_the_reference_bit_for_bit(triple):
     if not any(triple):
@@ -562,6 +572,7 @@ def test_round_one_kernel_equals_the_reference_bit_for_bit(triple):
 @example((1.0, 1.0, 1.0), MAX_ROUNDS)
 @example((1.0, 1e-150, 1e-150), MAX_ROUNDS)  # m^2 underflows where a2 = a3
 @example((-0.0, 0.0, 1.0), 3)
+@example((0.9999999999999967, 5.171145324693072e-09, 8.163546531054125e-08), 8)  # subnormal numerator
 @settings(max_examples=150, deadline=None)
 def test_rounds_equal_the_reference_and_totals_fold_every_round(triple, k_max):
     if not any(triple):
@@ -617,15 +628,20 @@ def _round_bound(k):
 
 
 def _subnormal_allowance(m):
-    """Absolute error of a round where a value leaves the normal range.
-    ``analytics`` forms each round's numerator (r^(2^k), times at most
-    3 max(1, m^2)) before it divides by a denominator of at least m^2 (m = 1
-    for the first station): two roundings on the subnormal grid, each at most
-    2^-1075, put the round off by at most 2^-1074 (2 + 1/m^2).  For the second
-    station with small a2 and a3, this reaches rounds up to 2^-1022/m^2, above
-    the least normal float.  The reference rounds its power, quotient,
-    difference and product by L on that grid: 4 times 2^-1074 at most."""
-    return 2.0**-1074 * (6.0 + 1.0 / (m * m))
+    """Absolute error of a round where a value leaves the normal range; m is the
+    larger coefficient of the station's pair (m = 1 for the first station).
+    ``analytics`` forms a round as r^(2^k) times a factor of at most 3: a
+    numerator factor of at most 3 m^2 over a denominator of at least m^2 (3
+    over at least 1 where m^2 underflows).  Three roundings on the subnormal
+    grid, each at most 2^-1075, can reach the round.  The power's is carried in
+    times at most 3, and the quotient's once.  The numerator's counts only where
+    the power is subnormal as well, since where only the numerator would be,
+    the round is taken relative to m^2.  Divided by at least m^2, that rounding
+    is at most 2^-1075/m^2, and at most the round itself, below 3·2^-1022: so
+    2^-1074 min(1/(2m^2), 3·2^52).  In all, 2^-1074 (2 + min(1/(2m^2), 3·2^52)).
+    The reference rounds its power, quotient, difference and product by L on
+    that grid: 4 times 2^-1074 at most."""
+    return 2.0**-1074 * (6.0 + min(0.5 / (m * m), 3.0 * 2.0**52))
 
 
 # Rounds 1..64 and the totals against the repeated protocol's limit (ROADMAP
@@ -638,6 +654,7 @@ def _subnormal_allowance(m):
 @example((1.0, 1e-10, 1e-10))  # the second station at q = 1 with m^2 = 1e-20
 @example((1e-10, 1.0, 1.0 + 1e-15))
 @example((0.0007498942093324567, 10.0**-3.125, 10.0**-7.75))  # round 59: 4.41e-321 against 0.0
+@example((0.9999999999999967, 5.171145324693072e-09, 8.163546531054125e-08))  # subnormal numerator
 @settings(max_examples=200, deadline=None)
 def test_rounds_and_totals_match_the_limit_of_the_repeated_protocol(triple):
     c = WCoefficients.normalized(*triple)

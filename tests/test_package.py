@@ -6,6 +6,8 @@ import importlib
 import pytest
 
 import ecpsim
+from ecpsim import BasisKet, Direction, PhotonLabel, Polarization, SpinLabel, Station, StateVector, errors
+from ecpsim.cavity import detect, hwp45
 
 _DEFINING_MODULE = {
     name: module
@@ -62,3 +64,33 @@ def test_a_patched_function_shows_through_the_package_and_is_gone_after_undo():
         assert ecpsim.run_protocol is patched
     assert ecpsim.run_protocol is original
     assert "run_protocol" not in vars(ecpsim)
+
+
+def _photon_state(polarization):
+    return StateVector({BasisKet(PhotonLabel(polarization, Direction.MINUS_Z), (SpinLabel.UP,)): 1.0})
+
+
+# One public call per named error, each raising exactly that class: an error class
+# that no input reaches has no entry here.
+RAISED_BY = {
+    "ZeroStateError": lambda: StateVector({}).normalize(),
+    "ShapeMismatchError": lambda: StateVector({BasisKet.from_spins("u"): 1.0, BasisKet.from_spins("uu"): 1.0}),
+    "LinearBasisPhotonError": lambda: hwp45(_photon_state(Polarization.H)),
+    "CircularBasisPhotonError": lambda: detect(_photon_state(Polarization.R), Station.ALICE),
+    "InvalidCoefficientsError": lambda: ecpsim.WCoefficients(0.5, 0.5, 0.5),
+    "DegenerateCoefficientsError": lambda: ecpsim.coefficient_update_alice(ecpsim.WCoefficients(0.0, 0.0, 1.0)),
+    "DomainError": lambda: ecpsim.p1_round(0, ecpsim.WCoefficients.symmetric()),
+    "ConfigError": lambda: ecpsim.ProtocolConfig(n_shots=-1),
+}
+
+
+def test_every_named_error_has_a_raising_call():
+    named = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.EcpError)}
+    assert set(RAISED_BY) == named - {"EcpError"}
+
+
+@pytest.mark.parametrize("name", sorted(RAISED_BY))
+def test_each_named_error_is_raised_by_a_public_call(name):
+    with pytest.raises(errors.EcpError) as info:
+        RAISED_BY[name]()
+    assert type(info.value) is getattr(errors, name)

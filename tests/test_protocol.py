@@ -33,7 +33,6 @@ from ecpsim import (
     PhotonLabel,
     Polarization,
     ProtocolConfig,
-    RoutingError,
     SpinLabel,
     Station,
     StateVector,
@@ -363,53 +362,48 @@ def test_round_probabilities_complete(c):
 # -- detector pairs ----------------------------------------------------------------
 
 
-def doctored(station, change):
-    """``photon_readout(station)`` with ``change(spin, route)`` applied to each
-    ``(polarization index, position, weight)`` route."""
-    detectors, routes = photon_readout(station)
-    return detectors, {spin: tuple(change(spin, r) for r in rs) for spin, rs in routes.items()}
-
-
-def d2_route(change):
-    """A ``change`` that rewrites only the gated-spin-DOWN route onto D2."""
-    return lambda spin, r: change(r) if spin is SpinLabel.DOWN and r[1] == 1 else r
-
-
-ALICE_SUCCESS = (DetectorLabel.D3, DetectorLabel.D4)
-
-
-def alice_plan(readout, success=ALICE_SUCCESS):
-    fields = protocol._ALICE_PLAN._asdict()
-    del fields["pairs"]
-    return protocol._station_plan(readout, gated_spin=0, success=success, **fields)
+# The heralds of success: the first station's transmitted port (D3/D4) and the
+# second station's reflected port (D5/D6).
+STATION_PLANS = (
+    (Station.ALICE, protocol._ALICE_PLAN, 0, (DetectorLabel.D3, DetectorLabel.D4)),
+    (Station.CHARLIE, protocol._CHARLIE_PLAN, 2, (DetectorLabel.D5, DetectorLabel.D6)),
+)
 
 
 def test_station_plans_pair_each_detector_with_the_next():
-    assert alice_plan(photon_readout(Station.ALICE)) == protocol._ALICE_PLAN
-    for station, plan in ((Station.ALICE, protocol._ALICE_PLAN), (Station.CHARLIE, protocol._CHARLIE_PLAN)):
-        detectors = photon_readout(station)[0]
+    # _station_plan pairs each detector with the next and gives the pair the first
+    # one's class and routes; this pins what makes that pairing hold, for both plans
+    for station, plan, gated_spin, success in STATION_PLANS:
+        readout = photon_readout(station)
+        fields = plan._asdict()
+        del fields["pairs"]
+        assert protocol._station_plan(readout, gated_spin, success, **fields) == plan
+        # each detector's (slot, polarization index, weight, flip) landings, from the
+        # routes of each slot's gated spin; an even detector's correction flips DOWN
+        detectors, routes = readout
+        landings = {d: [] for d in detectors}
+        for slot, ket in enumerate(WState._fields):
+            spin = SpinLabel.UP if ket[gated_spin] == "u" else SpinLabel.DOWN
+            for pol, position, weight in routes[spin]:
+                detector = detectors[position]
+                even = int(detector.value[1:]) % 2 == 0
+                landings[detector].append((slot, pol, weight, even and spin is SpinLabel.DOWN))
+        # the detectors pair up in label order
+        assert len(detectors) % 2 == 0
         pairs = [(first, second) for first, second, _, _ in plan.pairs]
         assert pairs == list(zip(detectors[::2], detectors[1::2]))
-        for _, _, _, landings in plan.pairs:
-            assert len(landings) == 3
-            for _, _, weight, _, paired_weight, _ in landings:
-                assert abs(weight) == abs(paired_weight)
-
-
-@pytest.mark.parametrize(
-    "readout, success, message",
-    [
-        (doctored(Station.ALICE, d2_route(lambda r: (r[0], r[1], 0.5 * r[2]))), ALICE_SUCCESS, "equal weight"),
-        (doctored(Station.ALICE, d2_route(lambda r: (1 - r[0], r[1], r[2]))), ALICE_SUCCESS, "equal weight"),
-        (doctored(Station.ALICE, d2_route(lambda r: (r[0], 2, r[2]))), ALICE_SUCCESS, "equal weight"),
-        (photon_readout(Station.ALICE), (DetectorLabel.D2, DetectorLabel.D3), "different outcome classes"),
-        ((photon_readout(Station.ALICE)[0][:3], {}), ALICE_SUCCESS, "do not pair up"),
-    ],
-    ids=["weight", "polarization", "detector", "class", "odd"],
-)
-def test_station_plan_refuses_routes_that_break_a_pair(readout, success, message):
-    with pytest.raises(RoutingError, match=message):
-        alice_plan(readout, success)
+        sizes = {d: [(s, p, abs(w)) for s, p, w, _ in ls] for d, ls in landings.items()}
+        for first, second, pair_success, pair_landings in plan.pairs:
+            # both detectors of a pair herald one outcome class, each slot reaches
+            # each once, along the same (slot, polarization) routes with weights of
+            # equal magnitude; the plan keeps both detectors' weights and flips
+            assert (first in success) is (second in success) is pair_success
+            assert len(landings[first]) == 3
+            assert sizes[first] == sizes[second]
+            assert pair_landings == tuple(
+                (s, p, w, f, w2, f2)
+                for (s, p, w, f), (_, _, w2, f2) in zip(landings[first], landings[second])
+            )
 
 
 # -- lossy rounds -----------------------------------------------------------------

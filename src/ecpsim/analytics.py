@@ -7,8 +7,10 @@ simulation produces, which is what makes the cross-validation in
 Round k of a station is a ratio whose denominator is round k-1's times one
 more factor, so one loop per station returns its rounds 1..K from that running
 product, and a total is the left fold of those rounds from 0.0.  Every power 2^k
-is taken relative to the larger coefficient of the pair, so the large common
-factors cancel and deep rounds underflow to zero instead of producing 0/0.
+is taken relative to the larger coefficient m of the pair, so the large common
+factors cancel and no round is 0/0.  A second-station round whose numerator
+3 m^2 r^(2^k) is below the least normal float is taken relative to m^2, so a deep
+round keeps its value down to the least subnormal float.
 """
 
 from __future__ import annotations
@@ -83,10 +85,11 @@ def _p1_rounds(c: WCoefficients, k_max: int) -> list[float]:
 
 
 def _p2_rounds(c: WCoefficients, k_max: int) -> list[float]:
-    """Rounds 1..k_max of the second station, from (a2, a3) alone, over m = max(a2, a3).
-    Where m^2 underflows, the squares are taken relative to m^2: no denominator is 0.
-    Where only the numerator 3 m^2 r^(2^k) leaves the normal range, the round is
-    taken relative to m^2, so a normal round keeps its bits."""
+    """Rounds 1..k_max of the second station, from (a2, a3) alone, over m = max(a2, a3)
+    and r = min(a2, a3) / m.  Where m^2 underflows, the pair is taken relative to m:
+    no denominator is 0.  Where the numerator 3 m^2 r^(2^k) is below the least
+    normal float, the round is taken relative to m^2, so it keeps its value
+    whether r^(2^k) is normal or not."""
     a2, a3 = c.a2, c.a3
     m = max(a2, a3)
     if m == 0.0:
@@ -101,7 +104,7 @@ def _p2_rounds(c: WCoefficients, k_max: int) -> list[float]:
         denominator *= s2**power + s3**power
         top = r**power
         numerator = scale * top
-        if numerator < _NORMAL_MIN <= top:
+        if numerator < _NORMAL_MIN:
             rounds.append(3.0 * top / (denominator / (m * m)))
         else:
             rounds.append(numerator / denominator)
@@ -124,15 +127,16 @@ def _round_ones(
 
     The larger coefficient m of each pair is picked as ``max`` picks it, and its
     ratio to itself, exactly 1.0, is not computed.  The a2-only terms are taken
-    once.  Every factor of pt's numerator after 3.0 is a coefficient, at most 1,
-    so the running product only shrinks: where it ends at or above the smallest
-    normal float, no step underflowed.  Below that, the squares are taken
-    relative to the larger coefficient of each pair, so a normal-range total is
-    not lost.
+    once.  p2 follows :func:`_p2_rounds`' one rule: the pair is taken relative to
+    m where m^2 underflows, and the round relative to m^2 where its numerator
+    3 m^2 r^2 is below the least normal float.  Every factor of pt's numerator
+    after 3.0 is a coefficient, at most 1, so the running product only shrinks:
+    where it ends at or above the smallest normal float, no step underflowed.
+    Below that, the squares are taken relative to the larger coefficient of each
+    pair, so a normal-range total is not lost.
     """
     sq2 = a2 * a2
     two_sq2 = 2.0 * a2 * a2
-    three_sq2 = 3.0 * a2 * a2
     for a1, a3 in pairs:
         sq3 = a3 * a3
         weight = sq3 + two_sq2
@@ -144,29 +148,19 @@ def _round_ones(
             p1 = 0.0
         else:
             p1 = weight / (1.0 + (a2 / a1) ** 2)
-        # p2 over m = max(a2, a3), r = min(a2, a3) / m; where m^2 underflows,
-        # the pair is taken relative to m (which becomes 1.0), and where only
-        # the numerator 3 m^2 r^2 does, the round is taken relative to m^2
-        if a3 > a2:
-            r = a2 / a3
-            r2 = r**2
-            if sq3 < _NORMAL_MIN:
-                p2 = 3.0 * r2 / ((1.0 + 2.0 * r * r) * (r2 + 1.0))
-            elif (num := 3.0 * a3 * a3 * r2) < _NORMAL_MIN <= r2:
-                p2 = 3.0 * r2 / (weight * (r2 + 1.0) / sq3)
-            else:
-                p2 = num / (weight * (r2 + 1.0))
-        elif a2 == 0.0:
+        # p2 over m = max(a2, a3) and r = min(a2, a3) / m, as _p2_rounds takes it
+        m, low = (a3, a2) if a3 > a2 else (a2, a3)
+        if m == 0.0:
             p2 = 0.0
         else:
-            r = a3 / a2
-            r2 = r**2
-            if sq2 < _NORMAL_MIN:
-                p2 = 3.0 * r2 / ((r * r + 2.0) * (1.0 + r2))
-            elif (num := three_sq2 * r2) < _NORMAL_MIN <= r2:
-                p2 = 3.0 * r2 / (weight * (1.0 + r2) / sq2)
+            r2 = (low / m) ** 2
+            if m * m < _NORMAL_MIN:
+                b2, b3 = a2 / m, a3 / m
+                p2 = 3.0 * r2 / ((b3 * b3 + 2.0 * b2 * b2) * (r2 + 1.0))
+            elif (num := 3.0 * m * m * r2) < _NORMAL_MIN:
+                p2 = 3.0 * r2 / (weight * (r2 + 1.0) / (m * m))
             else:
-                p2 = num / (weight * (1.0 + r2))
+                p2 = num / (weight * (r2 + 1.0))
         numerator = 3.0 * a1 * a1 * a2 * a2 * a3 * a3
         if numerator >= _NORMAL_MIN:
             pt = numerator / ((a1 * a1 + sq2) * (sq3 + sq2))

@@ -386,7 +386,7 @@ def reference_round_one(a1: float, a2: float, a3: float) -> tuple[float, float, 
             b2, b3, m = a2 / m, a3 / m, 1.0
             weight = b3 * b3 + 2.0 * b2 * b2
         numerator, denominator = 3.0 * m * m * r**2, weight * ((b2 / m) ** 2 + (b3 / m) ** 2)
-        if numerator < _NORMAL_MIN <= r**2:  # a normal round, taken relative to m^2
+        if numerator < _NORMAL_MIN:  # the round, taken relative to m^2
             p2 = 3.0 * r**2 / (denominator / (m * m))
         else:
             p2 = numerator / denominator
@@ -433,7 +433,7 @@ def reference_p2_round(k: int, c: WCoefficients) -> float:
     for j in range(1, k + 1):
         denominator *= (a2 / m) ** (2**j) + (a3 / m) ** (2**j)
     numerator = 3.0 * m * m * (r**power)
-    if numerator < _NORMAL_MIN <= r**power:  # a normal round, taken relative to m^2
+    if numerator < _NORMAL_MIN:  # the round, taken relative to m^2
         return 3.0 * (r**power) / (denominator / (m * m))
     return numerator / denominator
 

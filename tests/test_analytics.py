@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecpsim import (
@@ -13,6 +13,7 @@ from ecpsim import (
     DenominatorConvention,
     DomainError,
     InvalidCoefficientsError,
+    OutcomeClass,
     ProtocolConfig,
     SweepSpec,
     WCoefficients,
@@ -142,6 +143,15 @@ def test_second_station_round_with_a_subnormal_numerator():
     c = WCoefficients(0.9999999999999967, 5.171145324693072e-09, 8.163546531054125e-08)
     rounds = limit_rounds(c, 8)[1][0]
     assert p2_round(8, c) == pytest.approx(rounds[7], rel=1e-12, abs=0.0)
+
+
+# Round 11's power r^2048 is itself subnormal, and so is the round: formed as
+# 3 m^2 r^2048 before the division, it underflowed to 0.0.
+def test_second_station_round_with_a_subnormal_power():
+    c = WCoefficients(0.9999999997343003, 1.8872225118494495e-05, 1.3237780725746231e-05)
+    rounds = limit_rounds(c, 11)[1][0]
+    assert 0.0 < rounds[10] < sys.float_info.min
+    assert abs(p2_round(11, c) - rounds[10]) <= 2 * 2.0**-1074
 
 
 def test_rounds_survive_extreme_ratio():
@@ -527,6 +537,23 @@ def test_sweep_equals_the_per_point_reference_bit_for_bit(spec):
     assert _csv_text(points) == _csv_text(expected)
 
 
+# At a2 = 1e-160 every point's r^2 = (a2/a3)^2, and so its p2, is subnormal.
+# Against the exact round 1, 3yz/((z + 2y)(y + z)) with y, z = a2^2, a3^2, taken
+# in fractions from the row's own a2 and a3, so no formula of ``analytics`` is
+# shared.  r^2's rounding on the subnormal grid, half a unit of 2^-1074, is
+# carried in times at most 3, and the quotient's adds half a unit: 2 units.
+# The relative roundings of a2/a3 and of the denominator add at most 8u of the
+# value, below 2^-1045.
+def test_sweep_keeps_second_station_values_in_the_subnormal_range():
+    unit, u = Fraction(2) ** -1074, Fraction(2) ** -53
+    points = sweep(SweepSpec(alpha2=1e-160, alpha1_range=(0.01, 0.99999), n_points=5000))
+    for point in points:
+        assert 0.0 < point.p2 < sys.float_info.min
+        y, z = Fraction(point.alpha2) ** 2, Fraction(point.alpha3) ** 2
+        exact = 3 * y * z / ((z + 2 * y) * (y + z))
+        assert abs(Fraction(point.p2) - exact) <= 2 * unit + 8 * u * exact, point
+
+
 coefficient = st.one_of(st.just(0.0), st.just(-0.0), _decades(-300, 0))
 
 
@@ -551,6 +578,8 @@ def triples_with_ties(draw, coefficient=coefficient):
 @example((1.0, 6.864336754504866e-161, 8.098510160219619e-161))  # subnormal p1: rounds 2 a2^2 once
 @example((1.0, 1e-150, 1e-155))  # p2's numerator 3 m^2 r^2 is subnormal, r^2 is not
 @example((1.0, 1e-155, 1e-150))
+@example((1.0, 1e-160, 1e-5))  # r^2 is subnormal, and so are p2's numerator and round
+@example((1.0, 1e-5, 1e-160))
 @settings(max_examples=400, deadline=None)
 def test_round_one_kernel_equals_the_reference_bit_for_bit(triple):
     if not any(triple):
@@ -573,6 +602,7 @@ def test_round_one_kernel_equals_the_reference_bit_for_bit(triple):
 @example((1.0, 1e-150, 1e-150), MAX_ROUNDS)  # m^2 underflows where a2 = a3
 @example((-0.0, 0.0, 1.0), 3)
 @example((0.9999999999999967, 5.171145324693072e-09, 8.163546531054125e-08), 8)  # subnormal numerator
+@example((1.0, 1e-160, 1e-5), 1)  # r^2 is subnormal from round 1 on
 @settings(max_examples=150, deadline=None)
 def test_rounds_equal_the_reference_and_totals_fold_every_round(triple, k_max):
     if not any(triple):
@@ -627,21 +657,19 @@ def _round_bound(k):
     return _growth((23 * 2**k + 3 * k + 71) * _U)
 
 
-def _subnormal_allowance(m):
-    """Absolute error of a round where a value leaves the normal range; m is the
-    larger coefficient of the station's pair (m = 1 for the first station).
-    ``analytics`` forms a round as r^(2^k) times a factor of at most 3: a
-    numerator factor of at most 3 m^2 over a denominator of at least m^2 (3
-    over at least 1 where m^2 underflows).  Three roundings on the subnormal
-    grid, each at most 2^-1075, can reach the round.  The power's is carried in
-    times at most 3, and the quotient's once.  The numerator's counts only where
-    the power is subnormal as well, since where only the numerator would be,
-    the round is taken relative to m^2.  Divided by at least m^2, that rounding
-    is at most 2^-1075/m^2, and at most the round itself, below 3·2^-1022: so
-    2^-1074 min(1/(2m^2), 3·2^52).  In all, 2^-1074 (2 + min(1/(2m^2), 3·2^52)).
-    The reference rounds its power, quotient, difference and product by L on
-    that grid: 4 times 2^-1074 at most."""
-    return 2.0**-1074 * (6.0 + min(0.5 / (m * m), 3.0 * 2.0**52))
+# Absolute error of a round where a value leaves the normal range.  ``analytics``
+# forms each round as a power r^(2^k) times factors of at most 3 in all, over a
+# denominator of at least 1: the first station's power (its other power is
+# exactly 1) times its weight, over its running product; the second station's,
+# where its numerator 3 m^2 r^(2^k) is subnormal, 3 r^(2^k) over its running
+# product relative to m^2 (over m = 1 where m^2 underflows), and elsewhere a
+# normal numerator over a denominator of at least m^2.  On the subnormal grid a
+# rounding is at most 2^-1075.  The power's is carried in times at most 3, the
+# first station's product with its weight adds one and the quotient's one:
+# 2.5 · 2^-1074.  3 r^(2^k) is exact wherever it is subnormal, a multiple of
+# 2^-1074 below 2^-1021.  The reference rounds its power, quotient, difference
+# and product by L on that grid: 4 times 2^-1074 at most.
+_SUBNORMAL_ALLOWANCE = 6.5 * 2.0**-1074
 
 
 # Rounds 1..64 and the totals against the repeated protocol's limit (ROADMAP
@@ -655,29 +683,101 @@ def _subnormal_allowance(m):
 @example((1e-10, 1.0, 1.0 + 1e-15))
 @example((0.0007498942093324567, 10.0**-3.125, 10.0**-7.75))  # round 59: 4.41e-321 against 0.0
 @example((0.9999999999999967, 5.171145324693072e-09, 8.163546531054125e-08))  # subnormal numerator
+@example((0.9999999997343003, 1.8872225118494495e-05, 1.3237780725746231e-05))  # round 11: subnormal power
 @settings(max_examples=200, deadline=None)
 def test_rounds_and_totals_match_the_limit_of_the_repeated_protocol(triple):
     c = WCoefficients.normalized(*triple)
-    limits = limit_rounds(c, MAX_ROUNDS)
-    station_m = (1.0, max(c.a2, c.a3))  # m of _subnormal_allowance
-    for round_fn, total_fn, (terms, success), m in zip(
-        (p1_round, p2_round), (p1_total, p2_total), limits, station_m
+    for round_fn, total_fn, (terms, success) in zip(
+        (p1_round, p2_round), (p1_total, p2_total), limit_rounds(c, MAX_ROUNDS)
     ):
-        allowance = _subnormal_allowance(m)
         larger = []
         for k, term in enumerate(terms, 1):
             got = round_fn(k, c)
             larger.append(max(got, term))
             # below the least normal float the allowance, an absolute bound, leads
-            assert abs(got - term) <= _round_bound(k) * larger[-1] + allowance, (k, got, term)
+            assert abs(got - term) <= _round_bound(k) * larger[-1] + _SUBNORMAL_ALLOWANCE, (k, got, term)
         # The left fold of 64 rounds: each round's own error, one rounding per
         # addition, and the reference's L (1 − R_64), within 16u relative.
         total_bound = (
             math.fsum(v * _growth((2 ** (k + 1) + 3 * k + 8) * _U) for k, v in enumerate(larger, 1))
             + (MAX_ROUNDS + 16) * _U * success
-            + MAX_ROUNDS * allowance
+            + MAX_ROUNDS * _SUBNORMAL_ALLOWANCE
         )
         assert abs(total_fn(c) - success) <= total_bound
+
+
+@st.composite
+def drop_free_runs(draw):
+    """A :func:`near_ties` triple and round limits (K_A, K_C) up to 64, each drawn
+    up to the deepest K at which its station's q^(2^K) >= e^-20.  A retry squares
+    the pair's ratio, so through round K a landing's smaller amplitude stays
+    near q^(2^(K-1)) of its larger, far above the 1e-12 drop, unless the triple
+    itself is spread far enough for a landing to fall below it."""
+    c = WCoefficients.normalized(*draw(near_ties()))
+    limits = []
+    for lo, hi in sorted((c.a1, c.a2)), sorted((c.a2, c.a3)):
+        minus_ln_q = -2.0 * math.log(lo / hi)
+        deepest = MAX_ROUNDS if minus_ln_q == 0.0 else int(math.log2(20.0 / minus_ln_q))
+        limits.append(draw(st.integers(1, min(max(deepest, 1), MAX_ROUNDS))))
+    return c, *limits
+
+
+def _tree_round_exponent(j):
+    """x of the tree's relative bound e^x − 1 on a station's round j.
+
+    A retry squares the ratio of the station's pair, so a ratio's error doubles
+    per retry, plus its roundings.  The coefficient pair's ratio (2u for the
+    second station's seed ``normalized(a2, a2, a3)``, 0 for the first) takes
+    2ρ + 4u per retry (two squares, two divisions by one norm), so ρ_i <= 6·2^i u
+    after i retries; the photon's, two divisions by one ``hypot``, adds 2u.  A
+    post-state's ratio is a state ratio times a photon ratio, with three
+    roundings per amplitude (the product, the weight, the division by the norm):
+    σ_(i+1) <= σ_i + π_i + 6u, from 8u at the second station (the first
+    station's success post-state) and 0 at the first, so σ_i <= (6·2^i + 4i + 2)u.
+    A stage probability sums the squares of products of normalized components,
+    each within its ratio's error, so it is within 2(π_i + σ_i) + 7u (the
+    product, weight and square of each term, two additions, the square root and
+    its square), and a retry mass, one addition more, within (24·2^i + 8i + 8)u.
+    Round j multiplies j − 1 retry masses and a success with j + 1 roundings:
+    (24·2^j + 4j^2 + 5j) u, the first-order sum.  Where 2^j u is not small, the
+    bound exceeds 1 and says nothing, as ``_round_bound`` does from k = 48."""
+    return (24 * 2**j + 4 * j * j + 5 * j) * _U
+
+
+_ALICE_STAGE, _CHARLIE_STAGE = ["D1", "D2", "D3", "D4"], ["D5", "D6", "D7", "D8"]
+
+
+# Tree totals at depths up to (64, 64) against S_1(K_A) S_2(K_C) of the repeated
+# protocol's limit, on runs where no 1e-12 drop fired: every stage has its four
+# outcomes and every post-state keeps its three terms.  A chain ends before its
+# limit only at a stage without its retry outcomes, so every chain then runs to
+# its limit, and one that is short all the same fails here.  A success record is
+# a first-station round j times a second-station round k, within e^x − 1 of its
+# exact value for x the sum of their exponents, so within e^(2x) − 1 of its own
+# value.  The left fold of N records adds (N − 1)u of the total.  The
+# reference's S_i = L (1 − R_K) is within 46u: L within 12u, R_K within
+# (7·2^K + 17)u of R_K <= 2^-K, so 16u absolute and at most 32u of
+# 1 − R_K >= 1/2, and the subtraction and product 2u; the product of the two
+# stations within 93u.
+@given(drop_free_runs())
+@example((EQUAL, MAX_ROUNDS, MAX_ROUNDS))  # q = 1 at both stations
+@example((SKEWED, 4, 4))
+@settings(max_examples=150, deadline=None)
+def test_tree_totals_match_the_limit_of_the_repeated_protocol(run):
+    c, k_alice, k_charlie = run
+    trace = run_protocol(c, ProtocolConfig(max_rounds_alice=k_alice, max_rounds_charlie=k_charlie))
+    detectors = [o.detector.value for o in trace.rounds]
+    alice_stages = sum(d in _ALICE_STAGE for d in detectors) // 4
+    assume(detectors == _ALICE_STAGE * alice_stages + _CHARLIE_STAGE * (len(detectors) // 4 - alice_stages))
+    assume(all(all(o.post_state) for o in trace.rounds))
+    reference = limit_rounds(c, k_alice)[0][1] * limit_rounds(c, k_charlie)[1][1]
+    records = [b for b in trace.branches if b.classification is OutcomeClass.CHARLIE_SUCCESS]
+    bound = _growth((len(records) + 93) * _U) * max(trace.total_success_probability, reference)
+    for record in records:
+        j = [token in ("D3", "D4") for token in record.path].index(True) + 1  # the first station's success
+        x = _tree_round_exponent(j) + _tree_round_exponent(len(record.path) - j)
+        bound += _growth(2.0 * x) * record.probability
+    assert abs(trace.total_success_probability - reference) <= bound
 
 
 def _outcome(build):

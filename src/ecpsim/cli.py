@@ -205,7 +205,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     trace = run_protocol(coefficients, config)
     with _output(args.out) as stream:
-        stream.write(trace.to_json_text() + "\n")
+        trace.write_json(stream)
+        stream.write("\n")
     print(f"total_success_probability={trace.total_success_probability!r}")
     return 0
 

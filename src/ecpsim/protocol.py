@@ -14,13 +14,14 @@ single-spin phase rotation at the station that ran the gate.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 from .cavity import (
     DEFAULT_TOLERANCE,
@@ -325,16 +326,28 @@ class ProtocolTrace(NamedTuple):
             obj["monte_carlo"] = {"shots": self.shots, "counts": self.counts, "rng": _RNG_ALGORITHM}
         return obj
 
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_obj(), indent=2)`` in one pass: the records'
-        texts spliced into json's text of the rest, where json escapes each newline
-        inside a string, so only the top-level keys start a line indented by two."""
+    def write_json(self, stream: TextIO) -> None:
+        """Write ``json.dumps(self.to_json_obj(), indent=2)`` to ``stream`` a record
+        at a time: json's text of the rest, its lists empty, is cut where they
+        stand, and each record's text goes between the head and the tail with
+        its separator.  json escapes each newline inside a string, so only the
+        top-level keys start a line indented by two, and the cut is found."""
         num = _JsonFloats()
-        rounds = _json_list([r._json_text(num) for r in self.rounds], "  ")
-        branches = _json_list([b._json_text(num) for b in self.branches], "  ")
-        text = json.dumps(self._json_obj([], []), indent=2)
-        return text.replace('\n  "rounds": [],\n  "branches": []',
-                            f'\n  "rounds": {rounds},\n  "branches": {branches}', 1)
+        head, tail = json.dumps(self._json_obj([], []), indent=2).split('\n  "rounds": [],\n  "branches": []', 1)
+        stream.write(head)
+        for key, records in (('\n  "rounds": ', self.rounds), (',\n  "branches": ', self.branches)):
+            sep = key + "[\n    "
+            for record in records:
+                stream.write(sep + record._json_text(num))
+                sep = ",\n    "
+            stream.write("\n  ]" if records else key + "[]")
+        stream.write(tail)
+
+    def to_json_text(self) -> str:
+        """The text :meth:`write_json` writes."""
+        buffer = io.StringIO()
+        self.write_json(buffer)
+        return buffer.getvalue()
 
 
 # -- state preparation ------------------------------------------------------------
@@ -405,8 +418,8 @@ def _code(detector: DetectorLabel) -> int:
     return int(detector.value[1:])
 
 
-# (slot, polarization index, weight, flip, paired weight, paired flip)
-_PairLanding = tuple[int, int, float, bool, float, bool]
+# (slot, polarization index, weight, paired flip)
+_PairLanding = tuple[int, int, float, bool]
 
 
 class _StationPlan(NamedTuple):
@@ -415,13 +428,14 @@ class _StationPlan(NamedTuple):
     ``pairs`` holds one ``(detector, paired detector, success, landings)`` per
     detector pair (D1/D2, D3/D4, D5/D6, D7/D8), in :func:`photon_readout`'s
     detector order; it is the plan's only record of its detectors and of
-    which of them herald success.  ``landings`` holds one ``(slot,
-    polarization index, weight, flip, paired weight, paired flip)`` per
-    :class:`WState` slot, in slot order, from the routes of the slot's gated
-    spin, where a ``flip`` marks a slot an even detector's phase correction
-    negates (gated spin DOWN).  The two weights of a landing differ at most
-    in sign.  ``signal_fraction`` is the lossy gate's factor on the success
-    probability: the signal fraction of the station's success port.
+    which of them herald success.  ``landings`` holds the odd detector's
+    ``(slot, polarization index, weight, paired flip)`` per :class:`WState`
+    slot, in slot order, from the routes of the slot's gated spin.  The odd
+    detector needs no correction; the even one's phase correction negates
+    the slots whose gated spin is DOWN, marked by ``paired flip``, and its
+    weight is the odd one's, negated exactly there.  ``signal_fraction`` is
+    the lossy gate's factor on the success probability: the signal fraction
+    of the station's success port.
     """
 
     photon_pair: Callable[[WCoefficients], tuple[float, float]]
@@ -442,23 +456,18 @@ def _station_plan(
     """The plan of a station whose :func:`photon_readout` is ``readout``.
 
     Each detector is paired with the next in label order, and the pair takes
-    the first one's class and ``(slot, polarization)`` routes: the two
-    detectors behind one polarizing beam splitter herald one outcome along
-    the same routes, with weights of equal magnitude.
+    the first one's class and ``(slot, polarization, weight)`` routes: the
+    two detectors behind one polarizing beam splitter herald one outcome
+    along the same routes, the second after its phase correction.
     """
     detectors, routes = readout
-    gated = [spins[gated_spin] for spins in _W_SPINS]
-    landings: list[list[tuple[int, int, float, bool]]] = [[] for _ in detectors]
-    for slot, spin in enumerate(gated):
+    landings: list[list[_PairLanding]] = [[] for _ in detectors]
+    for slot, spins in enumerate(_W_SPINS):
+        spin = spins[gated_spin]
         for pol, position, weight in routes[spin]:
-            flip = _code(detectors[position]) % 2 == 0 and spin is _DOWN
-            landings[position].append((slot, pol, weight, flip))
-    pairs = []
-    for position in range(0, len(detectors), 2):
-        first, second = landings[position], landings[position + 1]
-        pair = tuple((s, p, w, f, w2, f2) for (s, p, w, f), (_, _, w2, f2) in zip(first, second))
-        pairs.append((detectors[position], detectors[position + 1], detectors[position] in success, pair))
-    return _StationPlan(pairs=tuple(pairs), **fields)
+            landings[position].append((slot, pol, weight, spin is _DOWN))
+    pairs = zip(detectors[::2], detectors[1::2], landings[::2])
+    return _StationPlan(pairs=tuple((d, paired, d in success, tuple(ls)) for d, paired, ls in pairs), **fields)
 
 
 _ALICE_PLAN = _station_plan(
@@ -512,13 +521,16 @@ def _station_round(
     state would have put them in, and its squares are added in that order
     from 0.0, as the reference route's norm adds them.
 
-    The two detectors of a pair take weights that differ at most in sign
+    The even detector of a pair takes the odd one's weight, negated where its
+    phase correction negates the landing again
     (``tests/test_protocol.py::test_station_plans_pair_each_detector_with_the_next``
-    pins it), so their landings have equal magnitudes, bit for bit, and so do
-    their squares, norm, probability and drops.  Each landing's ``p * amp``,
-    magnitude and square, and each pair's norm and post-coefficients, are
-    therefore made once per pair; each detector still takes its own ``0j +
-    weight * (p * amp)``, so the signs of zeros are its own.
+    pins it), so the two detectors' landings, squares, norm, probability,
+    drops and post-coefficients agree bit for bit, and each is made once per
+    pair.  The even detector's amplitude is the odd one's where the
+    correction does not act; where it does, it is the odd one's with each
+    zero part -0.0, as negating its own landing gives: ``0j +`` and the
+    division by the norm leave every zero part at +0.0, and a nonzero part's
+    rounding is symmetric in sign.
     """
     tol = DEFAULT_TOLERANCE
     photon_pair = _photon_amplitudes(*plan.photon_pair(coefficients))
@@ -527,24 +539,22 @@ def _station_round(
     for detector, paired, success, landings in plan.pairs:
         kept = []
         norm_sq = 0.0
-        for slot, pol, weight, flip, paired_weight, paired_flip in landings:
-            out = photon[pol] * state[slot]
-            first = 0j + weight * out
-            size = abs(first)
+        for slot, pol, weight, flip in landings:
+            amp = 0j + weight * (photon[pol] * state[slot])
+            size = abs(amp)
             if size >= tol:
-                kept.append((slot, first, flip, 0j + paired_weight * out, paired_flip))
+                kept.append((slot, amp, flip))
                 norm_sq += size**2
         if not kept:
             continue
         norm = math.sqrt(norm_sq)
         first_amps = [0j, 0j, 0j]
         paired_amps = [0j, 0j, 0j]
-        for slot, first, flip, second, paired_flip in kept:
-            first = first / norm
-            if abs(first) >= tol:
-                second = second / norm
-                first_amps[slot] = -first if flip else first
-                paired_amps[slot] = -second if paired_flip else second
+        for slot, amp, flip in kept:
+            amp = amp / norm
+            if abs(amp) >= tol:
+                first_amps[slot] = amp
+                paired_amps[slot] = complex(amp.real or -0.0, amp.imag or -0.0) if flip else amp
         probability = norm**2
         if success:
             post, cls = plan.success_coefficients(coefficients), plan.success_class

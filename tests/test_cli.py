@@ -872,6 +872,46 @@ def test_trace_writer_matches_indented_json_dumps(alpha, rounds, mode, cavity, c
     assert trace.to_json_text() == json.dumps(trace.to_json_obj(), indent=2)
 
 
+
+class _Writes(io.StringIO):
+    """A text stream that keeps each write's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("mode", ["tree", "mc"])
+def test_simulate_streams_the_trace_a_record_at_a_time(mode, monkeypatch):
+    argv = ["simulate", "--alpha", "0.8,0.36,0.48", "--rounds", "3,3", "--mode", mode,
+            "--shots", "2000", "--seed", "3", "--cavity", "0.1,0.5,0.1"]
+    stream = _Writes()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    cavity = CavityParams(kappa_s=0.1, g=0.5, gamma=0.1, convention=DenominatorConvention.VERBATIM)
+    config = ProtocolConfig(3, 3, cavity, 3, mode, 2000)
+    trace = run_protocol(WCoefficients.normalized(0.8, 0.36, 0.48), config)
+    assert len(trace.rounds) > 1 and len(trace.branches) > 1
+    text = json.dumps(trace.to_json_obj(), indent=2)
+    summary = f"total_success_probability={trace.total_success_probability!r}\n"
+    assert stream.getvalue() == text + "\n" + summary
+    # no write holds a list: each is at most the head before "rounds", the tail
+    # after "branches", or one record (as json indents it there) with its separator
+    head = text[:text.index('\n  "rounds": [')]
+    tail = text[text.index('\n  "total_success_probability"') - 1:]
+    records = [r.to_json_obj() for r in trace.rounds + trace.branches]
+    longest = max(len(json.dumps(r, indent=2).replace("\n", "\n    ")) for r in records)
+    separator = len(',\n  "branches": [\n    ')
+    assert max(map(len, stream.writes)) <= max(len(head), len(tail), longest + separator)
+    assert len(stream.writes) > len(records)
+    empty = trace._replace(rounds=[], branches=[])
+    assert empty.to_json_text() == json.dumps(empty.to_json_obj(), indent=2)
+
 # -- argparse plumbing -----------------------------------------------------------------
 
 

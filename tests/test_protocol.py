@@ -382,8 +382,9 @@ def test_station_plans_pair_each_detector_with_the_next():
         # routes of each slot's gated spin; an even detector's correction flips DOWN
         detectors, routes = readout
         landings = {d: [] for d in detectors}
-        for slot, ket in enumerate(WState._fields):
-            spin = SpinLabel.UP if ket[gated_spin] == "u" else SpinLabel.DOWN
+        down = [ket[gated_spin] == "d" for ket in WState._fields]
+        for slot, is_down in enumerate(down):
+            spin = SpinLabel.DOWN if is_down else SpinLabel.UP
             for pol, position, weight in routes[spin]:
                 detector = detectors[position]
                 even = int(detector.value[1:]) % 2 == 0
@@ -392,17 +393,20 @@ def test_station_plans_pair_each_detector_with_the_next():
         assert len(detectors) % 2 == 0
         pairs = [(first, second) for first, second, _, _ in plan.pairs]
         assert pairs == list(zip(detectors[::2], detectors[1::2]))
-        sizes = {d: [(s, p, abs(w)) for s, p, w, _ in ls] for d, ls in landings.items()}
         for first, second, pair_success, pair_landings in plan.pairs:
             # both detectors of a pair herald one outcome class, each slot reaches
-            # each once, along the same (slot, polarization) routes with weights of
-            # equal magnitude; the plan keeps both detectors' weights and flips
+            # each once, and the odd one (D1, D3, D5, D7) never flips
             assert (first in success) is (second in success) is pair_success
+            assert int(first.value[1:]) % 2 == 1
             assert len(landings[first]) == 3
-            assert sizes[first] == sizes[second]
+            assert not any(f for _, _, _, f in landings[first])
+            # the even one's landings are the odd one's along the same (slot,
+            # polarization) routes, the weight negated exactly where its
+            # correction flips (gated spin DOWN)
+            assert landings[second] == [(s, p, -w if down[s] else w, down[s]) for s, p, w, _ in landings[first]]
+            # the plan stores the odd detector's landings and the paired flip
             assert pair_landings == tuple(
-                (s, p, w, f, w2, f2)
-                for (s, p, w, f), (_, _, w2, f2) in zip(landings[first], landings[second])
+                (s, p, w, f2) for (s, p, w, _), (_, _, _, f2) in zip(landings[first], landings[second])
             )
 
 

@@ -142,6 +142,24 @@ def test_round_matches_composed_reference_on_tree_states(mode, station, amplitud
     checked_round(state, c, MODES[mode], station)
 
 
+
+# Truly complex round inputs: each part nonzero or a zero of either sign, so
+# the even detector's amplitude, derived from the odd one's, meets zero parts
+# of both signs in both the real and the imaginary part.
+complex_part = st.floats(min_value=-1.0, max_value=1.0).filter(bool) | near_drop | signed_zero
+complex_amplitude = st.builds(complex, signed_zero, signed_zero) | st.builds(
+    complex, complex_part, complex_part
+).filter(lambda a: abs(a) >= 1e-12)
+complex_states = st.tuples(complex_amplitude, complex_amplitude, complex_amplitude).filter(any)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("station", list(Station))
+@given(amplitudes=complex_states, c=tree_coefficients)
+@settings(max_examples=60, deadline=None)
+def test_round_matches_composed_reference_on_complex_states(mode, station, amplitudes, c):
+    checked_round(to_state_vector(WState(*amplitudes)), c, MODES[mode], station)
+
 def retry_chain(c, rounds, scatter, station, state=None):
     """Follow the retry branch for ``rounds`` rounds, checking every round."""
     state = w_state(*c) if state is None else state

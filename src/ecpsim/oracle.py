@@ -82,13 +82,12 @@ _Table = list[tuple[float, bool, "_Table | None", RoundOutcome]]
 def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     """The round tables of the tree to the given depths, from its root's.
 
-    Stations and success classes are a run's (``protocol._stations``).  Tables
-    are memoized by the value of their inputs: one table, and one run of its
-    round, per ``(station, rounds left, state, coefficients)``, so nodes
-    with equal round inputs and equal rounds left share one table, even where
-    their amplitudes differ in the sign of a zero.  Tables are built depth
-    first in detector order, so rounds run, and raise, in the pre-order of
-    their table's first node.
+    Stations and success classes are a run's (``protocol._stations``).  A row
+    takes the previous row's child table when its class, post-state and
+    post-coefficients equal that row's by value, as the two rows of a detector
+    pair do; every other row builds its own, and runs its round.  Tables are
+    built depth first in detector order, so rounds run, and raise, in the
+    pre-order of their table's first node.
     """
     if not (_is_count(k_alice) and _is_count(k_charlie)):
         raise DomainError(f"tree depths must be ints, not {type(k_alice).__name__} and {type(k_charlie).__name__}")
@@ -99,32 +98,29 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
         raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
     stations = _stations(k_alice, k_charlie)
-    tables: dict[tuple, _Table] = {}
 
     def table(station: int, left: int, state: WState, coefficients: WCoefficients) -> _Table:
         """The table of one round with ``left`` rounds to go at ``station``."""
-        # The key is by value, and floats equal by value differ at most in
-        # the sign of a zero (complex ``==`` and ``hash`` take -0.0 for 0.0).
-        # Merging such inputs is exact: a round's outcomes do not depend on the
-        # sign of a zero amplitude component, a dropped term's included: each
-        # landing takes ``0j + weight * (p * amp)``, whose ``0j +`` makes it +0.0.
-        # Coefficients are never -0.0: the root's are positive and every update
-        # multiplies or divides nonnegative values.
-        key = (station, left, state, coefficients)
-        rows = tables.get(key)
-        if rows is not None:
-            return rows
         round_fn, plan, _ = stations[station]
         retry = (station, left - 1) if left > 1 else None
         success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
         rows = []
+        prev = None
         for outcome in round_fn(state, coefficients):
             is_success = outcome.classification is plan.success_class
             next_round = success if is_success else retry
-            child = (None if next_round is None
-                     else table(*next_round, outcome.post_state, outcome.post_coefficients))
+            # Sharing is exact: floats equal by value differ at most in the sign
+            # of a zero, and a round's outcomes do not depend on the sign of a
+            # zero amplitude component, a dropped term's included: each landing
+            # takes ``0j + weight * (p * amp)``, whose ``0j +`` makes it +0.0.
+            # Coefficients are never -0.0: the root's are positive and every
+            # update multiplies or divides nonnegative values.
+            inputs = (outcome.classification, outcome.post_state, outcome.post_coefficients)
+            if inputs != prev:
+                child = (None if next_round is None
+                         else table(*next_round, outcome.post_state, outcome.post_coefficients))
             rows.append((outcome.probability, is_success, child, outcome))
-        tables[key] = rows
+            prev = inputs
         return rows
 
     return table(0, k_alice, prepare_w_state(c), c)
@@ -149,8 +145,8 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     most :data:`MAX_TREE_ROUNDS` (:class:`DomainError` otherwise), and
     ``k_charlie`` may be 0 for a first-station-only tree, whose successes end
     as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The nodes grow
-    from the round tables that :func:`compare_all` sums without nodes, so
-    nodes with equal round inputs share immutable ``WState`` and
+    from the round tables that :func:`compare_all` sums without nodes, so the
+    subtrees under a detector pair's two nodes share immutable ``WState`` and
     ``WCoefficients`` objects.
     """
     table = _root_table(c, k_alice, k_charlie)

@@ -707,9 +707,15 @@ _THREADED_MC = ["simulate", "--mode", "mc", "--alpha", "0.8,0.36,0.48", "--round
             "07d34b5ab787a8809fcb7189cac815ab786a28dd7dc3c6de68ec76ef58c72495",
         ),
         (
-            # The deepest trees, where the table memo merges the most inputs.
+            # The deepest trees, where a detector pair's rows share the most subtrees.
             ["verify", "--grid", "2", "--depth", "8,8"],
             "27c4da08f4cc66d013c24f999f3b530d1c2aeeaf7c7732ba62602a63247b02d7",
+        ),
+        (
+            # The symmetric triple, a fixed point of both stations' retry
+            # maps: its deepest tree evaluates many rounds on inputs equal by value.
+            ["verify", "--grid", "1", "--depth", "8,8"],
+            "a4a5890cae83a8c8043a796a506bddecee1064a13cfd608020941be65113e2e8",
         ),
         (
             # Deep trees at 16 points, where the mass walk replays the most rows.

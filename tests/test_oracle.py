@@ -190,14 +190,17 @@ triples = (
 
 # Fixed deep trees for the two tests below, which draw depths up to 4: each
 # station at MAX_TREE_ROUNDS, and (5, 5).  At NEAR_DROP the amplitude drop
-# removes whole detectors from many rounds.  The mass walk also gets two
+# removes whole detectors from many rounds.  The mass walk also gets three
 # (6, 6) trees, the deepest at both stations within about a second: at EQUAL
 # every pair's two rows share a child table and a mass in every table, so
-# the walk replays half of all rows.
+# the walk replays half of all rows.  TWIN, with a1 = a2 != a3, is a fixed
+# point of the first station's retry map, so its first-station successes
+# leave second-station inputs equal by value, which its tree evaluates apart.
 NEAR_DROP = WCoefficients.normalized(1.0, 0.5, 1e-11)
+TWIN = WCoefficients.normalized(1.0, 1.0, 0.5)
 _DEEP = oracle.MAX_TREE_ROUNDS
 DEEP_TREES = [(SKEWED, _DEEP, 1), (SKEWED, 1, _DEEP), (NEAR_DROP, 1, _DEEP), (NEAR_DROP, 5, 5)]
-MASS_TREES = DEEP_TREES + [(EQUAL, 6, 6), (NEAR_DROP, 6, 6)]
+MASS_TREES = DEEP_TREES + [(EQUAL, 6, 6), (NEAR_DROP, 6, 6), (TWIN, 6, 6)]
 
 
 def with_examples(cases):
@@ -333,8 +336,7 @@ def test_compare_all_builds_no_tree(monkeypatch):
 
 
 def value_input(station, state, coefficients):
-    """A round input by value, as the oracle's memo keys it: complex ``==``
-    and ``hash`` take -0.0 for 0.0."""
+    """A round input by value: complex ``==`` and ``hash`` take -0.0 for 0.0."""
     return (station, state, coefficients)
 
 
@@ -370,12 +372,11 @@ def spy_rounds(monkeypatch, perturb=lambda outcomes: outcomes):
     return seen
 
 
-# Distinct round inputs per (4, 4) tree: each retry pair (D1/D2, D7/D8) and
-# success pair (D3/D4) leaves states that differ only in the sign of a zero, so
-# the value memo runs about half the rounds a memo on exact bits would (39 and
-# 17).  Each table runs its own round, so a tree runs one round per table
-# (TREE_TABLES): 20 at SKEWED, and 13 at EQUAL, where a1 = a2 is a fixed point
-# of the retry map and some round inputs come back with other rounds left.
+# Distinct round inputs by value per (4, 4) tree.  Each table runs its own
+# round, so a tree runs one round per table (TREE_TABLES), 20 at both points.
+# At SKEWED each of those rounds has an input of its own; at EQUAL, a fixed
+# point of the retry maps, round inputs come back at other nodes and with
+# other rounds left, and each such table runs its round again.
 TREE_ROUNDS = [(SKEWED, 20), (EQUAL, 8)]
 
 
@@ -405,10 +406,10 @@ def test_compare_all_runs_one_round_per_table(monkeypatch, c, rounds):
 
 
 def test_compare_all_round_count_on_the_verify_grid(monkeypatch):
-    # Keyed on exact bits, zero signs included, the memo would run 3 628.
+    # One round per table: no chain on the grid ends early at (4, 4) (TREE_TABLES).
     seen = spy_rounds(monkeypatch)
     compare_all(simplex_grid(10), (4, 4))
-    assert len(seen) == 1864
+    assert len(seen) == 100 * (4 + 4 * 4)
 
 
 def distinct_tables(c, k_alice, k_charlie):
@@ -428,32 +429,55 @@ def distinct_tables(c, k_alice, k_charlie):
     return list(found.values())
 
 
-# Distinct tables per tree at (4, 4) and (8, 8).  A table per outcome object,
-# rather than per round input and rounds left, would give 39/93 and 27/51.
-TREE_TABLES = [(SKEWED, 20, 43), (EQUAL, 13, 25)]
+# Distinct tables per tree at (4, 4) and (8, 8).  A round has at most one
+# retry pair and one success pair, and each pair builds one child table, so a
+# tree is a chain of first-station tables whose success pairs each open a chain
+# of second-station tables: k_alice + k_alice * k_charlie tables, less where a
+# chain ends early.  At SKEWED (8, 8) one does: the retry map drives a2 and a3
+# towards zero, so in the first station's rounds 7 and 8 the 1e-12 amplitude
+# drop removes the success pair, and only 6 rounds open a second-station chain.  One table per row, no pair shared,
+# would build one per internal node, 465 at (4, 4).
+TREE_TABLES = [(SKEWED, 4 + 4 * 4, 8 + 6 * 8), (EQUAL, 4 + 4 * 4, 8 + 8 * 8)]
 
 
 @pytest.mark.parametrize("c, at4, at8", TREE_TABLES, ids=["skewed", "equal"])
-def test_tree_builds_one_table_per_round_input_and_rounds_left(c, at4, at8):
+def test_tree_builds_one_table_per_detector_pair(c, at4, at8):
     assert len(distinct_tables(c, 4, 4)) == at4
     assert len(distinct_tables(c, 8, 8)) == at8
 
 
-@pytest.mark.parametrize("c", [SKEWED, EQUAL], ids=["skewed", "equal"])
+def outcome_value(outcome):
+    """What a row's child table is built from, by value."""
+    return outcome.classification, outcome.post_state, outcome.post_coefficients
+
+
+@pytest.mark.parametrize("c", [SKEWED, EQUAL, TWIN], ids=["skewed", "equal", "twin"])
 @pytest.mark.parametrize("depths", [(4, 4), (8, 8), (3, 0)])
 def test_rows_with_equal_outcomes_share_one_child_table(c, depths):
-    # Each D1/D2, D3/D4 and D7/D8 pair leaves outcomes equal by value.
-    children = {}
-    for table, station, left in distinct_tables(c, *depths):
-        for _, success, child, outcome in table:
-            key = (station, left, success, outcome.post_state, outcome.post_coefficients)
-            children.setdefault(key, set()).add(id(child))
-    assert all(len(ids) == 1 for ids in children.values())
-    assert len(children) < sum(len(table) for table, _, _ in distinct_tables(c, *depths))
+    # Each D1/D2, D3/D4 and D7/D8 pair leaves outcomes equal by value.  Its
+    # second row takes its first row's child table; every other row builds its
+    # own, so no child table is reachable from two tables.
+    built = set()
+    shared = 0
+    for table, _, _ in distinct_tables(c, *depths):
+        prev_child = prev_value = None
+        for _, _, child, outcome in table:
+            value = outcome_value(outcome)
+            if child is not None:
+                if value == prev_value:
+                    assert child is prev_child
+                    shared += 1
+                else:
+                    assert id(child) not in built
+                    built.add(id(child))
+            prev_child, prev_value = child, value
+    # every child table is a pair's
+    assert shared == len(built) > 0
 
 
 def test_table_count_on_the_verify_grid():
-    assert sum(len(distinct_tables(c, 4, 4)) for c in simplex_grid(10)) == 1864
+    # No chain on the grid ends early at (4, 4) (TREE_TABLES).
+    assert sum(len(distinct_tables(c, 4, 4)) for c in simplex_grid(10)) == 100 * (4 + 4 * 4)
 
 
 def one_ulp_up(amp):
@@ -487,7 +511,6 @@ def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
     root = enumerate_tree(SKEWED, 4, 4)
     inputs = tree_inputs(root)
     assert len(inputs) == 465
-    assert len(seen) == len(set(seen))
     assert set(seen) == set(inputs)
     plain = set(tree_inputs(reference_tree(SKEWED, 4, 4)))
     d1, d2 = root.children[:2]
@@ -504,7 +527,7 @@ def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
         assert all(a.state is b.state for a, b in zip(d1.children, d2.children))
 
 
-# -- zero signs: why the memo may key rounds by value ------------------------------
+# -- zero signs: why a pair's rows may share a child table by value ---------------
 
 
 def outcome_bits(outcomes):

@@ -661,7 +661,7 @@ VALUE_SAMPLES = _value_samples()
     "value, field, replacement", VALUE_SAMPLES, ids=[type(v).__name__ for v, _, _ in VALUE_SAMPLES]
 )
 def test_value_types_are_immutable_hashable_values(value, field, replacement):
-    # Nodes of an enumerate_tree tree share these values, and verify's memo keys on them.
+    # Nodes of an enumerate_tree tree share these values, and verify's round tables compare them.
     for name in value._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))

@@ -16,12 +16,10 @@ round keeps its value down to the least subnormal float.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .cavity import CavityParams, ScatterCoefficients, scatter_coefficients
-from .errors import _REAL_TYPES, DomainError, InvalidCoefficientsError, _is_count, _is_real, _shown
+from .errors import _REAL_TYPES, DomainError, InvalidCoefficientsError, _is_count, _is_real, _left_sum, _shown
 from .protocol import _NORMAL_MIN, _NORM_TOLERANCE, MAX_ROUNDS, WCoefficients, _tuple_new
 
 _ALPHA2_DEFAULT = 1.0 / math.sqrt(3.0)
@@ -44,12 +42,12 @@ def p2_round(k: int, c: WCoefficients) -> float:
 
 def p1_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
     """Cumulative first-station success probability over ``k_max`` rounds."""
-    return reduce(add, _p1_rounds(c, _round_limit(k_max, c)), 0.0)
+    return _left_sum(_p1_rounds(c, _round_limit(k_max, c)))
 
 
 def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
     """Cumulative second-station success probability over ``k_max`` rounds."""
-    return reduce(add, _p2_rounds(c, _round_limit(k_max, c)), 0.0)
+    return _left_sum(_p2_rounds(c, _round_limit(k_max, c)))
 
 
 def _round_count(k: int, c: WCoefficients, name: str = "round index") -> int:

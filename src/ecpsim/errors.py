@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the input rule they enforce."""
+"""Exception types shared across the package, the input rule they enforce, and
+the package's one summation rule (:func:`_left_sum`)."""
 
 import sys
+from functools import reduce
+from operator import add
 
 _FLOAT_MAX = sys.float_info.max
 # The exact types of a real number: a float, or an int, which each holder's finiteness
@@ -20,6 +23,13 @@ def _is_count(value) -> bool:
 def _is_real(value) -> bool:
     """A number a float can hold: a float (a subclass too), or a count within the float range."""
     return isinstance(value, float) or (_is_count(value) and abs(value) <= _FLOAT_MAX)
+
+
+def _left_sum(values) -> float:
+    """The float sum of ``values``, added left to right from 0.0.  Built-in
+    ``sum()`` compensates float sums from Python 3.12 on, which would change
+    output bits between the Pythons the package supports."""
+    return reduce(add, values, 0.0)
 
 
 def _shown(value) -> str:

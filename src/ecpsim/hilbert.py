@@ -17,12 +17,10 @@ this module when called, and the composed route in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cavity import DEFAULT_TOLERANCE, Direction, Polarization, SpinLabel
-from .errors import ShapeMismatchError, ZeroStateError
+from .errors import ShapeMismatchError, ZeroStateError, _left_sum
 
 _POL_ORDER = {Polarization.R: 0, Polarization.L: 1, Polarization.H: 2, Polarization.V: 3}
 _DIR_ORDER = {Direction.PLUS_Z: 0, Direction.MINUS_Z: 1}
@@ -143,9 +141,8 @@ class StateVector:
         return None
 
     def norm(self) -> float:
-        # Added left to right from 0.0, as the round kernel adds its squares;
-        # built-in sum() compensates float sums from Python 3.12 on.
-        return math.sqrt(reduce(add, (abs(a) ** 2 for a in self._terms.values()), 0.0))
+        # added left to right from 0.0, as the round kernel adds its squares
+        return math.sqrt(_left_sum(abs(a) ** 2 for a in self._terms.values()))
 
     # -- algebra ------------------------------------------------------------
 

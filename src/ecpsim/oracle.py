@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Iterator
 
 from . import analytics
 from .cavity import CavityParams, DetectorLabel, scatter_coefficients
-from .errors import DomainError, _is_count, _is_real
+from .errors import DomainError, _is_count, _is_real, _left_sum
 from .protocol import (
     OutcomeClass,
     RoundOutcome,
@@ -259,14 +257,12 @@ def _tree_masses(
         at[slot] += mass
     alice_at = dict(zip(range(1, k_alice + 1), at))
     charlie_at = dict(zip(range(1, k_charlie + 1), at[k_alice:]))
-    first_round_joint = 0.0  # a depth-1 node's weight is 1.0 * probability, its probability
-    for probability, success, child, _ in root:
-        if success and child is not None:
-            for p, joint_success, _, _ in child:
-                if joint_success:
-                    first_round_joint += probability * p
-    # left to right from 0.0: built-in sum() compensates from Python 3.12 on
-    alice_total = reduce(add, alice_at.values(), 0.0)
+    first_round_joint = _left_sum(  # a depth-1 node's weight is 1.0 * probability, its probability
+        probability * p
+        for probability, success, child, _ in root if success and child is not None
+        for p, joint_success, _, _ in child if joint_success
+    )
+    alice_total = _left_sum(alice_at.values())
     if alice_total > 0.0:
         charlie_at = {k: v / alice_total for k, v in charlie_at.items()}
     return alice_at, charlie_at, first_round_joint
@@ -318,9 +314,9 @@ def compare_all(
             report("pt_one_round", point, analytics.pt_one_round(c), joint)
 
         if sc is not None:
-            # each station's first-round success mass, left to right as alice_total
+            # each station's first-round success mass
             sim_p1, sim_p2 = (
-                reduce(add, (o.probability for o in stages[0] if o.classification is plan.success_class), 0.0)
+                _left_sum(o.probability for o in stages[0] if o.classification is plan.success_class)
                 for plan, stages in _stage_chains(c, 1, 1, sc)
             )
             report("p1_practical", point, analytics.practical_p1(c, sc), sim_p1)

@@ -19,8 +19,6 @@ import json
 import math
 import sys
 from enum import Enum
-from functools import reduce
-from operator import add
 from typing import Callable, NamedTuple, TextIO
 
 from .cavity import (
@@ -40,6 +38,7 @@ from .errors import (
     DomainError,
     InvalidCoefficientsError,
     _is_count,
+    _left_sum,
     _shown,
     _unreal,
 )
@@ -687,8 +686,7 @@ def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
         success = [[o for o in st if o.classification is plan.success_class] for st in stages]
         retries = [[o for o in st if o.classification is not plan.success_class] for st in stages]
         tokens = ["|".join(o.detector.value for o in st) for st in retries]
-        # left to right from 0.0: built-in sum() compensates from Python 3.12 on
-        retry_mass = [reduce(add, (o.probability for o in st), 0.0) for st in retries]
+        retry_mass = [_left_sum(o.probability for o in st) for st in retries]
         stations.append((plan, success, tokens, retry_mass))
 
     records: list[BranchRecord] = []
@@ -710,11 +708,8 @@ def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
             records.append(BranchRecord(path, weight * reach, plan.retry_class))
 
     walk(0, (), 1.0)
-    total_success = 0.0
-    for record in records:
-        if record.classification is stations[-1][0].success_class:
-            total_success += record.probability
-    return records, total_success
+    success_class = stations[-1][0].success_class
+    return records, _left_sum(r.probability for r in records if r.classification is success_class)
 
 
 _RNG_ALGORITHM = "philox4x64; shot i consumes row i of the (shots x stages) uniform block"

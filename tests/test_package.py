@@ -2,6 +2,7 @@
 its defining module holds at that moment."""
 
 import importlib
+import math
 
 import pytest
 
@@ -94,3 +95,11 @@ def test_each_named_error_is_raised_by_a_public_call(name):
     with pytest.raises(errors.EcpError) as info:
         RAISED_BY[name]()
     assert type(info.value) is getattr(errors, name)
+
+
+def test_float_sums_are_a_left_fold_from_zero():
+    # A compensated sum, which built-in sum() is from Python 3.12 on, keeps the 1.0s.
+    values = [1.0, 1e100, 1.0, -1e100]
+    assert errors._left_sum(values) == 0.0
+    assert math.fsum(values) == 2.0
+    assert type(errors._left_sum(())) is float

@@ -5,7 +5,8 @@ trace, ``sweep`` emits the success-probability curves as CSV, ``verify``
 cross-checks closed forms against exhaustive enumeration and sets the exit
 code, and ``coeffs`` evaluates the cavity scattering amplitudes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error or a
+closed standard output.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_cavity(cmd: argparse.ArgumentParser, cavity_help: str) -> None:
-        cmd.add_argument("--cavity", type=_cavity_flag, help=cavity_help)
+        cmd.add_argument("--cavity", type=_cavity_flag,
+                         help=f"{cavity_help}; gamma changes no output under the verbatim convention")
         cmd.add_argument("--convention", type=_convention, default="verbatim",
                          help="lossy denominator form: verbatim or corrected")
 
@@ -315,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     cof.add_argument("--kappa-s", dest="kappa_s", type=float, default=0.0,
                      help="side-leakage rate (units of kappa)")
     cof.add_argument("--g", type=float, default=0.0, help="coupling strength (units of kappa)")
-    cof.add_argument("--gamma", type=float, default=0.0, help="dipole decay rate (units of kappa)")
+    cof.add_argument("--gamma", type=float, default=0.0,
+                     help="dipole decay rate (units of kappa); no effect under the verbatim convention")
     cof.add_argument("--omega-detuning", dest="omega_detuning", type=float, default=0.0,
                      help="probe detuning from the shared resonance (units of kappa)")
     cof.add_argument("--convention", type=_convention, default="verbatim",
@@ -351,7 +354,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Exit with :func:`main`'s code.  A standard output whose reader closed early
+    exits 2 with nothing printed: stdout's descriptor then points at the null
+    device, so the interpreter's exit flush cannot raise again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

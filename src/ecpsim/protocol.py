@@ -677,10 +677,10 @@ def _stage_chains(
 
 def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
     """Merged-retry leaves in pre-order, and the sum of the last station's
-    success leaves from 0.0 in that order.  Each success continues into the
-    next station; the last station's successes and every station's exhausted
-    retries end a branch, except in a chain that ended on a round with no
-    retry outcome."""
+    success leaves from 0.0 in that order.  Every success passes into the next
+    station, and a success past the last station is a finished branch; every
+    station's exhausted retries end a branch, except in a chain that ended on
+    a round with no retry outcome."""
     stations = []
     for plan, stages in chains:
         success = [[o for o in st if o.classification is plan.success_class] for st in stages]
@@ -688,27 +688,25 @@ def _tree_branches(chains: list[_Chain]) -> tuple[list[BranchRecord], float]:
         tokens = ["|".join(o.detector.value for o in st) for st in retries]
         retry_mass = [_left_sum(o.probability for o in st) for st in retries]
         stations.append((plan, success, tokens, retry_mass))
+    success_class = stations[-1][0].success_class
 
     records: list[BranchRecord] = []
 
     def walk(index: int, path: tuple[str, ...], weight: float) -> None:
+        if index == len(stations):
+            records.append(BranchRecord(path, weight, success_class))
+            return
         plan, success, tokens, retry_mass = stations[index]
-        last = index == len(stations) - 1
         reach = 1.0
         for stage_success, token, mass in zip(success, tokens, retry_mass):
             for out in stage_success:
-                prob = weight * reach * out.probability
-                if last:
-                    records.append(BranchRecord(path + (out.detector.value,), prob, plan.success_class))
-                else:
-                    walk(index + 1, path + (out.detector.value,), prob)
+                walk(index + 1, path + (out.detector.value,), weight * reach * out.probability)
             reach *= mass
             path += (token,)
         if tokens[-1]:
             records.append(BranchRecord(path, weight * reach, plan.retry_class))
 
     walk(0, (), 1.0)
-    success_class = stations[-1][0].success_class
     return records, _left_sum(r.probability for r in records if r.classification is success_class)
 
 

@@ -66,9 +66,10 @@ def _choose(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
     """Walk the shots of one chunk, row i of ``u`` for shot i, through the
-    stage tables of every station.  Returns each distinct finished path as the
-    bytes of its row of detector numbers by column, 0 where the shot had
-    stopped before, and its shot count.
+    stage tables of every station, each up to its first stage no shot reaches;
+    a station's successes are the next one's input.  Returns each distinct
+    finished path as the bytes of its row of detector numbers by column, 0
+    where the shot had stopped, and its count.
 
     Boolean masks select with ``compress``, or with ``flatnonzero`` and
     ``take`` where one mask selects from several arrays: either is several
@@ -120,7 +121,7 @@ def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
             stay = np.flatnonzero(~shot_won)
             shots, prefix, prefix_rows = shots.take(stay), shot_rank.take(stay), rows[:n_lost]
         col += len(cum)
-        if last_station or not passed:
+        if last_station:
             break
         shots = np.concatenate(passed)
         prefix = np.concatenate(passed_prefix)
@@ -185,12 +186,11 @@ def _sample_branches(
     chunk of up to ``_CHUNK`` shots is split into ``max(1, min(usable CPUs,
     rows // _MIN_PART))`` contiguous parts, and each part draws its rows and is
     walked by :func:`_walk_chunk` on a thread of its own (:func:`_walk_parts`).
-    At most one chunk's rows are drawn at a time.  The shots that succeed at a
-    station are the next station's input.  Paths are counted by their rows'
-    bytes, added over the parts in any order, and the bytes sort as the rows do
-    since every detector number is in 0..8, so branches come out in the
-    lexicographic order of their rows of detector numbers by stage, whatever
-    the number of parts.
+    At most one chunk's rows are drawn at a time.  Paths are counted by their
+    rows' bytes, added over the parts in any order, and the bytes sort as the
+    rows do since every detector number is in 0..8, so branches come out in
+    the lexicographic order of their rows of detector numbers by stage,
+    whatever the number of parts.
     Detector labels, and the class of a path (that of its last outcome), are
     read from the outcomes in the chains' stages, not from their plans.
     """

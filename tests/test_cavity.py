@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ecpsim import (
@@ -350,6 +350,54 @@ def test_reflection_transmission_sum_rule(ks, g, gamma, omega):
     sc = scatter_coefficients(params(ks=ks, g=g, gamma=gamma), omega=omega)
     assert abs(sc.r - sc.t - 1.0) <= 1e-15
     assert abs(sc.r0 - sc.t0 - 1.0) <= 1e-15
+
+
+# Photon flux into the cavity leaves by one of the two ports, the side leakage
+# or, under CORRECTED, the emitter's decay.  In units of kappa, with
+# e = i*(omega_x - omega) + gamma/2:
+#   CORRECTED  |r|^2 + |t|^2 + kappa_s*|t|^2 + gamma*g^2*|t|^2/|e|^2 = 1
+#   VERBATIM   |r|^2 + |t|^2 + (kappa_s + 2*g^2)*|t|^2 = 1
+#   cold       |r0|^2 + |t0|^2 + kappa_s*|t0|^2 = 1
+# So the VERBATIM hot cavity is a cold one with an extra leak of 2*g^2 that no
+# emitter rate or detuning enters.  Where t = 0 (e = 0 under CORRECTED, or a
+# denominator past the float range) every loss term is 0, and so is the
+# emitter's at g = 0, where e may be 0 too.  None of these rules is a formula
+# scatter_coefficients uses.
+_FLUX_RATE = st.one_of(st.floats(min_value=0, max_value=5), st.floats(min_value=0, max_value=1e300))
+_FLUX_DETUNING = st.one_of(
+    st.just(0.0), st.floats(min_value=-3, max_value=3), st.floats(min_value=-1e300, max_value=1e300)
+)
+
+
+@given(
+    _FLUX_RATE,
+    _FLUX_RATE,
+    st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)),
+    _FLUX_DETUNING,
+    _FLUX_DETUNING,
+    _FLUX_DETUNING,
+    st.sampled_from(list(DenominatorConvention)),
+)
+@example(1.7e308, 0.0, 0.0, 0.0, 0.0, -1.7e308, DenominatorConvention.VERBATIM)  # -1/D on D/4
+@example(0.0, 1.3e154, 1.0, 0.0, 0.0, -0.5, DenominatorConvention.CORRECTED)  # |g^2/e| overflows
+@example(0.1, 0.5, 0.0, 0.0, 0.0, 0.0, DenominatorConvention.CORRECTED)  # e = 0, so t = 0
+def test_photon_flux_sum_rules(ks, g, gamma, omega_c, omega_x, omega, convention):
+    p = CavityParams(kappa_s=ks, g=g, gamma=gamma, omega_c=omega_c, omega_x=omega_x, convention=convention)
+    sc = scatter_coefficients(p, omega)
+    t = abs(sc.t)
+    if t == 0 or g == 0:
+        emitter = 0.0
+    elif convention is DenominatorConvention.CORRECTED:
+        emitter = gamma * (g * t / abs(complex(gamma / 2, omega_x - omega))) ** 2
+    else:
+        emitter = 2 * (g * t) ** 2
+    hot = [abs(sc.r) ** 2, t**2, ks * t**2, emitter]
+    cold = [abs(sc.r0) ** 2, abs(sc.t0) ** 2, ks * abs(sc.t0) ** 2]
+    # Each term is at most 1 and comes from the inputs through about eight
+    # roundings of relative size eps/2 (the denominator's sums, a complex
+    # quotient and product, an abs and a square): 4 eps per term.
+    for terms in (hot, cold):
+        assert abs(math.fsum(terms) - 1.0) <= 4 * math.ulp(1.0) * len(terms), terms
 
 
 def test_reflection_exact_at_weak_coupling_and_leakage():

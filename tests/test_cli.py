@@ -968,6 +968,25 @@ def test_a_monte_carlo_run_pinned_to_one_cpu_prints_the_same_bytes(tmp_path):
     assert stdout(True) == stdout(False)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--points", "100000"],
+        ["verify", "--grid", "10", "--depth", "8,8"],
+        ["simulate", "--alpha", "0.8,0.36,0.48", "--rounds", "30,30"],
+    ],
+)
+def test_a_closed_stdout_exits_2_with_nothing_printed(argv, tmp_path):
+    # Each command prints over 100 kB, more than a pipe and the reader's buffer
+    # hold, so it is still writing when the reader closes after one line.
+    proc = subprocess.Popen([sys.executable, "-m", "ecpsim.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, cwd=tmp_path, env=_child_env())
+    proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=120)[1]
+    assert (proc.returncode, stderr.decode()) == (2, "")
+
+
 _PLAIN_SIMULATE = ["simulate", "--alpha", "0.8,0.36,0.48"]
 _PLAIN_SWEEP = ["sweep", "--points", "3"]
 _LEAKY_CONFIG = {

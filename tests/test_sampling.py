@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from reference import reference_sample_branches
 
@@ -49,6 +49,8 @@ def sample_both(alpha, rounds, shots, seed):
     shots=st.integers(1, 13_000),
     seed=st.integers(0, 2**64 - 1),
 )
+# The shot retries all four Alice rounds (D1, D1, D1, D2): no shot reaches Charlie.
+@example(alpha=(0.8, 0.36, 0.48), rounds=(4, 4), shots=1, seed=0)
 def test_sampler_matches_reference(alpha, rounds, shots, seed):
     both = sample_both(alpha, rounds, shots, seed)
     if both is None:

@@ -77,15 +77,20 @@ class BranchNode:
 _Table = list[tuple[float, bool, "_Table | None", RoundOutcome]]
 
 
-def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
-    """The round tables of the tree to the given depths, from its root's.
+def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> tuple[_Table, list[tuple[int, float]]]:
+    """The round tables of the tree to the given depths, from its root's, and a
+    ``(slot, mass)`` record per success node in pre-order.
 
-    Stations and success classes are a run's (``protocol._stations``).  A row
-    takes the previous row's child table when its class, post-state and
-    post-coefficients equal that row's by value, as the two rows of a detector
-    pair do; every other row builds its own, and runs its round.  Tables are
-    built depth first in detector order, so rounds run, and raise, in the
-    pre-order of their table's first node.
+    Stations and success classes are a run's (``protocol._stations``).  A
+    node's mass is its parent's times its row's probability; station 1's round
+    k sums into slot k - 1 and station 2's into slot k_alice + k - 1.  A row
+    takes the previous row's child table and repeats its records when its
+    class, post-state, post-coefficients and probability equal that row's by
+    value, as the two rows of a detector pair do: its own subtree would give
+    the same tables and the same records in the same order.  Every other row
+    builds its own child table, runs its round and records its own subtree.
+    Tables are built depth first in detector order, so rounds run, and raise,
+    in the pre-order of their table's first node.
     """
     if not (_is_count(k_alice) and _is_count(k_charlie)):
         raise DomainError(f"tree depths must be ints, not {type(k_alice).__name__} and {type(k_charlie).__name__}")
@@ -96,32 +101,41 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> _Table:
     if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
         raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
     stations = _stations(k_alice, k_charlie)
+    records: list[tuple[int, float]] = []
 
-    def table(station: int, left: int, state: WState, coefficients: WCoefficients) -> _Table:
-        """The table of one round with ``left`` rounds to go at ``station``."""
-        round_fn, plan, _ = stations[station]
+    def table(station: int, left: int, state: WState, coefficients: WCoefficients, mass: float) -> _Table:
+        """The table of one round with ``left`` rounds to go at ``station``,
+        under a node of ``mass``."""
+        round_fn, plan, limit = stations[station]
+        slot = station * k_alice + limit - left  # the second station's slots follow k_alice of the first's
         retry = (station, left - 1) if left > 1 else None
         success = (station + 1, stations[station + 1][2]) if station + 1 < len(stations) else None
         rows = []
         prev = None
         for outcome in round_fn(state, coefficients):
             is_success = outcome.classification is plan.success_class
-            next_round = success if is_success else retry
+            start = len(records)
             # Sharing is exact: floats equal by value differ at most in the sign
             # of a zero, and a round's outcomes do not depend on the sign of a
             # zero amplitude component, a dropped term's included: each landing
             # takes ``0j + weight * (p * amp)``, whose ``0j +`` makes it +0.0.
             # Coefficients are never -0.0: the root's are positive and every
             # update multiplies or divides nonnegative values.
-            inputs = (outcome.classification, outcome.post_state, outcome.post_coefficients)
-            if inputs != prev:
+            inputs = (outcome.classification, outcome.post_state, outcome.post_coefficients, outcome.probability)
+            if inputs == prev:
+                records.extend(records[begin:start])
+            else:
+                child_mass = mass * outcome.probability
+                if is_success:
+                    records.append((slot, child_mass))
+                next_round = success if is_success else retry
                 child = (None if next_round is None
-                         else table(*next_round, outcome.post_state, outcome.post_coefficients))
+                         else table(*next_round, outcome.post_state, outcome.post_coefficients, child_mass))
             rows.append((outcome.probability, is_success, child, outcome))
-            prev = inputs
+            prev, begin = inputs, start
         return rows
 
-    return table(0, k_alice, prepare_w_state(c), c)
+    return table(0, k_alice, prepare_w_state(c), c, 1.0), records
 
 
 def _grow(node: BranchNode, table: _Table) -> None:
@@ -143,11 +157,11 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     most :data:`MAX_TREE_ROUNDS` (:class:`DomainError` otherwise), and
     ``k_charlie`` may be 0 for a first-station-only tree, whose successes end
     as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The nodes grow
-    from the round tables that :func:`compare_all` sums without nodes, so the
-    subtrees under a detector pair's two nodes share immutable ``WState`` and
-    ``WCoefficients`` objects.
+    from :func:`_root_table`'s round tables, whose success records they do not
+    read, so the subtrees under a detector pair's two nodes share immutable
+    ``WState`` and ``WCoefficients`` objects.
     """
-    table = _root_table(c, k_alice, k_charlie)
+    table, _ = _root_table(c, k_alice, k_charlie)
     root = BranchNode(path=(), amplitude_weight=1.0, state=prepare_w_state(c), coefficients=c, depth=0)
     _grow(root, table)
     return root
@@ -211,49 +225,17 @@ def simplex_grid(n: int) -> list[WCoefficients]:
     return points
 
 
-def _success_masses(table: _Table, weight: float, slot: int, later: tuple, adds: list) -> None:
-    """Append to ``adds``, in pre-order, a ``(slot, mass)`` per success under a
-    node of ``weight`` whose children run the round that ``slot`` sums; those
-    of the later stations, whose rounds count from 1 again, go from their first
-    slots, which ``later`` holds as ``(slot, later)`` (``()`` after the last).
-
-    A row whose child table is the previous row's (``is``), with its class
-    and its mass, repeats the previous row's records in place of a walk: that
-    walk would append the same masses in the same order.  The two rows of a
-    detector pair are such rows, so each pair's subtree is walked once.
-    """
-    prev_child = prev_success = prev_w = None
-    begin = 0  # where the previous row's records start
-    for probability, success, child, _ in table:
-        w = weight * probability
-        start = len(adds)
-        if child is prev_child and success is prev_success and w == prev_w:
-            adds.extend(adds[begin:start])
-        elif success:
-            adds.append((slot, w))
-            if child is not None:
-                _success_masses(child, w, *later, adds)
-        elif child is not None:
-            _success_masses(child, w, slot + 1, later, adds)
-        begin, prev_child, prev_success, prev_w = start, child, success, w
-
-
 def _tree_masses(
     c: WCoefficients, k_alice: int, k_charlie: int
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Amplitude-route success masses: per-round station-1 mass, per-round
     station-2 mass (conditional on station-1 success), and the depth-(1,1)
-    joint mass.  The walk records the tree's success nodes in pre-order and
-    takes each node's weight as its parent's times its probability; each
-    mass then adds its nodes' weights from 0.0 in that order, so it adds the
-    node weights of ``enumerate_tree``'s tree in its pre-order.  Replayed
-    records (:func:`_success_masses`) keep that order, since they stand
-    where the walk they replace would have put its own."""
-    root = _root_table(c, k_alice, k_charlie)
-    adds: list[tuple[int, float]] = []
-    _success_masses(root, 1.0, 0, (k_alice, ()), adds)
+    joint mass.  Each mass adds its slot's records (:func:`_root_table`) from
+    0.0 in pre-order, so it adds the node weights of ``enumerate_tree``'s tree
+    in its pre-order."""
+    root, records = _root_table(c, k_alice, k_charlie)
     at = [0.0] * (k_alice + k_charlie)  # station-1 rounds, then station-2 rounds
-    for slot, mass in adds:
+    for slot, mass in records:
         at[slot] += mass
     alice_at = dict(zip(range(1, k_alice + 1), at))
     charlie_at = dict(zip(range(1, k_charlie + 1), at[k_alice:]))

@@ -8,7 +8,8 @@ step, each building its own general state with the ``DEFAULT_TOLERANCE`` drop.
 ``WState``; ``test_round_equivalence.py`` checks that the two agree bit for
 bit.  ``reference_tree`` builds the tree of ``enumerate_tree`` with a round
 at every internal node and nothing reused, and ``reference_masses`` sums the
-success masses of ``compare_all`` over its nodes.  ``reference_sample_branches``
+success masses of ``compare_all`` over its nodes.  ``exact_masses`` gives the same
+masses of the ideal tree as exact fractions.  ``reference_sample_branches``
 is the Monte Carlo sampler that ``ecpsim.sampling`` replaced: active index
 sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.
 ``reference_round_one`` and ``reference_sweep`` are the round-1 closed forms
@@ -25,6 +26,7 @@ No command-line route runs this code, so it lives with the tests.
 
 import math
 import sys
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -55,7 +57,7 @@ from ecpsim import (
 )
 from ecpsim.analytics import CurvePoint
 from ecpsim.cavity import apply_ebs_gate, detect, hwp45, scatter_coefficients
-from ecpsim.protocol import BranchRecord, _code
+from ecpsim.protocol import _ALICE_PLAN, _CHARLIE_PLAN, BranchRecord, _code
 
 # The ket of each WState slot.
 W_KETS = tuple(BasisKet.from_spins(pattern) for pattern in WState._fields)
@@ -257,6 +259,69 @@ def reference_masses(root: BranchNode, k_alice: int, k_charlie: int):
     if alice_total > 0.0:
         charlie_at = {k: v / alice_total for k, v in charlie_at.items()}
     return alice_at, charlie_at, joint
+
+
+def _exact_chain(plan, photon_pair, retry_map, state, coefficients, rounds):
+    """Per-round success masses of one station's ideal chain, its first round's
+    success post-state, and the least square met, on squares in and out.
+
+    A pair's detector holds, per landing of ``plan.pairs``, half the photon
+    square times the slot square (the wave plate's 1/sqrt(2), squared); the
+    pair's mass is twice its detector's, and a retry goes on from the retry
+    detector's squares over their sum, with the coefficients' ``retry_map``.
+    """
+    masses, reach, success_state = [], Fraction(1), None
+    smallest = min(state)
+    for _ in range(rounds):
+        pair = photon_pair(coefficients)
+        photon = [p / sum(pair) for p in pair]
+        smallest = min(smallest, *photon)
+        for _, _, success, landings in plan.pairs:
+            squares = [Fraction(0)] * 3
+            for slot, pol, _, _ in landings:
+                squares[slot] = photon[pol] * state[slot] / 2
+            detector = sum(squares)
+            post = [s / detector for s in squares]
+            smallest = min(smallest, *squares, *post)
+            if success:
+                masses.append(reach * 2 * detector)
+                if success_state is None:
+                    success_state = post
+            else:
+                retry_mass, retry_state = 2 * detector, post
+        reach, state, coefficients = reach * retry_mass, retry_state, retry_map(coefficients)
+    return masses, success_state, smallest
+
+
+def _over_sum(*squares):
+    total = sum(squares)
+    return [s / total for s in squares]
+
+
+def exact_masses(c: WCoefficients, k_alice: int, k_charlie: int):
+    """Per-round station-1 masses and per-round station-2 masses conditional
+    on station-1 success, as :class:`Fraction`s, of the ideal tree with no
+    amplitude drop, and the least square of a photon amplitude, landing or
+    post-state amplitude on the way: where it is below the square of the
+    1e-12 drop, the float tree drops what this route keeps.
+
+    Every ideal mass is rational in the squared coefficients: no detector sums
+    two landings of one slot, so squares never meet cross terms.  The route
+    starts from the squares of the float coefficients, in the ``WState`` slots
+    (a3, a2, a1), and applies the maps as stated on squares: the first
+    station's retry (a1^2, a2^2, a2 a3) and success (a2, a2, a3), the second
+    station's retry (a2^2, a2^2, a3^2), each normalized.  Every first-station
+    success leaves the same squares, so the second station's chain runs once,
+    from the first round's.  Nothing comes from ``analytics``.
+    """
+    x1, x2, x3 = (Fraction(a) ** 2 for a in c)
+    alice, success_state, smallest = _exact_chain(
+        _ALICE_PLAN, lambda x: x[:2], lambda x: _over_sum(x[0] ** 2, x[1] ** 2, x[1] * x[2]),
+        [x3, x2, x1], [x1, x2, x3], k_alice)
+    charlie, _, charlie_smallest = _exact_chain(
+        _CHARLIE_PLAN, lambda x: x[1:], lambda x: _over_sum(x[1] ** 2, x[1] ** 2, x[2] ** 2),
+        success_state, _over_sum(x2, x2, x3), k_charlie)
+    return dict(enumerate(alice, 1)), dict(enumerate(charlie, 1)), min(smallest, charlie_smallest)
 
 
 # Paths are counted on int64 keys holding 4 bits per stage (detector number,

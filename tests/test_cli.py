@@ -718,7 +718,7 @@ _THREADED_MC = ["simulate", "--mode", "mc", "--alpha", "0.8,0.36,0.48", "--round
             "a4a5890cae83a8c8043a796a506bddecee1064a13cfd608020941be65113e2e8",
         ),
         (
-            # Deep trees at 16 points, where the mass walk replays the most rows.
+            # Deep trees at 16 points, where the table build repeats the most records.
             ["verify", "--grid", "4", "--depth", "8,8"],
             "2b5d7a8853e88fceda6e66e5e5382b38cdc8bce883b45c2874644462b390316d",
         ),

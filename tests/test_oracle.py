@@ -1,10 +1,12 @@
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import preorder, reference_masses, reference_tree
+from reference import exact_masses, preorder, reference_masses, reference_tree
 
 from ecpsim import (
     CavityParams,
@@ -30,6 +32,7 @@ from ecpsim import (
     scatter_coefficients,
     simplex_grid,
 )
+from ecpsim.cavity import DEFAULT_TOLERANCE
 
 EQUAL = WCoefficients.symmetric()
 SKEWED = WCoefficients(0.8, 0.36, 0.48)
@@ -190,12 +193,13 @@ triples = (
 
 # Fixed deep trees for the two tests below, which draw depths up to 4: each
 # station at MAX_TREE_ROUNDS, and (5, 5).  At NEAR_DROP the amplitude drop
-# removes whole detectors from many rounds.  The mass walk also gets three
+# removes whole detectors from many rounds.  The mass test also gets three
 # (6, 6) trees, the deepest at both stations within about a second: at EQUAL
-# every pair's two rows share a child table and a mass in every table, so
-# the walk replays half of all rows.  TWIN, with a1 = a2 != a3, is a fixed
-# point of the first station's retry map, so its first-station successes
-# leave second-station inputs equal by value, which its tree evaluates apart.
+# every pair's two rows share a child table and a probability in every table,
+# so the build repeats the records of half of all rows.  TWIN, with
+# a1 = a2 != a3, is a fixed point of the first station's retry map, so its
+# first-station successes leave second-station inputs equal by value, which
+# its tree evaluates apart.
 NEAR_DROP = WCoefficients.normalized(1.0, 0.5, 1e-11)
 TWIN = WCoefficients.normalized(1.0, 1.0, 0.5)
 _DEEP = oracle.MAX_TREE_ROUNDS
@@ -249,78 +253,67 @@ def test_tree_masses_match_reference_tree_bit_for_bit(c, k_alice, k_charlie):
     assert masses_by_bits(got) == masses_by_bits(expected)
 
 
-# -- the mass walk's replay rule ---------------------------------------------------
-# Hand-made round tables at depths (2, 2): rows are ``(probability, success,
-# child table, outcome)``, and the walk reads no outcome.
+# -- exact masses ------------------------------------------------------------------
+# Relative error bounds C * 2^n * eps against ``exact_masses``, to first order
+# in u = eps / 2, n being the rounds on a mass's path.  Inputs are exact: the
+# exact route starts from the squares of the same floats.
+#
+# Tree.  Every output of a round depends only on ratios of its inputs'
+# squares.  A retry squares the coefficient ratio, so the error X it carries
+# becomes 2X + 8u (two products and two normalizing divisions on the
+# amplitudes); a post-state slot ratio is a photon ratio times the slot ratio,
+# so its error S becomes S + X + 16u (the photon's two divisions, the landing's
+# two products and the division by the norm, on two slots, squared).  So
+# E = max(X, S) obeys E' <= 2E + 16u, and a round reached after j - 1 others
+# has E_j <= (2^(j-1) - 1) 16u.  A probability is a weighted mean of its
+# input squares, so it carries E_j plus 16u of its own (landing 4u, photon 4u,
+# abs 2u, square 1u, two adds 2u, sqrt and square 3u), and a node of depth n
+# multiplies n of them with n - 1 roundings: (2^n - n - 1) 16u + 17n u
+# <= 17 * 2^n u.  A slot's left fold of N positive records adds (N - 1)u.
+# - Station 1, round k: n = k and N = 2^k, so at most 18 * 2^k u.
+# - Station 2, round k, conditional: an average over first-station successes
+#   at rounds up to k_alice, so n <= k_alice + k; its fold has
+#   N < 2^(k_alice + k + 1) records, and the division by the station-1 total
+#   (at most 19 * 2^k_alice u) adds one rounding: at most 29 * 2^n u, which
+#   is 14.5 * 2^n eps.
+# So TREE_C = 15.
+#
+# Closed forms (``analytics._p1_rounds``, ``_p2_rounds``), with P = 2^k and
+# ``**`` within 2u; a ratio's 1u reaches the value through its powers.  p1
+# takes r^P and r^(P-2) ((2P + 2)u), the weight (2u), two products (2u), the k
+# denominator factors r^(2^j) + 1 ((2P - 2 + 3k)u, summed) with k - 1
+# products, and a division: (4P + 4k + 4)u.  p2 takes the scale (2u), the
+# first denominator factor (2u), the k others with k products
+# ((2P - 2 + 4k)u), r^P ((P + 2)u), a product and a division:
+# (3P + 4k + 6)u.  In eps these are 2P + 2k + 2 and 1.5P + 2k + 3, each at
+# most 4P, which both reach at k = 1: CLOSED_C = 4.
+TREE_C, CLOSED_C = 15, 4
+EPS = Fraction(sys.float_info.epsilon)
+# Squares below the drop's, with a margin for the floats' own error.
+DROP_SQUARE = Fraction(1.01 * DEFAULT_TOLERANCE) ** 2
+
+decades = st.floats(min_value=-3.0, max_value=0.0).map(lambda e: 10.0**e)
+spread_triples = st.tuples(decades, decades, decades).map(lambda t: WCoefficients.normalized(*t))
 
 
-def rows(*specs):
-    return [(probability, success, child, None) for probability, success, child in specs]
+def relative_error(value, exact):
+    return abs(Fraction(value) - exact) / exact
 
 
-def plain_records(table, k_alice, station=0, k=1, weight=1.0):
-    """``(slot, mass)`` of each success under ``table`` in pre-order, every row
-    walked: station 1's round k sums into slot k - 1, station 2's into slot
-    k_alice + k - 1."""
-    records = []
-    for probability, success, child, _ in table:
-        w = weight * probability
-        if success:
-            records.append((k - 1 if station == 0 else k_alice + k - 1, w))
-            if child is not None:
-                records += plain_records(child, k_alice, station + 1, 1, w)
-        elif child is not None:
-            records += plain_records(child, k_alice, station, k + 1, w)
-    return records
-
-
-CHARLIE_LAST = rows((0.375, True, None), (0.375, True, None), (0.125, False, None), (0.125, False, None))
-CHARLIE_FIRST = rows((0.25, True, None), (0.25, True, None), (0.25, False, CHARLIE_LAST),
-                     (0.25, False, CHARLIE_LAST))
-OTHER_CHARLIE_FIRST = rows((0.5, True, None), (0.5, False, CHARLIE_LAST))
-# Read as a second-station table after a success row and as the first
-# station's round 2 after a retry row: its rows end their branches either way.
-EITHER = rows((0.5, True, None), (0.5, False, None))
-REPLAY_ROOTS = {
-    # adjacent rows with equal class and mass but different child tables
-    "other child": rows((0.25, True, CHARLIE_FIRST), (0.25, True, OTHER_CHARLIE_FIRST)),
-    # adjacent rows with one child table and one mass but different classes
-    "other class": rows((0.25, True, EITHER), (0.25, False, EITHER)),
-    # adjacent rows with one child table and one class but different masses
-    "other mass": rows((0.375, True, CHARLIE_FIRST), (0.125, True, CHARLIE_FIRST)),
-    # a pair: one child table, one class, one mass
-    "pair": rows((0.25, True, CHARLIE_FIRST), (0.25, True, CHARLIE_FIRST),
-                 (0.25, False, EITHER), (0.25, False, EITHER)),
-}
-# Tables walked under each root above: a replayed row's subtree is not walked
-# again, so "pair" walks 4 tables where walking every row would take 9.
-REPLAY_WALKS = {"other child": 5, "other class": 3, "other mass": 5, "pair": 4}
-
-
-@pytest.mark.parametrize("name", REPLAY_ROOTS)
-def test_mass_walk_replays_only_a_pair(monkeypatch, name):
-    root = REPLAY_ROOTS[name]
-    walks = []
-    walk = oracle._success_masses
-
-    def counted(*args):
-        walks.append(args[0])
-        return walk(*args)
-
-    monkeypatch.setattr(oracle, "_success_masses", counted)
-    records = []
-    oracle._success_masses(root, 1.0, 0, (2, ()), records)
-    assert records == plain_records(root, 2)
-    assert len(walks) == REPLAY_WALKS[name]
-
-    # _tree_masses adds those records from 0.0 in pre-order
-    monkeypatch.setattr(oracle, "_root_table", lambda c, k_alice, k_charlie: root)
-    alice_at, charlie_at, _ = oracle._tree_masses(EQUAL, 2, 2)
-    at = [0.0] * 4
-    for slot, mass in plain_records(root, 2):
-        at[slot] += mass
-    assert alice_at == {1: at[0], 2: at[1]}
-    assert charlie_at == {1: at[2] / (at[0] + at[1]), 2: at[3] / (at[0] + at[1])}
+@settings(max_examples=60, deadline=None)
+@given(spread_triples, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
+@example(EQUAL, 8, 8)
+@example(WCoefficients.normalized(1.0, 0.97, 0.95), 8, 8)
+def test_tree_and_closed_forms_match_exact_masses(c, k_alice, k_charlie):
+    alice, charlie, smallest = exact_masses(c, k_alice, k_charlie)
+    assume(smallest > DROP_SQUARE)  # where a drop fires the tree loses mass (ROADMAP item 11)
+    tree_alice, tree_charlie, _ = oracle._tree_masses(c, k_alice, k_charlie)
+    for k, exact in alice.items():
+        assert relative_error(tree_alice[k], exact) <= TREE_C * 2**k * EPS
+        assert relative_error(p1_round(k, c), exact) <= CLOSED_C * 2**k * EPS
+    for k, exact in charlie.items():
+        assert relative_error(tree_charlie[k], exact) <= TREE_C * 2 ** (k_alice + k) * EPS
+        assert relative_error(p2_round(k, c), exact) <= CLOSED_C * 2**k * EPS
 
 
 def test_compare_all_builds_no_tree(monkeypatch):
@@ -416,7 +409,7 @@ def distinct_tables(c, k_alice, k_charlie):
     """``(table, station, rounds left)`` of each distinct table object of the
     tree: the table and the round its rows come from."""
     limits = [k for k in (k_alice, k_charlie) if k > 0]
-    stack = [(oracle._root_table(c, k_alice, k_charlie), 0, k_alice)]
+    stack = [(oracle._root_table(c, k_alice, k_charlie)[0], 0, k_alice)]
     found = {}
     while stack:
         table, station, left = stack.pop()
@@ -447,8 +440,9 @@ def test_tree_builds_one_table_per_detector_pair(c, at4, at8):
 
 
 def outcome_value(outcome):
-    """What a row's child table is built from, by value."""
-    return outcome.classification, outcome.post_state, outcome.post_coefficients
+    """A row's sharing key by value: what its child table is built from, and
+    the probability its records scale by."""
+    return outcome.classification, outcome.post_state, outcome.post_coefficients, outcome.probability
 
 
 @pytest.mark.parametrize("c", [SKEWED, EQUAL, TWIN], ids=["skewed", "equal", "twin"])
@@ -480,32 +474,45 @@ def test_table_count_on_the_verify_grid():
     assert sum(len(distinct_tables(c, 4, 4)) for c in simplex_grid(10)) == 100 * (4 + 4 * 4)
 
 
+def first_amplitude(change):
+    """An outcome change that applies ``change`` to the first post-state amplitude."""
+
+    def apply(outcome):
+        first, *rest = outcome.post_state
+        return outcome._replace(post_state=WState(change(first), *rest))
+
+    return apply
+
+
+@first_amplitude
 def one_ulp_up(amp):
     return complex(math.nextafter(amp.real, math.inf), amp.imag)
 
 
+@first_amplitude
 def flip_zero_imag(amp):
     assert amp.imag == 0.0
     return complex(amp.real, -amp.imag)
 
 
+def probability_one_ulp_up(outcome):
+    return outcome._replace(probability=math.nextafter(outcome.probability, math.inf))
+
+
 def perturb_d2(change):
-    """A ``perturb`` for :func:`spy_rounds` that applies ``change`` to the first
-    amplitude of every D2 post-state."""
+    """A ``perturb`` for :func:`spy_rounds` that applies ``change`` to every D2
+    outcome."""
 
     def perturb(outcomes):
-        out = []
-        for o in outcomes:
-            if o.detector is DetectorLabel.D2:
-                first, *rest = o.post_state
-                o = o._replace(post_state=WState(change(first), *rest))
-            out.append(o)
-        return out
+        return [change(o) if o.detector is DetectorLabel.D2 else o for o in outcomes]
 
     return perturb
 
 
-@pytest.mark.parametrize("change", [one_ulp_up, flip_zero_imag])
+@pytest.mark.parametrize(
+    "change", [one_ulp_up, flip_zero_imag, probability_one_ulp_up],
+    ids=["one_ulp_up", "flip_zero_imag", "probability_one_ulp_up"],
+)
 def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
     seen = spy_rounds(monkeypatch, perturb_d2(change))
     root = enumerate_tree(SKEWED, 4, 4)
@@ -519,12 +526,23 @@ def test_tree_evaluates_a_perturbed_retry_state_apart(monkeypatch, change):
         # the perturbed states are inputs of their own, absent from the plain tree
         assert set(seen) - plain
         assert d2.children[0].state is not d1.children[0].state
-    else:
+    elif change is flip_zero_imag:
         # a flipped zero changes no value: D2's state shares D1's round
         assert set(seen) == plain
         assert len(seen) == dict(TREE_ROUNDS)[SKEWED]
         assert d2.state.uud.imag.hex() != d1.state.uud.imag.hex()
         assert all(a.state is b.state for a, b in zip(d1.children, d2.children))
+    else:
+        # a moved probability alone: every first-station D2 row builds its own
+        # retry table, so the chain of 4 first-station tables becomes a binary
+        # tree of 1 + 2 + 4 + 8, each opening its chain of 4 second-station
+        # tables, all on inputs of the plain tree
+        assert set(seen) == plain
+        assert len(seen) == 15 + 15 * 4
+        assert d2.children[0].state is not d1.children[0].state
+    # D2's records are its own: the masses add the perturbed tree's node weights
+    got = oracle._tree_masses(SKEWED, 4, 4)
+    assert masses_by_bits(got) == masses_by_bits(reference_masses(enumerate_tree(SKEWED, 4, 4), 4, 4))
 
 
 # -- zero signs: why a pair's rows may share a child table by value ---------------

@@ -253,6 +253,89 @@ def test_tree_masses_match_reference_tree_bit_for_bit(c, k_alice, k_charlie):
     assert masses_by_bits(got) == masses_by_bits(expected)
 
 
+# -- the build's replay rule -------------------------------------------------------
+# Scripted rounds at depths (2, 2): a round's input state is a label, and the
+# script gives its rows as ``(probability, success, post-state label)``.  An
+# "end" round has no outcomes.  Post-coefficients are always EQUAL, so a row's
+# sharing key differs from the previous row's only in class, label or mass.
+
+SCRIPT = {
+    "charlie": [(0.25, True, "end"), (0.25, True, "end"), (0.25, False, "last"), (0.25, False, "last")],
+    "other charlie": [(0.5, True, "end"), (0.5, False, "last")],
+    "last": [(0.375, True, "end"), (0.375, True, "end"), (0.125, False, "end"), (0.125, False, "end")],
+    # read by station 2 after a success row and by station 1 after a retry row
+    "either": [(0.5, True, "end"), (0.5, False, "end")],
+    "end": [],
+}
+REPLAY_ROOTS = {
+    # adjacent rows with equal class and mass but different post-states
+    "other child": [(0.25, True, "charlie"), (0.25, True, "other charlie")],
+    # adjacent rows with one post-state and one mass but different classes
+    "other class": [(0.25, True, "either"), (0.25, False, "either")],
+    # adjacent rows with one post-state and one class but different masses
+    "other mass": [(0.375, True, "charlie"), (0.125, True, "charlie")],
+    # a pair: one post-state, one class, one mass
+    "pair": [(0.25, True, "charlie"), (0.25, True, "charlie"), (0.25, False, "either"), (0.25, False, "either")],
+}
+# Rounds run under each root above: a repeated row's subtree is not run
+# again, so "pair" runs 5 rounds where running every row would take 11.
+REPLAY_ROUNDS = {"other child": 5, "other class": 5, "other mass": 5, "pair": 5}
+
+
+def scripted_round(plan, script, rounds):
+    """A round function that reads its rows from ``script`` and logs each call."""
+
+    def round_fn(state, coefficients):
+        rounds.append(state)
+        return [
+            protocol.RoundOutcome(DetectorLabel.D1, probability, post, EQUAL,
+                                  plan.success_class if success else plan.retry_class)
+            for probability, success, post in script[state]
+        ]
+
+    return round_fn
+
+
+def plain_records(script, k_alice, k_charlie, state="root", station=0, k=1, weight=1.0):
+    """``(slot, mass)`` of each success in pre-order, every row's subtree run:
+    station 1's round k sums into slot k - 1, station 2's into slot
+    k_alice + k - 1."""
+    limits = (k_alice, k_charlie)
+    records = []
+    for probability, success, post in script[state]:
+        w = weight * probability
+        if success:
+            records.append((k - 1 if station == 0 else k_alice + k - 1, w))
+            if station == 0:
+                records += plain_records(script, k_alice, k_charlie, post, 1, 1, w)
+        elif k < limits[station]:
+            records += plain_records(script, k_alice, k_charlie, post, station, k + 1, w)
+    return records
+
+
+@pytest.mark.parametrize("name", REPLAY_ROOTS)
+def test_mass_walk_replays_only_a_pair(monkeypatch, name):
+    script = {**SCRIPT, "root": REPLAY_ROOTS[name]}
+    rounds = []
+    stations = [(scripted_round(protocol._ALICE_PLAN, script, rounds), protocol._ALICE_PLAN, 2),
+                (scripted_round(protocol._CHARLIE_PLAN, script, rounds), protocol._CHARLIE_PLAN, 2)]
+    monkeypatch.setattr(oracle, "_stations", lambda k_alice, k_charlie: stations)
+    monkeypatch.setattr(oracle, "prepare_w_state", lambda c: "root")
+    expected = plain_records(script, 2, 2)
+
+    _, records = oracle._root_table(EQUAL, 2, 2)
+    assert records == expected
+    assert len(rounds) == REPLAY_ROUNDS[name]
+
+    # _tree_masses adds those records from 0.0 in pre-order
+    alice_at, charlie_at, _ = oracle._tree_masses(EQUAL, 2, 2)
+    at = [0.0] * 4
+    for slot, mass in expected:
+        at[slot] += mass
+    assert alice_at == {1: at[0], 2: at[1]}
+    assert charlie_at == {1: at[2] / (at[0] + at[1]), 2: at[3] / (at[0] + at[1])}
+
+
 # -- exact masses ------------------------------------------------------------------
 # Relative error bounds C * 2^n * eps against ``exact_masses``, to first order
 # in u = eps / 2, n being the rounds on a mass's path.  Inputs are exact: the

@@ -42,12 +42,12 @@ def p2_round(k: int, c: WCoefficients) -> float:
 
 def p1_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
     """Cumulative first-station success probability over ``k_max`` rounds."""
-    return _left_sum(_p1_rounds(c, _round_limit(k_max, c)))
+    return _left_sum(_p1_rounds(c, _round_count(k_max, c, "k_max")))
 
 
 def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
     """Cumulative second-station success probability over ``k_max`` rounds."""
-    return _left_sum(_p2_rounds(c, _round_limit(k_max, c)))
+    return _left_sum(_p2_rounds(c, _round_count(k_max, c, "k_max")))
 
 
 def _round_count(k: int, c: WCoefficients, name: str = "round index") -> int:
@@ -58,12 +58,6 @@ def _round_count(k: int, c: WCoefficients, name: str = "round index") -> int:
     if k < 1 or k > MAX_ROUNDS:
         raise DomainError(f"{name} {_shown(k)} outside 1..{MAX_ROUNDS}")
     return k
-
-
-def _round_limit(k_max: int, c: WCoefficients) -> int:
-    if _is_count(k_max) and k_max < 1:
-        raise DomainError("k_max must be at least 1")
-    return _round_count(k_max, c, "k_max")
 
 
 def _p1_rounds(c: WCoefficients, k_max: int) -> list[float]:
@@ -243,21 +237,16 @@ class SweepSpec(_SweepSpecFields):
             raise DomainError(f"alpha2 {_shown(self.alpha2)} outside (0, 1)")
         if not 0.0 < lo <= hi:  # NaN fails too
             raise DomainError(f"invalid alpha1 range {self.alpha1_range}")
-        # WCoefficients's norm test where a1 and a2 fill the norm (a3 = 0), on
-        # hi and on the largest point, the last, which can round one ulp past hi
-        # (on lo where n_points is below 1, and on hi where no float holds the
-        # count, both of which the next checks refuse).
-        last = max(self.n_points, 1) - 1
-        try:
-            top = max(hi, lo + last * (hi - lo) / last if last else lo)
-        except OverflowError:
-            top = hi
-        if top * top + self.alpha2 * self.alpha2 - 1.0 > _NORM_TOLERANCE:
-            raise DomainError("alpha1 range exceeds normalization with this alpha2")
         if self.n_points < 1:
             raise DomainError("n_points must be at least 1")
         if self.n_points > MAX_POINTS:
             raise DomainError(f"n_points must be at most {MAX_POINTS}")
+        # WCoefficients's norm test where a1 and a2 fill the norm (a3 = 0), on
+        # hi and on the largest point, the last, which can round one ulp past hi.
+        last = self.n_points - 1
+        top = max(hi, lo + last * (hi - lo) / last if last else lo)
+        if top * top + self.alpha2 * self.alpha2 - 1.0 > _NORM_TOLERANCE:
+            raise DomainError("alpha1 range exceeds normalization with this alpha2")
         return self
 
 

@@ -77,9 +77,22 @@ class BranchNode:
 _Table = list[tuple[float, bool, "_Table | None", RoundOutcome]]
 
 
+def _check_depths(k_alice: int, k_charlie: int) -> None:
+    """Refuse depths that are not ints in 1..MAX_TREE_ROUNDS, k_charlie from 0 (:class:`DomainError`)."""
+    if not (_is_count(k_alice) and _is_count(k_charlie)):
+        raise DomainError(f"tree depths must be ints, not {type(k_alice).__name__} and {type(k_charlie).__name__}")
+    if k_alice < 1:
+        raise DomainError("k_alice must be at least 1")
+    if k_charlie < 0:
+        raise DomainError("k_charlie must be nonnegative")
+    if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
+        raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
+
+
 def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> tuple[_Table, list[tuple[int, float]]]:
     """The round tables of the tree to the given depths, from its root's, and a
-    ``(slot, mass)`` record per success node in pre-order.
+    ``(slot, mass)`` record per success node in pre-order.  The depths are
+    checked by the public callers on entry (:func:`_check_depths`).
 
     Stations and success classes are a run's (``protocol._stations``).  A
     node's mass is its parent's times its row's probability; station 1's round
@@ -92,14 +105,6 @@ def _root_table(c: WCoefficients, k_alice: int, k_charlie: int) -> tuple[_Table,
     Tables are built depth first in detector order, so rounds run, and raise,
     in the pre-order of their table's first node.
     """
-    if not (_is_count(k_alice) and _is_count(k_charlie)):
-        raise DomainError(f"tree depths must be ints, not {type(k_alice).__name__} and {type(k_charlie).__name__}")
-    if k_alice < 1:
-        raise DomainError("k_alice must be at least 1")
-    if k_charlie < 0:
-        raise DomainError("k_charlie must be nonnegative")
-    if max(k_alice, k_charlie) > MAX_TREE_ROUNDS:
-        raise DomainError(f"tree depths must be at most {MAX_TREE_ROUNDS} rounds per station")
     stations = _stations(k_alice, k_charlie)
     records: list[tuple[int, float]] = []
 
@@ -154,13 +159,14 @@ def enumerate_tree(c: WCoefficients, k_alice: int, k_charlie: int) -> BranchNode
     """Exhaustively enumerate the protocol tree to the given depths.
 
     Every detector gets its own child (no merging); each depth must be at
-    most :data:`MAX_TREE_ROUNDS` (:class:`DomainError` otherwise), and
-    ``k_charlie`` may be 0 for a first-station-only tree, whose successes end
-    as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The nodes grow
-    from :func:`_root_table`'s round tables, whose success records they do not
-    read, so the subtrees under a detector pair's two nodes share immutable
-    ``WState`` and ``WCoefficients`` objects.
+    most :data:`MAX_TREE_ROUNDS`, checked on entry (:class:`DomainError`
+    otherwise), and ``k_charlie`` may be 0 for a first-station-only tree, whose
+    successes end as ALICE_SUCCESS leaves.  Rounds run on the ideal gate.  The
+    nodes grow from :func:`_root_table`'s round tables, whose success records
+    they do not read, so the subtrees under a detector pair's two nodes share
+    immutable ``WState`` and ``WCoefficients`` objects.
     """
+    _check_depths(k_alice, k_charlie)
     table, _ = _root_table(c, k_alice, k_charlie)
     root = BranchNode(path=(), amplitude_weight=1.0, state=prepare_w_state(c), coefficients=c, depth=0)
     _grow(root, table)
@@ -201,8 +207,8 @@ def simplex_grid(n: int) -> list[WCoefficients]:
     """n x n grid of strictly interior coefficient triples.
 
     The grid is the image of a uniform (u, v) lattice under
-    ``(a1^2, a2^2, a3^2) = (u, (1-u) v, (1-u)(1-v))``; for n = 1 it
-    degenerates to the symmetric triple.
+    ``(a1^2, a2^2, a3^2) = (u, (1-u) v, (1-u)(1-v))``; n = 1 gives the
+    symmetric triple by rule, not the lattice's point (1/2, 1/4, 1/4).
     """
     if not _is_count(n):
         raise DomainError(f"grid size must be an int, not {type(n).__name__}")
@@ -269,8 +275,8 @@ def compare_all(
     cavity is evaluated once per call, not per grid point.  Both sides of a
     lossy row scale by the same signal fraction, so those rows do not check the
     loss model itself.  A comparison passes when its absolute error is at most
-    ``tolerance``, which must be finite and nonnegative (:class:`DomainError`
-    otherwise).
+    ``tolerance``, which must be finite and nonnegative.  The depths are
+    checked on entry, for an empty grid too (:class:`DomainError` for either).
     """
     if not (isinstance(depths, tuple) and len(depths) == 2 and all(map(_is_count, depths))):
         raise DomainError("depths must be a tuple of two ints")
@@ -279,6 +285,7 @@ def compare_all(
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance {tolerance} must be finite and nonnegative")
     k_alice, k_charlie = depths
+    _check_depths(k_alice, k_charlie)
     reports: list[ComparisonReport] = []
 
     def report(*row) -> None:  # quantity, point, analytic, simulated

@@ -32,6 +32,7 @@ from .cavity import (
     scatter_coefficients,
 )
 from .errors import (
+    _FLOAT_MAX,
     _REAL_TYPES,
     ConfigError,
     DegenerateCoefficientsError,
@@ -120,10 +121,9 @@ class WCoefficients(_WCoefficientsFields):
         if not (type(a1) is float and type(a2) is float and type(a3) is float):
             if (unreal := _unreal((a1, a2, a3))) is not None:
                 raise InvalidCoefficientsError(f"coefficients must be real numbers, not {unreal}")
-            try:
-                a1, a2, a3 = float(a1), float(a2), float(a3)
-            except OverflowError:
-                raise InvalidCoefficientsError("coefficients must be finite") from None
+            if not (abs(a1) <= _FLOAT_MAX and abs(a2) <= _FLOAT_MAX and abs(a3) <= _FLOAT_MAX):
+                raise InvalidCoefficientsError("coefficients must be finite")
+            a1, a2, a3 = float(a1), float(a2), float(a3)
         sum_sq = a1 * a1 + a2 * a2 + a3 * a3
         if not _NORMAL_MIN <= sum_sq < math.inf:
             m = max(abs(a1), abs(a2), abs(a3))

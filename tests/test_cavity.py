@@ -468,3 +468,32 @@ def test_lossy_apply_splits_uncoupled_ket():
     out = ops.apply(StateVector({uncoupled_ket: 1.0}), 0)
     assert out.amplitude(uncoupled_ket) == pytest.approx(sc.t0)
     assert out.amplitude(ket(L, UP_Z, u)) == pytest.approx(sc.r0)
+
+
+# -- refusals of the general-state operations ---------------------------------
+
+# The reference route runs these operations on general states; each refusal is
+# reached by one public call, and moving the operations must keep it.
+SPINS_ONLY = StateVector({BasisKet.from_spins("duu"): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: hwp45(SPINS_ONLY), ShapeMismatchError, "state carries no photon"),
+        (lambda: detect(SPINS_ONLY, Station.ALICE), ShapeMismatchError, "state carries no photon"),
+        (lambda: LossyOperators(IDEAL_LIMIT).apply(SPINS_ONLY, 0), ShapeMismatchError, "ket carries no photon"),
+        (lambda: LossyOperators(IDEAL_LIMIT).apply(StateVector({ket(H, DOWN_Z, u): 1.0}), 0),
+         LinearBasisPhotonError, "gate acts on circular polarizations only"),
+        (lambda: SPINS_ONLY.inner_product(StateVector({ket(R, DOWN_Z, u): 1.0})), ShapeMismatchError,
+         "inner product between different basis shapes"),
+        (lambda: SPINS_ONLY.tensor_with_photon(SPINS_ONLY), ShapeMismatchError,
+         "photon factor must be a pure photon state"),
+    ],
+    ids=["hwp45-photonless", "detect-photonless", "lossy-photonless", "lossy-linear", "inner-product-shapes",
+         "tensor-spin-factor"],
+)
+def test_general_state_operations_refuse_the_wrong_shape(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -824,6 +824,13 @@ def test_every_construction_path_refuses_wrong_types_with_the_named_error(drawn)
         (lambda: p1_round(-(10**5000), SKEWED), DomainError, "round index -<int of 16610 bits> outside 1..64"),
         (lambda: p2_total(SKEWED, 65), DomainError, "k_max 65 outside 1..64"),
         (lambda: p2_total(SKEWED, 10**5000), DomainError, "k_max <int of 16610 bits> outside 1..64"),
+        # each count is checked once, on entry, after the types and before any arithmetic
+        (lambda: p1_total((1.0, 1.0, 1.0), 0), InvalidCoefficientsError, "c must be a WCoefficients, not tuple"),
+        (lambda: compare_all([], (0, -5)), DomainError, "k_alice must be at least 1"),
+        (lambda: compare_all([], (1, 9)), DomainError, "tree depths must be at most 8 rounds per station"),
+        (lambda: SweepSpec(n_points=0, alpha1_range=(0.9, 0.99)), DomainError, "n_points must be at least 1"),
+        (lambda: SweepSpec(n_points=10**400, alpha1_range=(0.9, 0.99)), DomainError,
+         "n_points must be at most 100000"),
     ],
 )
 def test_range_messages_show_the_value_by_repr_and_huge_ints_by_their_bit_length(build, error, message):

@@ -2,8 +2,8 @@
 needs numpy; :func:`ecpsim.protocol.run_protocol` imports it in ``mc`` mode
 only, so every other command starts without numpy.
 
-The sampler neither searches nor sorts arrays.  A stage's outcome is a sum of
-comparisons against its cumulative probabilities (:func:`_choose`).  Each
+The sampler neither searches nor sorts arrays.  A stage's outcome is how many
+of its integer thresholds a raw Philox word reaches (:func:`_choose`).  Each
 live shot carries the dense id of its path prefix, and each id has a row of
 detector numbers by stage column, 0 past the prefix's last stage.  The
 (prefix, outcome) pairs of a stage are ranked with ``np.bincount``, which
@@ -12,8 +12,8 @@ prefix's row with the outcome's detector number in the stage's column.  A
 pair whose path ends there is a finished row; only distinct paths are ever
 held as rows.
 
-Shot i consumes row i of the seed's Philox block, so any contiguous range of
-rows can be drawn and walked on its own.  Each chunk of up to ``_CHUNK`` shots
+Shot i consumes row i of the seed's block of Philox words, so any contiguous
+rows can be drawn and walked on their own.  Each chunk of up to ``_CHUNK`` shots
 is split into one part per usable CPU, each at least ``_MIN_PART`` rows, so a
 full chunk into at most two: the calling thread walks the first and a
 ``threading.Thread`` each other, and the
@@ -42,30 +42,33 @@ _MIN_PART = 1 << 15
 def _stage_tables(
     stages: list[list[RoundOutcome]], success_class: OutcomeClass
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Per stage, outcomes ordered by label: cumulative probabilities, success
-    flags and detector numbers.  Stages may differ in length, because a
-    detector whose amplitudes all fall below tolerance yields no outcome."""
-    cum = [np.cumsum([o.probability for o in st]) for st in stages]
+    """Per stage, outcomes ordered by label: word thresholds, success flags and
+    detector numbers.  A cumulative probability c before the last gives the
+    uint64 threshold ⌈c·2⁵³⌉·2¹¹, reached by a word w exactly where its uniform
+    (w >> 11)·2⁻⁵³ reaches c; one of 2⁶⁴ or more, which no word reaches, is
+    dropped.  Stages differ in length where a detector falls below tolerance."""
+    scaled = [np.ceil(np.cumsum([o.probability for o in st])[:-1] * 2.0**53) for st in stages]
+    thresholds = [(t[t < 2.0**53] * 2.0**11).astype(np.uint64) for t in scaled]
     success = [np.array([o.classification is success_class for o in st]) for st in stages]
     codes = [np.array([_code(o.detector) for o in st], dtype=np.int8) for st in stages]
-    return cum, success, codes
+    return thresholds, success, codes
 
 
-def _choose(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """The outcome index of each uniform in ``u``: how many of the cumulative
-    probabilities before the last are at most it.  For a nondecreasing ``cum``
-    this is the right-side binary-search position of ``u`` in ``cum``, capped
-    at the last index: a uniform equal to a threshold takes the next outcome,
-    and one at or past ``cum[-1]``, which rounding can leave below 1, takes
-    the last outcome."""
-    choice = np.zeros(u.shape, dtype=np.int8)
-    for threshold in cum[:-1].tolist():
-        choice += (u >= threshold).view(np.int8)
+def _choose(words: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The outcome index of each word: how many of the stage's thresholds it
+    reaches.  This is the right-side binary-search position of the word's
+    uniform in the cumulative probabilities, capped at the last index: a
+    uniform equal to one takes the next outcome, and one at or past the last,
+    which rounding can leave below 1, takes the last outcome.  Both arrays are
+    uint64, so the words are compared as integers and never rounded."""
+    choice = np.zeros(words.shape, dtype=np.int8)
+    for threshold in thresholds:
+        choice += (words >= threshold).view(np.int8)
     return choice
 
 
-def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
-    """Walk the shots of one chunk, row i of ``u`` for shot i, through the
+def _walk_chunk(words: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
+    """Walk the shots of one chunk, row i of ``words`` for shot i, through the
     stage tables of every station, each up to its first stage no shot reaches;
     a station's successes are the next one's input.  Returns each distinct
     finished path as the bytes of its row of detector numbers by column, 0
@@ -77,22 +80,22 @@ def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
     ended, ended_counts = [], []
     # The shots at a stage, the dense id of each one's path prefix, and the
     # row of each id (one all-zero row for the empty prefix).
-    shots = np.arange(u.shape[0])
+    shots = np.arange(words.shape[0])
     prefix = np.zeros(shots.size, dtype=np.intp)
-    prefix_rows = np.zeros((1, u.shape[1]), dtype=np.int8)
+    prefix_rows = np.zeros((1, words.shape[1]), dtype=np.int8)
     col = 0
-    for station, (cum, success, codes) in enumerate(tables):
+    for station, (thresholds, success, codes) in enumerate(tables):
         last_station = station == len(tables) - 1
         passed, passed_prefix, passed_rows = [], [], []
         n_passed = 0
-        for k in range(len(cum)):
+        for k in range(len(codes)):
             if shots.size == 0:
                 break
             # A (prefix, outcome) pair's key holds the outcome in its low bits;
             # the pairs some shot took become this stage's rows.
-            bits = (cum[k].size - 1).bit_length()
+            bits = (codes[k].size - 1).bit_length()
             low = (1 << bits) - 1
-            key = (prefix << bits) | _choose(u[shots, col + k], cum[k])
+            key = (prefix << bits) | _choose(words[shots, col + k], thresholds[k])
             hits = np.bincount(key, minlength=len(prefix_rows) << bits)
             pairs = np.flatnonzero(hits > 0)
             won = success[k].take(pairs & low)
@@ -108,7 +111,7 @@ def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
                 ended_counts.append(hits.take(pairs[n_lost:]))
             else:
                 passed_rows.append(rows[n_lost:])
-            if k == len(cum) - 1:
+            if k == len(codes) - 1:
                 ended.append(rows[:n_lost])
                 ended_counts.append(hits.take(pairs[:n_lost]))
             shot_rank = rank.take(key)
@@ -120,7 +123,7 @@ def _walk_chunk(u: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
                 n_passed += pairs.size - n_lost
             stay = np.flatnonzero(~shot_won)
             shots, prefix, prefix_rows = shots.take(stay), shot_rank.take(stay), rows[:n_lost]
-        col += len(cum)
+        col += len(codes)
         if last_station:
             break
         shots = np.concatenate(passed)
@@ -140,15 +143,15 @@ def _usable_cpus() -> int:
 
 
 def _rows(seed: int, start: int, stop: int, n_stages: int) -> np.ndarray:
-    """Rows ``start`` to ``stop - 1`` of the seed's ``(shots, n_stages)`` Philox
-    block, from a generator of their own.  Philox gives 4 words per counter step
-    and a uniform takes one word, so the generator moves ``start * n_stages // 4``
-    steps and then discards the remaining words."""
+    """Rows ``start`` to ``stop - 1`` of the seed's ``(shots, n_stages)`` block
+    of raw Philox words, from a Philox of their own.  Philox gives 4 words per
+    counter step, so the counter is advanced ``start * n_stages // 4`` steps to
+    the first row's block and the words before the first row's are discarded."""
     bit_generator = np.random.Philox(key=seed)
     words = start * n_stages
     bit_generator.advance(words // 4)
     bit_generator.random_raw(words % 4)
-    return np.random.Generator(bit_generator).random((stop - start, n_stages))
+    return bit_generator.random_raw((stop - start) * n_stages).reshape(stop - start, n_stages)
 
 
 def _walk_parts(seed: int, bounds: list[int], n_stages: int, tables: list) -> list[tuple[list[bytes], list[int]]]:
@@ -181,7 +184,7 @@ def _sample_branches(
 ) -> tuple[list[BranchRecord], dict[str, int], float]:
     """Vectorized Monte Carlo walk over the stage chains.
 
-    Each shot owns one row of a counter-based uniform block, so results are
+    Each shot owns one row of a counter-based block of words, so results are
     reproducible for a given (seed, shot index) regardless of chunking: each
     chunk of up to ``_CHUNK`` shots is split into ``max(1, min(usable CPUs,
     rows // _MIN_PART))`` contiguous parts, and each part draws its rows and is

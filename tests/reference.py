@@ -9,9 +9,11 @@ step, each building its own general state with the ``DEFAULT_TOLERANCE`` drop.
 bit.  ``reference_tree`` builds the tree of ``enumerate_tree`` with a round
 at every internal node and nothing reused, and ``reference_masses`` sums the
 success masses of ``compare_all`` over its nodes.  ``exact_masses`` gives the same
-masses of the ideal tree as exact fractions.  ``reference_sample_branches``
-is the Monte Carlo sampler that ``ecpsim.sampling`` replaced: active index
-sets, ``np.searchsorted`` and packed-key path counting with ``np.unique``.
+masses of the ideal tree as exact fractions.  ``philox_words`` is
+Philox4x64-10 in plain Python, the raw word stream of ``np.random.Philox``.
+``reference_sample_branches`` is the Monte Carlo sampler that
+``ecpsim.sampling`` replaced: active index sets, ``np.searchsorted`` on float
+uniforms and packed-key path counting with ``np.unique``.
 ``reference_round_one`` and ``reference_sweep`` are the round-1 closed forms
 and the sweep loop that ``ecpsim.analytics`` folded into one kernel over the
 whole curve: one call per point, ``max`` and ``min`` for the larger of each
@@ -324,6 +326,27 @@ def exact_masses(c: WCoefficients, k_alice: int, k_charlie: int):
     return dict(enumerate(alice, 1)), dict(enumerate(charlie, 1)), min(smallest, charlie_smallest)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def philox_words(key, start, n):
+    """Words ``start`` to ``start + n - 1`` of ``np.random.Philox(key=key)``'s
+    raw stream, by Philox4x64-10 (Salmon et al., SC'11) with no numpy.  numpy
+    adds one to the 256-bit counter before each block of 4 words, so word i
+    comes from the block at counter i // 4 + 1; the 128-bit key is its low and
+    high 64-bit words."""
+    words = []
+    for counter in range(start // 4 + 1, (start + n + 3) // 4 + 1):
+        c = [(counter >> shift) & _MASK64 for shift in (0, 64, 128, 192)]
+        k0, k1 = key & _MASK64, key >> 64
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+            c = [(p1 >> 64) ^ c[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & _MASK64]
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+        words += c
+    return words[start % 4 : start % 4 + n]
+
+
 # Paths are counted on int64 keys holding 4 bits per stage (detector number,
 # or 0 where the shot had already stopped), first stage most significant, so
 # key order is the lexicographic order of the paths.  Stages are folded in
@@ -355,7 +378,12 @@ def reference_sample_branches(config, chains):
     choice and prefix-node counting: per stage, the still-active shots look
     their uniform up in the cumulative table with ``np.searchsorted``, every
     shot's detector numbers go into an int8 matrix, and each chunk of 2^16
-    shots has its distinct rows counted by packed keys."""
+    shots has its distinct rows counted by packed keys.
+
+    It draws its uniforms with ``np.random.Generator(Philox).random`` and
+    compares floats on purpose: the sampler compares raw words with integer
+    thresholds, so this is the independent side that numpy's own conversion
+    of a word to a float checks it against."""
     import numpy as np
 
     chunk = 1 << 16  # a prefix rank must fit in the key's top 16 bits

@@ -1,5 +1,6 @@
 """The Monte Carlo sampler against the searchsorted and packed-key sampler it
-replaced, its comparison rule for choosing a stage's outcome, its parts of a
+replaced, its rows against a Philox with no numpy, its integer comparison rule
+for choosing a stage's outcome against numpy's float route, its parts of a
 chunk on threads against one part, and its branch counts against the exact
 tree's probabilities."""
 
@@ -13,10 +14,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from reference import reference_sample_branches
+from reference import philox_words, reference_sample_branches
 
 import ecpsim.sampling as sampling
-from ecpsim import InvalidCoefficientsError, ProtocolConfig, WCoefficients, run_protocol
+from ecpsim import (
+    DetectorLabel,
+    InvalidCoefficientsError,
+    OutcomeClass,
+    ProtocolConfig,
+    RoundOutcome,
+    WCoefficients,
+    run_protocol,
+)
 from ecpsim.protocol import _stage_chains
 
 # Tiny coefficients send whole detectors below the 1e-12 drop within a few
@@ -82,9 +91,9 @@ def assert_one_path(row, tables):
     zeros; its last detector there is a success, or a retry at the station's
     last stage, which ends the path and leaves later stations' columns zero."""
     col, live = 0, True
-    for cum, success, codes in tables:
-        block = row[col:col + len(cum)]
-        col += len(cum)
+    for _, success, codes in tables:
+        block = row[col:col + len(codes)]
+        col += len(codes)
         stop = next((k for k, code in enumerate(block) if code == 0), len(block))
         assert not any(block[stop:]), row
         if not live:
@@ -110,8 +119,9 @@ def assert_one_path(row, tables):
 def test_walk_chunk_gives_each_finished_path_once(alpha, rounds, shots, seed):
     chains = _stage_chains(WCoefficients.normalized(*alpha), *rounds, None)
     tables = [sampling._stage_tables(stages, plan.success_class) for plan, stages in chains]
-    u = np.random.Generator(np.random.Philox(key=seed)).random((shots, sum(len(s) for _, s in chains)))
-    rows, counts = sampling._walk_chunk(u, tables)
+    n_stages = sum(len(s) for _, s in chains)
+    words = np.random.Philox(key=seed).random_raw(shots * n_stages).reshape(shots, n_stages)
+    rows, counts = sampling._walk_chunk(words, tables)
     assert len({tuple(row) for row in rows}) == len(rows) == len(counts)
     assert sum(counts) == shots
     assert min(counts) >= 1
@@ -122,14 +132,33 @@ def test_walk_chunk_gives_each_finished_path_once(alpha, rounds, shots, seed):
 # -- parts of a chunk -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("key", [0, 3, 2**127 + 5, 2**128 - 1])
+def test_philox_words_match_numpys_raw_stream(key):
+    # Every start % 4, and three blocks across the carry out of the counter's
+    # low 64-bit word.
+    assert philox_words(key, 0, 48) == np.random.Philox(key=key).random_raw(48).tolist()
+    for start in range(9):
+        assert philox_words(key, start, 11) == np.random.Philox(key=key).random_raw(start + 11)[start:].tolist()
+    for skip in range(4):
+        bit_generator = np.random.Philox(key=key)
+        bit_generator.advance(2**64 - 2)
+        bit_generator.random_raw(skip)
+        assert philox_words(key, 4 * (2**64 - 2) + skip, 12) == bit_generator.random_raw(12).tolist(), skip
+
+
 @pytest.mark.parametrize("n_stages", range(1, 14))
 def test_rows_drawn_from_any_start_are_a_slice_of_one_draw(n_stages):
     # 4 words per Philox counter step: start * n_stages % 4 takes every value.
     seed = 2**128 - 1
-    block = np.random.Generator(np.random.Philox(key=seed)).random((70, n_stages))
+    block = np.array(philox_words(seed, 0, 70 * n_stages), dtype=np.uint64).reshape(70, n_stages)
     for start in range(65):
         rows = sampling._rows(seed, start, start + 6, n_stages)
         assert rows.tobytes() == block[start:start + 6].tobytes(), start
+    # Six rows whose words cross the carry out of the counter's low 64-bit word.
+    start = (2**66 - 8) // n_stages
+    rows = sampling._rows(seed, start, start + 6, n_stages)
+    across = np.array(philox_words(seed, start * n_stages, 6 * n_stages), dtype=np.uint64).reshape(6, n_stages)
+    assert rows.tobytes() == across.tobytes()
 
 
 def chains_of(n_stages, alpha=(0.8, 0.36, 0.48)):
@@ -234,9 +263,9 @@ def test_each_part_runs_on_its_own_thread_and_every_thread_is_joined():
     walkers = []
     walk_chunk = sampling._walk_chunk
 
-    def recording_walk(u, tables):
-        walkers.append((u.shape[0], threading.current_thread()))
-        return walk_chunk(u, tables)
+    def recording_walk(words, tables):
+        walkers.append((words.shape[0], threading.current_thread()))
+        return walk_chunk(words, tables)
 
     config = ProtocolConfig(mode="mc", n_shots=7, rng_seed=1)
     before = threading.active_count()
@@ -253,10 +282,10 @@ def test_a_parts_exception_reaches_the_caller_unchanged():
     error = RuntimeError("part 2 failed")
     walk_chunk = sampling._walk_chunk
 
-    def failing_walk(u, tables):
-        if u.shape[0] == 3:  # part 2 of the parts 0..1, 2..3 and 4..6
+    def failing_walk(words, tables):
+        if words.shape[0] == 3:  # part 2 of the parts 0..1, 2..3 and 4..6
             raise error
-        return walk_chunk(u, tables)
+        return walk_chunk(words, tables)
 
     config = ProtocolConfig(mode="mc", n_shots=7, rng_seed=1)
     before = threading.active_count()
@@ -267,44 +296,78 @@ def test_a_parts_exception_reaches_the_caller_unchanged():
     assert threading.active_count() == before
 
 
-def searchsorted_choice(cum, u):
-    return np.clip(np.searchsorted(cum, u, side="right"), 0, cum.size - 1)
+def thresholds_of(probabilities):
+    """The thresholds that ``_stage_tables`` builds for one stage with these
+    outcome probabilities."""
+    stage = [RoundOutcome(DetectorLabel.D1, p, None, None, OutcomeClass.ALICE_RETRY) for p in probabilities]
+    (thresholds,), _, _ = sampling._stage_tables([stage], OutcomeClass.ALICE_SUCCESS)
+    assert thresholds.dtype == np.uint64
+    return thresholds
+
+
+def choose(words, probabilities):
+    return sampling._choose(np.array(words, dtype=np.uint64), thresholds_of(probabilities)).tolist()
+
+
+def float_choice(words, probabilities):
+    """numpy's float route: each word's uniform (w >> 11)·2⁻⁵³, as
+    ``Generator.random`` makes it, looked up in the cumulative probabilities by
+    ``np.searchsorted`` and capped at the last outcome."""
+    cum = np.cumsum(probabilities)
+    u = np.array([(w >> 11) * 2.0**-53 for w in words])
+    return np.clip(np.searchsorted(cum, u, side="right"), 0, cum.size - 1).tolist()
 
 
 def test_choice_at_a_threshold_takes_the_next_outcome():
-    cum = np.array([0.25, 0.5, 0.75, 1.0])
-    u = np.array([0.0, np.nextafter(0.25, 0.0), 0.25, 0.5, np.nextafter(0.75, 0.0), 0.75])
-    assert sampling._choose(u, cum).tolist() == [0, 0, 1, 2, 2, 3]
-    assert sampling._choose(u, cum).tolist() == searchsorted_choice(cum, u).tolist()
+    quarters = [0.25] * 4
+    t = thresholds_of(quarters).tolist()
+    assert t == [2**62, 2**63, 3 * 2**62]
+    words = [0, t[0] - 1, t[0], t[1], t[2] - 1, t[2]]
+    assert choose(words, quarters) == [0, 0, 1, 2, 2, 3]
+    assert choose(words, quarters) == float_choice(words, quarters)
 
 
 def test_choice_past_a_last_cumulative_short_of_one_takes_the_last_outcome():
-    cum = np.cumsum([0.1] * 10)
-    assert cum[-1] < 1.0  # rounding leaves the sum short of 1
-    u = np.array([cum[-1], np.nextafter(cum[-1], 1.0), np.nextafter(1.0, 0.0)])
-    assert sampling._choose(u, cum).tolist() == [9, 9, 9]
-    assert searchsorted_choice(cum, u).tolist() == [9, 9, 9]
+    tenths = [0.1] * 10
+    assert np.cumsum(tenths)[-1] < 1.0  # rounding leaves the sum short of 1
+    last = math.ceil(np.cumsum(tenths)[-1] * 2**53) * 2**11
+    words = [last - 1, last, 2**64 - 1]
+    assert len(thresholds_of(tenths)) == 9
+    assert choose(words, tenths) == [9, 9, 9]
+    assert float_choice(words, tenths) == [9, 9, 9]
 
 
 def test_choice_on_a_ragged_stage():
-    cum = np.array([0.3, 1.0])
-    u = np.array([0.0, np.nextafter(0.3, 0.0), 0.3, 0.999])
-    assert sampling._choose(u, cum).tolist() == [0, 0, 1, 1]
-    assert sampling._choose(u, np.array([1.0])).tolist() == [0, 0, 0, 0]
+    t = thresholds_of([0.3, 0.7]).tolist()
+    words = [0, t[0] - 1, t[0], 2**64 - 1]
+    assert choose(words, [0.3, 0.7]) == [0, 0, 1, 1]
+    assert choose(words, [1.0]) == [0, 0, 0, 0]
+    # A cumulative of 1.0 before the last gives no threshold: no word reaches it.
+    assert thresholds_of([0.5, 0.5, 0.0]).tolist() == [2**63]
+    assert choose(words, [0.5, 0.5, 0.0]) == float_choice(words, [0.5, 0.5, 0.0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    probabilities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-    picks=st.lists(st.integers(0, 3), max_size=8),
-    uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8),
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    normalize=st.booleans(),
+    words=st.lists(st.integers(0, 2**64 - 1), max_size=8),
 )
-def test_choice_equals_clipped_searchsorted(probabilities, picks, uniforms):
-    cum = np.cumsum(probabilities)
-    # Uniforms exactly at, and just below, each cumulative threshold.
-    at = [cum[i % cum.size] for i in picks]
-    u = np.array(uniforms + at + [np.nextafter(x, 0.0) for x in at])
-    assert sampling._choose(u, cum).tolist() == searchsorted_choice(cum, u).tolist()
+@example(weights=[1.0], normalize=False, words=[])
+@example(weights=[0.25] * 4, normalize=False, words=[])  # sums to exactly 1.0
+@example(weights=[0.1] * 10, normalize=False, words=[])  # sums short of 1
+@example(weights=[0.0, 0.3, 0.0, 0.7], normalize=False, words=[])
+@example(weights=[1.0, 0.0, 0.0], normalize=False, words=[])
+def test_choice_equals_clipped_searchsorted(weights, normalize, words):
+    total = math.fsum(weights)
+    if normalize and total > 0.0:
+        weights = [w / total for w in weights]
+    # Words at each threshold T, at T - 1 (the uniform below) and at T + 2047
+    # (the last word of T's uniform), and at both ends of the word range.
+    edges = [0, 2**64 - 1]
+    for t in thresholds_of(weights).tolist():
+        edges += [t, t - 1, t + 2047] if t else [t, t + 2047]
+    assert choose(words + edges, weights) == float_choice(words + edges, weights)
 
 
 # -- branches against the tree ---------------------------------------------------------

@@ -2,24 +2,25 @@
 needs numpy; :func:`ecpsim.protocol.run_protocol` imports it in ``mc`` mode
 only, so every other command starts without numpy.
 
-The sampler neither searches nor sorts arrays.  A stage's outcome is how many
-of its integer thresholds a raw Philox word reaches (:func:`_choose`).  Each
-live shot carries the dense id of its path prefix, and each id has a row of
-detector numbers by stage column, 0 past the prefix's last stage.  The
-(prefix, outcome) pairs of a stage are ranked with ``np.bincount``, which
-also counts the shots on each pair, and each pair some shot took gets its
-prefix's row with the outcome's detector number in the stage's column.  A
-pair whose path ends there is a finished row; only distinct paths are ever
-held as rows.
+A stage's outcome is how many of its integer thresholds a raw Philox word
+reaches (:func:`_choose`).  Each live shot carries the dense id of its path
+prefix, and each id has a row of detector numbers by stage column, 0 past the
+prefix's last stage.  The (prefix, outcome) pairs of a stage are ranked with
+``np.bincount``, which also counts the shots on each pair, and each pair some
+shot took gets its prefix's row with the outcome's detector number in the
+stage's column.  A pair whose path ends there is a finished row; a walk holds
+only distinct paths as rows.
 
 Shot i consumes row i of the seed's block of Philox words, so any contiguous
-rows can be drawn and walked on their own.  Each chunk of up to ``_CHUNK`` shots
-is split into one part per usable CPU, each at least ``_MIN_PART`` rows, so a
-full chunk into at most two: the calling thread walks the first and a
-``threading.Thread`` each other, and the
-parts' path counts are added up.  numpy drops the GIL in the draw and in most
-of the walk's array operations, so the parts run side by side; the sums do not
-depend on the order, so the output is the same for any number of parts.
+rows can be drawn and walked on their own.  A chunk holds at most
+``_CHUNK_WORDS`` words, and at most ``_CHUNK`` rows, and is split into one part
+per usable CPU, each at least ``_MIN_PART`` rows, so a full chunk into at most
+two at 128 stages and at most four at 64 or fewer: the calling thread walks the
+first and a ``threading.Thread`` each other.  numpy drops the GIL in the draw
+and in most of the walk's array operations, so the parts run side by side.
+Every part's finished rows are sorted and merged once, after the last chunk,
+and equal rows' counts are added up; sums do not depend on the order, so the
+output is the same for any number of parts.
 """
 
 from __future__ import annotations
@@ -31,11 +32,18 @@ import numpy as np
 
 from .protocol import BranchRecord, OutcomeClass, ProtocolConfig, RoundOutcome, _Chain, _code
 
-_CHUNK = 1 << 16
+# A chunk's bounds: at most 2^23 words, 65 536 rows of the deepest run's 128
+# stages, and at most 2^17 rows, 131 072 at 64 stages or fewer.  The words bound
+# the draw and the walk's arrays per stage; the rows bound what stays per shot,
+# such as each shot's ids.  Without the rows bound a 1e6-shot run at 4, 4 rounds
+# peaked at about three times the memory.
+_CHUNK_WORDS = 1 << 23
+_CHUNK = 1 << 17
 # The fewest rows a part of a chunk is walked in, so a full chunk is cut into
-# at most two parts.  Two 32 768-row parts on two CPUs were measured faster
-# than one part; 16 384-row parts on two threads were slower than one thread,
-# and splits into more parts were not measured.
+# at most two parts at 128 stages and four at 64 or fewer.  Two 32 768-row parts
+# on two CPUs were measured faster than one part; 16 384-row parts on two
+# threads were slower than one thread, and splits into more parts were not
+# measured.
 _MIN_PART = 1 << 15
 
 
@@ -67,12 +75,12 @@ def _choose(words: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return choice
 
 
-def _walk_chunk(words: np.ndarray, tables: list) -> tuple[list[bytes], list[int]]:
+def _walk_chunk(words: np.ndarray, tables: list) -> tuple[np.ndarray, np.ndarray]:
     """Walk the shots of one chunk, row i of ``words`` for shot i, through the
     stage tables of every station, each up to its first stage no shot reaches;
-    a station's successes are the next one's input.  Returns each distinct
-    finished path as the bytes of its row of detector numbers by column, 0
-    where the shot had stopped, and its count.
+    a station's successes are the next one's input.  Returns the chunk's
+    distinct finished paths, each as its int8 row of detector numbers by
+    column, 0 where the shot had stopped, in no set order, and each one's count.
 
     Boolean masks select with ``compress``, or with ``flatnonzero`` and
     ``take`` where one mask selects from several arrays: either is several
@@ -129,9 +137,7 @@ def _walk_chunk(words: np.ndarray, tables: list) -> tuple[list[bytes], list[int]
         shots = np.concatenate(passed)
         prefix = np.concatenate(passed_prefix)
         prefix_rows = np.concatenate(passed_rows)
-    rows = np.concatenate(ended)
-    rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    return rows.tolist(), np.concatenate(ended_counts).tolist()
+    return np.concatenate(ended), np.concatenate(ended_counts)
 
 
 def _usable_cpus() -> int:
@@ -154,7 +160,7 @@ def _rows(seed: int, start: int, stop: int, n_stages: int) -> np.ndarray:
     return bit_generator.random_raw((stop - start) * n_stages).reshape(stop - start, n_stages)
 
 
-def _walk_parts(seed: int, bounds: list[int], n_stages: int, tables: list) -> list[tuple[list[bytes], list[int]]]:
+def _walk_parts(seed: int, bounds: list[int], n_stages: int, tables: list) -> list[tuple[np.ndarray, np.ndarray]]:
     """:func:`_walk_chunk` on each part's :func:`_rows`, ``bounds[i]`` to
     ``bounds[i + 1] - 1``: the first on the calling thread, each other on a
     thread of its own, all joined before this returns.  A part's exception is
@@ -179,6 +185,21 @@ def _walk_parts(seed: int, bounds: list[int], n_stages: int, tables: list) -> li
     return walks
 
 
+def _merge_paths(walks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[bytes], list[int]]:
+    """The distinct rows of the walks' (rows, counts) pairs as bytes, in
+    ascending order, each with its counts summed over the walks.  The rows are
+    sorted as bytes, by numpy's comparison of their void view (its stable sort
+    was measured faster than its default one), and a row that differs from the
+    one before it starts a run of equal rows."""
+    rows = np.concatenate([rows for rows, _ in walks])
+    paths = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    order = np.argsort(paths, kind="stable")
+    rows = rows.take(order, axis=0)
+    first = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
+    counts = np.concatenate([counts for _, counts in walks]).take(order)
+    return paths.take(order.take(first)).tolist(), np.add.reduceat(counts, first).tolist()
+
+
 def _sample_branches(
     config: ProtocolConfig, chains: list[_Chain]
 ) -> tuple[list[BranchRecord], dict[str, int], float]:
@@ -186,14 +207,15 @@ def _sample_branches(
 
     Each shot owns one row of a counter-based block of words, so results are
     reproducible for a given (seed, shot index) regardless of chunking: each
-    chunk of up to ``_CHUNK`` shots is split into ``max(1, min(usable CPUs,
-    rows // _MIN_PART))`` contiguous parts, and each part draws its rows and is
-    walked by :func:`_walk_chunk` on a thread of its own (:func:`_walk_parts`).
-    At most one chunk's rows are drawn at a time.  Paths are counted by their
-    rows' bytes, added over the parts in any order, and the bytes sort as the
-    rows do since every detector number is in 0..8, so branches come out in
-    the lexicographic order of their rows of detector numbers by stage,
-    whatever the number of parts.
+    chunk of up to ``min(_CHUNK, _CHUNK_WORDS // stages)`` shots is split into
+    ``max(1, min(usable CPUs, rows // _MIN_PART))`` contiguous parts, and each
+    part draws its rows and is walked by :func:`_walk_chunk` on a thread of its
+    own (:func:`_walk_parts`).  At most one chunk's rows are drawn at a time.
+    Every part's paths are merged once, after the last chunk, by
+    :func:`_merge_paths`: the bytes sort as the rows do since every detector
+    number is in 0..8, so branches come out in the lexicographic order of their
+    rows of detector numbers by stage, whatever the number of parts, and the
+    counts are sums, the same in any order.
     Detector labels, and the class of a path (that of its last outcome), are
     read from the outcomes in the chains' stages, not from their plans.
     """
@@ -206,18 +228,19 @@ def _sample_branches(
     ending = {o.detector.value: (o.classification, o.classification.value) for o in outcomes}
 
     cpus = _usable_cpus()
-    path_counts: dict[bytes, int] = {}
-    for start in range(0, config.n_shots, _CHUNK):
-        n = min(config.n_shots - start, _CHUNK)
+    chunk = min(_CHUNK, _CHUNK_WORDS // n_stages)
+    walks = []
+    for start in range(0, config.n_shots, chunk):
+        n = min(config.n_shots - start, chunk)
         n_parts = max(1, min(cpus, n // _MIN_PART))
         bounds = [start + n * i // n_parts for i in range(n_parts + 1)]
-        for rows, counts in _walk_parts(config.rng_seed, bounds, n_stages, tables):
-            for row, count in zip(rows, counts):
-                path_counts[row] = path_counts.get(row, 0) + count
+        walks += _walk_parts(config.rng_seed, bounds, n_stages, tables)
 
+    paths, path_counts = _merge_paths(walks)
+    del walks  # the parts' rows, freed before the branch records are built
     branches = []
     counts = {cls.value: 0 for cls in OutcomeClass}
-    for row, count in sorted(path_counts.items()):
+    for row, count in zip(paths, path_counts):
         path = tuple([label[code] for code in row if code])
         cls, name = ending[path[-1]]
         branches.append(BranchRecord(path, count / config.n_shots, cls, count))

@@ -673,7 +673,7 @@ def test_negative_value_in_exponent_form(capsys):
 # -- golden outputs -----------------------------------------------------------------
 
 
-# A Monte Carlo run whose first 65 536-shot chunk the sampler walks in two
+# A Monte Carlo run whose one 70 000-shot chunk the sampler walks in two
 # parts where two or more CPUs are usable.
 _THREADED_MC = ["simulate", "--mode", "mc", "--alpha", "0.8,0.36,0.48", "--rounds", "6,6",
                 "--shots", "70000", "--seed", "5"]
@@ -740,8 +740,8 @@ _THREADED_MC = ["simulate", "--mode", "mc", "--alpha", "0.8,0.36,0.48", "--round
             "1b3ffda43cd5355aa541ea66cb4d8204b3bdd6700817f0b19e009eee7c45fc7d",
         ),
         (
-            # A full 65 536-shot chunk, walked in parts on two or more usable
-            # CPUs, then a partial one of 4 464 shots.
+            # One 70 000-shot chunk, walked in two 35 000-shot parts on two or
+            # more usable CPUs.
             _THREADED_MC,
             "2c938b0b9b5e73ae9982bb9cf42b6d1c8eccc876362f8b213ffd54680bd3ffc1",
         ),

@@ -222,17 +222,30 @@ def test_any_part_count_gives_the_one_part_result(n_stages, alpha, rounds):
         assert per_chunk == [cpus, cpus, cpus, min(cpus, 2)]
 
 
-def test_a_full_chunk_in_two_parts_gives_the_one_part_result():
-    # The sampler's own chunk and part sizes: 65 536 rows in two parts, then
-    # 4 464 in one, on two CPUs or on more.
-    chains = chains_of(12)
-    config = ProtocolConfig(mode="mc", n_shots=70_000, rng_seed=5)
+@pytest.mark.parametrize(
+    "n_stages, shots, one_cpu, two_cpus, many_cpus",
+    [
+        # One 70 000-row chunk: one part, or two of 35 000 rows.
+        (12, 70_000, [(0, 70_000)], [(0, 35_000), (35_000, 70_000)], [(0, 35_000), (35_000, 70_000)]),
+        # The words bound: 65 536-row chunks at 128 stages, two parts at most.
+        (128, 70_000, [(0, 65_536), (65_536, 70_000)],
+         [(0, 32_768), (32_768, 65_536), (65_536, 70_000)], [(0, 32_768), (32_768, 65_536), (65_536, 70_000)]),
+        # The rows bound: 131 072-row chunks at 2 stages, four parts at most.
+        (2, 140_000, [(0, 131_072), (131_072, 140_000)],
+         [(0, 65_536), (65_536, 131_072), (131_072, 140_000)],
+         [(0, 32_768), (32_768, 65_536), (65_536, 98_304), (98_304, 131_072), (131_072, 140_000)]),
+    ],
+)
+def test_a_full_chunk_in_parts_gives_the_one_part_result(n_stages, shots, one_cpu, two_cpus, many_cpus):
+    # The sampler's own chunk and part sizes, on one CPU, two, or more.
+    chains = chains_of(n_stages)
+    config = ProtocolConfig(mode="mc", n_shots=shots, rng_seed=5)
     one, drawn = sample_in_parts(config, chains, 1, sampling._MIN_PART, sampling._CHUNK)
-    assert drawn == [(0, 65_536), (65_536, 70_000)]
-    for cpus in (2, 8, 64):
-        two, drawn = sample_in_parts(config, chains, cpus, sampling._MIN_PART, sampling._CHUNK)
-        assert drawn == [(0, 32_768), (32_768, 65_536), (65_536, 70_000)]
-        assert two == one
+    assert drawn == one_cpu
+    for cpus, split in ((2, two_cpus), (8, many_cpus), (64, many_cpus)):
+        got, drawn = sample_in_parts(config, chains, cpus, sampling._MIN_PART, sampling._CHUNK)
+        assert drawn == split, cpus
+        assert got == one, cpus
 
 
 def test_more_parts_than_cpus_under_a_short_switch_interval_give_the_one_part_result():
@@ -294,6 +307,35 @@ def test_a_parts_exception_reaches_the_caller_unchanged():
             sampling._sample_branches(config, chains_of(4))
     assert caught.value is error
     assert threading.active_count() == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_stages=st.integers(1, 130),
+    n_distinct=st.integers(1, 40),
+    n_parts=st.integers(1, 5),
+)
+@example(seed=0, n_stages=1, n_distinct=1, n_parts=1)
+@example(seed=1, n_stages=130, n_distinct=40, n_parts=5)
+def test_merged_paths_come_out_in_the_order_of_their_bytes(seed, n_stages, n_distinct, n_parts):
+    # Rows of detector numbers 0..8, each zero from a random column on as a
+    # path's row is past its last stage, so rows often share a prefix; each part
+    # takes them with repeats, so a row recurs within a part and across parts.
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(0, 9, size=(n_distinct, n_stages), dtype=np.int8)
+    distinct[np.arange(n_stages) >= rng.integers(1, n_stages + 1, size=(n_distinct, 1))] = 0
+    walks = []
+    for _ in range(n_parts):
+        size = int(rng.integers(1, 60))
+        walks.append((distinct[rng.integers(0, n_distinct, size=size)], rng.integers(1, 2**40, size=size)))
+    summed = {}
+    for rows, counts in walks:
+        for row, count in zip(rows, counts):
+            summed[row.tobytes()] = summed.get(row.tobytes(), 0) + int(count)
+    paths, counts = sampling._merge_paths(walks)
+    assert paths == sorted(summed)
+    assert counts == [summed[path] for path in paths]
 
 
 def thresholds_of(probabilities):

@@ -42,19 +42,14 @@ def p2_round(k: int, c: WCoefficients) -> float:
 
 def p1_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
     """Cumulative first-station success probability over ``k_max`` rounds."""
-    return _capped_sum(_p1_rounds(c, _round_count(k_max, c, "k_max")))
+    # At most 1: where the limit is exactly 1 (a1 = a2) the fold can pass it by 2 ulps.
+    return min(_left_sum(_p1_rounds(c, _round_count(k_max, c, "k_max"))), 1.0)
 
 
 def p2_total(c: WCoefficients, k_max: int = MAX_ROUNDS) -> float:
     """Cumulative second-station success probability over ``k_max`` rounds."""
-    return _capped_sum(_p2_rounds(c, _round_count(k_max, c, "k_max")))
-
-
-def _capped_sum(rounds: list[float]) -> float:
-    """The left fold of the rounds, at most 1.0: where the limit is exactly 1
-    (a1 = a2 for the first station, a2 = a3 for the second) the fold's
-    rounding can overshoot it by up to 2 ulps."""
-    return min(_left_sum(rounds), 1.0)
+    # At most 1: where the limit is exactly 1 (a2 = a3) the fold can pass it by 2 ulps.
+    return min(_left_sum(_p2_rounds(c, _round_count(k_max, c, "k_max"))), 1.0)
 
 
 def _round_count(k: int, c: WCoefficients, name: str = "round index") -> int:

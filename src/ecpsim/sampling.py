@@ -14,13 +14,14 @@ only distinct paths as rows.
 Shot i consumes row i of the seed's block of Philox words, so any contiguous
 rows can be drawn and walked on their own.  A chunk holds at most
 ``_CHUNK_WORDS`` words, and at most ``_CHUNK`` rows, and is split into one part
-per usable CPU, each at least ``_MIN_PART`` rows, so a full chunk into at most
-two at 128 stages and at most four at 64 or fewer: the calling thread walks the
-first and a ``threading.Thread`` each other.  numpy drops the GIL in the draw
-and in most of the walk's array operations, so the parts run side by side.
-Every part's finished rows are sorted and merged once, after the last chunk,
-and equal rows' counts are added up; sums do not depend on the order, so the
-output is the same for any number of parts.
+per usable CPU, each at least ``_MIN_PART`` rows and at most ``_MAX_PARTS`` of
+them: the calling thread walks the first and a ``threading.Thread`` each other.
+numpy drops the GIL in the draw and in most of the walk's array operations, so
+the parts run side by side.  The parts' finished rows are sorted and merged,
+equal rows' counts added up, once after the last chunk and, in a run of many
+chunks, whenever the rows held pass twice the distinct rows of the last merge;
+sums do not depend on the order, so the output is the same for any number of
+parts.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from .protocol import BranchRecord, OutcomeClass, ProtocolConfig, RoundOutcome, 
 # peaked at about three times the memory.
 _CHUNK_WORDS = 1 << 23
 _CHUNK = 1 << 17
-# The fewest rows a part of a chunk is walked in, so a full chunk is cut into
-# at most two parts at 128 stages and four at 64 or fewer.  Two 32 768-row parts
-# on two CPUs were measured faster than one part; 16 384-row parts on two
-# threads were slower than one thread, and splits into more parts were not
-# measured.
+# The fewest rows a part of a chunk is walked in, and the most parts of a
+# chunk.  Two 32 768-row parts on two CPUs were measured faster than one part;
+# 16 384-row parts on two threads were slower than one thread, and splits into
+# more than two parts were not measured.
 _MIN_PART = 1 << 15
+_MAX_PARTS = 2
 
 
 def _stage_tables(
@@ -185,19 +186,18 @@ def _walk_parts(seed: int, bounds: list[int], n_stages: int, tables: list) -> li
     return walks
 
 
-def _merge_paths(walks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[bytes], list[int]]:
-    """The distinct rows of the walks' (rows, counts) pairs as bytes, in
-    ascending order, each with its counts summed over the walks.  The rows are
-    sorted as bytes, by numpy's comparison of their void view (its stable sort
-    was measured faster than its default one), and a row that differs from the
-    one before it starts a run of equal rows."""
+def _merge_paths(walks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the walks' (rows, counts) pairs, in ascending order
+    of their bytes, and each one's counts summed over the walks.  The rows are
+    sorted by numpy's comparison of their void view (its stable sort was
+    measured faster than its default one), and a row that differs from the one
+    before it starts a run of equal rows."""
     rows = np.concatenate([rows for rows, _ in walks])
-    paths = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    order = np.argsort(paths, kind="stable")
+    order = np.argsort(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), kind="stable")
     rows = rows.take(order, axis=0)
     first = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
     counts = np.concatenate([counts for _, counts in walks]).take(order)
-    return paths.take(order.take(first)).tolist(), np.add.reduceat(counts, first).tolist()
+    return rows.take(first, axis=0), np.add.reduceat(counts, first)
 
 
 def _sample_branches(
@@ -208,14 +208,16 @@ def _sample_branches(
     Each shot owns one row of a counter-based block of words, so results are
     reproducible for a given (seed, shot index) regardless of chunking: each
     chunk of up to ``min(_CHUNK, _CHUNK_WORDS // stages)`` shots is split into
-    ``max(1, min(usable CPUs, rows // _MIN_PART))`` contiguous parts, and each
-    part draws its rows and is walked by :func:`_walk_chunk` on a thread of its
-    own (:func:`_walk_parts`).  At most one chunk's rows are drawn at a time.
-    Every part's paths are merged once, after the last chunk, by
-    :func:`_merge_paths`: the bytes sort as the rows do since every detector
-    number is in 0..8, so branches come out in the lexicographic order of their
-    rows of detector numbers by stage, whatever the number of parts, and the
-    counts are sums, the same in any order.
+    ``max(1, min(usable CPUs, _MAX_PARTS, rows // _MIN_PART))`` contiguous
+    parts, and each part draws its rows and is walked by :func:`_walk_chunk` on
+    a thread of its own (:func:`_walk_parts`).  At most one chunk's rows are
+    drawn at a time.  The parts' paths are merged by :func:`_merge_paths` after
+    the last chunk, and before a chunk once the rows held since the last merge
+    pass twice its distinct rows, so the rows held stay within about twice the
+    distinct paths and one chunk's.  The bytes sort as the rows do since every
+    detector number is in 0..8, so branches come out in the lexicographic order
+    of their rows of detector numbers by stage, whatever the number of parts,
+    and the counts are sums, the same in any order.
     Detector labels, and the class of a path (that of its last outcome), are
     read from the outcomes in the chains' stages, not from their plans.
     """
@@ -229,18 +231,24 @@ def _sample_branches(
 
     cpus = _usable_cpus()
     chunk = min(_CHUNK, _CHUNK_WORDS // n_stages)
-    walks = []
+    walks, held, merged = [], 0, 0
     for start in range(0, config.n_shots, chunk):
+        if held > 2 * merged:
+            walks = [_merge_paths(walks)]
+            held = merged = len(walks[0][0])
         n = min(config.n_shots - start, chunk)
-        n_parts = max(1, min(cpus, n // _MIN_PART))
+        n_parts = max(1, min(cpus, _MAX_PARTS, n // _MIN_PART))
         bounds = [start + n * i // n_parts for i in range(n_parts + 1)]
-        walks += _walk_parts(config.rng_seed, bounds, n_stages, tables)
+        parts = _walk_parts(config.rng_seed, bounds, n_stages, tables)
+        walks += parts
+        held += sum(len(rows) for rows, _ in parts)
 
-    paths, path_counts = _merge_paths(walks)
-    del walks  # the parts' rows, freed before the branch records are built
+    rows, path_counts = _merge_paths(walks)
+    paths = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+    del walks, parts, rows  # the parts' rows, freed before the branch records are built
     branches = []
     counts = {cls.value: 0 for cls in OutcomeClass}
-    for row, count in zip(paths, path_counts):
+    for row, count in zip(paths, path_counts.tolist()):
         path = tuple([label[code] for code in row if code])
         cls, name = ending[path[-1]]
         branches.append(BranchRecord(path, count / config.n_shots, cls, count))

@@ -170,10 +170,10 @@ def chains_of(n_stages, alpha=(0.8, 0.36, 0.48)):
     return _stage_chains(coefficients, n_stages // 2, n_stages - n_stages // 2, None)
 
 
-def sample_in_parts(config, chains, cpus, min_part, chunk):
+def sample_in_parts(config, chains, cpus, min_part, chunk, max_parts):
     """``_sample_branches`` with ``cpus`` usable CPUs, parts of at least
-    ``min_part`` rows and chunks of ``chunk`` shots, and the (start, stop) of
-    each part it drew, in order."""
+    ``min_part`` rows, at most ``max_parts`` parts of a chunk and chunks of
+    ``chunk`` shots, and the (start, stop) of each part it drew, in order."""
     drawn = []
     rows = sampling._rows
 
@@ -182,7 +182,7 @@ def sample_in_parts(config, chains, cpus, min_part, chunk):
         return rows(seed, start, stop, n_stages)
 
     with mock.patch.multiple(sampling, _usable_cpus=lambda: cpus, _MIN_PART=min_part, _CHUNK=chunk,
-                             _rows=recording_rows):
+                             _MAX_PARTS=max_parts, _rows=recording_rows):
         got = sampling._sample_branches(config, chains)
     return got, sorted(drawn)
 
@@ -213,7 +213,7 @@ def test_any_part_count_gives_the_one_part_result(n_stages, alpha, rounds):
     one = sampling._sample_branches(config, chains)
     assert one == reference_sample_branches(config, chains)
     for cpus in PART_COUNTS:
-        got, drawn = sample_in_parts(config, chains, cpus, PART_MIN, PART_CHUNK)
+        got, drawn = sample_in_parts(config, chains, cpus, PART_MIN, PART_CHUNK, cpus)
         assert got == one, cpus
         # The parts tile the shots, cpus of them in each full chunk.
         assert [start for start, _ in drawn] == [0, *(stop for _, stop in drawn[:-1])]
@@ -223,29 +223,50 @@ def test_any_part_count_gives_the_one_part_result(n_stages, alpha, rounds):
 
 
 @pytest.mark.parametrize(
-    "n_stages, shots, one_cpu, two_cpus, many_cpus",
+    "n_stages, shots, one_cpu, two_cpus",
     [
         # One 70 000-row chunk: one part, or two of 35 000 rows.
-        (12, 70_000, [(0, 70_000)], [(0, 35_000), (35_000, 70_000)], [(0, 35_000), (35_000, 70_000)]),
-        # The words bound: 65 536-row chunks at 128 stages, two parts at most.
-        (128, 70_000, [(0, 65_536), (65_536, 70_000)],
-         [(0, 32_768), (32_768, 65_536), (65_536, 70_000)], [(0, 32_768), (32_768, 65_536), (65_536, 70_000)]),
-        # The rows bound: 131 072-row chunks at 2 stages, four parts at most.
-        (2, 140_000, [(0, 131_072), (131_072, 140_000)],
-         [(0, 65_536), (65_536, 131_072), (131_072, 140_000)],
-         [(0, 32_768), (32_768, 65_536), (65_536, 98_304), (98_304, 131_072), (131_072, 140_000)]),
+        (12, 70_000, [(0, 70_000)], [(0, 35_000), (35_000, 70_000)]),
+        # The words bound: 65 536-row chunks at 128 stages.
+        (128, 70_000, [(0, 65_536), (65_536, 70_000)], [(0, 32_768), (32_768, 65_536), (65_536, 70_000)]),
+        # The rows bound: 131 072-row chunks at 2 stages.
+        (2, 140_000, [(0, 131_072), (131_072, 140_000)], [(0, 65_536), (65_536, 131_072), (131_072, 140_000)]),
     ],
 )
-def test_a_full_chunk_in_parts_gives_the_one_part_result(n_stages, shots, one_cpu, two_cpus, many_cpus):
-    # The sampler's own chunk and part sizes, on one CPU, two, or more.
+def test_a_full_chunk_in_parts_gives_the_one_part_result(n_stages, shots, one_cpu, two_cpus):
+    # The sampler's own chunk and part sizes, on one CPU, or two or more: at
+    # most two parts of a chunk, whatever the CPUs.
     chains = chains_of(n_stages)
     config = ProtocolConfig(mode="mc", n_shots=shots, rng_seed=5)
-    one, drawn = sample_in_parts(config, chains, 1, sampling._MIN_PART, sampling._CHUNK)
+    sizes = sampling._MIN_PART, sampling._CHUNK, sampling._MAX_PARTS
+    one, drawn = sample_in_parts(config, chains, 1, *sizes)
     assert drawn == one_cpu
-    for cpus, split in ((2, two_cpus), (8, many_cpus), (64, many_cpus)):
-        got, drawn = sample_in_parts(config, chains, cpus, sampling._MIN_PART, sampling._CHUNK)
-        assert drawn == split, cpus
+    for cpus in (2, 4, 8, 64):
+        got, drawn = sample_in_parts(config, chains, cpus, *sizes)
+        assert drawn == two_cpus, cpus
         assert got == one, cpus
+
+
+def test_a_run_of_many_chunks_merges_before_its_rows_pass_twice_its_paths():
+    # The rows held since the last merge are merged once they pass twice its
+    # distinct rows, so no merge takes more than twice the run's distinct paths
+    # and one chunk's rows, however many chunks the run has.
+    merges = []
+    merge_paths = sampling._merge_paths
+
+    def recording_merge(walks):
+        merged = merge_paths(walks)
+        merges.append(sum(len(rows) for rows, _ in walks))
+        return merged
+
+    chains = chains_of(12)
+    config = ProtocolConfig(mode="mc", n_shots=40_000, rng_seed=7)
+    one = sampling._sample_branches(config, chains)
+    with mock.patch.multiple(sampling, _CHUNK=256, _merge_paths=recording_merge):
+        got = sampling._sample_branches(config, chains)
+    assert got == one
+    assert len(merges) > 2
+    assert max(merges) <= 2 * len(one[0]) + 256
 
 
 def test_more_parts_than_cpus_under_a_short_switch_interval_give_the_one_part_result():
@@ -257,7 +278,7 @@ def test_more_parts_than_cpus_under_a_short_switch_interval_give_the_one_part_re
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            got, drawn = sample_in_parts(config, chains, 16, 64, 2048)
+            got, drawn = sample_in_parts(config, chains, 16, 64, 2048, 16)
             assert got == one and len(drawn) == 16 + 16 + 14
     finally:
         sys.setswitchinterval(interval)
@@ -282,7 +303,8 @@ def test_each_part_runs_on_its_own_thread_and_every_thread_is_joined():
 
     config = ProtocolConfig(mode="mc", n_shots=7, rng_seed=1)
     before = threading.active_count()
-    with mock.patch.multiple(sampling, _usable_cpus=lambda: 3, _MIN_PART=1, _walk_chunk=recording_walk):
+    with mock.patch.multiple(sampling, _usable_cpus=lambda: 3, _MIN_PART=1, _MAX_PARTS=3,
+                             _walk_chunk=recording_walk):
         sampling._sample_branches(config, chains_of(4))
     assert threading.active_count() == before
     # Parts of 2, 2 and 3 rows, each on a thread of its own, one the calling thread.
@@ -302,7 +324,8 @@ def test_a_parts_exception_reaches_the_caller_unchanged():
 
     config = ProtocolConfig(mode="mc", n_shots=7, rng_seed=1)
     before = threading.active_count()
-    with mock.patch.multiple(sampling, _usable_cpus=lambda: 3, _MIN_PART=1, _walk_chunk=failing_walk):
+    with mock.patch.multiple(sampling, _usable_cpus=lambda: 3, _MIN_PART=1, _MAX_PARTS=3,
+                             _walk_chunk=failing_walk):
         with pytest.raises(RuntimeError) as caught:
             sampling._sample_branches(config, chains_of(4))
     assert caught.value is error
@@ -333,9 +356,10 @@ def test_merged_paths_come_out_in_the_order_of_their_bytes(seed, n_stages, n_dis
     for rows, counts in walks:
         for row, count in zip(rows, counts):
             summed[row.tobytes()] = summed.get(row.tobytes(), 0) + int(count)
-    paths, counts = sampling._merge_paths(walks)
+    rows, counts = sampling._merge_paths(walks)
+    paths = [row.tobytes() for row in rows]
     assert paths == sorted(summed)
-    assert counts == [summed[path] for path in paths]
+    assert counts.tolist() == [summed[path] for path in paths]
 
 
 def thresholds_of(probabilities):
